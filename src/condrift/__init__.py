@@ -45,8 +45,8 @@ from .conslaw import (
     SupportOverflow,
     godunov_flux,
     init_from_datum,
+    Snapshot,
     make_grid,
-    riemann_exact,
     run_until,
     step,
 )
@@ -54,7 +54,6 @@ from .measure import (
     DiagnosticReport,
     MeasureState,
     PseudoInverse,
-    TimeMismatch,
     assemble,
     check_entropy_measure,
     original_frame_series,

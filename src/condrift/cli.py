@@ -4,7 +4,8 @@ A run is configured by a single JSON file (flat keys plus a nested datum
 table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
-Exit codes: 0 success, 2 config error, 3 numerical-validity error,
+Exit codes: 0 success, 2 config error (including non-finite numbers),
+3 numerical-validity error (including a NaN produced while stepping),
 4 I/O error.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,7 +28,15 @@ from .characteristics import (
     evaluate_smooth_grid,
     first_shock_time,
 )
-from .conslaw import CflViolation, SupportOverflow, init_from_datum, make_grid, run_until
+from .conslaw import (
+    RIGHT,
+    SIGNS,
+    CflViolation,
+    SupportOverflow,
+    init_from_datum,
+    make_grid,
+    run_until,
+)
 from .datum import (
     DisconnectedSupport,
     InitialDatum,
@@ -36,6 +46,7 @@ from .datum import (
 )
 from .frames import GammaConfig
 
+SIDES = ("left", "right")  # file-name suffix of each row
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +76,15 @@ class RunConfig:
     trace_threshold: float = TRACE_THRESHOLD
 
     def __post_init__(self):
+        for name in ("gamma", "cfl", "t_end", "snapshot_cadence", "trace_threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("dim", "grid_cells", "z_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
         if self.dim < 1:
@@ -140,12 +160,13 @@ def write_csv(path: Path, header: list, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_snapshot_csv(path: Path, snapshots) -> None:
-    """Half-line snapshot rows: t, xi_center, u (signed original xi)."""
+def write_snapshot_csv(path: Path, snapshots, row: int) -> None:
+    """One row's snapshot rows: t, xi_center, u (signed original xi)."""
+    sign = SIGNS[row]
+
     def rows():
         for snap in snapshots:
-            sign = -1.0 if snap.orientation == "left" else 1.0
-            for xi, u in zip(snap.grid.centers, snap.cells):
+            for xi, u in zip(snap.grid.centers, snap.cells[row]):
                 yield (snap.time, sign * xi, u)
     write_csv(path, ["t", "xi_center", "u"], rows())
 
@@ -182,36 +203,27 @@ def write_original_frame_csv(path: Path, series) -> None:
 class SimulationResult:
     """Everything cmd_simulate needs to write its artifacts."""
 
-    left: conslaw.HalfLineState
-    right: conslaw.HalfLineState
+    state: conslaw.HalfLineState
+    snapshots: list
     ms_series: list
     ps_series: list
-    left_snaps: list
-    right_snaps: list
     datum: InitialDatum
 
 
 def simulate(config: RunConfig) -> SimulationResult:
-    """Run both half-line solvers and assemble measure snapshots."""
+    """Run the half-line solver and assemble measure snapshots."""
     if config.dim != 1:
         raise ConfigError("simulate requires dim = 1")
     cfg = config.gamma_config()
     datum = config.build_datum()
     grid = make_grid(datum, cfg, config.grid_cells)
-    left, right = init_from_datum(datum, grid, cfg)
-
-    left_snaps: list = []
-    right_snaps: list = []
-    run_until(left, config.t_end, config.cfl, cfg,
-              observer=left_snaps.append, cadence=config.snapshot_cadence)
-    run_until(right, config.t_end, config.cfl, cfg,
-              observer=right_snaps.append, cadence=config.snapshot_cadence)
-
-    ms_series = [measure.assemble(ls, rs, cfg)
-                 for ls, rs in zip(left_snaps, right_snaps)]
+    state = init_from_datum(datum, grid, cfg)
+    snapshots: list = []
+    run_until(state, config.t_end, config.cfl, cfg,
+              observer=snapshots.append, cadence=config.snapshot_cadence)
+    ms_series = [measure.assemble(snap, cfg) for snap in snapshots]
     ps_series = [measure.pseudo_inverse(ms, config.z_count) for ms in ms_series]
-    return SimulationResult(left, right, ms_series, ps_series,
-                            left_snaps, right_snaps, datum)
+    return SimulationResult(state, snapshots, ms_series, ps_series, datum)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -222,10 +234,9 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     (out_dir / "resolved_config.json").write_text(
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-    write_snapshot_csv(out_dir / "snapshots_left.csv", res.left_snaps)
-    write_snapshot_csv(out_dir / "snapshots_right.csv", res.right_snaps)
-    _write_trace_ledger(out_dir / "ledger_left.csv", res.left, cfg)
-    _write_trace_ledger(out_dir / "ledger_right.csv", res.right, cfg)
+    for row, side in enumerate(SIDES):
+        write_snapshot_csv(out_dir / f"snapshots_{side}.csv", res.snapshots, row)
+    _write_trace_ledger(out_dir, res.state, cfg)
     write_measure_csv(out_dir / "measures.csv", ms_series)
     write_pseudoinverse_csv(out_dir / "pseudoinverse.csv", ms_series, ps_series)
     if config.frame == "original":
@@ -234,18 +245,16 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     report = measure.check_entropy_measure(ms_series, ps_series, cfg,
                                            datum=res.datum)
-    onset = measure.trace_onset_time(res.right, config.trace_threshold)
-    onset_left = measure.trace_onset_time(res.left, config.trace_threshold)
+    onset = min(measure.trace_onset_time(res.state, config.trace_threshold))
     summary = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
         "dim": config.dim,
         "grid": {"cells": config.grid_cells,
-                 "dxi": res.left.grid.cell_width,
-                 "extent": res.left.grid.extent},
+                 "dxi": res.state.grid.cell_width,
+                 "extent": res.state.grid.extent},
         "t_end": config.t_end,
-        "t_star_trace": None if math.isinf(min(onset, onset_left))
-        else min(onset, onset_left),
+        "t_star_trace": None if math.isinf(onset) else onset,
         "final_dirac_fraction": ms_series[-1].dirac_mass
         / max(ms_series[-1].total_mass, 1e-300),
         "total_mass": ms_series[-1].total_mass,
@@ -260,17 +269,21 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def _write_trace_ledger(path: Path, state: conslaw.HalfLineState,
+def _write_trace_ledger(out_dir: Path, state: conslaw.HalfLineState,
                         cfg: GammaConfig) -> None:
-    """t, trace_u0, outflux_cumulative rows, one per recorded step."""
+    """ledger_<side>.csv: t, trace_u0, outflux_cumulative, one row per
+    recorded step; both files share the time column."""
     times = np.asarray(state.trace_times)
     values = np.asarray(state.trace_values)
-    fluxes = values ** (1 + cfg.gamma) / (1 + cfg.gamma)
+    fluxes = conslaw.godunov_flux(values, cfg)
     # left-endpoint quadrature matches the explicit stepping exactly
-    increments = np.concatenate([[0.0], fluxes[:-1] * np.diff(times)])
-    cumulative = np.cumsum(increments)
-    write_csv(path, ["t", "trace_u0", "outflux_cumulative"],
-              zip(times, values, cumulative))
+    increments = np.concatenate([np.zeros((1, 2)),
+                                 fluxes[:-1] * np.diff(times)[:, None]])
+    cumulative = np.cumsum(increments, axis=0)
+    for row, side in enumerate(SIDES):
+        write_csv(out_dir / f"ledger_{side}.csv",
+                  ["t", "trace_u0", "outflux_cumulative"],
+                  zip(times, values[:, row], cumulative[:, row]))
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -292,36 +305,33 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     for n in sizes:
         datum = example_block_datum(g)
         grid = make_grid(datum, cfg, n)
-        _, right = init_from_datum(datum, grid, cfg)
-        run_until(right, t_probe, config.cfl, cfg)
+        state = init_from_datum(datum, grid, cfg)
+        run_until(state, t_probe, config.cfl, cfg)
         exact = oracle.u_explicit(grid.centers, t_probe, spec)
-        errors.append(float(np.sum(np.abs(right.cells - exact)) * grid.cell_width))
+        errors.append(float(np.sum(np.abs(state.cells[RIGHT] - exact)) * grid.cell_width))
     order = float(np.polyfit(np.log(sizes), np.log(errors), 1)[0] * -1)
     informational = config.grid_cells < 256
     add("L1 convergence order vs explicit u",
         "INFO" if informational else ("PASS" if order >= 0.8 else "FAIL"),
         f"{order:.3f}", ">= 0.8")
 
-    # trace onset vs 1/gamma
-    run_cfg = RunConfig(gamma=g, datum={"kind": "example36"},
+    # one run to 4/gamma serves the onset and the condensed-mass law
+    law_cfg = RunConfig(gamma=g, datum={"kind": "example36"},
                         grid_cells=config.grid_cells, cfl=config.cfl,
-                        t_end=1.5 / g, snapshot_cadence=0.5 / g,
+                        t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
-    onset_res = simulate(run_cfg)
-    onset = measure.trace_onset_time(onset_res.right, config.trace_threshold)
-    tol = 5.0 * trace_time_tolerance(g, onset_res.right.grid.cell_width,
+    law_res = simulate(law_cfg)
+    ms2, ps2 = law_res.ms_series, law_res.ps_series
+
+    # trace onset vs 1/gamma
+    onset = measure.trace_onset_time(law_res.state, config.trace_threshold)[RIGHT]
+    tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width,
                                      config.trace_threshold)
     status = "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL"
     add("trace onset time vs 1/gamma", status,
         f"{onset:.5f}", f"{1.0 / g:.5f} +/- {tol:.2g}")
 
     # condensed-mass law on [1.5/gamma, 4/gamma]
-    run_cfg2 = RunConfig(gamma=g, datum={"kind": "example36"},
-                         grid_cells=config.grid_cells, cfl=config.cfl,
-                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
-                         z_count=config.z_count)
-    law_res = simulate(run_cfg2)
-    ms2, ps2 = law_res.ms_series, law_res.ps_series
     worst = 0.0
     for ms in ms2:
         if ms.time >= 1.5 / g:
@@ -420,20 +430,15 @@ def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
     """Re-express an existing run's measure series in the original frame."""
     config = load_config(str(input_dir / "resolved_config.json"))
     cfg = config.gamma_config()
-    rows = []
+    series = []
     text = (input_dir / "measures.csv").read_text().strip().splitlines()
     for line in text[1:]:
         t, dirac, ac, lo, hi, w1 = (float(v) for v in line.split(","))
-        tau = float(np.log1p(cfg.dim * cfg.gamma * t) / (cfg.dim * cfg.gamma))
-        shrink = math.exp(-tau)
-        rows.append((tau, t, dirac, lo * shrink, hi * shrink,
-                     (hi - lo) * shrink, w1 * shrink))
+        series.append(measure.to_original_frame(t, dirac, dirac + ac, (lo, hi), w1, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "original_frame.csv",
-              ["tau", "t_driftfree", "dirac_mass", "support_lo", "support_hi",
-               "support_diameter", "w1_to_dirac"], rows)
+    write_original_frame_csv(out_dir / "original_frame.csv", series)
     if not quiet:
-        print(f"converted {len(rows)} snapshots to the original frame")
+        print(f"converted {len(series)} snapshots to the original frame")
     return EXIT_OK
 
 
@@ -469,7 +474,7 @@ def main(argv=None) -> int:
         _fail(f"config error: {exc}", EXIT_CONFIG)
         return EXIT_CONFIG
     except (SupportOverflow, NotSmoothRegime, CflViolation,
-            DisconnectedSupport) as exc:
+            DisconnectedSupport, FloatingPointError) as exc:
         _fail(f"numerical validity error: {exc}", EXIT_NUMERICAL)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -11,6 +11,11 @@ sign, the interface flux is pure upwinding from the right cell.  No
 boundary condition is imposed at xi = 0 (outflow only); the ghost cell
 copies the boundary cell.  Mass leaving through the origin accumulates in
 ``outflux_ledger`` so that the discrete total is conserved exactly.
+
+The two half-lines share one clock and are coupled only through the mass
+they feed into the origin, so they are stepped together as the two rows
+of one ``(2, N)`` array: row 0 is the reflected left half-line, row 1 the
+right one.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .frames import GammaConfig, x_of_xi, xi_of_x
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# row indices of the two half-lines, and the sign that maps a row's xi to x
+LEFT, RIGHT = 0, 1
+SIGNS = (-1.0, 1.0)
 
 
 class SupportOverflow(ValueError):
@@ -63,57 +71,60 @@ class HalfLineGrid:
 
 
 @dataclass
-class HalfLineState:
-    """Cell averages of u on one (reflected) half-line plus origin bookkeeping.
+class Snapshot:
+    """Cell averages of u on both reflected half-lines at one instant.
 
-    ``orientation`` records which original half-line this state represents;
-    "right" evolves on xi > 0 as-is, "left" has been reflected xi -> -xi.
+    ``cells`` has shape (2, N): row LEFT is the left half-line reflected
+    xi -> -xi, row RIGHT the right one.  ``outflux_ledger`` holds the mass
+    each row has fed into the origin.
     """
 
     grid: HalfLineGrid
     cells: np.ndarray
     time: float = 0.0
-    orientation: str = "right"
-    outflux_ledger: float = 0.0
+    outflux_ledger: np.ndarray = field(default_factory=lambda: np.zeros(2))
     sup_initial: float = 0.0
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Discrete mass remaining on each half-line."""
+        return self.cells.sum(axis=1) * self.grid.cell_width
+
+
+@dataclass
+class HalfLineState(Snapshot):
+    """A snapshot that steps, plus the boundary trace u(0, t) of each row.
+
+    ``rows`` is the slice of rows that carry mass at construction; only
+    those are stepped.  A row that starts empty stays exactly zero, since
+    the far ghost has zero inflow and the origin is outflow-only.
+    """
+
     trace_times: list = field(default_factory=list)
     trace_values: list = field(default_factory=list)
+    rows: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.orientation not in ("left", "right"):
-            raise ValueError(f"orientation must be 'left' or 'right', got {self.orientation!r}")
         self.cells = np.asarray(self.cells, dtype=float)
-        if self.cells.shape != (self.grid.cell_count,):
-            raise ValueError("cells shape does not match the grid")
+        self.outflux_ledger = np.array(self.outflux_ledger, dtype=float)
+        if self.cells.shape != (2, self.grid.cell_count):
+            raise ValueError("cells must have shape (2, cell_count)")
+        if self.outflux_ledger.shape != (2,):
+            raise ValueError("outflux_ledger must hold one value per row")
         if np.any(self.cells < 0):
             raise ValueError("cell averages must be nonnegative")
         if not self.trace_times:
             self.trace_times.append(self.time)
-            self.trace_values.append(float(self.cells[0]))
+            self.trace_values.append(self.cells[:, 0].copy())
         if self.sup_initial == 0.0:
             self.sup_initial = float(self.cells.max(initial=0.0))
+        occupied = np.flatnonzero(self.cells.any(axis=1))
+        self.rows = slice(occupied[0], occupied[-1] + 1) if occupied.size else slice(0, 0)
 
-    def copy(self) -> "HalfLineState":
-        return HalfLineState(
-            grid=self.grid,
-            cells=self.cells.copy(),
-            time=self.time,
-            orientation=self.orientation,
-            outflux_ledger=self.outflux_ledger,
-            sup_initial=self.sup_initial,
-            trace_times=list(self.trace_times),
-            trace_values=list(self.trace_values),
-        )
-
-    @property
-    def mass(self) -> float:
-        """Discrete mass remaining on this half-line."""
-        return float(self.cells.sum()) * self.grid.cell_width
-
-    @property
-    def trace(self) -> float:
-        """Current boundary value u(0, t), read from the first cell."""
-        return float(self.cells[0])
+    def snapshot(self) -> Snapshot:
+        """Decoupled copy of the time, cells and ledger."""
+        return Snapshot(self.grid, self.cells.copy(), self.time,
+                        self.outflux_ledger.copy(), self.sup_initial)
 
 
 def xi_extent_of_datum(datum: InitialDatum, cfg: GammaConfig) -> float:
@@ -141,14 +152,9 @@ def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
     """
     edges = grid.edges
     if datum.kind in ("constant", "linear"):
-        x_edges = np.asarray(x_of_xi(edges, cfg))
-        masses = np.array([
-            integrate_piecewise(datum,
-                                min(sign * x_lo, sign * x_hi),
-                                max(sign * x_lo, sign * x_hi))
-            for x_lo, x_hi in zip(x_edges[:-1], x_edges[1:])
-        ])
-        return masses / grid.cell_width
+        ends = sign * np.asarray(x_of_xi(edges, cfg))
+        lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
+        return integrate_piecewise(datum, lo, hi) / grid.cell_width
     g = cfg.gamma
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
@@ -158,25 +164,21 @@ def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
 
 
 def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
-                    cfg: GammaConfig) -> tuple[HalfLineState, HalfLineState]:
-    """Build the (left, right) half-line states from an initial datum.
+                    cfg: GammaConfig) -> HalfLineState:
+    """Build the two-row half-line state from an initial datum.
 
-    The left problem is reflected xi -> -xi so both states evolve under the
-    canonical equation.  Raises :class:`SupportOverflow` if the grid is too
-    short.
+    The left problem is reflected xi -> -xi into row LEFT so both rows
+    evolve under the canonical equation.  Raises :class:`SupportOverflow`
+    if the grid is too short.
     """
     if cfg.dim != 1:
         raise ValueError("half-line solver requires dim = 1")
-    if xi_extent_of_datum(datum, cfg) > grid.extent:
+    reach = xi_extent_of_datum(datum, cfg)
+    if reach > grid.extent:
         raise SupportOverflow(
-            f"xi-image of support reaches {xi_extent_of_datum(datum, cfg)}, "
-            f"grid extent is only {grid.extent}"
-        )
-    right = HalfLineState(grid=grid, cells=_cell_averages(datum, grid, cfg, +1.0),
-                          orientation="right")
-    left = HalfLineState(grid=grid, cells=_cell_averages(datum, grid, cfg, -1.0),
-                         orientation="left")
-    return left, right
+            f"xi-image of support reaches {reach}, grid extent is only {grid.extent}")
+    cells = np.stack([_cell_averages(datum, grid, cfg, sign) for sign in SIGNS])
+    return HalfLineState(grid=grid, cells=cells)
 
 
 def godunov_flux(u_upwind, cfg: GammaConfig):
@@ -186,81 +188,59 @@ def godunov_flux(u_upwind, cfg: GammaConfig):
     reduces to evaluating the flux at the downwind (right) value.
     """
     u = np.asarray(u_upwind, dtype=float)
-    if np.any(u < 0):
+    if u.min(initial=0.0) < 0:
         raise ValueError("flux requires u >= 0")
     return u ** (1 + cfg.gamma) / (1 + cfg.gamma)
 
 
-def riemann_exact(u_l: float, u_r: float, xi_over_t: float, cfg: GammaConfig) -> float:
-    """Self-similar entropy solution of the canonical Riemann problem.
-
-    The flux -u^(1+gamma)/(1+gamma) is concave on u >= 0, so a jump is an
-    admissible shock iff u_l <= u_r (speed from the Rankine-Hugoniot
-    condition); otherwise the jump opens into the rarefaction fan
-    u = (-xi/t)^(1/gamma) between speeds -u_l^gamma and -u_r^gamma.
-    """
-    if u_l < 0 or u_r < 0:
-        raise ValueError("Riemann data must be nonnegative")
-    g = cfg.gamma
-    if u_l == u_r:
-        return u_l
-    if u_l < u_r:  # admissible shock
-        s = -(u_r ** (1 + g) - u_l ** (1 + g)) / ((1 + g) * (u_r - u_l))
-        return u_l if xi_over_t < s else u_r
-    # rarefaction between speeds -u_l^gamma < -u_r^gamma
-    if xi_over_t <= -(u_l**g):
-        return u_l
-    if xi_over_t >= -(u_r**g):
-        return u_r
-    return (-xi_over_t) ** (1 / g)
-
-
 def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
-    """CFL time step cfl * dxi / max(speed), floored at EPS_SPEED."""
-    speed = float(np.max(state.cells, initial=0.0)) ** cfg.gamma
+    """CFL time step cfl * dxi / max(speed) over both rows, floored at EPS_SPEED."""
+    speed = float(state.cells[state.rows].max(initial=0.0)) ** cfg.gamma
     return cfl * state.grid.cell_width / max(speed, EPS_SPEED)
+
+
+def _clip_roundoff(u: np.ndarray, what: str) -> None:
+    """Clip roundoff-level negatives to 0; NaN or a real negative raises."""
+    if not u.min(initial=0.0) >= -CLIP_TOL:
+        raise FloatingPointError(f"{what}: negative or NaN cell average")
+    np.maximum(u, 0.0, out=u)
 
 
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
          dt_cap: Optional[float] = None) -> HalfLineState:
-    """One conservative explicit update, in place; returns the state.
+    """One conservative explicit update of both rows, in place; returns the state.
 
     dt = cfl * dxi / max(max_i u_i^gamma, EPS_SPEED), optionally capped by
     ``dt_cap`` (used to land exactly on a target time).  The flux through
-    xi = 0 is added to the outflux ledger so that
-    dxi * sum(cells) + ledger is constant to rounding.
+    xi = 0 is added to each row's outflux ledger so that
+    dxi * sum(cells) + ledger is constant to rounding, row by row.
     """
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
-    u = state.cells
-    if u.min(initial=0.0) < -CLIP_TOL:
-        raise FloatingPointError("negative cell average beyond roundoff tolerance")
-    np.maximum(u, 0.0, out=u)
+    u = state.cells[state.rows]
+    _clip_roundoff(u, "state before the update")
     dt = stable_dt(state, cfl, cfg)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    g = cfg.gamma
-    flux = u ** (1 + g) / (1 + g)
-    boundary_flux = flux[0]
+    flux = godunov_flux(u, cfg)
     # u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)); far ghost value is 0 (inflow 0)
-    increment = np.append(flux[1:], 0.0) - flux
+    increment = -flux
+    increment[:, :-1] += flux[:, 1:]
     u += (dt / state.grid.cell_width) * increment
-    if u.min(initial=0.0) < -CLIP_TOL:
-        raise FloatingPointError("monotone update produced a negative cell")
-    np.maximum(u, 0.0, out=u)
-    state.outflux_ledger += dt * boundary_flux
+    _clip_roundoff(u, "monotone update")
+    state.outflux_ledger[state.rows] += dt * flux[:, 0]
     state.time += dt
     state.trace_times.append(state.time)
-    state.trace_values.append(float(u[0]))
+    state.trace_values.append(state.cells[:, 0].copy())
     return state
 
 
 def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
-              observer: Optional[Callable[["HalfLineState"], None]] = None,
+              observer: Optional[Callable[[Snapshot], None]] = None,
               cadence: Optional[float] = None) -> HalfLineState:
     """Step until t_end, landing on it exactly.
 
-    If an observer is given, it is called with immutable snapshots at times
+    If an observer is given, it is called with decoupled snapshots at times
     t0 + k*cadence (k = 0, 1, ...), linearly interpolated in time between
     the two bracketing steps; the stepping sequence itself is independent
     of the cadence.
@@ -273,7 +253,7 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     next_snap = state.time
     last_snap = None
     if observer is not None:
-        observer(state.copy())
+        observer(state.snapshot())
         last_snap = state.time
         next_snap += cadence
     prev_cells = None
@@ -283,26 +263,20 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
         if observer is not None:
             prev_cells = state.cells.copy()
             prev_time = state.time
-            prev_ledger = state.outflux_ledger
+            prev_ledger = state.outflux_ledger.copy()
         step(state, cfl, cfg, dt_cap=t_end - state.time)
         if observer is not None:
             while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
                 w = 0.0 if state.time == prev_time else (
                     (next_snap - prev_time) / (state.time - prev_time))
-                snap = state.copy()
-                snap.cells = (1 - w) * prev_cells + w * state.cells
-                snap.outflux_ledger = (1 - w) * prev_ledger + w * state.outflux_ledger
-                snap.time = next_snap
-                observer(snap)
+                observer(Snapshot(state.grid,
+                                  (1 - w) * prev_cells + w * state.cells,
+                                  next_snap,
+                                  (1 - w) * prev_ledger + w * state.outflux_ledger,
+                                  state.sup_initial))
                 last_snap = next_snap
                 next_snap += cadence
     state.time = t_end
     if observer is not None and (last_snap is None or last_snap < t_end - tiny):
-        observer(state.copy())
+        observer(state.snapshot())
     return state
-
-
-def total_variation(state: HalfLineState) -> float:
-    """Discrete total variation including the jumps to vacuum at both ends."""
-    u = state.cells
-    return float(u[0] + np.abs(np.diff(u)).sum() + u[-1])

@@ -100,6 +100,8 @@ def piecewise_constant(breakpoints, values) -> InitialDatum:
     vals = np.asarray(values, dtype=float)
     if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size - 1:
         raise ValueError("need n+1 breakpoints for n values")
+    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+        raise ValueError("breakpoints and values must be finite")
     if np.any(np.diff(bp) <= 0):
         raise ValueError("breakpoints must be strictly increasing")
     if np.any(vals < 0):
@@ -128,6 +130,8 @@ def piecewise_linear(breakpoints, values) -> InitialDatum:
     vals = np.asarray(values, dtype=float)
     if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size:
         raise ValueError("need matching breakpoints and values")
+    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+        raise ValueError("breakpoints and values must be finite")
     if np.any(np.diff(bp) <= 0):
         raise ValueError("breakpoints must be strictly increasing")
     if np.any(vals < 0):
@@ -173,29 +177,34 @@ def unit_uniform_datum() -> InitialDatum:
     return block_datum(1.0, 0.0, 1.0)
 
 
-def integrate_piecewise(datum: InitialDatum, lo: float, hi: float) -> float:
-    """Exact integral of a piecewise datum over [lo, hi].
+def integrate_piecewise(datum: InitialDatum, lo, hi):
+    """Exact integral of a piecewise datum over [lo, hi], elementwise.
 
-    Falls back to dense trapezoid quadrature for callable data.
+    ``lo`` and ``hi`` broadcast; a scalar pair gives a float.  Piecewise
+    data difference their exact cumulative; callable data fall back to
+    dense trapezoid quadrature per interval.  Masses are clamped at 0, so
+    roundoff cannot make one negative.
     """
-    if hi <= lo:
-        return 0.0
-    lo = max(lo, datum.a)
-    hi = min(hi, datum.b)
-    if hi <= lo:
-        return 0.0
+    lo, hi = np.broadcast_arrays(np.clip(np.asarray(lo, dtype=float), datum.a, datum.b),
+                                 np.clip(np.asarray(hi, dtype=float), datum.a, datum.b))
     if datum.kind == "callable":
-        xs = np.linspace(lo, hi, 257)
-        return float(np.trapezoid(datum.eval(xs), xs))
-    bp = datum.breakpoints
-    cuts = np.unique(np.concatenate([[lo, hi], bp[(bp > lo) & (bp < hi)]]))
-    total = 0.0
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        if datum.kind == "constant":
-            mid = 0.5 * (p + q)
-            total += float(datum.eval(np.asarray([mid]))[0]) * (q - p)
-        else:  # linear: trapezoid is exact on each segment
-            fp = float(datum.eval(np.asarray([p]))[0])
-            fq = float(datum.eval(np.asarray([q]))[0])
-            total += 0.5 * (fp + fq) * (q - p)
-    return total
+        grids = (np.linspace(p, q, 257) for p, q in zip(lo.ravel(), hi.ravel()))
+        mass = np.array([np.trapezoid(datum.eval(xs), xs) for xs in grids])
+        mass = mass.reshape(lo.shape)
+    else:
+        mass = _cumulative(datum, hi) - _cumulative(datum, lo)
+    out = np.maximum(mass, 0.0)
+    return out if out.ndim else float(out)
+
+
+def _cumulative(datum: InitialDatum, x: np.ndarray) -> np.ndarray:
+    """Exact datum mass on [a, x] for x in [a, b], piecewise data only."""
+    bp, v = datum.breakpoints, datum.values
+    if datum.kind == "constant":  # piecewise linear cumulative
+        return np.interp(x, bp, np.concatenate([[0.0], np.cumsum(v * np.diff(bp))]))
+    # linear datum: quadratic cumulative on each segment
+    width = np.diff(bp)
+    at_bp = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * width)])
+    k = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, width.size - 1)
+    d = x - bp[k]
+    return at_bp[k] + d * (v[k] + 0.5 * (np.diff(v) / width)[k] * d)

@@ -1,10 +1,11 @@
 """Assembly of the global measure solution m(t)*delta_0 + rho(x,t).
 
-The two half-line states are stitched together around the origin: cell
-masses map exactly through the coordinate change (the integral of u over a
-xi-cell equals the integral of rho over the cell's x-image), the
-accumulated boundary outflux becomes the concentrated mass m(t), and the
-cumulative distribution F carries a jump of height m at x = 0.  The
+The two rows of a half-line snapshot are stitched together around the
+origin: cell masses map exactly through the coordinate change (the
+integral of u over a xi-cell equals the integral of rho over the cell's
+x-image), the accumulated boundary outflux becomes the concentrated mass
+m(t), and the cumulative distribution F carries a jump of height m at
+x = 0.  The
 pseudo-inverse X(z) of F encodes the concentrated mass as a plateau at
 zero, which is how every structural diagnostic below reads the solution.
 """
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conslaw import HalfLineState
+from .conslaw import LEFT, RIGHT, SIGNS, HalfLineState, Snapshot
 from .datum import InitialDatum, integrate_piecewise
 from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
 
@@ -25,10 +26,6 @@ MASS_REL_TOL = 1e-10
 SLOPE_JUMP_RATIO = 3.0
 EDGE_SLOPE_FACTOR = 5.0
 EDGE_EXCLUDE_CELLS = 2
-
-
-class TimeMismatch(ValueError):
-    """The two half-line states are at different times."""
 
 
 @dataclass
@@ -103,36 +100,36 @@ class DiagnosticReport:
         return out
 
 
-def _side_breakpoints(state: HalfLineState, cfg: GammaConfig, sign: float):
-    """Ascending (x_edges, cell_masses, x_centers, u_cells) for one side.
+def _side_breakpoints(snap: Snapshot, row: int, cfg: GammaConfig):
+    """Ascending (x_edges, cell_masses, x_centers, u_cells) for one row.
 
     Trailing vacuum beyond the outermost nonzero cell is trimmed so that the
     final breakpoint is the support edge.
     """
-    u = state.cells
+    u = snap.cells[row]
+    sign = SIGNS[row]
     nz = np.nonzero(u > 0)[0]
     if nz.size == 0:
         return (np.empty(0), np.empty(0), np.empty(0), np.empty(0))
     last = int(nz[-1])
-    edges = state.grid.edges[: last + 2]
-    centers = state.grid.centers[: last + 1]
-    masses = u[: last + 1] * state.grid.cell_width
+    edges = snap.grid.edges[: last + 2]
+    centers = snap.grid.centers[: last + 1]
+    masses = u[: last + 1] * snap.grid.cell_width
     x_edges = sign * np.asarray(x_of_xi(edges, cfg))
     x_centers = sign * np.asarray(x_of_xi(centers, cfg))
-    if sign < 0:  # reflected side: ascending order is reversed canonical order
+    if row == LEFT:  # reflected side: ascending order is reversed canonical order
         return (x_edges[::-1], masses[::-1], x_centers[::-1], u[: last + 1][::-1])
     return (x_edges, masses, x_centers, u[: last + 1])
 
 
-def assemble(left: HalfLineState, right: HalfLineState, cfg: GammaConfig) -> MeasureState:
-    """Stitch the two half-line states into one measure snapshot."""
-    if not math.isclose(left.time, right.time, rel_tol=1e-9, abs_tol=1e-12):
-        raise TimeMismatch(f"left at t={left.time}, right at t={right.time}")
-    dirac = left.outflux_ledger + right.outflux_ledger
-    total = dirac + left.mass + right.mass
+def assemble(snap: Snapshot, cfg: GammaConfig) -> MeasureState:
+    """Stitch the two rows of a half-line snapshot into one measure snapshot."""
+    dirac = snap.outflux_ledger[LEFT] + snap.outflux_ledger[RIGHT]
+    row_mass = snap.mass
+    total = dirac + row_mass[LEFT] + row_mass[RIGHT]
 
-    lx_edges, lmass, lx_centers, lu = _side_breakpoints(left, cfg, -1.0)
-    rx_edges, rmass, rx_centers, ru = _side_breakpoints(right, cfg, +1.0)
+    lx_edges, lmass, lx_centers, lu = _side_breakpoints(snap, LEFT, cfg)
+    rx_edges, rmass, rx_centers, ru = _side_breakpoints(snap, RIGHT, cfg)
 
     xs = [lx_edges if lx_edges.size else np.array([0.0])]
     vs = [np.concatenate([[0.0], np.cumsum(lmass)]) if lmass.size else np.array([0.0])]
@@ -151,7 +148,7 @@ def assemble(left: HalfLineState, right: HalfLineState, cfg: GammaConfig) -> Mea
     weights = np.concatenate([lmass, rmass])
     rho = dxi_dx(x, cfg) * u_vals if x.size else np.empty(0)
     return MeasureState(
-        time=left.time,
+        time=snap.time,
         dirac_mass=dirac,
         total_mass=total,
         x=x,
@@ -160,7 +157,7 @@ def assemble(left: HalfLineState, right: HalfLineState, cfg: GammaConfig) -> Mea
         F_x=F_x,
         F_val=F_val,
         support=(float(F_x[0]), float(F_x[-1])),
-        sup_u_initial=max(left.sup_initial, right.sup_initial),
+        sup_u_initial=snap.sup_initial,
     )
 
 
@@ -216,26 +213,31 @@ class OriginalFrameSnapshot:
     w1: float
 
 
+def to_original_frame(t: float, dirac_mass: float, total_mass: float,
+                      support: tuple, w1: float, cfg: GammaConfig) -> OriginalFrameSnapshot:
+    """One drift-free summary in the original frame; lengths contract by e^-tau."""
+    tau = float(time_driftfree_to_original(t, cfg))
+    shrink = math.exp(-tau)
+    lo, hi = support
+    return OriginalFrameSnapshot(
+        tau=tau,
+        t_driftfree=t,
+        dirac_mass=dirac_mass,
+        total_mass=total_mass,
+        support_lo=lo * shrink,
+        support_hi=hi * shrink,
+        diameter=(hi - lo) * shrink,
+        w1=w1 * shrink,
+    )
+
+
 def original_frame_series(ms_series, cfg: GammaConfig):
     """Map snapshots to the original frame; supports and W_p contract by e^-tau."""
     if cfg.dim != 1:
         raise ValueError("original-frame series requires dim = 1")
-    out = []
-    for ms in ms_series:
-        tau = float(time_driftfree_to_original(ms.time, cfg))
-        shrink = math.exp(-tau)
-        lo, hi = ms.support
-        out.append(OriginalFrameSnapshot(
-            tau=tau,
-            t_driftfree=ms.time,
-            dirac_mass=ms.dirac_mass,
-            total_mass=ms.total_mass,
-            support_lo=lo * shrink,
-            support_hi=hi * shrink,
-            diameter=(hi - lo) * shrink,
-            w1=wasserstein_to_dirac(ms, 1.0) * shrink,
-        ))
-    return out
+    return [to_original_frame(ms.time, ms.dirac_mass, ms.total_mass, ms.support,
+                              wasserstein_to_dirac(ms, 1.0), cfg)
+            for ms in ms_series]
 
 
 def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:
@@ -307,8 +309,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
 
     if datum is not None:
         ms0 = ms_series[0]
-        F_ref = np.array([integrate_piecewise(datum, datum.a, float(xx))
-                          for xx in ms0.F_x])
+        F_ref = integrate_piecewise(datum, datum.a, ms0.F_x)
         sup_err = float(np.max(np.abs(F_ref - ms0.F_val)))
         report.metrics["initial_cumulative_sup_error"] = sup_err
         if sup_err > 1e-8 * max(M, 1.0) or ms0.dirac_mass != 0.0:
@@ -425,10 +426,11 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     return report
 
 
-def trace_onset_time(state: HalfLineState, threshold: float = 1e-2) -> float:
-    """First recorded time the boundary trace exceeds the threshold (inf if never)."""
-    values = np.asarray(state.trace_values)
-    above = np.nonzero(values > threshold)[0]
-    if above.size == 0:
-        return math.inf
-    return float(state.trace_times[int(above[0])])
+def trace_onset_time(state: HalfLineState, threshold: float = 1e-2) -> tuple:
+    """First recorded time each row's boundary trace exceeds the threshold,
+    as (left, right); inf for a row whose trace never does."""
+    onsets = []
+    for values in np.asarray(state.trace_values).T:
+        above = np.flatnonzero(values > threshold)
+        onsets.append(float(state.trace_times[above[0]]) if above.size else math.inf)
+    return tuple(onsets)

@@ -29,7 +29,6 @@ class ExplicitSolutionSpec:
 
     gamma: float
     mass_convention: str = "unit_height"
-    frame: str = "driftfree-x"  # metadata label used by CSV exporters
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -40,11 +39,6 @@ class ExplicitSolutionSpec:
     @property
     def total_mass(self) -> float:
         return 1.0 if self.mass_convention == "unit_mass" else 1.0 / (1.0 + self.gamma)
-
-    @property
-    def x_dilation(self) -> float:
-        """x coordinates dilate by (1+gamma) between the conventions."""
-        return 1.0 + self.gamma
 
     @property
     def xi_dilation(self) -> float:

@@ -1,0 +1,90 @@
+"""Independent references used only by the tests.
+
+Exact Riemann solutions and the discrete total variation check the
+Godunov scheme; a per-segment loop checks the vectorized datum
+integration; a fixed-step RK4 integrator checks the closed-form
+characteristics.  None of these is used by the library itself.
+``right_row_state`` builds the one-sided states the scheme tests step.
+"""
+
+import numpy as np
+
+from condrift.conslaw import HalfLineState
+
+
+def riemann_exact(u_l: float, u_r: float, xi_over_t: float, cfg) -> float:
+    """Self-similar entropy solution of the canonical Riemann problem.
+
+    The flux -u^(1+gamma)/(1+gamma) is concave on u >= 0, so a jump is an
+    admissible shock iff u_l <= u_r (speed from the Rankine-Hugoniot
+    condition); otherwise the jump opens into the rarefaction fan
+    u = (-xi/t)^(1/gamma) between speeds -u_l^gamma and -u_r^gamma.
+    """
+    if u_l < 0 or u_r < 0:
+        raise ValueError("Riemann data must be nonnegative")
+    g = cfg.gamma
+    if u_l == u_r:
+        return u_l
+    if u_l < u_r:  # admissible shock
+        s = -(u_r ** (1 + g) - u_l ** (1 + g)) / ((1 + g) * (u_r - u_l))
+        return u_l if xi_over_t < s else u_r
+    # rarefaction between speeds -u_l^gamma < -u_r^gamma
+    if xi_over_t <= -(u_l**g):
+        return u_l
+    if xi_over_t >= -(u_r**g):
+        return u_r
+    return (-xi_over_t) ** (1 / g)
+
+
+def total_variation(u: np.ndarray) -> float:
+    """Discrete total variation of one row, including the jumps to vacuum
+    at both ends."""
+    return float(u[0] + np.abs(np.diff(u)).sum() + u[-1])
+
+
+def integrate_segments(datum, lo: float, hi: float) -> float:
+    """Integral of a piecewise datum over [lo, hi], one breakpoint segment
+    at a time: midpoint value times width for constant data, trapezoid for
+    linear data (both exact on a segment)."""
+    lo, hi = max(lo, datum.a), min(hi, datum.b)
+    if hi <= lo:
+        return 0.0
+    bp = datum.breakpoints
+    cuts = np.unique(np.concatenate([[lo, hi], bp[(bp > lo) & (bp < hi)]]))
+    total = 0.0
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        if datum.kind == "constant":
+            total += float(datum(0.5 * (p + q))) * (q - p)
+        else:
+            total += 0.5 * (float(datum(p)) + float(datum(q))) * (q - p)
+    return total
+
+
+def right_row_state(grid, cells) -> HalfLineState:
+    """Two-row state whose right row holds ``cells`` and whose left row is empty."""
+    cells = np.asarray(cells, dtype=float)
+    return HalfLineState(grid=grid, cells=np.stack([np.zeros_like(cells), cells]))
+
+
+def rk4_characteristics(x0, u0, t, gamma, dim, steps=4000):
+    """Fixed-step fourth-order integration of the characteristic system
+    x' = -(1+gamma) x u^gamma, u' = dim u^(1+gamma) up to time t.
+
+    Every argument may be an array of cases; returns (position, value).
+    """
+    x0, u0, t, gamma, dim = (np.asarray(a, dtype=float) for a in (x0, u0, t, gamma, dim))
+
+    def rhs(y):
+        pos, val = y
+        return np.array([-(1 + gamma) * pos * val**gamma,
+                         dim * val ** (1 + gamma)])
+
+    y = np.array([x0, u0])
+    h = t / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y

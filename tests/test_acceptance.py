@@ -14,12 +14,11 @@ import pytest
 from condrift.characteristics import advance, blow_up_time
 from condrift.cli import trace_time_tolerance
 from condrift.conslaw import (
+    RIGHT,
     HalfLineGrid,
-    HalfLineState,
     godunov_flux,
     init_from_datum,
     make_grid,
-    riemann_exact,
     run_until,
     stable_dt,
     step,
@@ -33,6 +32,7 @@ from condrift.measure import (
     trace_onset_time,
 )
 from condrift.oracle import ExplicitSolutionSpec, X_explicit, mass_explicit, u_explicit
+from oracles import riemann_exact, right_row_state, rk4_characteristics
 
 GAMMAS = (0.5, 1.0, 2.0)
 N_ACCEPT = 4096
@@ -50,11 +50,11 @@ def test_criterion_1_trace_onset_time(gamma):
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
-    _, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     started = time.monotonic()
-    run_until(right, 1.3 / gamma, 0.99, cfg)
+    run_until(state, 1.3 / gamma, 0.99, cfg)
     elapsed = time.monotonic() - started
-    onset = trace_onset_time(right, TRACE_THRESHOLD)
+    _, onset = trace_onset_time(state, TRACE_THRESHOLD)
     tol = 5.0 * trace_time_tolerance(gamma, grid.cell_width, TRACE_THRESHOLD)
     ok = abs(onset - 1.0 / gamma) <= tol
     report(f"criterion 1 gamma={gamma}: onset={onset:.5f} target={1/gamma:.5f} "
@@ -70,12 +70,11 @@ def test_criterion_2_condensed_mass_law(gamma):
     spec = ExplicitSolutionSpec(gamma=gamma, mass_convention="unit_height")
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
-    left, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     worst = 0.0
     for t in np.arange(1.5, 4.01, 0.5) / gamma:
-        run_until(left, float(t), 0.9, cfg)
-        run_until(right, float(t), 0.9, cfg)
-        ms = assemble(left, right, cfg)
+        run_until(state, float(t), 0.9, cfg)
+        ms = assemble(state, cfg)
         target = mass_explicit(float(t), spec)
         worst = max(worst, abs(ms.dirac_mass - target) / target)
     ok = worst <= 0.01
@@ -95,10 +94,10 @@ def test_criterion_3_convergence_to_explicit_solution():
     for n in sizes:
         datum = example_block_datum(gamma)
         grid = make_grid(datum, cfg, n)
-        _, right = init_from_datum(datum, grid, cfg)
-        run_until(right, 0.5 / gamma, 0.9, cfg)
+        state = init_from_datum(datum, grid, cfg)
+        run_until(state, 0.5 / gamma, 0.9, cfg)
         exact = u_explicit(grid.centers, 0.5 / gamma, spec)
-        errors.append(float(np.sum(np.abs(right.cells - exact)) * grid.cell_width))
+        errors.append(float(np.sum(np.abs(state.cells[RIGHT] - exact)) * grid.cell_width))
     order = -float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
     ok = order >= 0.8 and all(b < a for a, b in zip(errors, errors[1:]))
     report(f"criterion 3: L1 errors {['%.2e' % e for e in errors]} "
@@ -113,13 +112,12 @@ def test_criterion_4_pseudo_inverse_oracle():
     cfg = GammaConfig(gamma=gamma)
     datum = unit_uniform_datum()
     grid = make_grid(datum, cfg, N_ACCEPT)
-    left, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     spec = ExplicitSolutionSpec(gamma=gamma, mass_convention="unit_mass")
     worst = 0.0
     for t in (0.5 / gamma, 2.0 / gamma):
-        run_until(left, t, 0.9, cfg)
-        run_until(right, t, 0.9, cfg)
-        ms = assemble(left, right, cfg)
+        run_until(state, t, 0.9, cfg)
+        ms = assemble(state, cfg)
         ps = pseudo_inverse(ms, 4096)
         exact = X_explicit(np.clip(ps.z_grid, 0.0, 1.0), t, spec)
         worst = max(worst, float(np.max(np.abs(ps.x_values - exact))))
@@ -136,12 +134,11 @@ def test_criterion_5_asymptotic_condensation():
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, 2048)
-    left, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     fractions = []
     for t in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0):
-        run_until(left, t / gamma, 0.9, cfg)
-        run_until(right, t / gamma, 0.9, cfg)
-        ms = assemble(left, right, cfg)
+        run_until(state, t / gamma, 0.9, cfg)
+        ms = assemble(state, cfg)
         fractions.append(ms.dirac_mass / ms.total_mass)
     monotone = all(b >= a - 1e-12 for a, b in zip(fractions, fractions[1:]))
     ok = fractions[-1] >= 0.95 and monotone
@@ -154,22 +151,8 @@ def test_criterion_6_characteristics_exactness():
     """Closed-form characteristics match a fixed-step RK4 integration to
     1e-8 relative over 50 random cases in d in {1, 3}; the blow-up time is
     the exact closed form."""
-    def rk4(x0, u0, t, gamma, dim, steps=4000):
-        def rhs(y):
-            return np.array([-(1 + gamma) * y[0] * y[1]**gamma,
-                             dim * y[1] ** (1 + gamma)])
-        y = np.array([x0, u0], dtype=float)
-        h = t / steps
-        for _ in range(steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
-
     rng = np.random.default_rng(123)
-    worst = 0.0
+    cases = []
     for _ in range(50):
         dim = int(rng.choice([1, 3]))
         gamma = float(rng.uniform(0.4, 2.5))
@@ -179,12 +162,14 @@ def test_criterion_6_characteristics_exactness():
         x0 = float(rng.uniform(0.15, 1.2))
         t = float(rng.uniform(0.05, 0.8)) * blow_up_time(datum, cfg)
         st = advance(x0, t, datum, cfg)
-        ref = rk4(x0, float(datum(x0)), t, gamma, dim)
-        worst = max(worst,
-                    abs(st.position - ref[0]) / max(abs(ref[0]), 1e-30),
-                    abs(st.value - ref[1]) / ref[1])
+        cases.append((x0, float(datum(x0)), t, gamma, dim, st.position, st.value))
         # closed-form blow-up time, bitwise
         assert blow_up_time(datum, cfg) == 1.0 / (gamma * dim * datum.sup_value**gamma)
+    x0, u0, t, gamma, dim, position, value = np.array(cases).T
+    ref_position, ref_value = rk4_characteristics(x0, u0, t, gamma, dim)
+    worst = max(float(np.max(np.abs(position - ref_position)
+                             / np.maximum(np.abs(ref_position), 1e-30))),
+                float(np.max(np.abs(value - ref_value) / ref_value)))
     ok = worst <= 1e-8
     report(f"criterion 6: worst characteristic error {worst:.2e} (tol 1e-8) "
            f"-> {'PASS' if ok else 'FAIL'}")
@@ -199,14 +184,14 @@ def test_criterion_7_property_suites():
     # (a) discrete mass ledger over 1e4 steps
     datum = example_block_datum(1.0)
     grid = make_grid(datum, cfg, 512)
-    _, right = init_from_datum(datum, grid, cfg)
-    m0 = right.mass
+    state = init_from_datum(datum, grid, cfg)
+    m0 = state.mass[RIGHT]
     drift = 0.0
     positive = True
     for _ in range(10_000):
-        step(right, 0.9, cfg)
-        drift = max(drift, abs(right.mass + right.outflux_ledger - m0))
-        positive = positive and right.cells.min() >= 0.0
+        step(state, 0.9, cfg)
+        drift = max(drift, abs(state.mass[RIGHT] + state.outflux_ledger[RIGHT] - m0))
+        positive = positive and state.cells.min() >= 0.0
     ok_ledger = drift <= 1e-12
     ok_positive = positive
 
@@ -219,8 +204,8 @@ def test_criterion_7_property_suites():
         cfg_r = GammaConfig(gamma=gamma)
         upper = rng.uniform(0.0, 2.0, 64)
         lower = upper * rng.uniform(0.0, 1.0, 64)
-        hi = HalfLineState(grid=grid_small, cells=upper.copy())
-        lo = HalfLineState(grid=grid_small, cells=lower.copy())
+        hi = right_row_state(grid_small, upper)
+        lo = right_row_state(grid_small, lower)
         for _ in range(20):
             dt = stable_dt(hi, 0.9, cfg_r)
             step(hi, 1.0, cfg_r, dt_cap=dt)
@@ -248,13 +233,12 @@ def test_criterion_7_property_suites():
         datum_r = piecewise_linear(
             [a, a + mid * (b - a), b], [0.0, float(rng.uniform(0.3, 1.5)), 0.0])
         grid_r = make_grid(datum_r, cfg_r, 256)
-        left, right_r = init_from_datum(datum_r, grid_r, cfg_r)
-        ms0 = assemble(left, right_r, cfg_r)
+        state_r = init_from_datum(datum_r, grid_r, cfg_r)
+        ms0 = assemble(state_r, cfg_r)
         lo0, hi0 = ms0.support
         for t in (0.4, 1.1, 2.3):
-            run_until(left, t / gamma, 0.9, cfg_r)
-            run_until(right_r, t / gamma, 0.9, cfg_r)
-            ms = assemble(left, right_r, cfg_r)
+            run_until(state_r, t / gamma, 0.9, cfg_r)
+            ms = assemble(state_r, cfg_r)
             ok_support = ok_support and (ms.support[0] >= lo0 - 1e-12)
             ok_support = ok_support and (ms.support[1] <= hi0 + 1e-12)
 
@@ -274,12 +258,11 @@ def test_criterion_8_original_frame_decay_rate():
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, 512)
-    left, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     ms_series = []
     for t in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-        run_until(left, t, 0.9, cfg)
-        run_until(right, t, 0.9, cfg)
-        ms_series.append(assemble(left, right, cfg))
+        run_until(state, t, 0.9, cfg)
+        ms_series.append(assemble(state, cfg))
     series = original_frame_series(ms_series, cfg)
     log_t = np.log1p([s.t_driftfree for s in series])
     log_d = np.log([s.diameter for s in series])

@@ -125,6 +125,36 @@ def test_cmd_convert_round_trip(tmp_path):
     assert row[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def test_cmd_convert_reproduces_original_frame_csv(tmp_path):
+    path = write_config(tmp_path, t_end=1.0, frame="original")
+    run_dir = tmp_path / "run"
+    conv_dir = tmp_path / "conv"
+    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                 "--quiet"]) == 0
+    assert main(["convert", "--input", str(run_dir), "--output", str(conv_dir),
+                 "--quiet"]) == 0
+    assert ((conv_dir / "original_frame.csv").read_bytes()
+            == (run_dir / "original_frame.csv").read_bytes())
+
+
+@pytest.mark.parametrize("override", [
+    {"t_end": math.nan},
+    {"grid_cells": 100.5},
+    {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
+               "values": [math.nan]}},
+    {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, math.inf],
+               "values": [1.0]}},
+], ids=["t_end-nan", "grid_cells-fraction", "values-nan", "breakpoints-inf"])
+def test_non_finite_input_fails_with_json_error(tmp_path, capsys, override):
+    # json.dumps writes the NaN and Infinity literals that json.loads accepts
+    path = write_config(tmp_path, **override)
+    code = main(["simulate", "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == code
+
+
 def test_exit_codes(tmp_path):
     # config error
     bad = tmp_path / "bad.json"

@@ -3,21 +3,21 @@ import pytest
 from scipy.integrate import quad
 
 from condrift.conslaw import (
+    LEFT,
+    RIGHT,
     CflViolation,
     HalfLineGrid,
-    HalfLineState,
     SupportOverflow,
     godunov_flux,
     init_from_datum,
     make_grid,
-    riemann_exact,
     run_until,
     stable_dt,
     step,
-    total_variation,
 )
 from condrift.datum import block_datum, example_block_datum, piecewise_linear
 from condrift.frames import GammaConfig, x_of_xi
+from oracles import riemann_exact, right_row_state, total_variation
 
 
 CFG = GammaConfig(gamma=1.0)
@@ -40,29 +40,29 @@ def test_grid_validation():
 def test_init_zero_datum_gives_zero_states():
     datum = block_datum(0.0, 0.0, 1.0)
     grid = make_grid(datum, CFG, 32)
-    left, right = init_from_datum(datum, grid, CFG)
-    assert not left.cells.any() and not right.cells.any()
+    state = init_from_datum(datum, grid, CFG)
+    assert not state.cells.any()
 
 
 def test_init_block_profile_is_linear_in_xi():
     # gamma = 1: u_I(xi) = xi on [0, 1], zero beyond
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 1024)
-    left, right = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid, CFG)
     ideal = grid.centers * (grid.centers <= 1.0)
-    mismatch = np.abs(right.cells - ideal) > 1e-12
+    mismatch = np.abs(state.cells[RIGHT] - ideal) > 1e-12
     assert mismatch.sum() <= 1  # only the cell straddling the support edge
-    assert not left.cells.any()
+    assert not state.cells[LEFT].any()
 
 
 def test_init_masses_match_datum_sides():
     datum = two_sided_datum()
     grid = make_grid(datum, CFG, 2048)
-    left, right = init_from_datum(datum, grid, CFG)
+    mass_left, mass_right = init_from_datum(datum, grid, CFG).mass
     mass_left_ref, _ = quad(lambda x: float(datum(x)), -0.8, 0.0)
     mass_right_ref, _ = quad(lambda x: float(datum(x)), 0.0, 1.1)
-    assert left.mass == pytest.approx(mass_left_ref, abs=1e-8)
-    assert right.mass == pytest.approx(mass_right_ref, abs=1e-8)
+    assert mass_left == pytest.approx(mass_left_ref, abs=1e-8)
+    assert mass_right == pytest.approx(mass_right_ref, abs=1e-8)
 
 
 def test_init_support_overflow():
@@ -125,21 +125,21 @@ def test_riemann_rarefaction_profile():
 def test_step_zero_state_capped_by_dt():
     datum = block_datum(0.0, 0.0, 1.0)
     grid = make_grid(datum, CFG, 32)
-    _, right = init_from_datum(datum, grid, CFG)
-    assert stable_dt(right, 1.0, CFG) > 1e10  # floored speed
-    step(right, 0.9, CFG, dt_cap=0.125)
-    assert right.time == pytest.approx(0.125)
-    assert not right.cells.any()
+    state = init_from_datum(datum, grid, CFG)
+    assert stable_dt(state, 1.0, CFG) > 1e10  # floored speed
+    step(state, 0.9, CFG, dt_cap=0.125)
+    assert state.time == pytest.approx(0.125)
+    assert not state.cells.any()
 
 
 def test_step_requires_valid_cfl():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    _, right = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid, CFG)
     with pytest.raises(CflViolation):
-        step(right, 0.0, CFG)
+        step(state, 0.0, CFG)
     with pytest.raises(CflViolation):
-        step(right, 1.5, CFG)
+        step(state, 1.5, CFG)
 
 
 def test_step_mass_plus_ledger_telescopes():
@@ -147,22 +147,23 @@ def test_step_mass_plus_ledger_telescopes():
     grid = HalfLineGrid(cell_count=64, cell_width=0.05)
     cells = np.zeros(64)
     cells[3] = 1.0
-    state = HalfLineState(grid=grid, cells=cells)
-    m0 = state.mass + state.outflux_ledger
+    state = right_row_state(grid, cells)
+    m0 = state.mass[RIGHT] + state.outflux_ledger[RIGHT]
     for _ in range(200):
         step(state, 0.9, CFG)
-        assert state.mass + state.outflux_ledger == pytest.approx(m0, abs=1e-14)
+        total = state.mass[RIGHT] + state.outflux_ledger[RIGHT]
+        assert total == pytest.approx(m0, abs=1e-14)
 
 
 def test_mass_ledger_conservation_long_run():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 512)
-    _, right = init_from_datum(datum, grid, CFG)
-    m0 = right.mass
+    state = init_from_datum(datum, grid, CFG)
+    m0 = state.mass[RIGHT]
     worst = 0.0
     for _ in range(10_000):
-        step(right, 0.9, CFG)
-        worst = max(worst, abs(right.mass + right.outflux_ledger - m0))
+        step(state, 0.9, CFG)
+        worst = max(worst, abs(state.mass[RIGHT] + state.outflux_ledger[RIGHT] - m0))
     assert worst <= 1e-12
 
 
@@ -170,7 +171,7 @@ def test_positivity_and_linf_stability():
     rng = np.random.default_rng(21)
     grid = HalfLineGrid(cell_count=128, cell_width=0.01)
     cells = rng.uniform(0.0, 2.0, 128)
-    state = HalfLineState(grid=grid, cells=cells)
+    state = right_row_state(grid, cells)
     sup0 = state.cells.max()
     for _ in range(300):
         step(state, 1.0, CFG)
@@ -181,11 +182,11 @@ def test_positivity_and_linf_stability():
 def test_total_variation_diminishing():
     rng = np.random.default_rng(22)
     grid = HalfLineGrid(cell_count=128, cell_width=0.01)
-    state = HalfLineState(grid=grid, cells=rng.uniform(0.0, 1.5, 128))
-    tv = total_variation(state)
+    state = right_row_state(grid, rng.uniform(0.0, 1.5, 128))
+    tv = total_variation(state.cells[RIGHT])
     for _ in range(200):
         step(state, 0.9, CFG)
-        tv_new = total_variation(state)
+        tv_new = total_variation(state.cells[RIGHT])
         assert tv_new <= tv + 1e-12
         tv = tv_new
 
@@ -199,8 +200,8 @@ def test_discrete_comparison_principle():
         for _ in range(17):
             upper = rng.uniform(0.0, 2.0, 64)
             lower = upper * rng.uniform(0.0, 1.0, 64)
-            s_hi = HalfLineState(grid=grid, cells=upper.copy())
-            s_lo = HalfLineState(grid=grid, cells=lower.copy())
+            s_hi = right_row_state(grid, upper)
+            s_lo = right_row_state(grid, lower)
             for _ in range(25):
                 dt = stable_dt(s_hi, 0.9, cfg)
                 step(s_hi, 1.0, cfg, dt_cap=dt)
@@ -211,25 +212,24 @@ def test_discrete_comparison_principle():
 def test_run_until_noop_and_exact_landing():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    _, right = init_from_datum(datum, grid, CFG)
-    before = right.cells.copy()
-    run_until(right, 0.0, 0.9, CFG)
-    assert right.time == 0.0 and np.array_equal(right.cells, before)
-    run_until(right, 0.3117, 0.9, CFG)
-    assert right.time == 0.3117
+    state = init_from_datum(datum, grid, CFG)
+    before = state.cells.copy()
+    run_until(state, 0.0, 0.9, CFG)
+    assert state.time == 0.0 and np.array_equal(state.cells, before)
+    run_until(state, 0.3117, 0.9, CFG)
+    assert state.time == 0.3117
 
 
 def test_run_until_cadence_does_not_change_dynamics():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 128)
-    _, base = init_from_datum(datum, grid, CFG)
     fine_snaps, coarse_snaps = [], []
-    s1 = base.copy()
-    s2 = base.copy()
+    s1 = init_from_datum(datum, grid, CFG)
+    s2 = init_from_datum(datum, grid, CFG)
     run_until(s1, 0.8, 0.9, CFG, observer=fine_snaps.append, cadence=0.05)
     run_until(s2, 0.8, 0.9, CFG, observer=coarse_snaps.append, cadence=0.5)
     assert np.array_equal(s1.cells, s2.cells)
-    assert s1.outflux_ledger == s2.outflux_ledger
+    assert np.array_equal(s1.outflux_ledger, s2.outflux_ledger)
     # cadence grid plus a final snapshot exactly at t_end when off-grid
     assert len(fine_snaps) == 17 and len(coarse_snaps) == 3
     assert fine_snaps[0].time == 0.0 and fine_snaps[-1].time == pytest.approx(0.8)
@@ -242,10 +242,10 @@ def test_run_until_cadence_does_not_change_dynamics():
 def test_run_until_rejects_past_target():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    _, right = init_from_datum(datum, grid, CFG)
-    run_until(right, 0.5, 0.9, CFG)
+    state = init_from_datum(datum, grid, CFG)
+    run_until(state, 0.5, 0.9, CFG)
     with pytest.raises(ValueError):
-        run_until(right, 0.2, 0.9, CFG)
+        run_until(state, 0.2, 0.9, CFG)
 
 
 def test_scheme_converges_to_entropy_solution_on_riemann_data():
@@ -257,14 +257,14 @@ def test_scheme_converges_to_entropy_solution_on_riemann_data():
         grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n)
         jump = 1.2
         cells = np.where(grid.centers < jump, 1.0, 0.0)
-        state = HalfLineState(grid=grid, cells=cells)
+        state = right_row_state(grid, cells)
         t_end = 0.5
         run_until(state, t_end, 0.9, cfg)
         exact = np.array([
             riemann_exact(1.0, 0.0, (xi - jump) / t_end, cfg)
             for xi in grid.centers
         ])
-        errors.append(float(np.sum(np.abs(state.cells - exact)) * grid.cell_width))
+        errors.append(float(np.sum(np.abs(state.cells[RIGHT] - exact)) * grid.cell_width))
     assert errors[1] < 0.5 * errors[0]
     assert errors[1] < 0.01
     # and an admissible (increasing) jump travels as a sharp shock at the
@@ -273,7 +273,7 @@ def test_scheme_converges_to_entropy_solution_on_riemann_data():
     grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n)
     jump = 1.2
     cells = np.where(grid.centers < jump, 0.2, 1.0)
-    state = HalfLineState(grid=grid, cells=cells)
+    state = right_row_state(grid, cells)
     t_end = 0.4
     run_until(state, t_end, 0.9, cfg)
     exact = np.array([
@@ -282,26 +282,53 @@ def test_scheme_converges_to_entropy_solution_on_riemann_data():
     # compare away from the far boundary, where the zero-inflow ghost
     # differs from the unbounded Riemann datum
     window = grid.centers <= 1.5
-    err = float(np.sum(np.abs(state.cells - exact)[window]) * grid.cell_width)
+    err = float(np.sum(np.abs(state.cells[RIGHT] - exact)[window]) * grid.cell_width)
     assert err < 0.01
 
 
 def test_left_state_is_reflection():
-    # mirror-symmetric datum: left and right canonical states coincide
+    # mirror-symmetric datum: left and right canonical rows coincide, and
+    # stay together under the common time step
     datum = piecewise_linear([-1.0, -0.25, 0.25, 1.0], [0.0, 1.0, 1.0, 0.0])
     grid = make_grid(datum, CFG, 256)
-    left, right = init_from_datum(datum, grid, CFG)
-    assert np.allclose(left.cells, right.cells, atol=1e-12)
-    assert left.orientation == "left" and right.orientation == "right"
+    state = init_from_datum(datum, grid, CFG)
+    assert np.allclose(state.cells[LEFT], state.cells[RIGHT], atol=1e-12)
+    run_until(state, 1.5, 0.9, CFG)
+    assert np.max(np.abs(state.cells[LEFT] - state.cells[RIGHT])) <= 1e-12
+    assert abs(state.outflux_ledger[LEFT] - state.outflux_ledger[RIGHT]) <= 1e-12
+    assert state.outflux_ledger[RIGHT] > 0
+
+
+def test_empty_row_stays_exactly_zero():
+    # one-sided datum: the left row is never stepped and never moves
+    datum = example_block_datum(1.0)
+    grid = make_grid(datum, CFG, 128)
+    state = init_from_datum(datum, grid, CFG)
+    snaps = []
+    run_until(state, 2.0, 0.9, CFG, observer=snaps.append, cadence=0.5)
+    assert state.outflux_ledger[RIGHT] > 0
+    assert state.outflux_ledger[LEFT] == 0.0
+    assert not state.cells[LEFT].any()
+    assert not np.asarray(state.trace_values)[:, LEFT].any()
+    assert all(not s.cells[LEFT].any() and s.outflux_ledger[LEFT] == 0.0 for s in snaps)
+
+
+def test_step_rejects_nan():
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    cells = np.ones(16)
+    cells[5] = np.nan
+    state = right_row_state(grid, cells)
+    with pytest.raises(FloatingPointError):
+        step(state, 0.9, CFG)
 
 
 def test_trace_history_records_boundary_cell():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    _, right = init_from_datum(datum, grid, CFG)
-    run_until(right, 0.25, 0.9, CFG)
-    assert right.trace_times[0] == 0.0
-    assert right.trace_values[-1] == right.cells[0]
-    assert len(right.trace_times) == len(right.trace_values)
+    state = init_from_datum(datum, grid, CFG)
+    run_until(state, 0.25, 0.9, CFG)
+    assert state.trace_times[0] == 0.0
+    assert state.trace_values[-1][RIGHT] == state.cells[RIGHT, 0]
+    assert len(state.trace_times) == len(state.trace_values)
     x_last = x_of_xi(np.asarray([grid.edges[-1]]), CFG)
     assert np.isfinite(x_last).all()

@@ -12,6 +12,7 @@ from condrift.datum import (
     piecewise_linear,
     unit_uniform_datum,
 )
+from oracles import integrate_segments
 
 
 def test_block_datum_quantities():
@@ -80,3 +81,21 @@ def test_integrate_piecewise_matches_quadrature():
     block = piecewise_constant([0.0, 1.0, 2.0], [2.0, 0.5])
     assert integrate_piecewise(block, 0.5, 1.5) == pytest.approx(1.25)
     assert integrate_piecewise(block, 3.0, 4.0) == 0.0
+
+
+@pytest.mark.parametrize("datum", [
+    piecewise_constant([-0.4, -0.1, 0.0, 0.3, 0.45, 0.5], [0.5, 0.9, 1.0, 0.7, 0.2]),
+    piecewise_linear([-0.5, -0.2, 0.1, 0.6, 0.9], [0.0, 1.2, 0.4, 0.8, 0.1]),
+], ids=["constant", "linear"])
+def test_integrate_piecewise_arrays_match_segment_loop(datum):
+    # differencing the cumulative reorders the sums of the per-segment
+    # loop, so the two agree to a few ulps of the total mass
+    rng = np.random.default_rng(41)
+    ends = np.sort(rng.uniform(-0.7, 1.1, (2, 500)), axis=0)
+    edges = np.linspace(-0.6, 1.0, 801)
+    for lo, hi in ((ends[0], ends[1]), (edges[:-1], edges[1:])):
+        got = integrate_piecewise(datum, lo, hi)
+        ref = np.array([integrate_segments(datum, p, q) for p, q in zip(lo, hi)])
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps * datum.mass
+    assert integrate_piecewise(datum, 2.0, 3.0) == 0.0

@@ -9,7 +9,6 @@ from condrift.frames import GammaConfig
 from condrift.measure import (
     MeasureState,
     PseudoInverse,
-    TimeMismatch,
     _oleinik_flags,
     assemble,
     check_entropy_measure,
@@ -27,31 +26,20 @@ def simulate_block(gamma, n, times, cfl=0.9, datum=None):
     cfg = GammaConfig(gamma=gamma)
     datum = datum or example_block_datum(gamma)
     grid = make_grid(datum, cfg, n)
-    left, right = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid, cfg)
     ms_series = []
     for t in times:
-        run_until(left, t, cfl, cfg)
-        run_until(right, t, cfl, cfg)
-        ms_series.append(assemble(left, right, cfg))
+        run_until(state, t, cfl, cfg)
+        ms_series.append(assemble(state, cfg))
     return ms_series, datum
 
 
 def test_assemble_zero_states():
     grid = HalfLineGrid(cell_count=16, cell_width=0.1)
-    left = HalfLineState(grid=grid, cells=np.zeros(16), orientation="left")
-    right = HalfLineState(grid=grid, cells=np.zeros(16), orientation="right")
-    ms = assemble(left, right, CFG)
+    state = HalfLineState(grid=grid, cells=np.zeros((2, 16)))
+    ms = assemble(state, CFG)
     assert ms.dirac_mass == 0.0 and ms.ac_mass == 0.0
     assert not ms.rho.size
-
-
-def test_assemble_time_mismatch():
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
-    left = HalfLineState(grid=grid, cells=np.zeros(16), orientation="left")
-    right = HalfLineState(grid=grid, cells=np.zeros(16), orientation="right",
-                          time=0.5)
-    with pytest.raises(TimeMismatch):
-        assemble(left, right, CFG)
 
 
 def test_assemble_condensed_mass_matches_explicit_law():
@@ -84,11 +72,9 @@ def test_assemble_support_inside_initial_hull():
 
 def test_pseudo_inverse_pure_dirac():
     grid = HalfLineGrid(cell_count=16, cell_width=0.1)
-    left = HalfLineState(grid=grid, cells=np.zeros(16), orientation="left",
-                         outflux_ledger=0.3)
-    right = HalfLineState(grid=grid, cells=np.zeros(16), orientation="right",
-                          outflux_ledger=0.2)
-    ms = assemble(left, right, CFG)
+    state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
+                          outflux_ledger=[0.3, 0.2])
+    ms = assemble(state, CFG)
     ps = pseudo_inverse(ms, 64)
     assert np.all(ps.x_values == 0.0)
     assert ps.plateau == (0.0, 0.5)
@@ -159,13 +145,13 @@ def test_trace_onset_time():
     cfg = GammaConfig(gamma=1.0)
     datum = example_block_datum(1.0)
     grid = make_grid(datum, cfg, 512)
-    left, right = init_from_datum(datum, grid, cfg)
-    run_until(right, 1.5, 0.9, cfg)
-    onset = trace_onset_time(right, 1e-2)
+    state = init_from_datum(datum, grid, cfg)
+    run_until(state, 1.5, 0.9, cfg)
+    onset_left, onset = trace_onset_time(state, 1e-2)
     # N = 512 resolves the onset only to ~dxi*(gamma^gamma*((1+gamma)*thr)^-gamma
     # + thr^-gamma) = 0.32
     assert 0.65 < onset < 1.1
-    assert trace_onset_time(left, 1e-2) == math.inf
+    assert onset_left == math.inf
 
 
 def test_check_passes_on_clean_simulation():
@@ -189,11 +175,9 @@ def test_check_stationary_condensed_state():
     grid = HalfLineGrid(cell_count=16, cell_width=0.1)
 
     def condensed(t):
-        left = HalfLineState(grid=grid, cells=np.zeros(16), orientation="left",
-                             outflux_ledger=0.5, time=t)
-        right = HalfLineState(grid=grid, cells=np.zeros(16), orientation="right",
-                              time=t)
-        return assemble(left, right, CFG)
+        state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
+                              outflux_ledger=[0.5, 0.0], time=t)
+        return assemble(state, CFG)
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
     ps_series = [pseudo_inverse(ms, 64) for ms in ms_series]
