@@ -7,10 +7,7 @@ closed-form reference solutions.
 """
 
 from .frames import (
-    FramePoint,
     GammaConfig,
-    density_driftfree_to_original,
-    density_original_to_driftfree,
     time_driftfree_to_original,
     time_original_to_driftfree,
     u_to_rho,
@@ -34,7 +31,6 @@ from .characteristics import (
     ZeroDatum,
     advance,
     blow_up_time,
-    evaluate_smooth,
     evaluate_smooth_grid,
     first_shock_time,
 )

@@ -16,13 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .datum import InitialDatum
+from .datum import InitialDatum, jumps
 from .frames import GammaConfig
 
 SHOCK_SCAN_FEET = 4096
 SHOCK_REFINE_TOL = 1e-6
+# halvings of each foot bracket: a unit bracket shrinks to 5e-20, below
+# the float spacing of any foot beyond 1e-3
+FOOT_HALVINGS = 64
 
 
 class BlowUpReached(RuntimeError):
@@ -80,7 +82,10 @@ def blow_up_time(datum: InitialDatum, cfg: GammaConfig) -> float:
 def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     """Earliest crossing time of 1-D characteristics, or inf if none before blow-up.
 
-    The Jacobian of the foot-to-position map vanishes first at
+    The datum is 0 outside [a, b].  A jump at p != 0 with
+    p*(f(p+) - f(p-)) > 0 (larger values farther from the origin) is a
+    shock at t = 0, so the result is 0.0.  Otherwise the Jacobian of the
+    foot-to-position map vanishes first at
 
         t(x0) = 1 / (gamma*f^gamma + (1+gamma)*x0*(f^gamma)'(x0)),
 
@@ -90,6 +95,9 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     """
     if cfg.dim != 1:
         raise ValueError("shock detection is implemented for dim = 1 only")
+    points, before, after = jumps(datum)
+    if np.any((points != 0) & (points * (after - before) > 0)):
+        return 0.0
     lo, hi = datum.a, datum.b
     pad = 1e-9 * (hi - lo)
     feet = np.linspace(lo + pad, hi - pad, SHOCK_SCAN_FEET)
@@ -129,53 +137,50 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     return best
 
 
-def smooth_horizon(datum: InitialDatum, cfg: GammaConfig) -> float:
-    """min(blow-up time, first shock time); cached per (gamma, dim) on the datum."""
-    key = (cfg.gamma, cfg.dim)
-    if key not in datum._shock_cache:
-        horizon = blow_up_time(datum, cfg)
-        if cfg.dim == 1:
-            horizon = min(horizon, first_shock_time(datum, cfg))
-        datum._shock_cache[key] = horizon
-    return datum._shock_cache[key]
+def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:
+    """Density values at the points ``xs`` at time t in the smooth regime.
 
-
-def evaluate_smooth(x: float, t: float, datum: InitialDatum, cfg: GammaConfig) -> float:
-    """Density value at (x, t) in the smooth regime.
-
-    Recovers the foot x0 by root-finding on
-    F(x0) = x0 * (1 - gamma*d*f^gamma(x0)*t)^((1+gamma)/(gamma*d)) - x
-    and returns the characteristic value there.  Points clearly outside the
-    evolved support return 0.
+    The foot x0 of each point is bracketed on the point's own side of the
+    origin, with the outer end one float outside the support, and the
+    monotone foot map x0 -> x0*(1 - gamma*d*f(x0)^gamma*t)^((1+gamma)/(gamma*d))
+    is inverted for all points at once by FOOT_HALVINGS bisection halvings.
+    The characteristic from the final bracket that reaches x starts with
+    u0^gamma = (1 - S)/(gamma*d*t), S = (x/x0)^(gamma*d/(1+gamma)); u0 is
+    clipped to the datum values at the two bracket ends.  At a continuity
+    point this pins u0 to f(x0); at a downward jump, including a support
+    edge, it gives the centered rarefaction fan.  Points outside the
+    support are 0.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t >= smooth_horizon(datum, cfg):
-        raise NotSmoothRegime(
-            f"t={t} is past the smooth horizon {smooth_horizon(datum, cfg)}"
-        )
+    horizon = blow_up_time(datum, cfg)
+    if cfg.dim == 1:
+        horizon = min(horizon, first_shock_time(datum, cfg))
+    if t >= horizon:
+        raise NotSmoothRegime(f"t={t} is past the smooth horizon {horizon}")
+    xs = np.asarray(xs, dtype=float)
     if t == 0.0:
-        return float(datum(x))
-    if x == 0.0:
-        return advance(0.0, t, datum, cfg).value
+        return datum(xs)
     g, d = cfg.gamma, cfg.dim
-
-    def foot_map(x0):
-        u0 = float(datum(x0))
-        return x0 * (1.0 - g * d * u0**g * t) ** ((1 + g) / (g * d))
-
-    if x > 0:
-        lo, hi = 0.0, max(datum.b, x)
-    else:
-        lo, hi = min(datum.a, x), 0.0
-    f_lo = foot_map(lo) - x
-    f_hi = foot_map(hi) - x
-    if f_lo * f_hi > 0:
-        return 0.0  # outside the evolved support
-    x0 = brentq(lambda s: foot_map(s) - x, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return advance(float(x0), t, datum, cfg).value
-
-
-def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:
-    """Vectorized :func:`evaluate_smooth` over a coordinate array."""
-    return np.array([evaluate_smooth(float(x), t, datum, cfg) for x in np.asarray(xs)])
+    rate = g * d * t
+    out = np.zeros_like(xs)
+    inside = (xs >= datum.a) & (xs <= datum.b) & (xs != 0)
+    x = xs[inside]
+    right = x > 0
+    lo = np.where(right, max(datum.a, 0.0), np.nextafter(datum.a, -np.inf))
+    hi = np.where(right, np.nextafter(datum.b, np.inf), min(datum.b, 0.0))
+    for _ in range(FOOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = mid * (1.0 - rate * datum(mid) ** g) ** ((1 + g) / (g * d)) <= x
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    f_lo, f_hi = datum(lo), datum(hi)
+    # the end away from the origin is never 0; clipped, it is the exact
+    # support edge when the bracket straddles one
+    x0 = np.clip(np.where(right, hi, lo), datum.a, datum.b)
+    s = (x / x0) ** (g * d / (1 + g))
+    u0 = np.clip(((1.0 - s) / rate) ** (1 / g),
+                 np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
+    out[inside] = u0 / (1.0 - rate * u0**g) ** (1 / g)
+    out[xs == 0] = advance(0.0, t, datum, cfg).value
+    return out

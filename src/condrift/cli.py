@@ -5,8 +5,8 @@ table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 2 config error (including non-finite numbers),
-3 numerical-validity error (including a NaN produced while stepping),
-4 I/O error.
+3 numerical-validity error (including a NaN produced while stepping and
+a coordinate map that underflows), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError("z_count must be >= 16")
         if self.frame not in ("driftfree", "original"):
             raise ConfigError("frame must be 'driftfree' or 'original'")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if not isinstance(self.datum, dict) or "kind" not in self.datum:
             raise ConfigError("datum must be a table with a 'kind' key")
 

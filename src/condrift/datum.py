@@ -8,7 +8,7 @@ breakpoints so that downstream quadrature can integrate them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ class InitialDatum:
     kind: str = "callable"
     breakpoints: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    _shock_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -175,6 +174,17 @@ def example_block_datum(gamma: float) -> InitialDatum:
 def unit_uniform_datum() -> InitialDatum:
     """Unit-height block on [0, 1]; mass 1 (the unit mass convention)."""
     return block_datum(1.0, 0.0, 1.0)
+
+
+def jumps(datum: InitialDatum):
+    """(p, f(p-), f(p+)) at every point where the datum, taken as 0
+    outside [a, b], may jump: all breakpoints of piecewise-constant data,
+    the support edges of continuous data."""
+    if datum.kind == "constant":
+        v = datum.values
+        return datum.breakpoints, np.r_[0.0, v], np.r_[v, 0.0]
+    edges = np.array([datum.a, datum.b])
+    return edges, np.array([0.0, datum(datum.b)]), np.array([datum(datum.a), 0.0])
 
 
 def integrate_piecewise(datum: InitialDatum, lo, hi):

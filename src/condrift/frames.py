@@ -8,7 +8,8 @@ Three frames are used throughout:
 
 All maps here are pure functions of their value inputs and preserve total
 mass; they are safe to call concurrently.  The ``conslaw`` spatial map is
-one-dimensional only; the time/amplitude map works in any dimension.
+one-dimensional only; the original/driftfree time map works in any
+dimension.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-FRAMES = ("original", "driftfree", "conslaw")
 
 
 @dataclass(frozen=True)
@@ -38,22 +37,6 @@ class GammaConfig:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
 
-@dataclass(frozen=True)
-class FramePoint:
-    """A single density sample (coordinate, time, amplitude) in one frame."""
-
-    coordinate: float
-    time: float
-    amplitude: float
-    frame: str
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frame not in FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}, expected one of {FRAMES}")
-
-
 def time_original_to_driftfree(tau, cfg: GammaConfig):
     """t = (exp(d*gamma*tau) - 1)/(d*gamma); strictly increasing on [0, inf)."""
     a = cfg.dim * cfg.gamma
@@ -64,32 +47,6 @@ def time_driftfree_to_original(t, cfg: GammaConfig):
     """Inverse time map, tau = log(1 + d*gamma*t)/(d*gamma)."""
     a = cfg.dim * cfg.gamma
     return np.log1p(a * np.asarray(t, dtype=float)) / a
-
-
-def density_original_to_driftfree(p: FramePoint, cfg: GammaConfig) -> FramePoint:
-    """Map an (v, tau, f) sample to (x, t, rho); mass preserving."""
-    if p.frame != "original":
-        raise ValueError(f"expected an 'original'-frame point, got {p.frame!r}")
-    tau = p.time
-    return FramePoint(
-        coordinate=float(np.exp(tau) * p.coordinate),
-        time=float(time_original_to_driftfree(tau, cfg)),
-        amplitude=float(np.exp(-cfg.dim * tau) * p.amplitude),
-        frame="driftfree",
-    )
-
-
-def density_driftfree_to_original(p: FramePoint, cfg: GammaConfig) -> FramePoint:
-    """Inverse of :func:`density_original_to_driftfree`."""
-    if p.frame != "driftfree":
-        raise ValueError(f"expected a 'driftfree'-frame point, got {p.frame!r}")
-    tau = float(time_driftfree_to_original(p.time, cfg))
-    return FramePoint(
-        coordinate=float(np.exp(-tau) * p.coordinate),
-        time=tau,
-        amplitude=float(np.exp(cfg.dim * tau) * p.amplitude),
-        frame="original",
-    )
 
 
 def x_of_xi(xi, cfg: GammaConfig):

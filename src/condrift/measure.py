@@ -54,11 +54,6 @@ class MeasureState:
         """Mass of the absolutely continuous part."""
         return float(self.mass_weights.sum())
 
-    @property
-    def left_ac_mass(self) -> float:
-        """Absolutely continuous mass strictly left of the origin."""
-        return float(self.mass_weights[self.x < 0].sum())
-
 
 @dataclass
 class PseudoInverse:
@@ -146,6 +141,9 @@ def assemble(snap: Snapshot, cfg: GammaConfig) -> MeasureState:
     x = np.concatenate([lx_centers, rx_centers])
     u_vals = np.concatenate([lu, ru])
     weights = np.concatenate([lmass, rmass])
+    if np.any(x == 0):  # cell centers sit at xi > 0; x(xi) underflowed
+        raise FloatingPointError(
+            f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
     rho = dxi_dx(x, cfg) * u_vals if x.size else np.empty(0)
     return MeasureState(
         time=snap.time,

@@ -9,13 +9,17 @@ from condrift.characteristics import (
     ZeroDatum,
     advance,
     blow_up_time,
-    evaluate_smooth,
     evaluate_smooth_grid,
     first_shock_time,
-    smooth_horizon,
 )
-from condrift.datum import block_datum, example_block_datum, piecewise_linear
+from condrift.datum import (
+    block_datum,
+    example_block_datum,
+    piecewise_constant,
+    piecewise_linear,
+)
 from condrift.frames import GammaConfig
+from condrift.oracle import ExplicitSolutionSpec, rho_explicit
 from oracles import rk4_characteristics
 
 
@@ -98,7 +102,7 @@ def test_first_shock_none_for_admissible_profiles():
 
 def test_first_shock_finite_for_increasing_part():
     cfg = GammaConfig(gamma=1.0)
-    rising = piecewise_linear([0.1, 0.8, 1.0], [0.2, 1.0, 0.0])
+    rising = piecewise_linear([0.0, 0.1, 0.8, 1.0], [0.0, 0.2, 1.0, 0.0])
     t_shock = first_shock_time(rising, cfg)
     t_blow = blow_up_time(rising, cfg)
     assert t_shock < t_blow
@@ -109,6 +113,18 @@ def test_first_shock_finite_for_increasing_part():
     denom = f + 2 * xs * fp  # gamma = 1: gamma*f^gamma + (1+gamma)*x*(f^gamma)'
     ref = np.min(1.0 / denom[(xs * fp > 0) & (denom > 0)])
     assert t_shock == pytest.approx(float(ref), rel=1e-3)
+
+
+@pytest.mark.parametrize("datum", [
+    piecewise_linear([0.1, 0.8, 1.0], [0.2, 1.0, 0.0]),
+    piecewise_constant([0.2, 1.0], [1.0]),
+    piecewise_constant([0.0, 0.5, 1.0], [0.5, 1.0]),
+    piecewise_constant([-1.0, -0.5], [1.0]),
+], ids=["linear-edge-up", "block-off-origin", "constant-step-up", "block-left-of-origin"])
+def test_first_shock_zero_for_jump_up_away_from_origin(datum):
+    # the datum is 0 outside [a, b]; a jump up away from the origin is a
+    # shock at t = 0, whatever the derivative says
+    assert first_shock_time(datum, GammaConfig(gamma=1.0)) == 0.0
 
 
 def test_evaluate_smooth_identity_at_zero_time():
@@ -125,8 +141,8 @@ def test_evaluate_smooth_block_plateau_value(gamma):
     cfg = GammaConfig(gamma=gamma)
     t = 0.4 / gamma
     x_edge = (1.0 - gamma * t) ** ((1 + gamma) / gamma) / (1 + gamma)
-    for x in (0.25 * x_edge, 0.8 * x_edge):
-        val = evaluate_smooth(float(x), t, datum, cfg)
+    vals = evaluate_smooth_grid([0.25 * x_edge, 0.8 * x_edge], t, datum, cfg)
+    for val in vals:
         assert val == pytest.approx((1.0 / (1.0 - gamma * t)) ** (1.0 / gamma),
                                     rel=1e-10)
 
@@ -134,16 +150,59 @@ def test_evaluate_smooth_block_plateau_value(gamma):
 def test_evaluate_smooth_outside_support_is_zero():
     datum = tent_datum()
     cfg = GammaConfig(gamma=1.0)
-    assert evaluate_smooth(1.05, 0.3, datum, cfg) == 0.0
-    assert evaluate_smooth(-0.5, 0.3, datum, cfg) == 0.0
+    assert np.all(evaluate_smooth_grid([1.05, -0.5], 0.3, datum, cfg) == 0.0)
 
 
 def test_evaluate_smooth_regime_guard():
     datum = tent_datum()
     cfg = GammaConfig(gamma=1.0)
-    assert smooth_horizon(datum, cfg) == pytest.approx(1.0)
+    # the horizon is 1 (blow-up), up to the approx default rel=1e-6
+    assert np.isfinite(evaluate_smooth_grid([0.3], 1.0 - 1e-6, datum, cfg)).all()
     with pytest.raises(NotSmoothRegime):
-        evaluate_smooth(0.3, 1.0, datum, cfg)
+        evaluate_smooth_grid([0.3], 1.0, datum, cfg)
+    with pytest.raises(ValueError):
+        evaluate_smooth_grid([0.3], -0.1, datum, cfg)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_evaluate_smooth_grid_matches_explicit_block_with_fan(gamma):
+    # plateau, rarefaction fan at the outer edge, and vacuum beyond it
+    datum = example_block_datum(gamma)
+    cfg = GammaConfig(gamma=gamma)
+    spec = ExplicitSolutionSpec(gamma=gamma)
+    xs = np.linspace(0.0, datum.b, 1001)
+    for t in (0.2 / gamma, 0.5 / gamma, 0.9 / gamma):
+        exact = rho_explicit(xs, t, spec)
+        err = np.max(np.abs(evaluate_smooth_grid(xs, t, datum, cfg) - exact))
+        assert err <= 1e-7 * exact.max()
+
+
+def test_evaluate_smooth_grid_matches_characteristics_on_both_sides():
+    # the value carried to X(x0, t) is U(x0, t), for feet on both sides of
+    # a two-sided profile that falls away from its peak at the origin
+    datum = piecewise_linear([-0.5, -0.2, 0.0, 0.3, 0.6], [0.4, 0.7, 1.0, 0.6, 0.4])
+    cfg = GammaConfig(gamma=1.5)
+    t = 0.9 * blow_up_time(datum, cfg)
+    feet = np.linspace(-0.5, 0.6, 203)[1:-1]
+    states = [advance(float(x0), t, datum, cfg) for x0 in feet]
+    values = evaluate_smooth_grid([s.position for s in states], t, datum, cfg)
+    exact = np.array([s.value for s in states])
+    assert np.max(np.abs(values - exact) / exact) <= 1e-12
+
+
+def test_evaluate_smooth_grid_is_mirror_symmetric():
+    # the left half-line (x < 0) is the reflection of the right one,
+    # including the fans of an interior jump and of a support edge
+    cfg = GammaConfig(gamma=1.3)
+    right = piecewise_constant([0.0, 0.4, 0.9], [1.0, 0.6])
+    left = piecewise_constant([-0.9, -0.4, 0.0], [0.6, 1.0])
+    xs = np.linspace(0.0, 0.9, 257)[1:]
+    t = 0.5 * blow_up_time(right, cfg)
+    vals = evaluate_smooth_grid(xs, t, right, cfg)
+    # the fans fill the gaps; the value falls to 0 at the support edge
+    assert np.all(vals[:-1] > 0) and vals[-1] == 0.0
+    assert np.allclose(evaluate_smooth_grid(-xs, t, left, cfg), vals,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_confinement_and_monotone_growth():

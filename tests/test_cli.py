@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condrift
 from condrift.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -144,7 +148,10 @@ def test_cmd_convert_reproduces_original_frame_csv(tmp_path):
                "values": [math.nan]}},
     {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, math.inf],
                "values": [1.0]}},
-], ids=["t_end-nan", "grid_cells-fraction", "values-nan", "breakpoints-inf"])
+    {"gamma": 1e-3},
+    {"output_dir": 5},
+], ids=["t_end-nan", "grid_cells-fraction", "values-nan", "breakpoints-inf",
+        "gamma-underflow", "output_dir-int"])
 def test_non_finite_input_fails_with_json_error(tmp_path, capsys, override):
     # json.dumps writes the NaN and Infinity literals that json.loads accepts
     path = write_config(tmp_path, **override)
@@ -153,6 +160,17 @@ def test_non_finite_input_fails_with_json_error(tmp_path, capsys, override):
     assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["exit_code"] == code
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; a fresh interpreter shows what the
+    # package itself imports
+    src = str(Path(condrift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, condrift.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_exit_codes(tmp_path):
@@ -203,6 +221,18 @@ def test_cmd_characteristics_d3_blow_up_time(tmp_path):
     report = json.loads((out / "characteristics_report.json").read_text())
     # (gamma * d * max f^gamma)^-1 with gamma=1, d=3, max f=1
     assert report["t_star_smooth"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.2, 1.0], [1.0]),
+    ([0.0, 0.5, 1.0], [0.5, 1.0]),
+], ids=["block-off-origin", "step-up"])
+def test_cmd_characteristics_rejects_shock_at_start(tmp_path, breakpoints, values):
+    path = write_config(tmp_path, t_end=0.3,
+                        datum={"kind": "piecewise_constant",
+                               "breakpoints": breakpoints, "values": values})
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(tmp_path / "z"), "--quiet"]) == EXIT_NUMERICAL
 
 
 def test_cmd_characteristics_rejects_past_horizon(tmp_path):
