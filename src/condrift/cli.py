@@ -4,7 +4,8 @@ A run is configured by a single JSON file (flat keys plus a nested datum
 table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
-Exit codes: 0 success, 2 config error (including non-finite numbers),
+Exit codes: 0 success, 2 config error (including non-finite numbers and
+a run past the output budget MAX_OUTPUT_ROWS),
 3 numerical-validity error (including a NaN produced while stepping and
 a coordinate map that underflows), 4 I/O error.
 """
@@ -53,6 +54,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 TRACE_THRESHOLD = 1e-2
+MAX_OUTPUT_ROWS = 10_000_000  # CSV rows of one run, about 550 MB
 
 
 class ConfigError(ValueError):
@@ -99,6 +101,12 @@ class RunConfig:
             raise ConfigError("snapshot_cadence must be positive")
         if self.z_count < 16:
             raise ConfigError("z_count must be >= 16")
+        rows = ((self.t_end / self.snapshot_cadence + 2)
+                * (2 * self.grid_cells + self.z_count))
+        if rows > MAX_OUTPUT_ROWS:
+            raise ConfigError(f"about {rows:.3g} output rows exceed the budget "
+                              f"of {MAX_OUTPUT_ROWS}; raise snapshot_cadence "
+                              f"or lower grid_cells or z_count")
         if self.frame not in ("driftfree", "original"):
             raise ConfigError("frame must be 'driftfree' or 'original'")
         if not isinstance(self.output_dir, str):
@@ -151,26 +159,25 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a float table, every value as %.17g so that it reads back to
+    the same float. ``rows`` is a 2-D array or any iterable of equal-length
+    rows; the whole table is formatted by one % operation."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                       dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    path.write_text(",".join(header) + "\n"
+                    + (line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_snapshot_csv(path: Path, snapshots, row: int) -> None:
-    """One row's snapshot rows: t, xi_center, u (signed original xi)."""
-    sign = SIGNS[row]
-
-    def rows():
-        for snap in snapshots:
-            for xi, u in zip(snap.grid.centers, snap.cells[row]):
-                yield (snap.time, sign * xi, u)
-    write_csv(path, ["t", "xi_center", "u"], rows())
+    """One row's snapshot rows: t, xi_center, u (signed original xi); the
+    snapshots of one run share its grid."""
+    centers = snapshots[0].grid.centers
+    write_csv(path, ["t", "xi_center", "u"], np.column_stack((
+        np.repeat([snap.time for snap in snapshots], centers.size),
+        np.tile(SIGNS[row] * centers, len(snapshots)),
+        np.concatenate([snap.cells[row] for snap in snapshots]))))
 
 
 def write_measure_csv(path: Path, ms_series) -> None:
@@ -184,11 +191,11 @@ def write_measure_csv(path: Path, ms_series) -> None:
 
 
 def write_pseudoinverse_csv(path: Path, ms_series, ps_series) -> None:
-    def rows():
-        for ms, ps in zip(ms_series, ps_series):
-            for z, x in zip(ps.z_grid, ps.x_values):
-                yield (ms.time, z, x)
-    write_csv(path, ["t", "z", "X"], rows())
+    write_csv(path, ["t", "z", "X"], np.column_stack((
+        np.repeat([ms.time for ms in ms_series],
+                  [ps.z_grid.size for ps in ps_series]),
+        np.concatenate([ps.z_grid for ps in ps_series]),
+        np.concatenate([ps.x_values for ps in ps_series]))))
 
 
 def write_original_frame_csv(path: Path, series) -> None:
@@ -405,13 +412,9 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
     times = np.arange(0.0, config.t_end + 1e-12, config.snapshot_cadence)
     if times[-1] < config.t_end:
         times = np.append(times, config.t_end)
-
-    def rows():
-        for t in times:
-            vals = evaluate_smooth_grid(xs, float(t), datum, cfg)
-            for x, v in zip(xs, vals):
-                yield (t, x, v)
-    write_csv(out_dir / "characteristics.csv", ["t", "x", "rho"], rows())
+    rho = [evaluate_smooth_grid(xs, float(t), datum, cfg) for t in times]
+    write_csv(out_dir / "characteristics.csv", ["t", "x", "rho"], np.column_stack((
+        np.repeat(times, xs.size), np.tile(xs, times.size), np.concatenate(rho))))
     report = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,

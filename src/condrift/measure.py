@@ -259,23 +259,15 @@ def _oleinik_flags(ps: PseudoInverse, x_tol: float):
     SLOPE_JUMP_RATIO, evaluated away from the plateau and the edges.
     """
     z, X = ps.z_grid, ps.x_values
-    dz = z[1] - z[0]
-    s = np.diff(X) / dz
-    flags = []
+    s = np.diff(X) / (z[1] - z[0])
     interior = _interior_mask(ps, x_tol)
     floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
-    for j in range(1, s.size):
-        if not (interior[j] and interior[j - 1]):
-            continue
-        if s[j - 1] <= floor or s[j] <= floor:
-            continue
-        ratio = s[j] / s[j - 1]
-        x_here = X[j]
-        if ratio > SLOPE_JUMP_RATIO and x_here > x_tol:
-            flags.append((j, ratio))
-        elif ratio < 1.0 / SLOPE_JUMP_RATIO and x_here < -x_tol:
-            flags.append((j, ratio))
-    return flags
+    j = np.flatnonzero(interior[:-2] & interior[1:-1]
+                       & (s[:-1] > floor) & (s[1:] > floor)) + 1
+    ratio = s[j] / s[j - 1]
+    inadmissible = (((ratio > SLOPE_JUMP_RATIO) & (X[j] > x_tol))
+                    | ((ratio < 1.0 / SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
+    return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
 
 
 def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,

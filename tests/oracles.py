@@ -3,13 +3,16 @@
 Exact Riemann solutions and the discrete total variation check the
 Godunov scheme; a per-segment loop checks the vectorized datum
 integration; a fixed-step RK4 integrator checks the closed-form
-characteristics.  None of these is used by the library itself.
-``right_row_state`` builds the one-sided states the scheme tests step.
+characteristics.  The per-node slope-jump loop and the per-value CSV
+writer check their vectorized counterparts in ``measure`` and ``cli``.
+None of these is used by the library itself.  ``right_row_state`` builds
+the one-sided states the scheme tests step.
 """
 
 import numpy as np
 
 from condrift.conslaw import HalfLineState
+from condrift.measure import SLOPE_JUMP_RATIO, _interior_mask
 
 
 def riemann_exact(u_l: float, u_r: float, xi_over_t: float, cfg) -> float:
@@ -88,3 +91,34 @@ def rk4_characteristics(x0, u0, t, gamma, dim, steps=4000):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def oleinik_flags_loop(ps, x_tol: float):
+    """(j, ratio) slope jumps violating the one-sided admissibility
+    pattern, one z-node at a time."""
+    z, X = ps.z_grid, ps.x_values
+    dz = z[1] - z[0]
+    s = np.diff(X) / dz
+    flags = []
+    interior = _interior_mask(ps, x_tol)
+    floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
+    for j in range(1, s.size):
+        if not (interior[j] and interior[j - 1]):
+            continue
+        if s[j - 1] <= floor or s[j] <= floor:
+            continue
+        ratio = s[j] / s[j - 1]
+        x_here = X[j]
+        if ratio > SLOPE_JUMP_RATIO and x_here > x_tol:
+            flags.append((j, ratio))
+        elif ratio < 1.0 / SLOPE_JUMP_RATIO and x_here < -x_tol:
+            flags.append((j, ratio))
+    return flags
+
+
+def write_csv_per_value(path, header, rows) -> None:
+    """CSV with every value written by format(float(v), ".17g")."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n")

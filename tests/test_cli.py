@@ -18,7 +18,10 @@ from condrift.cli import (
     main,
     simulate,
     trace_time_tolerance,
+    write_csv,
 )
+from condrift.conslaw import SIGNS
+from oracles import write_csv_per_value
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -91,6 +94,73 @@ def test_cmd_simulate_writes_artifacts_and_is_deterministic(tmp_path):
     # measures.csv carries the frozen column schema
     header = (out1 / "measures.csv").read_text().splitlines()[0]
     assert header == "t,dirac_mass,ac_mass,support_lo,support_hi,w1_to_dirac"
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    table = np.array([[-0.0, 5e-324, 0.1],
+                      [1.0 / 3.0, 1e16, 123456789012345678.0]])
+    header = ["a", "b", "c"]
+    reference = tmp_path / "reference.csv"
+    write_csv_per_value(reference, header, table)
+    expected = reference.read_bytes()
+    assert expected.splitlines()[1] == b"-0,4.9406564584124654e-324,0.10000000000000001"
+    # a 2-D array, a list of tuples, and a generator of 1-D rows (what a
+    # wrapper that counts the rows passes on)
+    for rows in (table, [tuple(r) for r in table.tolist()], (r for r in table)):
+        out = tmp_path / "out.csv"
+        write_csv(out, header, rows)
+        assert out.read_bytes() == expected
+
+
+def test_write_csv_empty_table_writes_header_only(tmp_path):
+    for rows in (np.empty((0, 2)), [], iter(())):
+        out = tmp_path / "empty.csv"
+        write_csv(out, ["t", "u"], rows)
+        assert out.read_text() == "t,u\n"
+
+
+def test_cmd_simulate_csv_reads_back_to_the_same_floats(tmp_path):
+    path = write_config(tmp_path, t_end=1.5)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == 0
+    res = simulate(load_config(str(path)))
+
+    def table(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+    n = res.state.grid.cell_count
+    for row, side in enumerate(("left", "right")):
+        snaps = table(f"snapshots_{side}.csv")
+        assert snaps.shape == (n * len(res.snapshots), 3)
+        for k, snap in enumerate(res.snapshots):
+            block = snaps[k * n:(k + 1) * n]
+            assert np.all(block[:, 0] == snap.time)
+            assert np.array_equal(block[:, 1], SIGNS[row] * snap.grid.centers)
+            assert np.array_equal(block[:, 2], snap.cells[row])
+
+    pinv = table("pseudoinverse.csv")
+    z_count = res.ps_series[0].z_grid.size
+    assert pinv.shape == (z_count * len(res.ps_series), 3)
+    for k, (ms, ps) in enumerate(zip(res.ms_series, res.ps_series)):
+        block = pinv[k * z_count:(k + 1) * z_count]
+        assert np.all(block[:, 0] == ms.time)
+        assert np.array_equal(block[:, 1], ps.z_grid)
+        assert np.array_equal(block[:, 2], ps.x_values)
+
+
+@pytest.mark.parametrize("command", ["simulate", "characteristics"])
+@pytest.mark.parametrize("override", [{"snapshot_cadence": 1e-12},
+                                      {"grid_cells": 10**9}],
+                         ids=["tiny-cadence", "huge-grid"])
+def test_output_budget_exits_2(tmp_path, capsys, command, override):
+    path = write_config(tmp_path, **override)
+    code = main([command, "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "budget" in error["error"]
 
 
 def test_cmd_simulate_final_mass_matches_law(tmp_path):

@@ -7,6 +7,7 @@ from condrift.conslaw import HalfLineGrid, HalfLineState, init_from_datum, make_
 from condrift.datum import example_block_datum, unit_uniform_datum
 from condrift.frames import GammaConfig
 from condrift.measure import (
+    SLOPE_JUMP_RATIO,
     MeasureState,
     PseudoInverse,
     _oleinik_flags,
@@ -18,6 +19,7 @@ from condrift.measure import (
     wasserstein_to_dirac,
 )
 from condrift.oracle import ExplicitSolutionSpec, X_explicit, mass_explicit
+from oracles import oleinik_flags_loop
 
 CFG = GammaConfig(gamma=1.0)
 
@@ -203,6 +205,40 @@ def test_oleinik_flags_hand_built_inadmissible_jump():
     X_ok = np.where(z < 0.25, -1.0 + 0.5 * z, -0.875 + 2.0 * (z - 0.25))
     ps_ok = PseudoInverse(z_grid=z, x_values=X_ok, plateau=(1.0, 1.0))
     assert not _oleinik_flags(ps_ok, x_tol=1e-9)
+
+
+def test_oleinik_flags_match_node_loop_on_random_pseudo_inverses():
+    # piecewise-linear X through zero; segments of one to six nodes put
+    # slope jumps next to the plateau, the edges and the x_tol cut,
+    # adjacent slopes differ by factors up to e^5 (ratios above
+    # SLOPE_JUMP_RATIO and below its inverse) and a tenth of the segments
+    # are flat.  Odd cases have a plateau at X = 0; even cases have none
+    # and cross zero between two nodes.
+    rng = np.random.default_rng(7)
+    z = np.linspace(0.0, 1.0, 257)
+    flagged = {"pos": 0, "neg": 0}
+    ratios = []
+    for case in range(60):
+        lengths = rng.integers(1, 7, size=z.size)
+        segment = np.repeat(np.arange(z.size), lengths)[: z.size - 1]
+        slopes = np.exp(rng.uniform(-2.5, 2.5, size=z.size))
+        slopes[rng.random(z.size) < 0.1] = 0.0
+        steps = slopes[segment] * (z[1] - z[0])
+        lo = int(rng.integers(0, z.size // 2))
+        hi = lo + int(rng.integers(0, z.size // 4)) if case % 2 else lo
+        steps[lo:hi] = 0.0
+        X = np.concatenate([[0.0], np.cumsum(steps)])
+        X -= X[lo] + (0.0 if case % 2 else 0.5 * steps[lo])
+        plateau = (z[lo], z[hi]) if case % 2 else (1.0, 1.0)
+        ps = PseudoInverse(z_grid=z, x_values=X, plateau=plateau)
+        for x_tol in (1e-9, abs(X[rng.integers(0, z.size)])):
+            flags = _oleinik_flags(ps, x_tol)
+            assert flags == oleinik_flags_loop(ps, x_tol)
+            for j, ratio in flags:
+                flagged["pos" if X[j] > 0 else "neg"] += 1
+                ratios.append(ratio)
+    assert flagged["pos"] > 0 and flagged["neg"] > 0
+    assert max(ratios) > SLOPE_JUMP_RATIO and min(ratios) < 1.0 / SLOPE_JUMP_RATIO
 
 
 def test_check_flags_inadmissible_jump_through_pipeline():
