@@ -4,8 +4,9 @@ A run is configured by a single JSON file (flat keys plus a nested datum
 table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
-Exit codes: 0 success, 2 config error (including non-finite numbers and
-a run past the output budget MAX_OUTPUT_ROWS),
+Exit codes: 0 success, 2 config error (including non-finite numbers, a
+run past the output budget MAX_OUTPUT_ROWS and a run past the cell-step
+budget conslaw.MAX_CELL_STEPS),
 3 numerical-validity error (including a NaN produced while stepping and
 a coordinate map that underflows), 4 I/O error.
 """
@@ -34,6 +35,7 @@ from .conslaw import (
     SIGNS,
     CflViolation,
     SupportOverflow,
+    WorkBudgetExceeded,
     init_from_datum,
     make_grid,
     run_until,
@@ -475,7 +477,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir, args.quiet)
         return cmd_characteristics(config, out_dir, args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, WorkBudgetExceeded) as exc:
         _fail(f"config error: {exc}", EXIT_CONFIG)
         return EXIT_CONFIG
     except (SupportOverflow, NotSmoothRegime, CflViolation,

@@ -30,6 +30,7 @@ from .frames import GammaConfig, x_of_xi, xi_of_x
 
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
+MAX_CELL_STEPS = 10**10  # cell updates of one run_until call
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # row indices of the two half-lines, and the sign that maps a row's xi to x
 LEFT, RIGHT = 0, 1
@@ -42,6 +43,10 @@ class SupportOverflow(ValueError):
 
 class CflViolation(ValueError):
     """CFL number outside (0, 1]."""
+
+
+class WorkBudgetExceeded(ValueError):
+    """A run would need more than MAX_CELL_STEPS cell updates."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,8 @@ class HalfLineState(Snapshot):
             raise ValueError("outflux_ledger must hold one value per row")
         if np.any(self.cells < 0):
             raise ValueError("cell averages must be nonnegative")
+        # -0.0 -> +0.0, so that step need not clip a state free of negatives
+        np.maximum(self.cells, 0.0, out=self.cells)
         if not self.trace_times:
             self.trace_times.append(self.time)
             self.trace_values.append(self.cells[:, 0].copy())
@@ -190,7 +197,14 @@ def godunov_flux(u_upwind, cfg: GammaConfig):
     u = np.asarray(u_upwind, dtype=float)
     if u.min(initial=0.0) < 0:
         raise ValueError("flux requires u >= 0")
-    return u ** (1 + cfg.gamma) / (1 + cfg.gamma)
+    return _flux(u, cfg.gamma)
+
+
+def _flux(u: np.ndarray, gamma: float) -> np.ndarray:
+    """u^(1+gamma)/(1+gamma) of a nonnegative array, in one new array."""
+    flux = u ** (1 + gamma)
+    flux /= 1 + gamma
+    return flux
 
 
 def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
@@ -201,9 +215,11 @@ def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
 
 def _clip_roundoff(u: np.ndarray, what: str) -> None:
     """Clip roundoff-level negatives to 0; NaN or a real negative raises."""
-    if not u.min(initial=0.0) >= -CLIP_TOL:
+    low = u.min(initial=0.0)
+    if not low >= -CLIP_TOL:
         raise FloatingPointError(f"{what}: negative or NaN cell average")
-    np.maximum(u, 0.0, out=u)
+    if low < 0:
+        np.maximum(u, 0.0, out=u)
 
 
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
@@ -222,11 +238,12 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
     dt = stable_dt(state, cfl, cfg)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    flux = godunov_flux(u, cfg)
+    flux = _flux(u, cfg.gamma)
     # u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)); far ghost value is 0 (inflow 0)
-    increment = -flux
-    increment[:, :-1] += flux[:, 1:]
-    u += (dt / state.grid.cell_width) * increment
+    increment = np.negative(flux)
+    np.subtract(flux[:, 1:], flux[:, :-1], out=increment[:, :-1])
+    increment *= dt / state.grid.cell_width
+    u += increment
     _clip_roundoff(u, "monotone update")
     state.outflux_ledger[state.rows] += dt * flux[:, 0]
     state.time += dt
@@ -244,11 +261,23 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     t0 + k*cadence (k = 0, 1, ...), linearly interpolated in time between
     the two bracketing steps; the stepping sequence itself is independent
     of the cadence.
+
+    Raises :class:`WorkBudgetExceeded` before the first step if the run
+    could take more than MAX_CELL_STEPS cell updates.  The monotone scheme
+    never raises max u, so no uncapped step is shorter than the current
+    ``stable_dt``, which bounds the step count.
     """
     if t_end < state.time:
         raise ValueError("t_end precedes the current state time")
     if observer is not None and (cadence is None or cadence <= 0):
         raise ValueError("observer requires a positive cadence")
+    if cfl > 0:  # otherwise step raises CflViolation
+        steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+        cell_steps = state.cells[state.rows].size * steps
+        if cell_steps > MAX_CELL_STEPS:
+            raise WorkBudgetExceeded(
+                f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
+                f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
     tiny = 1e-12 * max(1.0, abs(t_end))
     next_snap = state.time
     last_snap = None

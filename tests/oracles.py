@@ -5,13 +5,16 @@ Godunov scheme; a per-segment loop checks the vectorized datum
 integration; a fixed-step RK4 integrator checks the closed-form
 characteristics.  The per-node slope-jump loop and the per-value CSV
 writer check their vectorized counterparts in ``measure`` and ``cli``.
-None of these is used by the library itself.  ``right_row_state`` builds
-the one-sided states the scheme tests step.
+``step_reference`` is a frozen copy of the straightforward Godunov step
+(unconditional clips, flux and increment as plain expressions) that the
+trimmed ``conslaw.step`` must match bit for bit.  None of these is used
+by the library itself.  ``right_row_state`` builds the one-sided states
+the scheme tests step.
 """
 
 import numpy as np
 
-from condrift.conslaw import HalfLineState
+from condrift.conslaw import CflViolation, HalfLineState
 from condrift.measure import SLOPE_JUMP_RATIO, _interior_mask
 
 
@@ -122,3 +125,42 @@ def write_csv_per_value(path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(format(float(v), ".17g") for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+REFERENCE_CLIP_TOL = 1e-13
+REFERENCE_EPS_SPEED = 1e-14
+
+
+def _clip_roundoff_reference(u: np.ndarray, what: str) -> None:
+    if not u.min(initial=0.0) >= -REFERENCE_CLIP_TOL:
+        raise FloatingPointError(f"{what}: negative or NaN cell average")
+    np.maximum(u, 0.0, out=u)
+
+
+def _flux_reference(u: np.ndarray, gamma: float) -> np.ndarray:
+    if u.min(initial=0.0) < 0:
+        raise ValueError("flux requires u >= 0")
+    return u ** (1 + gamma) / (1 + gamma)
+
+
+def step_reference(state, cfl: float, cfg, dt_cap=None):
+    """One Godunov update of ``state`` in place, written without any pass
+    saved: clip, CFL dt, flux, increment, update, clip, ledger, trace."""
+    if not 0 < cfl <= 1:
+        raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
+    u = state.cells[state.rows]
+    _clip_roundoff_reference(u, "state before the update")
+    speed = float(state.cells[state.rows].max(initial=0.0)) ** cfg.gamma
+    dt = cfl * state.grid.cell_width / max(speed, REFERENCE_EPS_SPEED)
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
+    flux = _flux_reference(u, cfg.gamma)
+    increment = -flux
+    increment[:, :-1] += flux[:, 1:]
+    u += (dt / state.grid.cell_width) * increment
+    _clip_roundoff_reference(u, "monotone update")
+    state.outflux_ledger[state.rows] += dt * flux[:, 0]
+    state.time += dt
+    state.trace_times.append(state.time)
+    state.trace_values.append(state.cells[:, 0].copy())
+    return state

@@ -163,6 +163,21 @@ def test_output_budget_exits_2(tmp_path, capsys, command, override):
     assert "budget" in error["error"]
 
 
+# Without the budget these runs would step for hours.
+@pytest.mark.parametrize("command, override", [
+    ("simulate", {"grid_cells": 10**6, "t_end": 100.0, "snapshot_cadence": 100.0}),
+    ("verify", {"grid_cells": 10**6, "snapshot_cadence": 1.0}),
+], ids=["simulate", "verify"])
+def test_cell_step_budget_exits_2(tmp_path, capsys, command, override):
+    path = write_config(tmp_path, **override)
+    code = main([command, "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "cell-step budget" in error["error"]
+    assert error["exit_code"] == EXIT_CONFIG
+
+
 def test_cmd_simulate_final_mass_matches_law(tmp_path):
     path = write_config(tmp_path, t_end=4.0, grid_cells=1024,
                         snapshot_cadence=1.0)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from condrift import conslaw
 from condrift.conslaw import (
     LEFT,
     RIGHT,
     CflViolation,
     HalfLineGrid,
+    HalfLineState,
     SupportOverflow,
     godunov_flux,
     init_from_datum,
@@ -15,9 +17,14 @@ from condrift.conslaw import (
     stable_dt,
     step,
 )
-from condrift.datum import block_datum, example_block_datum, piecewise_linear
+from condrift.datum import (
+    block_datum,
+    example_block_datum,
+    piecewise_constant,
+    piecewise_linear,
+)
 from condrift.frames import GammaConfig, x_of_xi
-from oracles import riemann_exact, right_row_state, total_variation
+from oracles import riemann_exact, right_row_state, step_reference, total_variation
 
 
 CFG = GammaConfig(gamma=1.0)
@@ -332,3 +339,110 @@ def test_trace_history_records_boundary_cell():
     assert len(state.trace_times) == len(state.trace_values)
     x_last = x_of_xi(np.asarray([grid.edges[-1]]), CFG)
     assert np.isfinite(x_last).all()
+
+
+GAMMAS = (0.5, 1.0, 2.0)
+# cells handed to the constructor as -0.0: one inside the random data, one
+# at the far end of a row, where the update adds -0.0 to an empty cell
+SIGNED_ZEROS = (np.array([RIGHT, LEFT]), np.array([50, 127]))
+
+
+def example36_state(cfg):
+    datum = example_block_datum(cfg.gamma)
+    return init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
+
+
+def two_sided_random_state(cfg):
+    rng = np.random.default_rng(31)
+    breakpoints = np.concatenate([np.sort(rng.uniform(-1.0, -0.05, 4)),
+                                  np.sort(rng.uniform(0.05, 1.0, 4))])
+    datum = piecewise_constant(breakpoints, rng.uniform(0.2, 2.0, 7))
+    return init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
+
+
+def signed_zero_state(cfg):
+    rng = np.random.default_rng(32)
+    cells = rng.uniform(0.0, 2.0, (2, 128))
+    cells[:, 100:] = 0.0
+    cells[SIGNED_ZEROS] = -0.0
+    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01), cells=cells)
+
+
+STATES = {"example36": example36_state, "two-sided": two_sided_random_state,
+          "signed-zero": signed_zero_state}
+
+
+def reference_state(kind, cfg):
+    """The state as the unconditionally clipping step first sees it: the
+    signed-zero cells keep the -0.0 they were built with."""
+    state = STATES[kind](cfg)
+    if kind == "signed-zero":
+        state.cells[SIGNED_ZEROS] = -0.0
+    return state
+
+
+def state_bytes(state):
+    return (state.cells.tobytes(), state.outflux_ledger.tobytes(),
+            np.float64(state.time).tobytes(), np.asarray(state.trace_times).tobytes(),
+            np.asarray(state.trace_values).tobytes())
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("kind", list(STATES))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_step_is_bit_identical_to_reference(gamma, kind, capped):
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = STATES[kind](cfg), reference_state(kind, cfg)
+    assert not np.signbit(state.cells).any()
+    caps = (np.random.default_rng(33).uniform(0.5, 1.5, 300)
+            * stable_dt(state, 0.9, cfg) if capped else [None] * 300)
+    for cap in caps:
+        step(state, 0.9, cfg, dt_cap=cap)
+        step_reference(reference, 0.9, cfg, dt_cap=cap)
+    assert state_bytes(state) == state_bytes(reference)
+    assert state.outflux_ledger[state.rows].min() > 0
+
+
+@pytest.mark.parametrize("kind", ["example36", "two-sided"])
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_snapshots_are_bit_identical_to_reference(monkeypatch, gamma, kind):
+    cfg = GammaConfig(gamma=gamma)
+
+    def snapshots():
+        state, snaps = STATES[kind](cfg), []
+        run_until(state, 1.2 / gamma, 0.9, cfg, observer=snaps.append, cadence=0.1 / gamma)
+        return [(s.cells.tobytes(), np.float64(s.time).tobytes(),
+                 s.outflux_ledger.tobytes()) for s in snaps] + [state_bytes(state)]
+
+    trimmed = snapshots()
+    monkeypatch.setattr(conslaw, "step", step_reference)
+    assert trimmed == snapshots()
+    assert len(trimmed) == 14
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_step_rejects_a_bad_cell_set_between_steps(gamma, bad):
+    cfg = GammaConfig(gamma=gamma)
+    state = example36_state(cfg)
+    for _ in range(5):
+        step(state, 0.9, cfg)
+    state.cells[RIGHT, 40] = bad
+    with pytest.raises(FloatingPointError):
+        step(state, 0.9, cfg)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_step_clips_roundoff_negatives_to_positive_zero(gamma):
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = example36_state(cfg), example36_state(cfg)
+    for _ in range(5):
+        step(state, 0.9, cfg)
+        step_reference(reference, 0.9, cfg)
+    far = state.grid.cell_count - 1  # beyond the support: stays empty
+    for s in (state, reference):
+        s.cells[RIGHT, [40, far]] = -1e-14
+    step(state, 0.9, cfg)
+    step_reference(reference, 0.9, cfg)
+    assert state.cells[RIGHT, far] == 0.0 and not np.signbit(state.cells[RIGHT, far])
+    assert state_bytes(state) == state_bytes(reference)
