@@ -137,7 +137,8 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     return best
 
 
-def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:
+def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig,
+                         horizon: float | None = None) -> np.ndarray:
     """Density values at the points ``xs`` at time t in the smooth regime.
 
     The foot x0 of each point is bracketed on the point's own side of the
@@ -150,12 +151,17 @@ def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig) ->
     point this pins u0 to f(x0); at a downward jump, including a support
     edge, it gives the centered rarefaction fan.  Points outside the
     support are 0.
+
+    ``horizon`` is the smooth horizon min(blow_up_time, first_shock_time)
+    of this datum; a caller that evaluates several times passes it to
+    compute it once, and it is computed here when omitted.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    horizon = blow_up_time(datum, cfg)
-    if cfg.dim == 1:
-        horizon = min(horizon, first_shock_time(datum, cfg))
+    if horizon is None:
+        horizon = blow_up_time(datum, cfg)
+        if cfg.dim == 1:
+            horizon = min(horizon, first_shock_time(datum, cfg))
     if t >= horizon:
         raise NotSmoothRegime(f"t={t} is past the smooth horizon {horizon}")
     xs = np.asarray(xs, dtype=float)

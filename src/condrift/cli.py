@@ -5,8 +5,9 @@ table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 2 config error (including non-finite numbers, a
-run past the output budget MAX_OUTPUT_ROWS and a run past the cell-step
-budget conslaw.MAX_CELL_STEPS),
+zero-mass datum, a malformed measures.csv given to convert, a run past
+the output budget MAX_OUTPUT_ROWS and a run past the cell-step budget
+conslaw.MAX_CELL_STEPS),
 3 numerical-validity error (including a NaN produced while stepping and
 a coordinate map that underflows), 4 I/O error.
 """
@@ -132,18 +133,22 @@ class RunConfig:
 
     def build_datum(self) -> InitialDatum:
         kind = self.datum["kind"]
+        if kind not in ("example36", "piecewise_constant", "piecewise_linear"):
+            raise ConfigError(f"unknown datum kind {kind!r}")
         try:
             if kind == "example36":
-                return example_block_datum(self.gamma)
-            if kind == "piecewise_constant":
-                return piecewise_constant(self.datum["breakpoints"], self.datum["values"])
-            if kind == "piecewise_linear":
-                return piecewise_linear(self.datum["breakpoints"], self.datum["values"])
+                datum = example_block_datum(self.gamma)
+            elif kind == "piecewise_constant":
+                datum = piecewise_constant(self.datum["breakpoints"], self.datum["values"])
+            else:
+                datum = piecewise_linear(self.datum["breakpoints"], self.datum["values"])
         except DisconnectedSupport:
             raise
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid datum table: {exc}") from exc
-        raise ConfigError(f"unknown datum kind {kind!r}")
+        if not datum.mass > 0:
+            raise ConfigError("datum has zero mass")
+        return datum
 
     def gamma_config(self) -> GammaConfig:
         return GammaConfig(gamma=self.gamma, dim=self.dim)
@@ -172,14 +177,29 @@ def write_csv(path: Path, header: list, rows) -> None:
                     + (line * len(table)) % tuple(table.ravel().tolist()))
 
 
+def write_blocks(path: Path, header: list, blocks) -> None:
+    """Write blocks ``(t, column, values)`` as rows ``t, column[i],
+    values[i]``, every value as %.17g, one block at a time; ``column``
+    and ``values`` are float arrays of one length. Each distinct
+    ``column`` (by its bytes, so -0.0 stays apart from 0.0) is formatted
+    once, and each block by one % operation."""
+    tails: dict = {}
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for t, column, values in blocks:
+            key = column.tobytes()
+            if key not in tails:
+                tails[key] = [""] + [",%.17g,%%.17g\n" % c for c in column.tolist()]
+            block = ("%.17g" % t).join(tails[key])
+            out.write(block % tuple(values.tolist()))
+
+
 def write_snapshot_csv(path: Path, snapshots, row: int) -> None:
     """One row's snapshot rows: t, xi_center, u (signed original xi); the
     snapshots of one run share its grid."""
-    centers = snapshots[0].grid.centers
-    write_csv(path, ["t", "xi_center", "u"], np.column_stack((
-        np.repeat([snap.time for snap in snapshots], centers.size),
-        np.tile(SIGNS[row] * centers, len(snapshots)),
-        np.concatenate([snap.cells[row] for snap in snapshots]))))
+    centers = SIGNS[row] * snapshots[0].grid.centers
+    write_blocks(path, ["t", "xi_center", "u"],
+                 ((snap.time, centers, snap.cells[row]) for snap in snapshots))
 
 
 def write_measure_csv(path: Path, ms_series) -> None:
@@ -193,11 +213,9 @@ def write_measure_csv(path: Path, ms_series) -> None:
 
 
 def write_pseudoinverse_csv(path: Path, ms_series, ps_series) -> None:
-    write_csv(path, ["t", "z", "X"], np.column_stack((
-        np.repeat([ms.time for ms in ms_series],
-                  [ps.z_grid.size for ps in ps_series]),
-        np.concatenate([ps.z_grid for ps in ps_series]),
-        np.concatenate([ps.x_values for ps in ps_series]))))
+    write_blocks(path, ["t", "z", "X"],
+                 ((ms.time, ps.z_grid, ps.x_values)
+                  for ms, ps in zip(ms_series, ps_series)))
 
 
 def write_original_frame_csv(path: Path, series) -> None:
@@ -414,9 +432,10 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
     times = np.arange(0.0, config.t_end + 1e-12, config.snapshot_cadence)
     if times[-1] < config.t_end:
         times = np.append(times, config.t_end)
-    rho = [evaluate_smooth_grid(xs, float(t), datum, cfg) for t in times]
-    write_csv(out_dir / "characteristics.csv", ["t", "x", "rho"], np.column_stack((
-        np.repeat(times, xs.size), np.tile(xs, times.size), np.concatenate(rho))))
+    rho = [evaluate_smooth_grid(xs, float(t), datum, cfg, horizon=horizon)
+           for t in times]
+    write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"],
+                 ((t, xs, r) for t, r in zip(times, rho)))
     report = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
@@ -440,7 +459,10 @@ def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
     series = []
     text = (input_dir / "measures.csv").read_text().strip().splitlines()
     for line in text[1:]:
-        t, dirac, ac, lo, hi, w1 = (float(v) for v in line.split(","))
+        try:
+            t, dirac, ac, lo, hi, w1 = (float(v) for v in line.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"malformed measures.csv row {line!r}: {exc}") from exc
         series.append(measure.to_original_frame(t, dirac, dirac + ac, (lo, hi), w1, cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_original_frame_csv(out_dir / "original_frame.csv", series)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import condrift
+from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -18,9 +19,11 @@ from condrift.cli import (
     main,
     simulate,
     trace_time_tolerance,
+    write_blocks,
     write_csv,
 )
 from condrift.conslaw import SIGNS
+from condrift.frames import GammaConfig
 from oracles import write_csv_per_value
 
 
@@ -117,6 +120,67 @@ def test_write_csv_empty_table_writes_header_only(tmp_path):
         out = tmp_path / "empty.csv"
         write_csv(out, ["t", "u"], rows)
         assert out.read_text() == "t,u\n"
+
+
+def test_write_blocks_matches_per_value_format(tmp_path):
+    special = np.array([-0.0, 0.0, 5e-324, 1e308, -1.0 / 3.0, -2.5e-300])
+    other = special[::-1] * 0.7
+    # -0.0 == 0.0, so a column keyed on float equality would reuse the
+    # other column's "-0"
+    plus_zero = np.where(special == 0.0, 0.0, special)
+    blocks = [(0.0, special, other), (-0.0, other, special),
+              (1e308, plus_zero, -special), (5e-324, special, 2.0 * other),
+              (-1.0 / 3.0, special[:1], other[:1])]
+    cases = {"shared-and-returning": blocks, "one-block": blocks[:1],
+             "one-row": blocks[-1:], "no-blocks": []}
+    for name, case in cases.items():
+        reference = tmp_path / f"{name}-reference.csv"
+        write_csv_per_value(reference, ["t", "c", "v"],
+                            [(t, c, v) for t, cs, vs in case
+                             for c, v in zip(cs, vs)])
+        out = tmp_path / f"{name}.csv"
+        write_blocks(out, ["t", "c", "v"], iter(case))
+        assert out.read_bytes() == reference.read_bytes(), name
+    assert (tmp_path / "no-blocks.csv").read_text() == "t,c,v\n"
+    lines = (tmp_path / "shared-and-returning.csv").read_text().splitlines()
+    assert lines[13:15] == ["1e+308,0,0", "1e+308,0,-0"]
+    assert lines[1] == "0,-0,%.17g" % other[0]
+
+
+def test_blocked_outputs_match_per_value_format(tmp_path):
+    # simulate and characteristics on a two-sided datum that falls away
+    # from the origin: the blocked files equal a per-value writer on the
+    # same arrays
+    datum = {"kind": "piecewise_linear", "breakpoints": [-0.4, 0.0, 0.5],
+             "values": [0.5, 1.0, 0.6]}
+    path = write_config(tmp_path, datum=datum, grid_cells=64, z_count=32,
+                        t_end=0.6, snapshot_cadence=0.2)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(run),
+                 "--quiet"]) == 0
+    res = simulate(load_config(str(path)))
+    reference = tmp_path / "reference.csv"
+    for row, side in enumerate(("left", "right")):
+        write_csv_per_value(reference, ["t", "xi_center", "u"], [
+            (snap.time, SIGNS[row] * xi, u) for snap in res.snapshots
+            for xi, u in zip(snap.grid.centers, snap.cells[row])])
+        assert (run / f"snapshots_{side}.csv").read_bytes() == reference.read_bytes()
+    write_csv_per_value(reference, ["t", "z", "X"], [
+        (ms.time, z, x) for ms, ps in zip(res.ms_series, res.ps_series)
+        for z, x in zip(ps.z_grid, ps.x_values)])
+    assert (run / "pseudoinverse.csv").read_bytes() == reference.read_bytes()
+
+    chars = tmp_path / "chars"
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(chars), "--quiet"]) == 0
+    smooth = load_config(str(path)).build_datum()
+    xs = np.linspace(-0.4, 0.5, 64)
+    times = np.arange(0.0, 0.6 + 1e-12, 0.2)  # the last one is 0.6000000000000001
+    write_csv_per_value(reference, ["t", "x", "rho"], [
+        (t, x, r) for t in times
+        for x, r in zip(xs, evaluate_smooth_grid(xs, t, smooth,
+                                                 GammaConfig(gamma=1.0)))])
+    assert (chars / "characteristics.csv").read_bytes() == reference.read_bytes()
 
 
 def test_cmd_simulate_csv_reads_back_to_the_same_floats(tmp_path):
@@ -247,6 +311,43 @@ def test_non_finite_input_fails_with_json_error(tmp_path, capsys, override):
     assert error["exit_code"] == code
 
 
+@pytest.mark.parametrize("command", ["simulate", "characteristics"])
+def test_zero_mass_datum_exits_2_with_one_json_line(tmp_path, command):
+    # a fresh interpreter: stderr is exactly what a user sees, numpy
+    # warnings included
+    path = write_config(tmp_path, datum={"kind": "piecewise_constant",
+                                         "breakpoints": [0.0, 1.0],
+                                         "values": [0]})
+    src = str(Path(condrift.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "condrift.cli", command, "--config", str(path),
+         "--output", str(tmp_path / "out"), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    error = json.loads(proc.stderr)
+    assert error["exit_code"] == EXIT_CONFIG and "zero mass" in error["error"]
+
+
+@pytest.mark.parametrize("bad_row", ["0,1,2", "0,1,2,3,4,five"],
+                         ids=["wrong-column-count", "non-numeric"])
+def test_cmd_convert_malformed_measures_exits_2(tmp_path, capsys, bad_row):
+    path = write_config(tmp_path, t_end=0.5)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                 "--quiet"]) == 0
+    measures = run_dir / "measures.csv"
+    measures.write_text(measures.read_text() + bad_row + "\n")
+    capsys.readouterr()
+    code = main(["convert", "--input", str(run_dir), "--output",
+                 str(tmp_path / "conv"), "--quiet"])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["exit_code"] == EXIT_CONFIG and "measures.csv" in error["error"]
+    assert not (tmp_path / "conv").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; a fresh interpreter shows what the
     # package itself imports
@@ -327,6 +428,26 @@ def test_cmd_characteristics_rejects_past_horizon(tmp_path):
                                "values": [1.0, 1.0, 0.0]})
     assert main(["characteristics", "--config", str(path), "--output",
                  str(tmp_path / "z"), "--quiet"]) == EXIT_NUMERICAL
+
+
+def test_cmd_characteristics_computes_the_horizon_once(tmp_path, monkeypatch):
+    from condrift import characteristics, cli
+
+    calls = []
+
+    def counted(datum, cfg, real=characteristics.first_shock_time):
+        calls.append(datum)
+        return real(datum, cfg)
+
+    monkeypatch.setattr(characteristics, "first_shock_time", counted)
+    monkeypatch.setattr(cli, "first_shock_time", counted)
+    path = write_config(tmp_path, t_end=0.8, snapshot_cadence=0.2,
+                        datum={"kind": "piecewise_linear",
+                               "breakpoints": [0.0, 0.5, 1.0],
+                               "values": [1.0, 1.0, 0.0]})
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(tmp_path / "chars"), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_characteristics_cross_check_against_solver(tmp_path):
