@@ -316,7 +316,10 @@ def _write_trace_ledger(out_dir: Path, state: conslaw.HalfLineState,
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    """Oracle-comparison suite; prints a pass/fail table with measured numbers."""
+    """Oracle-comparison suite; prints a pass/fail table with measured numbers.
+
+    The suite runs on the block; the configured datum is only validated."""
+    config.build_datum()
     out_dir.mkdir(parents=True, exist_ok=True)
     g = config.gamma
     cfg = GammaConfig(gamma=g, dim=1)

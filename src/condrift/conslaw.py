@@ -16,6 +16,13 @@ The two half-lines share one clock and are coupled only through the mass
 they feed into the origin, so they are stepped together as the two rows
 of one ``(2, N)`` array: row 0 is the reflected left half-line, row 1 the
 right one.
+
+``run_until`` builds one stepper per run and reuses its buffers.  It
+steps only through the last occupied column: the far ghost feeds no
+mass and every speed points at the origin, so the empty cells beyond
+stay exactly +0.0.  It copies the state for snapshot interpolation only
+on the steps that reach a snapshot time.  ``step`` is the one-step case
+of the same stepper.
 """
 
 from __future__ import annotations
@@ -200,17 +207,22 @@ def godunov_flux(u_upwind, cfg: GammaConfig):
     return _flux(u, cfg.gamma)
 
 
-def _flux(u: np.ndarray, gamma: float) -> np.ndarray:
-    """u^(1+gamma)/(1+gamma) of a nonnegative array, in one new array."""
-    flux = u ** (1 + gamma)
+def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u^(1+gamma)/(1+gamma) of a nonnegative array, into ``out`` or one new array."""
+    flux = np.power(u, 1 + gamma, out=out)
     flux /= 1 + gamma
     return flux
 
 
+def _cfl_dt(u: np.ndarray, cfl: float, cell_width: float, gamma: float) -> float:
+    """cfl * dxi / max(max(u)^gamma, EPS_SPEED)."""
+    speed = float(u.max(initial=0.0)) ** gamma
+    return cfl * cell_width / max(speed, EPS_SPEED)
+
+
 def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
     """CFL time step cfl * dxi / max(speed) over both rows, floored at EPS_SPEED."""
-    speed = float(state.cells[state.rows].max(initial=0.0)) ** cfg.gamma
-    return cfl * state.grid.cell_width / max(speed, EPS_SPEED)
+    return _cfl_dt(state.cells[state.rows], cfl, state.grid.cell_width, cfg.gamma)
 
 
 def _clip_roundoff(u: np.ndarray, what: str) -> None:
@@ -222,6 +234,66 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
+class _Stepper:
+    """Godunov updates of one state's stepped rows, in place.
+
+    Built once per run: it checks the cfl, clips the state before the
+    update and fixes the column window [0, hi), hi one past the last
+    occupied column.  The columns beyond stay exactly +0.0 under the
+    update (zero inflow, speeds toward the origin), so they are never
+    touched.  The flux and increment go into buffers reused from step to
+    step.  The stepped rows' ledger is kept in Python floats; ``sync``
+    writes it back.
+    """
+
+    def __init__(self, state: HalfLineState, cfl: float, cfg: GammaConfig):
+        if not 0 < cfl <= 1:
+            raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
+        u = state.cells[state.rows]
+        _clip_roundoff(u, "state before the update")
+        # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
+        occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
+        hi = occupied[-1] + 1 if occupied.size else 1
+        self.state, self.cfl, self.gamma = state, cfl, cfg.gamma
+        self.width = state.grid.cell_width
+        self.u = u = u[:, :hi]
+        self.flux = flux = np.empty_like(u)
+        self.increment = increment = np.empty_like(u)
+        # views of the buffers, sliced once
+        self.flux_right, self.flux_left = flux[:, 1:], flux[:, :-1]
+        self.flux_last, self.outflux = flux[:, -1], flux[:, 0]
+        self.increment_inner, self.increment_last = increment[:, :-1], increment[:, -1]
+        # the last window cell's increment is ghost - flux: the zero cell hi
+        # gives +0.0 - flux; past the grid's end -0.0 - flux, which is -flux
+        self.ghost = np.array(0.0 if hi < state.grid.cell_count else -0.0)
+        self.ledger = state.outflux_ledger[state.rows].tolist()
+        self.boundary = state.cells[:, 0]
+
+    def dt(self, dt_cap: Optional[float]) -> float:
+        """The CFL step, capped by ``dt_cap`` if given."""
+        dt = _cfl_dt(self.u, self.cfl, self.width, self.gamma)
+        return dt if dt_cap is None else min(dt, dt_cap)
+
+    def advance(self, dt: float) -> None:
+        """u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit check, the
+        ledger, the time and the trace."""
+        u, increment, state = self.u, self.increment, self.state
+        _flux(u, self.gamma, out=self.flux)
+        np.subtract(self.flux_right, self.flux_left, out=self.increment_inner)
+        np.subtract(self.ghost, self.flux_last, out=self.increment_last)
+        increment *= dt / self.width
+        u += increment
+        _clip_roundoff(u, "monotone update")
+        self.ledger = [mass + dt * out for mass, out in zip(self.ledger, self.outflux.tolist())]
+        state.time += dt
+        state.trace_times.append(state.time)
+        state.trace_values.append(self.boundary.copy())
+
+    def sync(self) -> None:
+        """Write the stepped rows' ledger back to the state."""
+        self.state.outflux_ledger[self.state.rows] = self.ledger
+
+
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
          dt_cap: Optional[float] = None) -> HalfLineState:
     """One conservative explicit update of both rows, in place; returns the state.
@@ -231,24 +303,9 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
     xi = 0 is added to each row's outflux ledger so that
     dxi * sum(cells) + ledger is constant to rounding, row by row.
     """
-    if not 0 < cfl <= 1:
-        raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
-    u = state.cells[state.rows]
-    _clip_roundoff(u, "state before the update")
-    dt = stable_dt(state, cfl, cfg)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-    flux = _flux(u, cfg.gamma)
-    # u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)); far ghost value is 0 (inflow 0)
-    increment = np.negative(flux)
-    np.subtract(flux[:, 1:], flux[:, :-1], out=increment[:, :-1])
-    increment *= dt / state.grid.cell_width
-    u += increment
-    _clip_roundoff(u, "monotone update")
-    state.outflux_ledger[state.rows] += dt * flux[:, 0]
-    state.time += dt
-    state.trace_times.append(state.time)
-    state.trace_values.append(state.cells[:, 0].copy())
+    stepper = _Stepper(state, cfl, cfg)
+    stepper.advance(stepper.dt(dt_cap))
+    stepper.sync()
     return state
 
 
@@ -271,7 +328,7 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
         raise ValueError("t_end precedes the current state time")
     if observer is not None and (cadence is None or cadence <= 0):
         raise ValueError("observer requires a positive cadence")
-    if cfl > 0:  # otherwise step raises CflViolation
+    if cfl > 0:  # otherwise the first step raises CflViolation
         steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
         cell_steps = state.cells[state.rows].size * steps
         if cell_steps > MAX_CELL_STEPS:
@@ -285,26 +342,34 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
         observer(state.snapshot())
         last_snap = state.time
         next_snap += cadence
-    prev_cells = None
-    prev_time = state.time
-    prev_ledger = state.outflux_ledger
-    while t_end - state.time > tiny:
-        if observer is not None:
-            prev_cells = state.cells.copy()
-            prev_time = state.time
-            prev_ledger = state.outflux_ledger.copy()
-        step(state, cfl, cfg, dt_cap=t_end - state.time)
-        if observer is not None:
-            while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
-                w = 0.0 if state.time == prev_time else (
-                    (next_snap - prev_time) / (state.time - prev_time))
-                observer(Snapshot(state.grid,
-                                  (1 - w) * prev_cells + w * state.cells,
-                                  next_snap,
-                                  (1 - w) * prev_ledger + w * state.outflux_ledger,
-                                  state.sup_initial))
-                last_snap = next_snap
-                next_snap += cadence
+    if t_end - state.time > tiny:
+        stepper = _Stepper(state, cfl, cfg)
+        try:
+            while t_end - state.time > tiny:
+                dt = stepper.dt(t_end - state.time)
+                # only a step that reaches the next snapshot time needs a copy
+                # of the state before it, to interpolate
+                if observer is None or not next_snap <= state.time + dt + tiny:
+                    stepper.advance(dt)
+                    continue
+                stepper.sync()
+                prev_cells = state.cells.copy()
+                prev_time = state.time
+                prev_ledger = state.outflux_ledger.copy()
+                stepper.advance(dt)
+                stepper.sync()
+                while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
+                    w = 0.0 if state.time == prev_time else (
+                        (next_snap - prev_time) / (state.time - prev_time))
+                    observer(Snapshot(state.grid,
+                                      (1 - w) * prev_cells + w * state.cells,
+                                      next_snap,
+                                      (1 - w) * prev_ledger + w * state.outflux_ledger,
+                                      state.sup_initial))
+                    last_snap = next_snap
+                    next_snap += cadence
+        finally:
+            stepper.sync()
     state.time = t_end
     if observer is not None and (last_snap is None or last_snap < t_end - tiny):
         observer(state.snapshot())

@@ -7,14 +7,23 @@ characteristics.  The per-node slope-jump loop and the per-value CSV
 writer check their vectorized counterparts in ``measure`` and ``cli``.
 ``step_reference`` is a frozen copy of the straightforward Godunov step
 (unconditional clips, flux and increment as plain expressions) that the
-trimmed ``conslaw.step`` must match bit for bit.  None of these is used
-by the library itself.  ``right_row_state`` builds the one-sided states
+trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
+a frozen copy of the run loop that called a step per step, driving
+``step_reference``, that ``conslaw.run_until`` must match bit for bit.
+None of these is used by the library itself.  ``right_row_state`` builds the one-sided states
 the scheme tests step.
 """
 
 import numpy as np
 
-from condrift.conslaw import CflViolation, HalfLineState
+from condrift.conslaw import (
+    MAX_CELL_STEPS,
+    CflViolation,
+    HalfLineState,
+    Snapshot,
+    WorkBudgetExceeded,
+    stable_dt,
+)
 from condrift.measure import SLOPE_JUMP_RATIO, _interior_mask
 
 
@@ -163,4 +172,52 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
     state.time += dt
     state.trace_times.append(state.time)
     state.trace_values.append(state.cells[:, 0].copy())
+    return state
+
+
+def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cadence=None):
+    """``run_until`` as it was when it called one step per step, driving
+    ``step_reference``: it copies the cells and the ledger before every
+    step when an observer is set."""
+    if t_end < state.time:
+        raise ValueError("t_end precedes the current state time")
+    if observer is not None and (cadence is None or cadence <= 0):
+        raise ValueError("observer requires a positive cadence")
+    if cfl > 0:  # otherwise step raises CflViolation
+        steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+        cell_steps = state.cells[state.rows].size * steps
+        if cell_steps > MAX_CELL_STEPS:
+            raise WorkBudgetExceeded(
+                f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
+                f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
+    tiny = 1e-12 * max(1.0, abs(t_end))
+    next_snap = state.time
+    last_snap = None
+    if observer is not None:
+        observer(state.snapshot())
+        last_snap = state.time
+        next_snap += cadence
+    prev_cells = None
+    prev_time = state.time
+    prev_ledger = state.outflux_ledger
+    while t_end - state.time > tiny:
+        if observer is not None:
+            prev_cells = state.cells.copy()
+            prev_time = state.time
+            prev_ledger = state.outflux_ledger.copy()
+        step_reference(state, cfl, cfg, dt_cap=t_end - state.time)
+        if observer is not None:
+            while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
+                w = 0.0 if state.time == prev_time else (
+                    (next_snap - prev_time) / (state.time - prev_time))
+                observer(Snapshot(state.grid,
+                                  (1 - w) * prev_cells + w * state.cells,
+                                  next_snap,
+                                  (1 - w) * prev_ledger + w * state.outflux_ledger,
+                                  state.sup_initial))
+                last_snap = next_snap
+                next_snap += cadence
+    state.time = t_end
+    if observer is not None and (last_snap is None or last_snap < t_end - tiny):
+        observer(state.snapshot())
     return state

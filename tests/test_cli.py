@@ -330,6 +330,28 @@ def test_zero_mass_datum_exits_2_with_one_json_line(tmp_path, command):
     assert error["exit_code"] == EXIT_CONFIG and "zero mass" in error["error"]
 
 
+@pytest.mark.parametrize("datum, message", [
+    ({"kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "values": [0]},
+     "zero mass"),
+    ({"kind": "bogus"}, "unknown datum kind"),
+    ({"kind": "piecewise_constant", "breakpoints": [0.0, 1.0]}, "invalid datum table"),
+], ids=["zero-mass", "unknown-kind", "no-values"])
+def test_verify_rejects_a_bad_datum_with_one_json_line(tmp_path, datum, message):
+    # verify runs the block, but the configured datum must still be valid
+    path = write_config(tmp_path, datum=datum)
+    src = str(Path(condrift.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "condrift.cli", "verify", "--config", str(path),
+         "--output", str(tmp_path / "out"), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    error = json.loads(proc.stderr)
+    assert error["exit_code"] == EXIT_CONFIG and message in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["0,1,2", "0,1,2,3,4,five"],
                          ids=["wrong-column-count", "non-numeric"])
 def test_cmd_convert_malformed_measures_exits_2(tmp_path, capsys, bad_row):

@@ -24,7 +24,13 @@ from condrift.datum import (
     piecewise_linear,
 )
 from condrift.frames import GammaConfig, x_of_xi
-from oracles import riemann_exact, right_row_state, step_reference, total_variation
+from oracles import (
+    riemann_exact,
+    right_row_state,
+    run_until_reference,
+    step_reference,
+    total_variation,
+)
 
 
 CFG = GammaConfig(gamma=1.0)
@@ -403,21 +409,108 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
     assert state.outflux_ledger[state.rows].min() > 0
 
 
-@pytest.mark.parametrize("kind", ["example36", "two-sided"])
+def margin_state(cfg):
+    """The block on a grid three times its support: hi falls far short of N."""
+    datum = example_block_datum(cfg.gamma)
+    return init_from_datum(datum, make_grid(datum, cfg, 256, margin=3.0), cfg)
+
+
+def full_row_state(cfg):
+    """Random cells on every column of both rows: hi is the grid's end."""
+    cells = np.random.default_rng(34).uniform(0.2, 1.5, (2, 128))
+    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01), cells=cells)
+
+
+RUN_STATES = {"example36": example36_state, "two-sided": two_sided_random_state,
+              "margin-3": margin_state, "full-row": full_row_state}
+
+
+def entry_window(state):
+    """One past the last occupied column of the stepped rows."""
+    return np.flatnonzero(state.cells[state.rows].any(axis=0))[-1] + 1
+
+
+def run_bytes(run, state, cfg, observe):
+    """Every snapshot's cells, time and ledger, then the final state, as bytes."""
+    snaps = []
+    kwargs = {"observer": snaps.append, "cadence": 0.1 / cfg.gamma} if observe else {}
+    run(state, 1.2 / cfg.gamma, 0.9, cfg, **kwargs)
+    return [(s.cells.tobytes(), np.float64(s.time).tobytes(),
+             s.outflux_ledger.tobytes()) for s in snaps] + [state_bytes(state)]
+
+
+@pytest.mark.parametrize("kind", list(RUN_STATES))
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_run_until_snapshots_are_bit_identical_to_reference(monkeypatch, gamma, kind):
+def test_run_until_snapshots_are_bit_identical_to_reference(gamma, kind):
     cfg = GammaConfig(gamma=gamma)
+    for observe in (True, False):
+        state = RUN_STATES[kind](cfg)
+        fused = run_bytes(run_until, state, cfg, observe)
+        assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, observe)
+        assert len(fused) == (14 if observe else 1)
+        assert state.outflux_ledger[state.rows].min() > 0
 
-    def snapshots():
-        state, snaps = STATES[kind](cfg), []
-        run_until(state, 1.2 / gamma, 0.9, cfg, observer=snaps.append, cadence=0.1 / gamma)
-        return [(s.cells.tobytes(), np.float64(s.time).tobytes(),
-                 s.outflux_ledger.tobytes()) for s in snaps] + [state_bytes(state)]
 
-    trimmed = snapshots()
-    monkeypatch.setattr(conslaw, "step", step_reference)
-    assert trimmed == snapshots()
-    assert len(trimmed) == 14
+@pytest.mark.parametrize("kind", list(RUN_STATES))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamma, kind):
+    cfg = GammaConfig(gamma=gamma)
+    state = RUN_STATES[kind](cfg)
+    hi, n = entry_window(state), state.grid.cell_count
+    assert hi == n if kind == "full-row" else hi < n
+    if kind == "margin-3":
+        assert hi < 0.4 * n
+    widths, unwatched = [], conslaw._flux
+
+    def flux(u, gamma, out=None):
+        widths.append(u.shape[1])
+        return unwatched(u, gamma, out)
+
+    monkeypatch.setattr(conslaw, "_flux", flux)
+    run_until(state, 1.2 / gamma, 0.9, cfg)
+    assert len(widths) > 50 and set(widths) == {hi}
+    beyond = state.cells[:, hi:]
+    assert not beyond.any() and not np.signbit(beyond).any()
+
+
+@pytest.mark.parametrize("where", ["inside", "beyond"])
+@pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_rejects_a_bad_cell_set_before_the_run(gamma, bad, where):
+    cfg = GammaConfig(gamma=gamma)
+    state = example36_state(cfg)
+    column = 40 if where == "inside" else state.grid.cell_count - 1
+    assert (column < entry_window(state)) == (where == "inside")
+    state.cells[RIGHT, column] = bad
+    with pytest.raises(FloatingPointError):
+        run_until(state, 1.0 / gamma, 0.9, cfg)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_clips_roundoff_negatives_to_positive_zero(gamma):
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = example36_state(cfg), example36_state(cfg)
+    columns = [40, entry_window(state) + 3, state.grid.cell_count - 1]
+    for s in (state, reference):
+        s.cells[RIGHT, columns] = -1e-14
+    fused = run_bytes(run_until, state, cfg, True)
+    assert fused == run_bytes(run_until_reference, reference, cfg, True)
+    assert not state.cells[RIGHT, columns[1:]].any()
+    assert not np.signbit(state.cells).any()
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_steps_a_negative_zero_beyond_the_support(gamma):
+    # a -0.0 set after construction is occupied: the update turns it into
+    # +0.0, as the reference's entry clip does
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = example36_state(cfg), example36_state(cfg)
+    column = entry_window(state) + 3
+    for s in (state, reference):
+        s.cells[RIGHT, column] = -0.0
+    fused = run_bytes(run_until, state, cfg, True)
+    assert fused == run_bytes(run_until_reference, reference, cfg, True)
+    assert not np.signbit(state.cells).any()
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
