@@ -10,8 +10,6 @@ from .frames import (
     GammaConfig,
     time_driftfree_to_original,
     time_original_to_driftfree,
-    u_to_rho,
-    rho_to_u,
     x_of_xi,
     xi_of_x,
 )

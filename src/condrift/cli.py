@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 config error (including non-finite numbers, a
 zero-mass datum, a malformed measures.csv given to convert, a run past
 the output budget MAX_OUTPUT_ROWS and a run past the cell-step budget
 conslaw.MAX_CELL_STEPS),
-3 numerical-validity error (including a NaN produced while stepping and
-a coordinate map that underflows), 4 I/O error.
+3 numerical-validity error (including a NaN produced while stepping, a
+coordinate map that underflows and a float overflow), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ from .conslaw import (
     make_grid,
     run_until,
 )
-from .datum import (
-    DisconnectedSupport,
-    InitialDatum,
-    example_block_datum,
-    piecewise_constant,
-    piecewise_linear,
-)
+from .datum import DisconnectedSupport, InitialDatum, example_block_datum
 from .frames import GammaConfig
 
 SIDES = ("left", "right")  # file-name suffix of each row
@@ -58,6 +52,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 TRACE_THRESHOLD = 1e-2
 MAX_OUTPUT_ROWS = 10_000_000  # CSV rows of one run, about 550 MB
+# config datum kinds that are breakpoint tables, and their InitialDatum kind
+PIECEWISE_KINDS = {"piecewise_constant": "constant", "piecewise_linear": "linear"}
 
 
 class ConfigError(ValueError):
@@ -83,8 +79,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("gamma", "cfl", "t_end", "snapshot_cadence", "trace_threshold"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _is_real(value) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number")
         for name in ("dim", "grid_cells", "z_count"):
             value = getattr(self, name)
@@ -133,18 +128,21 @@ class RunConfig:
 
     def build_datum(self) -> InitialDatum:
         kind = self.datum["kind"]
-        if kind not in ("example36", "piecewise_constant", "piecewise_linear"):
+        if kind == "example36":
+            return example_block_datum(self.gamma)
+        if kind not in PIECEWISE_KINDS:
             raise ConfigError(f"unknown datum kind {kind!r}")
+        for key in ("breakpoints", "values"):
+            column = self.datum.get(key)
+            if not isinstance(column, list) or not all(map(_is_real, column)):
+                raise ConfigError(f"invalid datum table: {key} must be a flat "
+                                  f"list of numbers")
         try:
-            if kind == "example36":
-                datum = example_block_datum(self.gamma)
-            elif kind == "piecewise_constant":
-                datum = piecewise_constant(self.datum["breakpoints"], self.datum["values"])
-            else:
-                datum = piecewise_linear(self.datum["breakpoints"], self.datum["values"])
+            datum = InitialDatum(PIECEWISE_KINDS[kind], self.datum["breakpoints"],
+                                 self.datum["values"])
         except DisconnectedSupport:
             raise
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid datum table: {exc}") from exc
         if not datum.mass > 0:
             raise ConfigError("datum has zero mass")
@@ -152,6 +150,11 @@ class RunConfig:
 
     def gamma_config(self) -> GammaConfig:
         return GammaConfig(gamma=self.gamma, dim=self.dim)
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool (JSON true and false parse as bools)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> RunConfig:
@@ -319,6 +322,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Oracle-comparison suite; prints a pass/fail table with measured numbers.
 
     The suite runs on the block; the configured datum is only validated."""
+    if config.dim != 1:
+        raise ConfigError("verify requires dim = 1")
     config.build_datum()
     out_dir.mkdir(parents=True, exist_ok=True)
     g = config.gamma
@@ -506,7 +511,7 @@ def main(argv=None) -> int:
         _fail(f"config error: {exc}", EXIT_CONFIG)
         return EXIT_CONFIG
     except (SupportOverflow, NotSmoothRegime, CflViolation,
-            DisconnectedSupport, FloatingPointError) as exc:
+            DisconnectedSupport, FloatingPointError, OverflowError) as exc:
         _fail(f"numerical validity error: {exc}", EXIT_NUMERICAL)
         return EXIT_NUMERICAL
     except OSError as exc:

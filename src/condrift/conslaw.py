@@ -38,7 +38,6 @@ from .frames import GammaConfig, x_of_xi, xi_of_x
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
 MAX_CELL_STEPS = 10**10  # cell updates of one run_until call
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # row indices of the two half-lines, and the sign that maps a row's xi to x
 LEFT, RIGHT = 0, 1
 SIGNS = (-1.0, 1.0)
@@ -160,21 +159,12 @@ def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
                    sign: float) -> np.ndarray:
     """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)).
 
-    For piecewise data the integral over each cell equals the exact datum
-    mass over the cell's x-image, so the averages are exact; general
-    callables fall back to 8-point Gauss quadrature per cell.
+    The integral over each cell equals the exact datum mass over the
+    cell's x-image, so the averages are exact.
     """
-    edges = grid.edges
-    if datum.kind in ("constant", "linear"):
-        ends = sign * np.asarray(x_of_xi(edges, cfg))
-        lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
-        return integrate_piecewise(datum, lo, hi) / grid.cell_width
-    g = cfg.gamma
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    nodes = 0.5 * (hi - lo) * GAUSS_NODES[None, :] + 0.5 * (hi + lo)
-    vals = (g * nodes) ** (1 / g) * datum(sign * np.asarray(x_of_xi(nodes, cfg)))
-    return 0.5 * vals @ GAUSS_WEIGHTS
+    ends = sign * np.asarray(x_of_xi(grid.edges, cfg))
+    lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
+    return integrate_piecewise(datum, lo, hi) / grid.cell_width
 
 
 def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,

@@ -1,19 +1,18 @@
-"""Initial data: compactly supported, connected-support, BV density profiles.
+"""Initial data: nonnegative, compactly supported, connected-support
+piecewise profiles.
 
-An :class:`InitialDatum` bundles the profile callable with the support
-interval and the derived quantities (mass, sup, BV bound) every solver
-needs.  Piecewise-constant and piecewise-linear data carry their
-breakpoints so that downstream quadrature can integrate them exactly.
+An :class:`InitialDatum` is a validated breakpoint table, piecewise
+constant or piecewise linear.  Its support [a, b], mass and sup come
+exactly from the table, the support is checked for interior vacuum on the
+table itself, and downstream quadrature integrates the datum exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
-DENSE_SAMPLES = 4097
 VACUUM_REL_TOL = 1e-12
 
 
@@ -23,138 +22,96 @@ class DisconnectedSupport(ValueError):
 
 @dataclass
 class InitialDatum:
-    """Nonnegative density profile on a compact connected support [a, b].
+    """Nonnegative piecewise profile on a compact connected support [a, b].
 
+    ``kind`` "constant": values[i] on [breakpoints[i], breakpoints[i+1]),
+    one more breakpoint than values.  ``kind`` "linear": continuous
+    through (breakpoints[i], values[i]).  The datum is 0 outside [a, b].
     For dim >= 2 the profile is radial and the coordinate is the radius
-    (a = 0).  ``deriv`` may be omitted; a centered finite difference with
-    h = 1e-6 * (b - a) is substituted.
+    (a = 0).
     """
 
-    a: float
-    b: float
-    eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    mass: Optional[float] = None
-    sup_value: Optional[float] = None
-    bv_bound: Optional[float] = None
-    # breakpoints/values present only for piecewise profiles ("constant"|"linear")
-    kind: str = "callable"
-    breakpoints: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    kind: str
+    breakpoints: np.ndarray
+    values: np.ndarray
+    a: float = field(init=False)
+    b: float = field(init=False)
+    mass: float = field(init=False)
+    sup_value: float = field(init=False)
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"support [{self.a}, {self.b}] is empty")
-        xs = np.linspace(self.a, self.b, DENSE_SAMPLES)
-        if self.breakpoints is not None:
-            xs = np.unique(np.concatenate([xs, np.asarray(self.breakpoints, dtype=float)]))
-        fs = np.asarray(self.eval(xs), dtype=float)
-        if np.any(fs < 0):
-            raise ValueError("initial datum must be nonnegative")
-        sampled_sup = float(fs.max())
-        if self.sup_value is None:
-            self.sup_value = sampled_sup
-        elif abs(self.sup_value - sampled_sup) > 1e-6 * max(1.0, self.sup_value):
-            raise ValueError(
-                f"declared sup_value {self.sup_value} disagrees with sampled "
-                f"maximum {sampled_sup}"
-            )
-        self._check_connected(fs)
-        if self.mass is None:
-            self.mass = float(np.trapezoid(fs, xs))
-        if self.bv_bound is None:
-            self.bv_bound = float(np.abs(np.diff(fs)).sum())
-        if self.deriv is None:
-            h = 1e-6 * (self.b - self.a)
-            f = self.eval
-            self.deriv = lambda x: (f(np.asarray(x) + h) - f(np.asarray(x) - h)) / (2 * h)
+        if self.kind not in ("constant", "linear"):
+            raise ValueError(f"unknown piecewise kind {self.kind!r}")
+        bp = self.breakpoints = np.asarray(self.breakpoints, dtype=float)
+        v = self.values = np.asarray(self.values, dtype=float)
+        value_count = bp.size - 1 if self.kind == "constant" else bp.size
+        if bp.ndim != 1 or v.ndim != 1 or bp.size < 2 or v.size != value_count:
+            count = "n+1" if self.kind == "constant" else "n"
+            raise ValueError(f"need flat lists of {count} breakpoints for n values")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(v))):
+            raise ValueError("breakpoints and values must be finite")
+        if np.any(np.diff(bp) <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        if np.any(v < 0):
+            raise ValueError("values must be nonnegative")
+        self.a, self.b = float(bp[0]), float(bp[-1])
+        if self.kind == "constant":
+            self.mass = float(np.sum(v * np.diff(bp)))
+        else:
+            self.mass = float(np.sum(0.5 * (v[:-1] + v[1:]) * np.diff(bp)))
+        self.sup_value = float(v.max())
+        self._check_connected()
 
-    def _check_connected(self, samples: np.ndarray):
-        """Reject interior vacuum regions (two or more consecutive samples
-        at roundoff scale); isolated point zeros keep the support connected
-        and are tolerated."""
-        tol = VACUUM_REL_TOL * max(self.sup_value, 1e-300)
-        nz = np.nonzero(samples > tol)[0]
-        if nz.size == 0:
+    def _check_connected(self):
+        """Reject interior vacuum: a constant segment, or a linear segment
+        with both end values, at or below VACUUM_REL_TOL * sup.  A single
+        zero breakpoint of linear data keeps the support connected."""
+        low = self.values <= VACUUM_REL_TOL * max(self.sup_value, 1e-300)
+        high = np.flatnonzero(~low)
+        if high.size == 0:
             return  # identically zero datum; callers that need mass reject it
-        vacuum = samples[nz[0]: nz[-1] + 1] <= tol
-        if np.any(vacuum[:-1] & vacuum[1:]):
+        vacuum = low[high[0]: high[-1] + 1]
+        if self.kind == "linear":
+            vacuum = vacuum[:-1] & vacuum[1:]
+        if np.any(vacuum):
             raise DisconnectedSupport(
                 "initial datum has an interior vacuum region; only "
                 "single-component supports are handled"
             )
 
+    def _segment(self, x: np.ndarray) -> np.ndarray:
+        """Index of the breakpoint segment holding each x, clipped to the ends."""
+        return np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
+                       0, self.breakpoints.size - 2)
+
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (arr >= self.a) & (arr <= self.b)
-        out = np.zeros_like(arr)
-        if np.any(inside):
-            out[inside] = self.eval(arr[inside])
-        return out if np.ndim(x) else float(out[0])
+        """Datum values at x, 0 outside [a, b]; a float for a scalar x."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "constant":
+            inner = self.values[self._segment(x)]
+        else:
+            inner = np.interp(x, self.breakpoints, self.values)
+        out = np.where((x >= self.a) & (x <= self.b), inner, 0.0)
+        return out if out.ndim else float(out)
+
+    def deriv(self, x) -> np.ndarray:
+        """Exact derivative off the breakpoints: 0 for constant data, the
+        segment slope for linear data, 0 outside [a, b]."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "constant":
+            return np.zeros_like(x)
+        slopes = np.diff(self.values) / np.diff(self.breakpoints)
+        return np.where((x < self.a) | (x > self.b), 0.0, slopes[self._segment(x)])
 
 
 def piecewise_constant(breakpoints, values) -> InitialDatum:
     """Step-function datum: values[i] on [breakpoints[i], breakpoints[i+1])."""
-    bp = np.asarray(breakpoints, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size - 1:
-        raise ValueError("need n+1 breakpoints for n values")
-    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-        raise ValueError("breakpoints and values must be finite")
-    if np.any(np.diff(bp) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.any(vals < 0):
-        raise ValueError("values must be nonnegative")
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, vals.size - 1)
-        out = vals[idx]
-        out = np.where((x < bp[0]) | (x > bp[-1]), 0.0, out)
-        return out
-
-    jumps = np.abs(np.diff(np.concatenate([[0.0], vals, [0.0]]))).sum()
-    mass = float(np.sum(vals * np.diff(bp)))
-    return InitialDatum(
-        a=float(bp[0]), b=float(bp[-1]), eval=evaluate,
-        deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        mass=mass, sup_value=float(vals.max()), bv_bound=float(jumps),
-        kind="constant", breakpoints=bp, values=vals,
-    )
+    return InitialDatum("constant", breakpoints, values)
 
 
 def piecewise_linear(breakpoints, values) -> InitialDatum:
     """Continuous piecewise-linear datum through (breakpoints[i], values[i])."""
-    bp = np.asarray(breakpoints, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if bp.ndim != 1 or bp.size < 2 or vals.size != bp.size:
-        raise ValueError("need matching breakpoints and values")
-    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-        raise ValueError("breakpoints and values must be finite")
-    if np.any(np.diff(bp) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.any(vals < 0):
-        raise ValueError("values must be nonnegative")
-    slopes = np.diff(vals) / np.diff(bp)
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, bp, vals, left=0.0, right=0.0)
-        return out
-
-    def derivative(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, slopes.size - 1)
-        out = slopes[idx]
-        return np.where((x < bp[0]) | (x > bp[-1]), 0.0, out)
-
-    bv = float(vals[0] + np.abs(np.diff(vals)).sum() + vals[-1])
-    mass = float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(bp)))
-    return InitialDatum(
-        a=float(bp[0]), b=float(bp[-1]), eval=evaluate, deriv=derivative,
-        mass=mass, sup_value=float(vals.max()), bv_bound=bv,
-        kind="linear", breakpoints=bp, values=vals,
-    )
+    return InitialDatum("linear", breakpoints, values)
 
 
 def block_datum(height: float, lo: float, hi: float) -> InitialDatum:
@@ -179,42 +136,34 @@ def unit_uniform_datum() -> InitialDatum:
 def jumps(datum: InitialDatum):
     """(p, f(p-), f(p+)) at every point where the datum, taken as 0
     outside [a, b], may jump: all breakpoints of piecewise-constant data,
-    the support edges of continuous data."""
+    the support edges of piecewise-linear data."""
+    v = datum.values
     if datum.kind == "constant":
-        v = datum.values
         return datum.breakpoints, np.r_[0.0, v], np.r_[v, 0.0]
-    edges = np.array([datum.a, datum.b])
-    return edges, np.array([0.0, datum(datum.b)]), np.array([datum(datum.a), 0.0])
+    return np.array([datum.a, datum.b]), np.array([0.0, v[-1]]), np.array([v[0], 0.0])
 
 
 def integrate_piecewise(datum: InitialDatum, lo, hi):
-    """Exact integral of a piecewise datum over [lo, hi], elementwise.
+    """Exact integral of the datum over [lo, hi], elementwise.
 
-    ``lo`` and ``hi`` broadcast; a scalar pair gives a float.  Piecewise
-    data difference their exact cumulative; callable data fall back to
-    dense trapezoid quadrature per interval.  Masses are clamped at 0, so
-    roundoff cannot make one negative.
+    ``lo`` and ``hi`` broadcast; a scalar pair gives a float.  The
+    integral is the difference of the exact cumulative, clamped at 0 so
+    that roundoff cannot make a mass negative.
     """
-    lo, hi = np.broadcast_arrays(np.clip(np.asarray(lo, dtype=float), datum.a, datum.b),
-                                 np.clip(np.asarray(hi, dtype=float), datum.a, datum.b))
-    if datum.kind == "callable":
-        grids = (np.linspace(p, q, 257) for p, q in zip(lo.ravel(), hi.ravel()))
-        mass = np.array([np.trapezoid(datum.eval(xs), xs) for xs in grids])
-        mass = mass.reshape(lo.shape)
-    else:
-        mass = _cumulative(datum, hi) - _cumulative(datum, lo)
-    out = np.maximum(mass, 0.0)
+    lo = np.clip(np.asarray(lo, dtype=float), datum.a, datum.b)
+    hi = np.clip(np.asarray(hi, dtype=float), datum.a, datum.b)
+    out = np.maximum(_cumulative(datum, hi) - _cumulative(datum, lo), 0.0)
     return out if out.ndim else float(out)
 
 
 def _cumulative(datum: InitialDatum, x: np.ndarray) -> np.ndarray:
-    """Exact datum mass on [a, x] for x in [a, b], piecewise data only."""
+    """Exact datum mass on [a, x] for x in [a, b]."""
     bp, v = datum.breakpoints, datum.values
     if datum.kind == "constant":  # piecewise linear cumulative
         return np.interp(x, bp, np.concatenate([[0.0], np.cumsum(v * np.diff(bp))]))
     # linear datum: quadratic cumulative on each segment
     width = np.diff(bp)
     at_bp = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * width)])
-    k = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, width.size - 1)
+    k = datum._segment(x)
     d = x - bp[k]
     return at_bp[k] + d * (v[k] + 0.5 * (np.diff(v) / width)[k] * d)

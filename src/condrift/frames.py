@@ -68,13 +68,6 @@ def xi_of_x(x, cfg: GammaConfig):
     return np.sign(x) * ((1 + g) * np.abs(x)) ** (g / (1 + g)) / g
 
 
-def dx_dxi(xi, cfg: GammaConfig):
-    """x'(xi) = (gamma*|xi|)^(1/gamma); amplitude factor of the xi -> x map."""
-    _require_1d(cfg)
-    g = cfg.gamma
-    return (g * np.abs(np.asarray(xi, dtype=float))) ** (1 / g)
-
-
 def dxi_dx(x, cfg: GammaConfig):
     """xi'(x) = ((1+gamma)*|x|)^(-1/(1+gamma)); rejects x = 0.
 
@@ -87,22 +80,6 @@ def dxi_dx(x, cfg: GammaConfig):
         raise ValueError("dxi_dx is singular at x = 0")
     g = cfg.gamma
     return ((1 + g) * np.abs(x)) ** (-1 / (1 + g))
-
-
-def u_to_rho(u_value, x, cfg: GammaConfig):
-    """rho(x) = xi'(x) * u(xi(x)); rejects x = 0."""
-    u_value = np.asarray(u_value, dtype=float)
-    if np.any(u_value < 0):
-        raise ValueError("u must be nonnegative")
-    return dxi_dx(x, cfg) * u_value
-
-
-def rho_to_u(rho_value, xi, cfg: GammaConfig):
-    """u(xi) = x'(xi) * rho(x(xi)); inverse of :func:`u_to_rho`."""
-    rho_value = np.asarray(rho_value, dtype=float)
-    if np.any(rho_value < 0):
-        raise ValueError("rho must be nonnegative")
-    return dx_dxi(xi, cfg) * rho_value
 
 
 def _require_1d(cfg: GammaConfig):

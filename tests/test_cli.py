@@ -311,23 +311,46 @@ def test_non_finite_input_fails_with_json_error(tmp_path, capsys, override):
     assert error["exit_code"] == code
 
 
-@pytest.mark.parametrize("command", ["simulate", "characteristics"])
-def test_zero_mass_datum_exits_2_with_one_json_line(tmp_path, command):
-    # a fresh interpreter: stderr is exactly what a user sees, numpy
-    # warnings included
-    path = write_config(tmp_path, datum={"kind": "piecewise_constant",
-                                         "breakpoints": [0.0, 1.0],
-                                         "values": [0]})
+def fresh_json_error(tmp_path: Path, command: str, path: Path, code: int) -> str:
+    """Run one command in a fresh interpreter, so that stderr is exactly
+    what a user sees, numpy warnings included; check that it exits with
+    ``code``, prints nothing on stdout and one JSON error line on stderr,
+    and return the error message."""
     src = str(Path(condrift.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "condrift.cli", command, "--config", str(path),
          "--output", str(tmp_path / "out"), "--quiet"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert proc.returncode == EXIT_CONFIG
+    assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     error = json.loads(proc.stderr)
-    assert error["exit_code"] == EXIT_CONFIG and "zero mass" in error["error"]
+    assert error["exit_code"] == code
+    return error["error"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "characteristics"])
+def test_zero_mass_datum_exits_2_with_one_json_line(tmp_path, command):
+    path = write_config(tmp_path, datum={"kind": "piecewise_constant",
+                                         "breakpoints": [0.0, 1.0],
+                                         "values": [0]})
+    assert "zero mass" in fresh_json_error(tmp_path, command, path, EXIT_CONFIG)
+
+
+HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
+                                      "breakpoints": [0.0, 1.0], "values": [1e200]}}
+
+
+@pytest.mark.parametrize("command, override", [
+    ("verify", {"gamma": 1e3}),
+    ("simulate", HUGE_BLOCK),
+    ("characteristics", HUGE_BLOCK),
+], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200"])
+def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
+    # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step
+    # and sup**gamma in blow_up_time overflow a float
+    path = write_config(tmp_path, **override)
+    fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
 
 
 @pytest.mark.parametrize("datum, message", [
@@ -339,17 +362,37 @@ def test_zero_mass_datum_exits_2_with_one_json_line(tmp_path, command):
 def test_verify_rejects_a_bad_datum_with_one_json_line(tmp_path, datum, message):
     # verify runs the block, but the configured datum must still be valid
     path = write_config(tmp_path, datum=datum)
-    src = str(Path(condrift.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "condrift.cli", "verify", "--config", str(path),
-         "--output", str(tmp_path / "out"), "--quiet"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert proc.returncode == EXIT_CONFIG
-    assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    error = json.loads(proc.stderr)
-    assert error["exit_code"] == EXIT_CONFIG and message in error["error"]
+    assert message in fresh_json_error(tmp_path, "verify", path, EXIT_CONFIG)
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_dim_2(tmp_path, capsys):
+    # the suite runs the 1-D block only, as simulate does
+    path = write_config(tmp_path, dim=2)
+    code = main(["verify", "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert "dim = 1" in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, column", [
+    ("values", [True]),
+    ("values", [[1.0]]),
+    ("values", 1.0),
+    ("breakpoints", [0.0, "1"]),
+    ("breakpoints", [0.0, None]),
+    ("breakpoints", {"0": 1.0}),
+], ids=["bool", "nested", "scalar", "string", "null", "object"])
+def test_datum_table_takes_flat_lists_of_numbers(tmp_path, capsys, key, column):
+    datum = {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "values": [1.0]}
+    path = write_config(tmp_path, datum=dict(datum, **{key: column}))
+    code = main(["simulate", "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert f"{key} must be a flat list of numbers" in error["error"]
 
 
 @pytest.mark.parametrize("bad_row", ["0,1,2", "0,1,2,3,4,five"],
@@ -394,6 +437,13 @@ def test_exit_codes(tmp_path):
                          "values": [1.0, 0.0, 1.0]})
     assert main(["simulate", "--config", str(holes), "--output",
                  str(tmp_path / "y"), "--quiet"]) == EXIT_NUMERICAL
+    # an interior vacuum narrower than any sampling spacing is one too
+    narrow = write_config(
+        tmp_path, datum={"kind": "piecewise_constant",
+                         "breakpoints": [0.0, 1.0, 1.000001, 2.0],
+                         "values": [1.0, 0.0, 1.0]})
+    assert main(["simulate", "--config", str(narrow), "--output",
+                 str(tmp_path / "z"), "--quiet"]) == EXIT_NUMERICAL
 
 
 def test_cmd_characteristics_echoes_datum_at_zero(tmp_path):

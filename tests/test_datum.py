@@ -20,7 +20,6 @@ def test_block_datum_quantities():
     assert (d.a, d.b) == (0.0, 0.5)
     assert d.mass == pytest.approx(0.5)
     assert d.sup_value == 1.0
-    assert d.bv_bound == pytest.approx(2.0)  # up 1 at 0, down 1 at 1/2
     assert d(0.25) == 1.0 and d(0.75) == 0.0 and d(-0.1) == 0.0
 
 
@@ -34,7 +33,6 @@ def test_piecewise_linear_quantities():
     d = piecewise_linear([-1.0, 0.0, 2.0], [0.0, 3.0, 0.0])
     assert d.mass == pytest.approx(4.5)  # triangle area, base 3 height 3
     assert d.sup_value == pytest.approx(3.0)
-    assert d.bv_bound == pytest.approx(6.0)
     assert d(0.0) == pytest.approx(3.0)
     assert d(1.0) == pytest.approx(1.5)
     assert np.allclose(d.deriv(np.array([-0.5, 1.0])), [3.0, -1.5])
@@ -49,6 +47,10 @@ def test_validation_rejects_bad_data():
         piecewise_constant([1.0, 0.0], [1.0])
     with pytest.raises(ValueError):
         block_datum(1.0, 2.0, 2.0)
+    with pytest.raises(ValueError):
+        piecewise_linear([0.0, 1.0], [[1.0, 1.0]])
+    with pytest.raises(ValueError):
+        InitialDatum("cubic", [0.0, 1.0], [1.0, 1.0])
 
 
 def test_interior_vacuum_rejected():
@@ -56,21 +58,16 @@ def test_interior_vacuum_rejected():
         piecewise_constant([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
     with pytest.raises(DisconnectedSupport):
         piecewise_constant([0.0, 1.0, 2.0, 3.0], [1.0, 1e-14, 1.0])
-    # a single-point zero keeps the support connected and is tolerated
+    # a vacuum segment narrower than any sampling spacing still breaks it
+    with pytest.raises(DisconnectedSupport):
+        piecewise_constant([0.0, 1.0, 1.000001, 2.0], [1.0, 0.0, 1.0])
+    # two consecutive vacuum breakpoints of linear data break it too
+    with pytest.raises(DisconnectedSupport):
+        piecewise_linear([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0])
+    # a single-point zero keeps the support connected and is tolerated,
+    # also next to values far below the sup but above its tolerance
     piecewise_linear([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0])
-
-
-def test_declared_sup_is_verified():
-    with pytest.raises(ValueError):
-        InitialDatum(a=0.0, b=1.0, eval=lambda x: np.ones_like(x), sup_value=2.0)
-
-
-def test_callable_datum_derives_quantities():
-    d = InitialDatum(a=0.0, b=np.pi, eval=lambda x: np.sin(x))
-    assert d.mass == pytest.approx(2.0, abs=1e-5)
-    assert d.sup_value == pytest.approx(1.0, abs=1e-7)
-    # finite-difference fallback derivative
-    assert float(d.deriv(1.0)) == pytest.approx(np.cos(1.0), abs=1e-5)
+    assert piecewise_linear([0.0, 1.0, 2.0], [1.0, 0.0, 1e-9]).b == 2.0
 
 
 def test_integrate_piecewise_matches_quadrature():

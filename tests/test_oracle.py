@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from condrift.frames import GammaConfig, u_to_rho, x_of_xi, xi_of_x
+from condrift.frames import GammaConfig, dxi_dx, x_of_xi, xi_of_x
 from condrift.measure import MeasureState, pseudo_inverse
 from condrift.oracle import (
     ExplicitSolutionSpec,
@@ -78,7 +78,7 @@ def test_u_rho_cross_formula_identity():
             xi = float(rng.uniform(1e-3, 1.2 / gamma))
             t = float(rng.uniform(0.0, 3.0 / gamma))
             x = float(x_of_xi(xi, cfg))
-            lhs = float(u_to_rho(u_explicit(xi, t, spec), x, cfg))
+            lhs = float(dxi_dx(x, cfg) * u_explicit(xi, t, spec))
             assert lhs == pytest.approx(rho_explicit(x, t, spec), abs=1e-12, rel=1e-12)
 
 
