@@ -20,8 +20,6 @@ import numpy as np
 from .datum import InitialDatum, jumps
 from .frames import GammaConfig
 
-SHOCK_SCAN_FEET = 4096
-SHOCK_REFINE_TOL = 1e-6
 # halvings of each foot bracket: a unit bracket shrinks to 5e-20, below
 # the float spacing of any foot beyond 1e-3
 FOOT_HALVINGS = 64
@@ -80,61 +78,42 @@ def blow_up_time(datum: InitialDatum, cfg: GammaConfig) -> float:
 
 
 def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
-    """Earliest crossing time of 1-D characteristics, or inf if none before blow-up.
+    """Earliest crossing time of characteristics in any dimension, exact
+    from the breakpoint table; inf if none cross.
 
     The datum is 0 outside [a, b].  A jump at p != 0 with
     p*(f(p+) - f(p-)) > 0 (larger values farther from the origin) is a
-    shock at t = 0, so the result is 0.0.  Otherwise the Jacobian of the
-    foot-to-position map vanishes first at
+    shock at t = 0, so the result is 0.0; piecewise-constant data have no
+    other shock.  On a linear segment f = alpha + s*x the Jacobian of the
+    foot map vanishes first at t = 1/D, where
 
-        t(x0) = 1 / (gamma*f^gamma + (1+gamma)*x0*(f^gamma)'(x0)),
+        D = gamma * f^(gamma-1) * (d*f + (1+gamma)*x*s),
 
-    which undercuts the local blow-up time exactly where x0*(f^gamma)' > 0.
-    Feet are scanned on a fine grid with local bisection refinement, so the
-    result is approximate at the SHOCK_REFINE_TOL scale.
+    over the feet with x*s > 0 (elsewhere 1/D is past the local blow-up
+    time).  D' has the sign of s*((gamma*d+1+gamma)*alpha
+    + gamma*(d+1+gamma)*s*x), which increases with x, so D falls and then
+    rises along a segment: its one critical point is a minimum, and its
+    maximum is at a segment end.  For gamma < 1, D is infinite at a zero
+    of f with x*s > 0, and the result is 0.0.  The result may exceed
+    blow_up_time; the smooth horizon is the smaller of the two.
     """
-    if cfg.dim != 1:
-        raise ValueError("shock detection is implemented for dim = 1 only")
     points, before, after = jumps(datum)
     if np.any((points != 0) & (points * (after - before) > 0)):
         return 0.0
-    lo, hi = datum.a, datum.b
-    pad = 1e-9 * (hi - lo)
-    feet = np.linspace(lo + pad, hi - pad, SHOCK_SCAN_FEET)
-
-    def candidate_times(x0):
-        f = np.asarray(datum(x0), dtype=float)
-        fp = np.asarray(datum.deriv(x0), dtype=float)
-        g = cfg.gamma
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fg_prime = np.where(f > 0, g * f ** (g - 1) * fp, 0.0)
-            denom = g * f**g + (1 + g) * x0 * fg_prime
-            times = np.where(
-                (x0 * fg_prime > 0) & np.isfinite(denom) & (denom > 0),
-                1.0 / denom,
-                np.inf,
-            )
-        return times
-
-    times = candidate_times(feet)
-    best = float(np.min(times))
-    if not np.isfinite(best):
+    if datum.kind == "constant":
         return math.inf
-    # bisection-style refinement around the best foot
-    idx = int(np.argmin(times))
-    left = feet[max(idx - 1, 0)]
-    right = feet[min(idx + 1, feet.size - 1)]
-    while right - left > 0:
-        sub = np.linspace(left, right, 17)
-        sub_t = candidate_times(sub)
-        j = int(np.argmin(sub_t))
-        new_best = float(sub_t[j])
-        improved = best - new_best
-        best = min(best, new_best)
-        left, right = sub[max(j - 1, 0)], sub[min(j + 1, sub.size - 1)]
-        if improved < SHOCK_REFINE_TOL * max(best, 1.0):
-            break
-    return best
+    g, d = cfg.gamma, cfg.dim
+    bp, v = datum.breakpoints, datum.values
+    # both ends of every segment, with its slope
+    x = np.concatenate([bp[:-1], bp[1:]])
+    f = np.concatenate([v[:-1], v[1:]])
+    s = np.tile(np.diff(v) / np.diff(bp), 2)
+    feet = x * s > 0
+    x, f, s = x[feet], f[feet], s[feet]
+    with np.errstate(divide="ignore"):  # 0**(gamma-1) is inf for gamma < 1
+        rate = g * f ** (g - 1) * (d * f + (1 + g) * x * s)
+    best = float(rate.max(initial=0.0))
+    return 1.0 / best if best > 0 else math.inf
 
 
 def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig,
@@ -159,9 +138,7 @@ def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig,
     if t < 0:
         raise ValueError("t must be nonnegative")
     if horizon is None:
-        horizon = blow_up_time(datum, cfg)
-        if cfg.dim == 1:
-            horizon = min(horizon, first_shock_time(datum, cfg))
+        horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
     if t >= horizon:
         raise NotSmoothRegime(f"t={t} is past the smooth horizon {horizon}")
     xs = np.asarray(xs, dtype=float)

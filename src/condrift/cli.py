@@ -5,11 +5,12 @@ table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 2 config error (including non-finite numbers, a
-zero-mass datum, a malformed measures.csv given to convert, a run past
-the output budget MAX_OUTPUT_ROWS and a run past the cell-step budget
+zero-mass datum, a radial datum with a breakpoint below 0, a malformed
+measures.csv given to convert, a run past the output budget
+MAX_OUTPUT_ROWS and a run past the cell-step budget
 conslaw.MAX_CELL_STEPS),
 3 numerical-validity error (including a NaN produced while stepping, a
-coordinate map that underflows and a float overflow), 4 I/O error.
+coordinate map that underflows and a float overflow anywhere), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ class RunConfig:
             raise ConfigError(f"invalid datum table: {exc}") from exc
         if not datum.mass > 0:
             raise ConfigError("datum has zero mass")
+        if self.dim >= 2 and datum.a < 0:
+            raise ConfigError("a radial datum (dim >= 2) needs breakpoints >= 0: "
+                              "its coordinate is the radius")
         return datum
 
     def gamma_config(self) -> GammaConfig:
@@ -427,11 +431,10 @@ def trace_time_tolerance(gamma: float, dxi: float, threshold: float) -> float:
 
 def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Smooth-regime evaluation on a grid plus blow-up/shock report."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = config.gamma_config()
     datum = config.build_datum()
     t_star = blow_up_time(datum, cfg)
-    shock = first_shock_time(datum, cfg) if cfg.dim == 1 else math.inf
+    shock = first_shock_time(datum, cfg)
     horizon = min(t_star, shock)
     if config.t_end >= horizon:
         raise NotSmoothRegime(
@@ -442,6 +445,7 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
         times = np.append(times, config.t_end)
     rho = [evaluate_smooth_grid(xs, float(t), datum, cfg, horizon=horizon)
            for t in times]
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"],
                  ((t, xs, r) for t, r in zip(times, rho)))
     report = {
@@ -497,16 +501,18 @@ def main(argv=None) -> int:
     p.add_argument("--output", required=True, help="output directory")
 
     args = parser.parse_args(argv)
+    # a float overflow anywhere raises FloatingPointError: exit 3
     try:
-        if args.command == "convert":
-            return cmd_convert(Path(args.input), Path(args.output), args.quiet)
-        config = load_config(args.config)
-        out_dir = Path(args.output) if args.output else Path(config.output_dir)
-        if args.command == "simulate":
-            return cmd_simulate(config, out_dir, args.quiet)
-        if args.command == "verify":
-            return cmd_verify(config, out_dir, args.quiet)
-        return cmd_characteristics(config, out_dir, args.quiet)
+        with np.errstate(over="raise"):
+            if args.command == "convert":
+                return cmd_convert(Path(args.input), Path(args.output), args.quiet)
+            config = load_config(args.config)
+            out_dir = Path(args.output) if args.output else Path(config.output_dir)
+            if args.command == "simulate":
+                return cmd_simulate(config, out_dir, args.quiet)
+            if args.command == "verify":
+                return cmd_verify(config, out_dir, args.quiet)
+            return cmd_characteristics(config, out_dir, args.quiet)
     except (ConfigError, WorkBudgetExceeded) as exc:
         _fail(f"config error: {exc}", EXIT_CONFIG)
         return EXIT_CONFIG

@@ -28,7 +28,7 @@ class InitialDatum:
     one more breakpoint than values.  ``kind`` "linear": continuous
     through (breakpoints[i], values[i]).  The datum is 0 outside [a, b].
     For dim >= 2 the profile is radial and the coordinate is the radius
-    (a = 0).
+    (a >= 0).
     """
 
     kind: str
@@ -93,15 +93,6 @@ class InitialDatum:
             inner = np.interp(x, self.breakpoints, self.values)
         out = np.where((x >= self.a) & (x <= self.b), inner, 0.0)
         return out if out.ndim else float(out)
-
-    def deriv(self, x) -> np.ndarray:
-        """Exact derivative off the breakpoints: 0 for constant data, the
-        segment slope for linear data, 0 outside [a, b]."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(x)
-        slopes = np.diff(self.values) / np.diff(self.breakpoints)
-        return np.where((x < self.a) | (x > self.b), 0.0, slopes[self._segment(x)])
 
 
 def piecewise_constant(breakpoints, values) -> InitialDatum:

@@ -271,8 +271,7 @@ def _oleinik_flags(ps: PseudoInverse, x_tol: float):
 
 
 def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
-                          datum: Optional[InitialDatum] = None,
-                          eq_tol: Optional[float] = None) -> DiagnosticReport:
+                          datum: Optional[InitialDatum] = None) -> DiagnosticReport:
     """Structural diagnostics of a solution series; collects, never raises.
 
     Checked per snapshot: initial-datum match (cumulative distributions at
@@ -282,8 +281,8 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     pattern (kept only if stable under z-refinement), mass bookkeeping, and
     the sup-decay bound on rho * |x|^(1/(1+gamma)).  Across snapshots: the
     concentrated mass must not decrease and the pseudo-inverse equation
-    residual X_t |X_z|^gamma + X is accumulated in a discrete L1 norm (a
-    violation only when ``eq_tol`` is given).
+    residual X_t |X_z|^gamma + X is accumulated in a discrete L1 norm, a
+    metric only.
     """
     if len(ms_series) == 0 or len(ms_series) != len(ps_series):
         raise ValueError("need matching non-empty snapshot series")
@@ -405,9 +404,6 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
             PseudoInverse(z, X1, ps2.plateau), x_tol)
         l1 = float(np.sum(np.abs(resid[mask])) * dz)
         residuals.append((ms1.time, l1))
-        if eq_tol is not None and l1 > eq_tol:
-            report.violations.append(Violation(
-                "equation-residual", ms1.time, f"L1 residual {l1:.3e} > {eq_tol:.3e}"))
 
     report.metrics["eq_residual_l1"] = residuals
     report.metrics["max_interior_gap_rel"] = max_gap_rel

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condrift.characteristics import (
     BlowUpReached,
@@ -109,7 +112,9 @@ def test_first_shock_finite_for_increasing_part():
     # independent dense-grid oracle for the crossing-time formula
     xs = np.linspace(0.1 + 1e-6, 0.8 - 1e-6, 20001)
     f = rising(xs)
-    fp = rising.deriv(xs)
+    # the slope of the segment [0.1, 0.8], from the table
+    fp = (rising.values[2] - rising.values[1]) / (rising.breakpoints[2]
+                                                  - rising.breakpoints[1])
     denom = f + 2 * xs * fp  # gamma = 1: gamma*f^gamma + (1+gamma)*x*(f^gamma)'
     ref = np.min(1.0 / denom[(xs * fp > 0) & (denom > 0)])
     assert t_shock == pytest.approx(float(ref), rel=1e-3)
@@ -125,6 +130,72 @@ def test_first_shock_zero_for_jump_up_away_from_origin(datum):
     # the datum is 0 outside [a, b]; a jump up away from the origin is a
     # shock at t = 0, whatever the derivative says
     assert first_shock_time(datum, GammaConfig(gamma=1.0)) == 0.0
+
+
+@st.composite
+def linear_tables(draw):
+    """(datum, cfg): a random linear table with positive values whose
+    support holds the origin (dim 1) or starts at it (radial), so no edge
+    jump is a shock at t = 0."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    gamma = draw(st.floats(0.3, 3.0))
+    n = draw(st.integers(2, 6))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    left = draw(st.floats(0.0, 0.9)) if dim == 1 else 0.0
+    breakpoints = np.cumsum([0.0] + widths)
+    breakpoints -= left * breakpoints[-1]
+    return piecewise_linear(breakpoints, values), GammaConfig(gamma=gamma, dim=dim)
+
+
+def sampled_shock_time(datum, cfg, points=20001):
+    """min 1/D over a dense sample of each segment, ends included."""
+    g, d = cfg.gamma, cfg.dim
+    best = math.inf
+    for k in range(datum.breakpoints.size - 1):
+        lo, hi = datum.breakpoints[k], datum.breakpoints[k + 1]
+        slope = (datum.values[k + 1] - datum.values[k]) / (hi - lo)
+        x = np.linspace(lo, hi, points)
+        x = x[x * slope > 0]
+        f = datum(x)
+        rate = g * f ** (g - 1) * (d * f + (1 + g) * x * slope)
+        best = min(best, float(np.min(1.0 / rate, initial=math.inf)))
+    return best
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(linear_tables())
+def test_first_shock_time_is_the_sampled_minimum(case):
+    datum, cfg = case
+    exact = first_shock_time(datum, cfg)
+    sampled = sampled_shock_time(datum, cfg)
+    if math.isinf(sampled):
+        assert exact == math.inf
+    else:
+        # a sample never beats the exact minimum (up to roundoff); it
+        # holds the segment ends, where the maximum of D lies, so the two
+        # agree to roundoff, well within 1e-3
+        assert exact <= sampled * (1 + 1e-12)
+        assert exact == pytest.approx(sampled, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_first_shock_zero_at_a_zero_away_from_origin_for_gamma_below_1(dim):
+    # f^(gamma-1) is unbounded at the zero x = 0.5 where f rises outward,
+    # so the foot map folds at once
+    datum = piecewise_linear([0.5, 1.0, 1.5], [0.0, 1.0, 0.0])
+    assert first_shock_time(datum, GammaConfig(gamma=0.5, dim=dim)) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_first_shock_at_a_zero_on_the_origin_is_finite_without_warnings(dim):
+    # at x = 0 with f = 0, D tends to gamma*(d+1+gamma)*f^gamma -> 0, so
+    # the maximum of D is at x = 1
+    datum = piecewise_linear([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = first_shock_time(datum, GammaConfig(gamma=0.5, dim=dim))
+    assert t == pytest.approx(1.0 / (0.5 * (dim + 1.5)), rel=1e-14)
 
 
 def test_evaluate_smooth_identity_at_zero_time():

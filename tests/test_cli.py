@@ -345,12 +345,42 @@ HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
     ("verify", {"gamma": 1e3}),
     ("simulate", HUGE_BLOCK),
     ("characteristics", HUGE_BLOCK),
-], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200"])
+    ("simulate", {"datum": {"kind": "piecewise_constant",
+                            "breakpoints": [0.0, 1e300], "values": [1.0]}}),
+    ("simulate", {"gamma": 1e6, "t_end": 1e-3, "snapshot_cadence": 5e-4}),
+], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200",
+        "simulate-breakpoints-1e300", "simulate-gamma-1e6"])
 def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
-    # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step
-    # and sup**gamma in blow_up_time overflow a float
+    # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step,
+    # sup**gamma in blow_up_time, and the moments and residuals of measure
+    # at a huge support or gamma overflow a float
     path = write_config(tmp_path, **override)
     fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
+
+
+@pytest.mark.parametrize("override, horizon", [
+    ({"gamma": 0.5, "t_end": 5e-5, "snapshot_cadence": 1e-5,
+      "datum": {"kind": "piecewise_linear", "breakpoints": [0.5, 1.0, 1.5],
+                "values": [0.0, 1.0, 0.0]}}, "0.0"),
+    ({"dim": 3, "t_end": 0.3, "snapshot_cadence": 0.1,
+      "datum": {"kind": "piecewise_linear", "breakpoints": [0.0, 0.5, 1.0],
+                "values": [0.2, 1.0, 0.0]}}, "0.2173913"),
+], ids=["gamma-0.5-zero-rising-outward", "radial-rising-segment"])
+def test_characteristics_past_the_exact_shock_exits_3(tmp_path, override, horizon):
+    # the foot map has folded by t_end: at once where f^(gamma-1) is
+    # unbounded, and at 1/4.6 on the radial segment f = 0.2 + 1.6*r
+    path = write_config(tmp_path, **override)
+    message = fresh_json_error(tmp_path, "characteristics", path, EXIT_NUMERICAL)
+    assert f"smooth horizon {horizon}" in message
+
+
+def test_characteristics_radial_datum_at_negative_radius_exits_2(tmp_path):
+    path = write_config(tmp_path, dim=3, t_end=0.1,
+                        datum={"kind": "piecewise_constant",
+                               "breakpoints": [-0.5, 0.5], "values": [1.0]})
+    message = fresh_json_error(tmp_path, "characteristics", path, EXIT_CONFIG)
+    assert "breakpoints >= 0" in message and "radius" in message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("datum, message", [

@@ -35,7 +35,6 @@ def test_piecewise_linear_quantities():
     assert d.sup_value == pytest.approx(3.0)
     assert d(0.0) == pytest.approx(3.0)
     assert d(1.0) == pytest.approx(1.5)
-    assert np.allclose(d.deriv(np.array([-0.5, 1.0])), [3.0, -1.5])
 
 
 def test_validation_rejects_bad_data():
