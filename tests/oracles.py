@@ -10,8 +10,9 @@ writer check their vectorized counterparts in ``measure`` and ``cli``.
 trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
 a frozen copy of the run loop that called a step per step, driving
 ``step_reference``, that ``conslaw.run_until`` must match bit for bit.
-None of these is used by the library itself.  ``right_row_state`` builds the one-sided states
-the scheme tests step.
+``VERIFY_REPORTS`` freezes the verify report text of the five-run
+``verify``.  None of these is used by the library itself.
+``right_row_state`` builds the one-sided states the scheme tests step.
 """
 
 import numpy as np
@@ -221,3 +222,45 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
     if observer is not None and (last_snap is None or last_snap < t_end - tiny):
         observer(state.snapshot())
     return state
+
+
+# verify_report.txt of `condrift verify` on example36 with grid_cells =
+# z_count, keyed by (gamma, grid_cells), as written when verify made five
+# solver runs: one per convergence size, the law run and a unit-mass block
+# run for the pseudo-inverse row.  Reading the convergence size
+# grid_cells and the pseudo-inverse row off the law run must keep these
+# bytes.
+VERIFY_REPORTS = {
+    (0.5, 256): (
+        'check                                      status measured           target\n'
+        'L1 convergence order vs explicit u         FAIL   0.762              >= 0.8\n'
+        'trace onset time vs 1/gamma                PASS   1.79372            2.00000 +/- 0.68\n'
+        'condensed-mass law rel error               FAIL   0.0217             <= 0.01\n'
+        'pseudo-inverse Linf vs explicit X          FAIL   3.26e-02           <= 1e-2\n'
+        'entropy-measure diagnostics                PASS   0 violations       0\n'
+    ),
+    (1.0, 256): (
+        'check                                      status measured           target\n'
+        'L1 convergence order vs explicit u         FAIL   0.776              >= 0.8\n'
+        'trace onset time vs 1/gamma                PASS   0.59958            1.00000 +/- 3.2\n'
+        'condensed-mass law rel error               FAIL   0.0198             <= 0.01\n'
+        'pseudo-inverse Linf vs explicit X          FAIL   1.79e-02           <= 1e-2\n'
+        'entropy-measure diagnostics                PASS   0 violations       0\n'
+    ),
+    (2.0, 256): (
+        'check                                      status measured           target\n'
+        'L1 convergence order vs explicit u         FAIL   0.757              >= 0.8\n'
+        'trace onset time vs 1/gamma                PASS   0.00000            0.50000 +/- 1.6e+02\n'
+        'condensed-mass law rel error               FAIL   0.0179             <= 0.01\n'
+        'pseudo-inverse Linf vs explicit X          PASS   8.23e-03           <= 1e-2\n'
+        'entropy-measure diagnostics                PASS   0 violations       0\n'
+    ),
+    (1.0, 64): (
+        'check                                      status measured           target\n'
+        'L1 convergence order vs explicit u         INFO   0.776              >= 0.8\n'
+        'trace onset time vs 1/gamma                PASS   0.07856            1.00000 +/- 13\n'
+        'condensed-mass law rel error               INFO   0.0558             <= 0.01\n'
+        'pseudo-inverse Linf vs explicit X          INFO   6.13e-02           <= 1e-2\n'
+        'entropy-measure diagnostics                PASS   0 violations       0\n'
+    ),
+}

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import condrift
+from condrift import cli, conslaw
 from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_NUMERICAL,
     ConfigError,
     RunConfig,
@@ -24,7 +26,7 @@ from condrift.cli import (
 )
 from condrift.conslaw import SIGNS
 from condrift.frames import GammaConfig
-from oracles import write_csv_per_value
+from oracles import VERIFY_REPORTS, write_csv_per_value
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -589,3 +591,63 @@ def test_cmd_verify_coarse_marks_convergence_informational(tmp_path, capsys):
     table = (out / "verify_report.txt").read_text()
     assert "INFO" in table
     assert "FAIL" not in table.replace("pass/fail", "")
+
+
+@pytest.mark.parametrize("gamma, cells", list(VERIFY_REPORTS))
+def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypatch,
+                                                              gamma, cells):
+    # the convergence size grid_cells and the pseudo-inverse row come off
+    # the law run: two convergence runs and the law run build a stepper each
+    built = []
+    real = conslaw._Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(conslaw._Stepper, "__init__", counted)
+    path = write_config(tmp_path, gamma=gamma, grid_cells=cells, z_count=cells)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--output", str(out), "--quiet"]) == 0
+    assert (out / "verify_report.txt").read_text() == VERIFY_REPORTS[gamma, cells]
+    assert len(built) == 3
+
+
+ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
+                       "values": [0]}}
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("simulate", ZERO_MASS, "zero mass"),
+    ("verify", ZERO_MASS, "zero mass"),
+    ("characteristics", ZERO_MASS, "zero mass"),
+    # verify's law run (to 4/gamma at cadence 0.5/gamma, 10^6 z-points) is past
+    # the output budget
+    ("verify", {"z_count": 10**6}, "budget"),
+], ids=["simulate", "verify", "characteristics", "verify-law-run-budget"])
+def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, command, override,
+                                                 message):
+    path = write_config(tmp_path, **override)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--output", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch):
+    def broken(config, out_dir, quiet=False):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    path = write_config(tmp_path)
+    assert main(["verify", "--config", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"]) == EXIT_INTERNAL == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    error = json.loads(captured.err)
+    assert error["exit_code"] == 1 and set(error) == {"error", "exit_code"}
+    # the message names the exception and where it was raised
+    assert error["error"].startswith("internal error: RuntimeError: unexpected state "
+                                     "(raised at test_cli.py:")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from condrift import conslaw
+from condrift import conslaw, measure
 from condrift.conslaw import (
     LEFT,
     RIGHT,
@@ -539,3 +539,50 @@ def test_step_clips_roundoff_negatives_to_positive_zero(gamma):
     step_reference(reference, 0.9, cfg)
     assert state.cells[RIGHT, far] == 0.0 and not np.signbit(state.cells[RIGHT, far])
     assert state_bytes(state) == state_bytes(reference)
+
+
+# Two identities that let `verify` read its convergence size grid_cells and
+# its unit-mass pseudo-inverse check off the one law run.
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_snapshot_equals_a_run_that_lands_on_its_time(gamma):
+    # the step sequence does not depend on the cadence and one step is
+    # affine in dt, so interpolating between two steps gives the state of
+    # a run whose last step is capped to land on the snapshot time
+    cfg = GammaConfig(gamma=gamma)
+    snaps = []
+    run_until(example36_state(cfg), 4.0 / gamma, 0.9, cfg,
+              observer=snaps.append, cadence=0.5 / gamma)
+    assert len(snaps) == 9
+    for snap in snaps[1:]:
+        landed = run_until(example36_state(cfg), snap.time, 0.9, cfg)
+        assert landed.time == snap.time
+        np.testing.assert_allclose(landed.cells, snap.cells, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(landed.outflux_ledger, snap.outflux_ledger,
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
+    # xi -> lam*xi, u -> lam^(1/gamma)*u maps the unit-height block onto the
+    # unit-mass block [0, 1]; the grid dilates with it and keeps its CFL dt,
+    # so masses and x scale by 1+gamma and X(z) by 1+gamma at (1+gamma)*z
+    cfg = GammaConfig(gamma=gamma)
+    lam = (1.0 + gamma) ** (gamma / (1.0 + gamma))
+    states = []
+    for datum in (example_block_datum(gamma), piecewise_constant([0.0, 1.0], [1.0])):
+        state = init_from_datum(datum, make_grid(datum, cfg, 128), cfg)
+        states.append(run_until(state, 2.0 / gamma, 0.9, cfg))
+    block, unit = states
+    assert len(unit.trace_times) == len(block.trace_times)
+    np.testing.assert_allclose(unit.trace_times, block.trace_times, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(unit.cells, lam ** (1.0 / gamma) * block.cells,
+                               rtol=1e-13, atol=0)
+    assert unit.outflux_ledger[RIGHT] == pytest.approx(
+        (1.0 + gamma) * block.outflux_ledger[RIGHT], rel=1e-13)
+    block_ps, unit_ps = (measure.pseudo_inverse(measure.assemble(s, cfg), 128)
+                         for s in (block, unit))
+    np.testing.assert_allclose(unit_ps.z_grid, (1.0 + gamma) * block_ps.z_grid,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(unit_ps.x_values, (1.0 + gamma) * block_ps.x_values,
+                               rtol=0, atol=1e-13)
