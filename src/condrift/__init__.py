@@ -9,7 +9,6 @@ closed-form reference solutions.
 from .frames import (
     GammaConfig,
     time_driftfree_to_original,
-    time_original_to_driftfree,
     x_of_xi,
     xi_of_x,
 )
@@ -20,10 +19,8 @@ from .datum import (
     example_block_datum,
     piecewise_constant,
     piecewise_linear,
-    unit_uniform_datum,
 )
 from .characteristics import (
-    BlowUpReached,
     CharacteristicState,
     NotSmoothRegime,
     ZeroDatum,
@@ -56,10 +53,8 @@ from .measure import (
     wasserstein_to_dirac,
 )
 from .oracle import (
-    ExplicitSolutionSpec,
     X_explicit,
     mass_explicit,
-    rho_explicit,
     u_explicit,
 )
 

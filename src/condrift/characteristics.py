@@ -25,10 +25,6 @@ from .frames import GammaConfig
 FOOT_HALVINGS = 64
 
 
-class BlowUpReached(RuntimeError):
-    """Requested time is at or past the blow-up time of this characteristic."""
-
-
 class ZeroDatum(ValueError):
     """Operation requires a datum with positive sup."""
 
@@ -55,7 +51,7 @@ def advance(x0: float, t: float, datum: InitialDatum, cfg: GammaConfig) -> Chara
         return CharacteristicState(x0=x0, position=x0, value=0.0, time=t)
     shrink = 1.0 - g * d * u0**g * t
     if shrink <= 0.0:
-        raise BlowUpReached(
+        raise NotSmoothRegime(
             f"characteristic from x0={x0} blows up at t={1.0 / (g * d * u0**g)}"
         )
     return CharacteristicState(

@@ -6,12 +6,14 @@ configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
 error (including non-finite numbers, a zero-mass datum, a radial datum
-with a breakpoint below 0, a malformed measures.csv given to convert, a
-run past the output budget MAX_OUTPUT_ROWS and a run past the cell-step
+with a breakpoint below 0, a convert input with dim other than 1 or with
+a measures.csv row that is not six finite numbers with t >= 0, a run
+past the output budget MAX_OUTPUT_ROWS and a run past the cell-step
 budget conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
-NaN produced while stepping, a coordinate map that underflows and a float
-overflow anywhere), 4 I/O error.  Every error is one JSON line on stderr,
-never a traceback.
+NaN produced while stepping, a coordinate map that underflows and a
+float overflow anywhere), 4 I/O error, 5 verification failed (a verify
+row reads FAIL; the report is written first).  Every error is one JSON
+line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_VERIFY = 5
 TRACE_THRESHOLD = 1e-2
 MAX_OUTPUT_ROWS = 10_000_000  # CSV rows of one run, about 550 MB
 # config datum kinds that are breakpoint tables, and their InitialDatum kind
@@ -211,30 +214,10 @@ def write_snapshot_csv(path: Path, snapshots, row: int) -> None:
                  ((snap.time, centers, snap.cells[row]) for snap in snapshots))
 
 
-def write_measure_csv(path: Path, ms_series) -> None:
-    rows = [
-        (ms.time, ms.dirac_mass, ms.ac_mass, ms.support[0], ms.support[1],
-         measure.wasserstein_to_dirac(ms, 1.0))
-        for ms in ms_series
-    ]
-    write_csv(path, ["t", "dirac_mass", "ac_mass", "support_lo", "support_hi",
-                     "w1_to_dirac"], rows)
-
-
 def write_pseudoinverse_csv(path: Path, ms_series, ps_series) -> None:
     write_blocks(path, ["t", "z", "X"],
                  ((ms.time, ps.z_grid, ps.x_values)
                   for ms, ps in zip(ms_series, ps_series)))
-
-
-def write_original_frame_csv(path: Path, series) -> None:
-    rows = [
-        (s.tau, s.t_driftfree, s.dirac_mass, s.support_lo, s.support_hi,
-         s.diameter, s.w1)
-        for s in series
-    ]
-    write_csv(path, ["tau", "t_driftfree", "dirac_mass", "support_lo",
-                     "support_hi", "support_diameter", "w1_to_dirac"], rows)
 
 
 @dataclass
@@ -275,11 +258,12 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     for row, side in enumerate(SIDES):
         write_snapshot_csv(out_dir / f"snapshots_{side}.csv", res.snapshots, row)
     _write_trace_ledger(out_dir, res.state, cfg)
-    write_measure_csv(out_dir / "measures.csv", ms_series)
+    rows = measure.measure_rows(ms_series)
+    write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
     write_pseudoinverse_csv(out_dir / "pseudoinverse.csv", ms_series, ps_series)
     if config.frame == "original":
-        series = measure.original_frame_series(ms_series, cfg)
-        write_original_frame_csv(out_dir / "original_frame.csv", series)
+        write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
+                  measure.original_frame_series(rows, config.gamma))
 
     report = measure.check_entropy_measure(ms_series, ps_series, cfg,
                                            datum=res.datum)
@@ -325,7 +309,8 @@ def _write_trace_ledger(out_dir: Path, state: conslaw.HalfLineState,
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    """Oracle-comparison suite; prints a pass/fail table with measured numbers.
+    """Oracle-comparison suite; prints a pass/fail table with measured numbers
+    and returns EXIT_VERIFY, after writing the table, when a row reads FAIL.
 
     The suite runs on the block; the configured datum is only validated.
     It makes three solver runs when grid_cells is a convergence size (as
@@ -333,8 +318,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     run to 4/gamma. The law run gives the onset, the mass law and the
     diagnostics, the convergence size grid_cells from its snapshot at
     0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
-    read in the unit-mass scale through the exact dilation between the
-    two block conventions.
+    read in the unit-mass scale through the exact dilation of the block
+    onto the unit-mass block on [0, 1].
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -348,13 +333,12 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     # convergence against the explicit conservation-law profile; the size
     # equal to grid_cells is read off the law run
-    spec = oracle.ExplicitSolutionSpec(gamma=g, mass_convention="unit_height")
     t_probe = 0.5 / g
     sizes = [max(64, config.grid_cells // 4), max(128, config.grid_cells // 2),
              max(256, config.grid_cells)]
 
     def l1_error(snap: conslaw.Snapshot) -> float:
-        exact = oracle.u_explicit(snap.grid.centers, t_probe, spec)
+        exact = oracle.u_explicit(snap.grid.centers, t_probe, g)
         return float(np.sum(np.abs(snap.cells[RIGHT] - exact)) * snap.grid.cell_width)
 
     errors = {}
@@ -387,7 +371,9 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     onset = measure.trace_onset_time(law_res.state, config.trace_threshold)[RIGHT]
     tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width,
                                      config.trace_threshold)
-    status = "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL"
+    # a tolerance of 1/gamma or more passes every onset in [0, 1/gamma]
+    status = ("INFO" if tol >= 1.0 / g
+              else "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL")
     add("trace onset time vs 1/gamma", status,
         f"{onset:.5f}", f"{1.0 / g:.5f} +/- {tol:.2g}")
 
@@ -395,7 +381,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     worst = 0.0
     for ms in ms2:
         if ms.time >= 1.5 / g:
-            target = oracle.mass_explicit(ms.time, spec)
+            target = oracle.mass_explicit(ms.time, g)
             worst = max(worst, abs(ms.dirac_mass - target) / target)
     status = "INFO" if informational else ("PASS" if worst <= 0.01 else "FAIL")
     add("condensed-mass law rel error", status, f"{worst:.4f}", "<= 0.01")
@@ -404,7 +390,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     # unit-mass scale: that block is an exact dilation of this one, with X
     # scaled by 1+gamma
     k = np.argmin(abs(times - 2.0 / g))
-    exact_X = oracle.X_explicit(ps2[k].z_grid, ms2[k].time, spec)
+    exact_X = oracle.X_explicit(ps2[k].z_grid, ms2[k].time, g)
     linf = (1.0 + g) * float(np.max(np.abs(ps2[k].x_values - exact_X)))
     status = "INFO" if informational else ("PASS" if linf <= 1e-2 else "FAIL")
     add("pseudo-inverse Linf vs explicit X", status, f"{linf:.2e}", "<= 1e-2")
@@ -423,6 +409,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     (out_dir / "verify_report.txt").write_text(table + "\n")
     if not quiet:
         print(table)
+    failed = [name for name, status, _, _ in rows if status == "FAIL"]
+    if failed:
+        _fail(f"verification failed: {', '.join(failed)}", EXIT_VERIFY)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -481,19 +471,25 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
 def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
     """Re-express an existing run's measure series in the original frame."""
     config = load_config(str(input_dir / "resolved_config.json"))
-    cfg = config.gamma_config()
-    series = []
+    if config.dim != 1:
+        raise ConfigError("convert requires dim = 1")
+    width = len(measure.MEASURE_COLUMNS)
+    rows = []
     text = (input_dir / "measures.csv").read_text().strip().splitlines()
     for line in text[1:]:
         try:
-            t, dirac, ac, lo, hi, w1 = (float(v) for v in line.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"malformed measures.csv row {line!r}: {exc}") from exc
-        series.append(measure.to_original_frame(t, dirac, dirac + ac, (lo, hi), w1, cfg))
+            row = tuple(map(float, line.split(",")))
+        except ValueError:
+            row = ()
+        if len(row) != width or not all(map(math.isfinite, row)) or row[0] < 0:
+            raise ConfigError(f"malformed measures.csv row {line!r}: need "
+                              f"{width} finite numbers, t >= 0")
+        rows.append(row)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_original_frame_csv(out_dir / "original_frame.csv", series)
+    write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
+              measure.original_frame_series(rows, config.gamma))
     if not quiet:
-        print(f"converted {len(series)} snapshots to the original frame")
+        print(f"converted {len(rows)} snapshots to the original frame")
     return EXIT_OK
 
 

@@ -114,14 +114,9 @@ def example_block_datum(gamma: float) -> InitialDatum:
     """Unit-height block on [0, 1/(1+gamma)]; mass 1/(1+gamma).
 
     This is the datum whose evolution is known in closed form (see
-    :mod:`condrift.oracle`, unit-height convention).
+    :mod:`condrift.oracle`).
     """
     return block_datum(1.0, 0.0, 1.0 / (1.0 + gamma))
-
-
-def unit_uniform_datum() -> InitialDatum:
-    """Unit-height block on [0, 1]; mass 1 (the unit mass convention)."""
-    return block_datum(1.0, 0.0, 1.0)
 
 
 def jumps(datum: InitialDatum):

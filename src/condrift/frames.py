@@ -37,14 +37,9 @@ class GammaConfig:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
 
-def time_original_to_driftfree(tau, cfg: GammaConfig):
-    """t = (exp(d*gamma*tau) - 1)/(d*gamma); strictly increasing on [0, inf)."""
-    a = cfg.dim * cfg.gamma
-    return np.expm1(a * np.asarray(tau, dtype=float)) / a
-
-
 def time_driftfree_to_original(t, cfg: GammaConfig):
-    """Inverse time map, tau = log(1 + d*gamma*t)/(d*gamma)."""
+    """Time map tau = log(1 + d*gamma*t)/(d*gamma), the inverse of
+    t = (exp(d*gamma*tau) - 1)/(d*gamma); strictly increasing on [0, inf)."""
     a = cfg.dim * cfg.gamma
     return np.log1p(a * np.asarray(t, dtype=float)) / a
 

@@ -26,6 +26,11 @@ MASS_REL_TOL = 1e-10
 SLOPE_JUMP_RATIO = 3.0
 EDGE_SLOPE_FACTOR = 5.0
 EDGE_EXCLUDE_CELLS = 2
+# columns of measures.csv and original_frame.csv
+MEASURE_COLUMNS = ["t", "dirac_mass", "ac_mass", "support_lo", "support_hi",
+                   "w1_to_dirac"]
+ORIGINAL_FRAME_COLUMNS = ["tau", "t_driftfree", "dirac_mass", "support_lo",
+                          "support_hi", "support_diameter", "w1_to_dirac"]
 
 
 @dataclass
@@ -67,10 +72,6 @@ class PseudoInverse:
     x_values: np.ndarray
     plateau: tuple
 
-    @property
-    def plateau_width(self) -> float:
-        return self.plateau[1] - self.plateau[0]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -83,10 +84,6 @@ class Violation:
 class DiagnosticReport:
     violations: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
     def counts(self) -> dict:
         out: dict = {}
@@ -181,61 +178,33 @@ def pseudo_inverse(ms: MeasureState, z_count: int) -> PseudoInverse:
     return PseudoInverse(z_grid=z, x_values=X, plateau=plateau)
 
 
-def wasserstein_to_dirac(ms: MeasureState, p: float = 1.0) -> float:
-    """p-Wasserstein distance to the fully condensed state M*delta_0.
+def wasserstein_to_dirac(ms: MeasureState) -> float:
+    """W1 distance to the fully condensed state M*delta_0.
 
-    Transport to a point gives W_p^p = integral of |x|^p against the
-    measure, i.e. the z-integral of |X|^p through the rearrangement.
+    Transport to a point gives W1 = integral of |x| against the measure,
+    i.e. the z-integral of |X| through the rearrangement.
     """
-    if p != math.inf and p < 1:
-        raise ValueError("p must be >= 1 or inf")
-    if p == math.inf:
-        return max(abs(ms.support[0]), abs(ms.support[1]))
-    if ms.mass_weights.size == 0:
-        return 0.0
-    moment = float(np.sum(ms.mass_weights * np.abs(ms.x) ** p))
-    return moment ** (1.0 / p)
+    return float(np.sum(ms.mass_weights * np.abs(ms.x)))
 
 
-@dataclass(frozen=True)
-class OriginalFrameSnapshot:
-    """Summary of one measure snapshot mapped back to the confined frame."""
-
-    tau: float
-    t_driftfree: float
-    dirac_mass: float
-    total_mass: float
-    support_lo: float
-    support_hi: float
-    diameter: float
-    w1: float
+def measure_rows(ms_series) -> list:
+    """Rows of MEASURE_COLUMNS, one per snapshot."""
+    return [(ms.time, ms.dirac_mass, ms.ac_mass, ms.support[0], ms.support[1],
+             wasserstein_to_dirac(ms)) for ms in ms_series]
 
 
-def to_original_frame(t: float, dirac_mass: float, total_mass: float,
-                      support: tuple, w1: float, cfg: GammaConfig) -> OriginalFrameSnapshot:
-    """One drift-free summary in the original frame; lengths contract by e^-tau."""
-    tau = float(time_driftfree_to_original(t, cfg))
-    shrink = math.exp(-tau)
-    lo, hi = support
-    return OriginalFrameSnapshot(
-        tau=tau,
-        t_driftfree=t,
-        dirac_mass=dirac_mass,
-        total_mass=total_mass,
-        support_lo=lo * shrink,
-        support_hi=hi * shrink,
-        diameter=(hi - lo) * shrink,
-        w1=w1 * shrink,
-    )
-
-
-def original_frame_series(ms_series, cfg: GammaConfig):
-    """Map snapshots to the original frame; supports and W_p contract by e^-tau."""
-    if cfg.dim != 1:
-        raise ValueError("original-frame series requires dim = 1")
-    return [to_original_frame(ms.time, ms.dirac_mass, ms.total_mass, ms.support,
-                              wasserstein_to_dirac(ms, 1.0), cfg)
-            for ms in ms_series]
+def original_frame_series(rows, gamma: float) -> list:
+    """Map rows of MEASURE_COLUMNS to rows of ORIGINAL_FRAME_COLUMNS in one
+    dimension: tau = log(1 + gamma*t)/gamma, and supports and W1 contract
+    by e^-tau."""
+    cfg = GammaConfig(gamma=gamma, dim=1)
+    out = []
+    for t, dirac, _, lo, hi, w1 in rows:
+        tau = float(time_driftfree_to_original(t, cfg))
+        shrink = math.exp(-tau)
+        out.append((tau, t, dirac, lo * shrink, hi * shrink, (hi - lo) * shrink,
+                    w1 * shrink))
+    return out
 
 
 def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:

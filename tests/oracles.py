@@ -11,8 +11,11 @@ trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
 a frozen copy of the run loop that called a step per step, driving
 ``step_reference``, that ``conslaw.run_until`` must match bit for bit.
 ``VERIFY_REPORTS`` freezes the verify report text of the five-run
-``verify``.  None of these is used by the library itself.
-``right_row_state`` builds the one-sided states the scheme tests step.
+``verify``.  ``rho_explicit`` is the closed-form density of the block,
+which ``oracle`` gives as u and X only, and ``X_unit_mass`` and
+``mass_unit_mass`` read the block solution in the unit-mass scale.  None
+of these is used by the library itself.  ``right_row_state`` builds the
+one-sided states the scheme tests step.
 """
 
 import numpy as np
@@ -26,6 +29,46 @@ from condrift.conslaw import (
     stable_dt,
 )
 from condrift.measure import SLOPE_JUMP_RATIO, _interior_mask
+from condrift.oracle import X_explicit, mass_explicit
+
+
+def rho_explicit(x, t, gamma: float):
+    """Density rho(x, t) of the explicit solution of the unit-height block
+    on [0, 1/(1+gamma)]: a plateau, a rarefaction fan and vacuum."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    g = gamma
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xs)
+    # plateau-branch x-boundary is the image of the fan edge,
+    # (1 - gamma*t)^((1+gamma)/gamma) / (1+gamma)
+    xb = (1.0 - g * t) ** ((1.0 + g) / g) / (1.0 + g) if t < 1.0 / g else 0.0
+    if t > 0:
+        fan = (xs >= xb) & (xs <= 1.0 / (1.0 + g))
+        xf = xs[fan]
+        with np.errstate(divide="ignore"):
+            val = ((((1.0 + g) * xf) ** (-g / (1.0 + g)) - 1.0) / (g * t)) ** (1.0 / g)
+        out[fan] = val
+    if t < 1.0 / g:
+        plateau = (xs >= 0) & (xs <= xb)
+        out[plateau] = (1.0 / (1.0 - g * t)) ** (1.0 / g)
+    return out if np.ndim(x) else float(out[0])
+
+
+# The unit-mass block on [0, 1] is the exact dilation xi -> lam*xi,
+# u -> lam^(1/gamma)*u, lam = (1+gamma)^(gamma/(1+gamma)), of the
+# unit-height block; in x, z and the mass it is the factor 1+gamma.
+
+def X_unit_mass(z, t, gamma: float):
+    """X(z, t) of the unit-mass block, z in [0, 1]: (1+gamma)*X(z/(1+gamma))."""
+    return (1.0 + gamma) * X_explicit(np.asarray(z, dtype=float) / (1.0 + gamma),
+                                      t, gamma)
+
+
+def mass_unit_mass(t, gamma: float):
+    """Concentrated mass of the unit-mass block, 1 - (gamma*t)^(-1/gamma)
+    after 1/gamma: (1+gamma)*m."""
+    return (1.0 + gamma) * mass_explicit(t, gamma)
 
 
 def riemann_exact(u_l: float, u_r: float, xi_over_t: float, cfg) -> float:
@@ -229,7 +272,9 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
 # solver runs: one per convergence size, the law run and a unit-mass block
 # run for the pseudo-inverse row.  Reading the convergence size
 # grid_cells and the pseudo-inverse row off the law run must keep these
-# bytes.
+# bytes.  The onset row reads INFO where its tolerance is at least
+# 1/gamma, which passes every onset in [0, 1/gamma]; the five-run text
+# read PASS there.
 VERIFY_REPORTS = {
     (0.5, 256): (
         'check                                      status measured           target\n'
@@ -242,7 +287,7 @@ VERIFY_REPORTS = {
     (1.0, 256): (
         'check                                      status measured           target\n'
         'L1 convergence order vs explicit u         FAIL   0.776              >= 0.8\n'
-        'trace onset time vs 1/gamma                PASS   0.59958            1.00000 +/- 3.2\n'
+        'trace onset time vs 1/gamma                INFO   0.59958            1.00000 +/- 3.2\n'
         'condensed-mass law rel error               FAIL   0.0198             <= 0.01\n'
         'pseudo-inverse Linf vs explicit X          FAIL   1.79e-02           <= 1e-2\n'
         'entropy-measure diagnostics                PASS   0 violations       0\n'
@@ -250,7 +295,7 @@ VERIFY_REPORTS = {
     (2.0, 256): (
         'check                                      status measured           target\n'
         'L1 convergence order vs explicit u         FAIL   0.757              >= 0.8\n'
-        'trace onset time vs 1/gamma                PASS   0.00000            0.50000 +/- 1.6e+02\n'
+        'trace onset time vs 1/gamma                INFO   0.00000            0.50000 +/- 1.6e+02\n'
         'condensed-mass law rel error               FAIL   0.0179             <= 0.01\n'
         'pseudo-inverse Linf vs explicit X          PASS   8.23e-03           <= 1e-2\n'
         'entropy-measure diagnostics                PASS   0 violations       0\n'
@@ -258,7 +303,7 @@ VERIFY_REPORTS = {
     (1.0, 64): (
         'check                                      status measured           target\n'
         'L1 convergence order vs explicit u         INFO   0.776              >= 0.8\n'
-        'trace onset time vs 1/gamma                PASS   0.07856            1.00000 +/- 13\n'
+        'trace onset time vs 1/gamma                INFO   0.07856            1.00000 +/- 13\n'
         'condensed-mass law rel error               INFO   0.0558             <= 0.01\n'
         'pseudo-inverse Linf vs explicit X          INFO   6.13e-02           <= 1e-2\n'
         'entropy-measure diagnostics                PASS   0 violations       0\n'

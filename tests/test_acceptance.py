@@ -23,16 +23,17 @@ from condrift.conslaw import (
     stable_dt,
     step,
 )
-from condrift.datum import example_block_datum, piecewise_linear, unit_uniform_datum
+from condrift.datum import block_datum, example_block_datum, piecewise_linear
 from condrift.frames import GammaConfig
 from condrift.measure import (
     assemble,
+    measure_rows,
     original_frame_series,
     pseudo_inverse,
     trace_onset_time,
 )
-from condrift.oracle import ExplicitSolutionSpec, X_explicit, mass_explicit, u_explicit
-from oracles import riemann_exact, right_row_state, rk4_characteristics
+from condrift.oracle import mass_explicit, u_explicit
+from oracles import X_unit_mass, riemann_exact, right_row_state, rk4_characteristics
 
 GAMMAS = (0.5, 1.0, 2.0)
 N_ACCEPT = 4096
@@ -67,7 +68,6 @@ def test_criterion_1_trace_onset_time(gamma):
 def test_criterion_2_condensed_mass_law(gamma):
     """m(t)/M tracks 1 - (1/(gamma t))^(1/gamma) within 1% on [1.5, 4]/gamma."""
     cfg = GammaConfig(gamma=gamma)
-    spec = ExplicitSolutionSpec(gamma=gamma, mass_convention="unit_height")
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
     state = init_from_datum(datum, grid, cfg)
@@ -75,7 +75,7 @@ def test_criterion_2_condensed_mass_law(gamma):
     for t in np.arange(1.5, 4.01, 0.5) / gamma:
         run_until(state, float(t), 0.9, cfg)
         ms = assemble(state, cfg)
-        target = mass_explicit(float(t), spec)
+        target = mass_explicit(float(t), gamma)
         worst = max(worst, abs(ms.dirac_mass - target) / target)
     ok = worst <= 0.01
     report(f"criterion 2 gamma={gamma}: worst relative mass error {worst:.5f} "
@@ -88,7 +88,6 @@ def test_criterion_3_convergence_to_explicit_solution():
     observed order >= 0.8 across N in {512, 1024, 2048, 4096}."""
     gamma = 1.0
     cfg = GammaConfig(gamma=gamma)
-    spec = ExplicitSolutionSpec(gamma=gamma, mass_convention="unit_height")
     sizes = (512, 1024, 2048, 4096)
     errors = []
     for n in sizes:
@@ -96,7 +95,7 @@ def test_criterion_3_convergence_to_explicit_solution():
         grid = make_grid(datum, cfg, n)
         state = init_from_datum(datum, grid, cfg)
         run_until(state, 0.5 / gamma, 0.9, cfg)
-        exact = u_explicit(grid.centers, 0.5 / gamma, spec)
+        exact = u_explicit(grid.centers, 0.5 / gamma, gamma)
         errors.append(float(np.sum(np.abs(state.cells[RIGHT] - exact)) * grid.cell_width))
     order = -float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
     ok = order >= 0.8 and all(b < a for a, b in zip(errors, errors[1:]))
@@ -110,16 +109,15 @@ def test_criterion_4_pseudo_inverse_oracle():
     one at t in {0.5, 2}/gamma stays below 1e-2 (N = z_count = 4096)."""
     gamma = 1.0
     cfg = GammaConfig(gamma=gamma)
-    datum = unit_uniform_datum()
+    datum = block_datum(1.0, 0.0, 1.0)
     grid = make_grid(datum, cfg, N_ACCEPT)
     state = init_from_datum(datum, grid, cfg)
-    spec = ExplicitSolutionSpec(gamma=gamma, mass_convention="unit_mass")
     worst = 0.0
     for t in (0.5 / gamma, 2.0 / gamma):
         run_until(state, t, 0.9, cfg)
         ms = assemble(state, cfg)
         ps = pseudo_inverse(ms, 4096)
-        exact = X_explicit(np.clip(ps.z_grid, 0.0, 1.0), t, spec)
+        exact = X_unit_mass(np.clip(ps.z_grid, 0.0, 1.0), t, gamma)
         worst = max(worst, float(np.max(np.abs(ps.x_values - exact))))
     ok = worst <= 1e-2
     report(f"criterion 4: pseudo-inverse Linf {worst:.2e} (tol 1e-2) "
@@ -263,9 +261,10 @@ def test_criterion_8_original_frame_decay_rate():
     for t in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         run_until(state, t, 0.9, cfg)
         ms_series.append(assemble(state, cfg))
-    series = original_frame_series(ms_series, cfg)
-    log_t = np.log1p([s.t_driftfree for s in series])
-    log_d = np.log([s.diameter for s in series])
+    _, t_driftfree, _, _, _, diameter, _ = np.array(
+        original_frame_series(measure_rows(ms_series), gamma)).T
+    log_t = np.log1p(t_driftfree)
+    log_d = np.log(diameter)
     slope = float(np.polyfit(log_t[-4:], log_d[-4:], 1)[0])
     ok = abs(slope + 1.0 / gamma) <= 0.1
     report(f"criterion 8: log-log decay slope {slope:.4f} "

@@ -15,6 +15,7 @@ from condrift.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
     EXIT_NUMERICAL,
+    EXIT_VERIFY,
     ConfigError,
     RunConfig,
     load_config,
@@ -281,15 +282,20 @@ def test_cmd_convert_round_trip(tmp_path):
 
 
 def test_cmd_convert_reproduces_original_frame_csv(tmp_path):
-    path = write_config(tmp_path, t_end=1.0, frame="original")
-    run_dir = tmp_path / "run"
-    conv_dir = tmp_path / "conv"
-    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
-                 "--quiet"]) == 0
-    assert main(["convert", "--input", str(run_dir), "--output", str(conv_dir),
-                 "--quiet"]) == 0
-    assert ((conv_dir / "original_frame.csv").read_bytes()
-            == (run_dir / "original_frame.csv").read_bytes())
+    # simulate and convert map the same measures.csv rows, so their bytes
+    # agree; the two-sided datum has a negative support_lo
+    two_sided = {"kind": "piecewise_constant", "breakpoints": [-0.7, -0.2, 0.1, 0.4],
+                 "values": [0.6, 1.2, 0.8]}
+    for name, datum in (("block", {"kind": "example36"}), ("two-sided", two_sided)):
+        path = write_config(tmp_path, t_end=1.0, frame="original", datum=datum)
+        run_dir = tmp_path / name / "run"
+        conv_dir = tmp_path / name / "conv"
+        assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                     "--quiet"]) == 0
+        assert main(["convert", "--input", str(run_dir), "--output", str(conv_dir),
+                     "--quiet"]) == 0
+        assert ((conv_dir / "original_frame.csv").read_bytes()
+                == (run_dir / "original_frame.csv").read_bytes())
 
 
 @pytest.mark.parametrize("override", [
@@ -427,8 +433,10 @@ def test_datum_table_takes_flat_lists_of_numbers(tmp_path, capsys, key, column):
     assert f"{key} must be a flat list of numbers" in error["error"]
 
 
-@pytest.mark.parametrize("bad_row", ["0,1,2", "0,1,2,3,4,five"],
-                         ids=["wrong-column-count", "non-numeric"])
+@pytest.mark.parametrize("bad_row", ["0,1,2", "0,1,2,3,4,five", "0,1,2,3,4,nan",
+                                     "0,1,2,-inf,4,5", "-3,1,2,3,4,5"],
+                         ids=["wrong-column-count", "non-numeric", "nan", "inf",
+                              "negative-time"])
 def test_cmd_convert_malformed_measures_exits_2(tmp_path, capsys, bad_row):
     path = write_config(tmp_path, t_end=0.5)
     run_dir = tmp_path / "run"
@@ -442,6 +450,22 @@ def test_cmd_convert_malformed_measures_exits_2(tmp_path, capsys, bad_row):
     assert code == EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
     assert error["exit_code"] == EXIT_CONFIG and "measures.csv" in error["error"]
+    assert bad_row in error["error"]
+    assert not (tmp_path / "conv").exists()
+
+
+def test_cmd_convert_rejects_dim_2(tmp_path, capsys):
+    # the original-frame map is one-dimensional, as simulate is
+    path = write_config(tmp_path, t_end=0.5)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                 "--quiet"]) == 0
+    resolved = run_dir / "resolved_config.json"
+    resolved.write_text(json.dumps(dict(json.loads(resolved.read_text()), dim=2)))
+    code = main(["convert", "--input", str(run_dir), "--output",
+                 str(tmp_path / "conv"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "convert requires dim = 1" in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "conv").exists()
 
 
@@ -608,9 +632,25 @@ def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypa
     monkeypatch.setattr(conslaw._Stepper, "__init__", counted)
     path = write_config(tmp_path, gamma=gamma, grid_cells=cells, z_count=cells)
     out = tmp_path / "verify"
-    assert main(["verify", "--config", str(path), "--output", str(out), "--quiet"]) == 0
-    assert (out / "verify_report.txt").read_text() == VERIFY_REPORTS[gamma, cells]
+    report = VERIFY_REPORTS[gamma, cells]
+    code = main(["verify", "--config", str(path), "--output", str(out), "--quiet"])
+    assert code == (EXIT_VERIFY if "FAIL" in report else 0)
+    assert (out / "verify_report.txt").read_text() == report
     assert len(built) == 3
+
+
+def test_verify_exits_5_after_writing_a_failed_report(tmp_path, capsys):
+    path = write_config(tmp_path, gamma=1.0, grid_cells=256, z_count=256)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--output", str(out)]) == EXIT_VERIFY == 5
+    captured = capsys.readouterr()
+    report = VERIFY_REPORTS[1.0, 256]
+    assert (out / "verify_report.txt").read_text() == report
+    assert captured.out == report
+    error = json.loads(captured.err)
+    assert error["exit_code"] == 5
+    failed = [line[:42].strip() for line in report.splitlines() if " FAIL " in line]
+    assert error["error"] == "verification failed: " + ", ".join(failed)
 
 
 ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],

@@ -10,7 +10,6 @@ from condrift.datum import (
     integrate_piecewise,
     piecewise_constant,
     piecewise_linear,
-    unit_uniform_datum,
 )
 from oracles import integrate_segments
 
@@ -24,7 +23,7 @@ def test_block_datum_quantities():
 
 
 def test_unit_uniform_datum():
-    d = unit_uniform_datum()
+    d = block_datum(1.0, 0.0, 1.0)
     assert d.mass == pytest.approx(1.0)
     assert (d.a, d.b) == (0.0, 1.0)
 

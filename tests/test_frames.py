@@ -6,7 +6,6 @@ from condrift.frames import (
     GammaConfig,
     dxi_dx,
     time_driftfree_to_original,
-    time_original_to_driftfree,
     x_of_xi,
     xi_of_x,
 )
@@ -19,15 +18,21 @@ def test_gamma_config_validation():
         GammaConfig(gamma=1.0, dim=0)
 
 
+def time_original_to_driftfree(tau, cfg):
+    """t = (exp(d*gamma*tau) - 1)/(d*gamma), the inverse of the time map."""
+    a = cfg.dim * cfg.gamma
+    return np.expm1(a * np.asarray(tau, dtype=float)) / a
+
+
 def test_time_map_zero_is_zero():
     for cfg in (GammaConfig(1.0, 1), GammaConfig(0.5, 3)):
-        assert time_original_to_driftfree(0.0, cfg) == 0.0
+        assert time_driftfree_to_original(0.0, cfg) == 0.0
 
 
 def test_time_map_log2_value():
-    # t = (e^(d*gamma*tau) - 1)/(d*gamma) with tau = ln 2, gamma = d = 1
+    # tau = log(1 + d*gamma*t)/(d*gamma) with t = 1, gamma = d = 1
     cfg = GammaConfig(gamma=1.0, dim=1)
-    assert time_original_to_driftfree(np.log(2.0), cfg) == pytest.approx(1.0, abs=1e-14)
+    assert time_driftfree_to_original(1.0, cfg) == pytest.approx(np.log(2.0), abs=1e-14)
 
 
 def test_time_map_round_trip():
