@@ -42,7 +42,6 @@ from .conslaw import (
     step,
 )
 from .measure import (
-    DiagnosticReport,
     MeasureState,
     PseudoInverse,
     assemble,

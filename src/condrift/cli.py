@@ -5,10 +5,11 @@ table, documented in the README); every run writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
-error (including non-finite numbers, a zero-mass datum, a radial datum
-with a breakpoint below 0, a convert input with dim other than 1 or with
-a measures.csv row that is not six finite numbers with t >= 0, a run
-past the output budget MAX_OUTPUT_ROWS and a run past the cell-step
+error (including non-finite numbers, a datum key its kind does not read,
+a zero-mass datum, a radial datum with a breakpoint below 0, a convert
+input with dim other than 1, with a measures.csv that lacks its header
+or has no row, or with a row that is not six finite numbers with t >= 0,
+a run past the row budget MAX_OUTPUT_ROWS and a run past the cell-step
 budget conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
 NaN produced while stepping, a coordinate map that underflows and a
 float overflow anywhere), 4 I/O error, 5 verification failed (a verify
@@ -19,6 +20,7 @@ line on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import numbers
@@ -60,6 +62,11 @@ TRACE_THRESHOLD = 1e-2
 MAX_OUTPUT_ROWS = 10_000_000  # CSV rows of one run, about 550 MB
 # config datum kinds that are breakpoint tables, and their InitialDatum kind
 PIECEWISE_KINDS = {"piecewise_constant": "constant", "piecewise_linear": "linear"}
+# the keys each config datum kind reads
+DATUM_KEYS = {"example36": {"kind"},
+              **{kind: {"kind", "breakpoints", "values"} for kind in PIECEWISE_KINDS}}
+# snapshots of verify's law run: t = 0 to 4/gamma at cadence 0.5/gamma
+LAW_RUN_SNAPSHOTS = 9
 
 
 class ConfigError(ValueError):
@@ -105,12 +112,6 @@ class RunConfig:
             raise ConfigError("snapshot_cadence must be positive")
         if self.z_count < 16:
             raise ConfigError("z_count must be >= 16")
-        rows = ((self.t_end / self.snapshot_cadence + 2)
-                * (2 * self.grid_cells + self.z_count))
-        if rows > MAX_OUTPUT_ROWS:
-            raise ConfigError(f"about {rows:.3g} output rows exceed the budget "
-                              f"of {MAX_OUTPUT_ROWS}; raise snapshot_cadence "
-                              f"or lower grid_cells or z_count")
         if self.frame not in ("driftfree", "original"):
             raise ConfigError("frame must be 'driftfree' or 'original'")
         if not isinstance(self.output_dir, str):
@@ -132,12 +133,23 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def check_output_budget(self) -> None:
+        """simulate and characteristics: the CSV rows the run writes."""
+        rows = ((self.t_end / self.snapshot_cadence + 2)
+                * (2 * self.grid_cells + self.z_count))
+        _check_rows(rows, "output", "raise snapshot_cadence or lower grid_cells "
+                                    "or z_count")
+
     def build_datum(self) -> InitialDatum:
         kind = self.datum["kind"]
+        if not isinstance(kind, str) or kind not in DATUM_KEYS:
+            raise ConfigError(f"unknown datum kind {kind!r}")
+        unknown = set(self.datum) - DATUM_KEYS[kind]
+        if unknown:
+            raise ConfigError(f"unknown datum keys {sorted(unknown)} for kind "
+                              f"{kind!r}")
         if kind == "example36":
             return example_block_datum(self.gamma)
-        if kind not in PIECEWISE_KINDS:
-            raise ConfigError(f"unknown datum kind {kind!r}")
         for key in ("breakpoints", "values"):
             column = self.datum.get(key)
             if not isinstance(column, list) or not all(map(_is_real, column)):
@@ -159,6 +171,12 @@ class RunConfig:
 
     def gamma_config(self) -> GammaConfig:
         return GammaConfig(gamma=self.gamma, dim=self.dim)
+
+
+def _check_rows(rows: float, what: str, remedy: str) -> None:
+    if rows > MAX_OUTPUT_ROWS:
+        raise ConfigError(f"about {rows:.3g} {what} rows exceed the budget of "
+                          f"{MAX_OUTPUT_ROWS}; {remedy}")
 
 
 def _is_real(value) -> bool:
@@ -248,6 +266,7 @@ def simulate(config: RunConfig) -> SimulationResult:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+    config.check_output_budget()
     res = simulate(config)
     ms_series, ps_series = res.ms_series, res.ps_series
     cfg = config.gamma_config()
@@ -265,8 +284,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
                   measure.original_frame_series(rows, config.gamma))
 
-    report = measure.check_entropy_measure(ms_series, ps_series, cfg,
-                                           datum=res.datum)
+    violations = measure.check_entropy_measure(ms_series, ps_series, cfg,
+                                               datum=res.datum)
     onset = min(measure.trace_onset_time(res.state, config.trace_threshold))
     summary = {
         "version": SCHEMA_VERSION,
@@ -280,14 +299,14 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "final_dirac_fraction": ms_series[-1].dirac_mass
         / max(ms_series[-1].total_mass, 1e-300),
         "total_mass": ms_series[-1].total_mass,
-        "violation_counts": report.counts(),
+        "violation_counts": collections.Counter(v.kind for v in violations),
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if not quiet:
         print(f"simulated to t={config.t_end}: condensed fraction "
               f"{summary['final_dirac_fraction']:.4f}, "
-              f"violations {sum(report.counts().values())}")
+              f"violations {len(violations)}")
     return EXIT_OK
 
 
@@ -349,7 +368,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             errors[n] = l1_error(run_until(state, t_probe, config.cfl, cfg))
 
     # one run to 4/gamma serves every other row; its snapshot at a time t
-    # equals a run that lands on t, to rounding
+    # equals a run that lands on t, to rounding. Its snapshots and their
+    # pseudo-inverses stay in memory.
+    _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
+                "law-run snapshot", "lower grid_cells or z_count")
     law_cfg = RunConfig(gamma=g, datum={"kind": "example36"},
                         grid_cells=config.grid_cells, cfl=config.cfl,
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
@@ -396,8 +418,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     add("pseudo-inverse Linf vs explicit X", status, f"{linf:.2e}", "<= 1e-2")
 
     # structural diagnostics on the run
-    report = measure.check_entropy_measure(ms2, ps2, cfg, datum=law_res.datum)
-    n_viols = sum(report.counts().values())
+    n_viols = len(measure.check_entropy_measure(ms2, ps2, cfg, datum=law_res.datum))
     add("entropy-measure diagnostics", "PASS" if n_viols == 0 else "FAIL",
         f"{n_viols} violations", "0")
 
@@ -435,6 +456,7 @@ def trace_time_tolerance(gamma: float, dxi: float, threshold: float) -> float:
 
 def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Smooth-regime evaluation on a grid plus blow-up/shock report."""
+    config.check_output_budget()
     cfg = config.gamma_config()
     datum = config.build_datum()
     t_star = blow_up_time(datum, cfg)
@@ -476,6 +498,10 @@ def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
     width = len(measure.MEASURE_COLUMNS)
     rows = []
     text = (input_dir / "measures.csv").read_text().strip().splitlines()
+    header = ",".join(measure.MEASURE_COLUMNS)
+    if len(text) < 2 or text[0] != header:
+        raise ConfigError(f"measures.csv needs the header {header!r} and at "
+                          f"least one row")
     for line in text[1:]:
         try:
             row = tuple(map(float, line.split(",")))

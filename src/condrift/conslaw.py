@@ -38,6 +38,7 @@ from .frames import GammaConfig, x_of_xi, xi_of_x
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
 MAX_CELL_STEPS = 10**10  # cell updates of one run_until call
+GRID_MARGIN = 1.1  # grid extent over the xi-image of the datum support
 # row indices of the two half-lines, and the sign that maps a row's xi to x
 LEFT, RIGHT = 0, 1
 SIGNS = (-1.0, 1.0)
@@ -146,10 +147,9 @@ def xi_extent_of_datum(datum: InitialDatum, cfg: GammaConfig) -> float:
     return float(abs(xi_of_x(reach, cfg)))
 
 
-def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int,
-              margin: float = 1.1) -> HalfLineGrid:
-    """Grid sized to ``margin`` times the xi-image of the datum support."""
-    extent = margin * xi_extent_of_datum(datum, cfg)
+def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int) -> HalfLineGrid:
+    """Grid sized to GRID_MARGIN times the xi-image of the datum support."""
+    extent = GRID_MARGIN * xi_extent_of_datum(datum, cfg)
     if extent <= 0:
         raise ValueError("datum support has empty xi-image")
     return HalfLineGrid(cell_count=cell_count, cell_width=extent / cell_count)

@@ -13,7 +13,7 @@ zero, which is how every structural diagnostic below reads the solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,18 +78,6 @@ class Violation:
     kind: str
     time: float
     detail: str
-
-
-@dataclass
-class DiagnosticReport:
-    violations: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-
-    def counts(self) -> dict:
-        out: dict = {}
-        for v in self.violations:
-            out[v.kind] = out.get(v.kind, 0) + 1
-        return out
 
 
 def _side_breakpoints(snap: Snapshot, row: int, cfg: GammaConfig):
@@ -240,8 +228,9 @@ def _oleinik_flags(ps: PseudoInverse, x_tol: float):
 
 
 def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
-                          datum: Optional[InitialDatum] = None) -> DiagnosticReport:
-    """Structural diagnostics of a solution series; collects, never raises.
+                          datum: Optional[InitialDatum] = None) -> list:
+    """Structural diagnostics of a solution series: the list of every
+    Violation found, in order of time.
 
     Checked per snapshot: initial-datum match (cumulative distributions at
     the breakpoints, when a datum is supplied), monotonicity and continuity
@@ -249,16 +238,14 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     does not touch the origin, the one-sided slope-jump admissibility
     pattern (kept only if stable under z-refinement), mass bookkeeping, and
     the sup-decay bound on rho * |x|^(1/(1+gamma)).  Across snapshots: the
-    concentrated mass must not decrease and the pseudo-inverse equation
-    residual X_t |X_z|^gamma + X is accumulated in a discrete L1 norm, a
-    metric only.
+    concentrated mass must not decrease.
     """
     if len(ms_series) == 0 or len(ms_series) != len(ps_series):
         raise ValueError("need matching non-empty snapshot series")
     times = [ms.time for ms in ms_series]
     if any(t2 <= t1 for t1, t2 in zip(times[:-1], times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
-    report = DiagnosticReport()
+    violations = []
     g = cfg.gamma
 
     M = max(ms_series[0].total_mass, 1e-300)
@@ -269,27 +256,23 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         ms0 = ms_series[0]
         F_ref = integrate_piecewise(datum, datum.a, ms0.F_x)
         sup_err = float(np.max(np.abs(F_ref - ms0.F_val)))
-        report.metrics["initial_cumulative_sup_error"] = sup_err
         if sup_err > 1e-8 * max(M, 1.0) or ms0.dirac_mass != 0.0:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "initial-datum", ms0.time,
                 f"cumulative mismatch {sup_err:.3e} or nonzero initial Dirac mass"))
 
     decay_bound = (1 + g) ** (-1 / (1 + g))
     prev_m = -math.inf
-    max_gap_rel = 0.0
-    worst_mass_err = 0.0
     for ms, ps in zip(ms_series, ps_series):
         t = ms.time
         # both the per-snapshot closure and conservation across snapshots
         mass_err = max(abs(ms.dirac_mass + ms.ac_mass - ms.total_mass),
                        abs(ms.total_mass - ms_series[0].total_mass))
-        worst_mass_err = max(worst_mass_err, mass_err)
         if mass_err > MASS_REL_TOL * max(ms.total_mass, 1.0):
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "mass-conservation", t, f"m + ac - M = {mass_err:.3e}"))
         if ms.dirac_mass < prev_m - 1e-12 * max(ms.total_mass, 1.0):
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "mass-monotonicity", t,
                 f"concentrated mass decreased from {prev_m} to {ms.dirac_mass}"))
         prev_m = max(prev_m, ms.dirac_mass)
@@ -298,7 +281,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
             lhs = ms.rho * np.abs(ms.x) ** (1 / (1 + g))
             bound = decay_bound * ms.sup_u_initial
             if float(lhs.max()) > bound * (1 + 1e-9):
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "decay-bound", t,
                     f"rho*|x|^(1/(1+gamma)) reached {lhs.max():.3e} > {bound:.3e}"))
 
@@ -307,7 +290,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         diam = max(ms.support[1] - ms.support[0], 1e-300)
         defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
         if defect > 1e-12 * diam:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "monotonicity", t, f"X decreases by {defect:.3e}"))
 
         interior = _interior_mask(ps, x_tol)
@@ -315,15 +298,14 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         if np.any(pair):
             gaps = np.diff(X)[pair]
             gap_tol = 10.0 * diam * (dz / ms.total_mass) ** (g / (1 + g))
-            max_gap_rel = max(max_gap_rel, float(gaps.max()) / diam)
             if float(gaps.max()) > gap_tol:
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "continuity", t,
                     f"interior gap {gaps.max():.3e} exceeds {gap_tol:.3e}"))
             if float(gaps.min()) <= 0.0:
                 j = int(np.nonzero(pair)[0][np.argmin(gaps)])
                 if abs(X[j]) > x_tol:
-                    report.violations.append(Violation(
+                    violations.append(Violation(
                         "interior-slope", t,
                         f"zero slope off the plateau at z={z[j]:.6f}, X={X[j]:.3e}"))
 
@@ -335,11 +317,11 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         median_slope = float(np.median(pos)) if pos.size else 0.0
         if median_slope > 0 and t > 0:
             if X[0] < -x_tol and slopes[0] < EDGE_SLOPE_FACTOR * median_slope:
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "edge-slope", t,
                     f"left edge slope {slopes[0]:.3e} not steep vs median {median_slope:.3e}"))
             if X[-1] > x_tol and slopes[-1] < EDGE_SLOPE_FACTOR * median_slope:
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "edge-slope", t,
                     f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
 
@@ -351,34 +333,12 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
             dz_c = coarse.z_grid[1] - coarse.z_grid[0]
             for j, ratio in flags:
                 if any(abs(z[j] - zc) <= 2 * dz_c for zc in coarse_z):
-                    report.violations.append(Violation(
+                    violations.append(Violation(
                         "oleinik", t,
                         f"inadmissible slope jump (ratio {ratio:.2f}) at "
                         f"z={z[j]:.6f}, X={X[j]:.3e}"))
 
-    # pseudo-inverse equation residual between consecutive snapshots
-    residuals = []
-    for (ms1, ps1), (ms2, ps2) in zip(zip(ms_series[:-1], ps_series[:-1]),
-                                      zip(ms_series[1:], ps_series[1:])):
-        if ps1.z_grid.size != ps2.z_grid.size:
-            continue
-        z = ps1.z_grid
-        dz = z[1] - z[0]
-        dt = ms2.time - ms1.time
-        X1, X2 = ps1.x_values, ps2.x_values
-        Xt = (X2 - X1) / dt
-        Xz = np.gradient(X1, dz)
-        resid = Xt * np.abs(Xz) ** g + X1
-        mask = _interior_mask(ps1, x_tol) & _interior_mask(
-            PseudoInverse(z, X1, ps2.plateau), x_tol)
-        l1 = float(np.sum(np.abs(resid[mask])) * dz)
-        residuals.append((ms1.time, l1))
-
-    report.metrics["eq_residual_l1"] = residuals
-    report.metrics["max_interior_gap_rel"] = max_gap_rel
-    report.metrics["max_mass_error"] = worst_mass_err
-    report.metrics["final_dirac_fraction"] = ms_series[-1].dirac_mass / M
-    return report
+    return violations
 
 
 def trace_onset_time(state: HalfLineState, threshold: float = 1e-2) -> tuple:

@@ -4,7 +4,9 @@ Exact Riemann solutions and the discrete total variation check the
 Godunov scheme; a per-segment loop checks the vectorized datum
 integration; a fixed-step RK4 integrator checks the closed-form
 characteristics.  The per-node slope-jump loop and the per-value CSV
-writer check their vectorized counterparts in ``measure`` and ``cli``.
+writer check their vectorized counterparts in ``measure`` and ``cli``;
+``eq_residual_l1`` measures how well sampled pseudo-inverses satisfy
+their equation.
 ``step_reference`` is a frozen copy of the straightforward Godunov step
 (unconditional clips, flux and increment as plain expressions) that the
 trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
@@ -28,7 +30,7 @@ from condrift.conslaw import (
     WorkBudgetExceeded,
     stable_dt,
 )
-from condrift.measure import SLOPE_JUMP_RATIO, _interior_mask
+from condrift.measure import SLOPE_JUMP_RATIO, PseudoInverse, _interior_mask
 from condrift.oracle import X_explicit, mass_explicit
 
 
@@ -170,6 +172,30 @@ def oleinik_flags_loop(ps, x_tol: float):
         elif ratio < 1.0 / SLOPE_JUMP_RATIO and x_here < -x_tol:
             flags.append((j, ratio))
     return flags
+
+
+def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:
+    """(t1, L1) per pair of consecutive snapshots on one z-grid: the
+    discrete L1 norm of the pseudo-inverse equation residual
+    X_t |X_z|^gamma + X, off the plateaus and the support edges."""
+    diam0 = max(ms_series[0].support[1] - ms_series[0].support[0], 1e-300)
+    x_tol = 1e-9 * diam0
+    residuals = []
+    for (ms1, ps1), (ms2, ps2) in zip(zip(ms_series[:-1], ps_series[:-1]),
+                                      zip(ms_series[1:], ps_series[1:])):
+        if ps1.z_grid.size != ps2.z_grid.size:
+            continue
+        z = ps1.z_grid
+        dz = z[1] - z[0]
+        dt = ms2.time - ms1.time
+        X1, X2 = ps1.x_values, ps2.x_values
+        Xt = (X2 - X1) / dt
+        Xz = np.gradient(X1, dz)
+        resid = Xt * np.abs(Xz) ** gamma + X1
+        mask = _interior_mask(ps1, x_tol) & _interior_mask(
+            PseudoInverse(z, X1, ps2.plateau), x_tol)
+        residuals.append((ms1.time, float(np.sum(np.abs(resid[mask])) * dz)))
+    return residuals
 
 
 def write_csv_per_value(path, header, rows) -> None:

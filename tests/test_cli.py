@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import condrift
-from condrift import cli, conslaw
+from condrift import cli, conslaw, oracle
 from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
@@ -355,15 +355,30 @@ HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
     ("characteristics", HUGE_BLOCK),
     ("simulate", {"datum": {"kind": "piecewise_constant",
                             "breakpoints": [0.0, 1e300], "values": [1.0]}}),
-    ("simulate", {"gamma": 1e6, "t_end": 1e-3, "snapshot_cadence": 5e-4}),
 ], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200",
-        "simulate-breakpoints-1e300", "simulate-gamma-1e6"])
+        "simulate-breakpoints-1e300"])
 def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
     # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step,
-    # sup**gamma in blow_up_time, and the moments and residuals of measure
-    # at a huge support or gamma overflow a float
+    # sup**gamma in blow_up_time, and the measure of a huge support
+    # overflow a float
     path = write_config(tmp_path, **override)
     fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
+
+
+def test_simulate_at_gamma_1e6_runs_with_finite_outputs(tmp_path, capsys):
+    gamma = 1e6
+    path = write_config(tmp_path, gamma=gamma, t_end=1e-3, snapshot_cadence=5e-4)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    for csv in out.glob("*.csv"):
+        table = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table)), csv.name
+    summary = json.loads((out / "summary.json").read_text())
+    # the explicit mass law is in the unit-height scale, whose mass is 1/(1+gamma)
+    assert summary["final_dirac_fraction"] == pytest.approx(
+        oracle.mass_explicit(1e-3, gamma) * (1 + gamma), rel=0.01)
 
 
 @pytest.mark.parametrize("override, horizon", [
@@ -396,7 +411,13 @@ def test_characteristics_radial_datum_at_negative_radius_exits_2(tmp_path):
      "zero mass"),
     ({"kind": "bogus"}, "unknown datum kind"),
     ({"kind": "piecewise_constant", "breakpoints": [0.0, 1.0]}, "invalid datum table"),
-], ids=["zero-mass", "unknown-kind", "no-values"])
+    ({"kind": ["example36"]}, "unknown datum kind"),
+    ({"kind": "example36", "breakpoints": [0, 5], "values": [3]},
+     "unknown datum keys ['breakpoints', 'values']"),
+    ({"kind": "piecewise_linear", "breakpoints": [0.0, 1.0], "values": [1.0, 0.5],
+      "height": 2.0}, "unknown datum keys ['height']"),
+], ids=["zero-mass", "unknown-kind", "no-values", "unhashable-kind",
+        "example36-with-table", "piecewise-extra-key"])
 def test_verify_rejects_a_bad_datum_with_one_json_line(tmp_path, datum, message):
     # verify runs the block, but the configured datum must still be valid
     path = write_config(tmp_path, datum=datum)
@@ -451,6 +472,25 @@ def test_cmd_convert_malformed_measures_exits_2(tmp_path, capsys, bad_row):
     error = json.loads(capsys.readouterr().err)
     assert error["exit_code"] == EXIT_CONFIG and "measures.csv" in error["error"]
     assert bad_row in error["error"]
+    assert not (tmp_path / "conv").exists()
+
+
+@pytest.mark.parametrize("edit", [lambda text: text.split("\n", 1)[1], lambda text: ""],
+                         ids=["headerless", "empty"])
+def test_cmd_convert_needs_the_measures_header_and_a_row(tmp_path, capsys, edit):
+    # a headerless file would lose its first snapshot as the header
+    path = write_config(tmp_path, t_end=0.5)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                 "--quiet"]) == 0
+    measures = run_dir / "measures.csv"
+    measures.write_text(edit(measures.read_text()))
+    capsys.readouterr()
+    code = main(["convert", "--input", str(run_dir), "--output",
+                 str(tmp_path / "conv"), "--quiet"])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["exit_code"] == EXIT_CONFIG and "measures.csv" in error["error"]
     assert not (tmp_path / "conv").exists()
 
 
@@ -661,9 +701,9 @@ ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
     ("simulate", ZERO_MASS, "zero mass"),
     ("verify", ZERO_MASS, "zero mass"),
     ("characteristics", ZERO_MASS, "zero mass"),
-    # verify's law run (to 4/gamma at cadence 0.5/gamma, 10^6 z-points) is past
-    # the output budget
-    ("verify", {"z_count": 10**6}, "budget"),
+    # the 9 snapshots of verify's law run (to 4/gamma at cadence 0.5/gamma)
+    # with 2*10^6 z-points each are past the row budget
+    ("verify", {"z_count": 2 * 10**6}, "budget"),
 ], ids=["simulate", "verify", "characteristics", "verify-law-run-budget"])
 def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, command, override,
                                                  message):
@@ -673,6 +713,17 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, command, over
                  "--quiet"]) == EXIT_CONFIG
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+
+
+def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):
+    # verify runs the block on its own times, so these simulate keys, which
+    # would ask simulate for about 3.8e8 CSV rows, leave it unaffected
+    path = write_config(tmp_path, t_end=50.0, snapshot_cadence=1e-4, grid_cells=64)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output", str(out),
+                 "--quiet"]) in (0, EXIT_VERIFY)
+    assert (out / "verify_report.txt").exists()
+    assert "budget" not in capsys.readouterr().err
 
 
 def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from condrift.conslaw import (
     run_until,
     stable_dt,
     step,
+    xi_extent_of_datum,
 )
 from condrift.datum import (
     block_datum,
@@ -412,7 +413,8 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
 def margin_state(cfg):
     """The block on a grid three times its support: hi falls far short of N."""
     datum = example_block_datum(cfg.gamma)
-    return init_from_datum(datum, make_grid(datum, cfg, 256, margin=3.0), cfg)
+    grid = HalfLineGrid(256, 3.0 * xi_extent_of_datum(datum, cfg) / 256)
+    return init_from_datum(datum, grid, cfg)
 
 
 def full_row_state(cfg):

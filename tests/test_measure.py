@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condrift.conslaw import HalfLineGrid, HalfLineState, init_from_datum, make_grid, run_until
-from condrift.datum import block_datum, example_block_datum
+from condrift.datum import block_datum, example_block_datum, integrate_piecewise
 from condrift.frames import GammaConfig
 from condrift.measure import (
     SLOPE_JUMP_RATIO,
@@ -19,7 +19,7 @@ from condrift.measure import (
     trace_onset_time,
     wasserstein_to_dirac,
 )
-from oracles import X_unit_mass, mass_unit_mass, oleinik_flags_loop
+from oracles import X_unit_mass, eq_residual_l1, mass_unit_mass, oleinik_flags_loop
 
 CFG = GammaConfig(gamma=1.0)
 
@@ -154,17 +154,19 @@ def test_check_passes_on_clean_simulation():
     times = [0.5, 1.0, 1.5, 2.0, 3.0]
     ms_series, datum = simulate_block(1.0, 1024, times)
     ps_series = [pseudo_inverse(ms, 1024) for ms in ms_series]
-    report = check_entropy_measure(ms_series, ps_series, CFG, datum=None)
-    assert not report.violations, report.violations
-    assert report.metrics["final_dirac_fraction"] > 0.4
+    violations = check_entropy_measure(ms_series, ps_series, CFG, datum=None)
+    assert not violations, violations
+    assert ms_series[-1].dirac_mass / ms_series[-1].total_mass > 0.4
 
 
 def test_check_initial_datum_cumulative_match():
     ms_series, datum = simulate_block(1.0, 512, [0.0, 0.5])
     ps_series = [pseudo_inverse(ms, 512) for ms in ms_series]
-    report = check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
-    assert not report.violations, report.violations
-    assert report.metrics["initial_cumulative_sup_error"] < 1e-12
+    violations = check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
+    assert not violations, violations
+    ms0 = ms_series[0]
+    sup_err = np.max(np.abs(integrate_piecewise(datum, datum.a, ms0.F_x) - ms0.F_val))
+    assert sup_err < 1e-12
 
 
 def test_check_stationary_condensed_state():
@@ -177,8 +179,8 @@ def test_check_stationary_condensed_state():
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
     ps_series = [pseudo_inverse(ms, 64) for ms in ms_series]
-    report = check_entropy_measure(ms_series, ps_series, CFG)
-    assert not report.violations, report.violations
+    violations = check_entropy_measure(ms_series, ps_series, CFG)
+    assert not violations, violations
 
 
 def test_check_requires_increasing_times():
@@ -252,8 +254,8 @@ def test_check_flags_inadmissible_jump_through_pipeline():
                        x=ms.x, rho=ms.rho, mass_weights=ms.mass_weights,
                        F_x=F_x, F_val=F_val, support=ms.support)
     ps_series = [pseudo_inverse(m, 257) for m in (ms, ms2)]
-    report = check_entropy_measure([ms, ms2], ps_series, CFG)
-    assert any(v.kind == "oleinik" for v in report.violations)
+    violations = check_entropy_measure([ms, ms2], ps_series, CFG)
+    assert any(v.kind == "oleinik" for v in violations)
 
 
 def test_equation_residual_first_order_on_explicit_solution():
@@ -272,9 +274,7 @@ def test_equation_residual_first_order_on_explicit_solution():
                               F_x=X, F_val=z, support=(0.0, 1.0))
             ms_list.append(ms)
             ps_list.append(PseudoInverse(z_grid=z, x_values=X, plateau=(0.0, m)))
-        report = check_entropy_measure(ms_list, ps_list,
-                                       GammaConfig(gamma=1.0))
-        return report.metrics["eq_residual_l1"][0][1]
+        return eq_residual_l1(ms_list, ps_list, 1.0)[0][1]
 
     coarse = residual(513, 0.02)
     fine = residual(1025, 0.01)
