@@ -6,11 +6,12 @@ configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
 error (including non-finite numbers, a datum key its kind does not read,
-a zero-mass datum, a radial datum with a breakpoint below 0, a convert
-input with dim other than 1, with a measures.csv that lacks its header
-or has no row, or with a row that is not six finite numbers with t >= 0,
-a run past the row budget MAX_OUTPUT_ROWS and a run past the cell-step
-budget conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
+a trace_threshold that is not positive, a zero-mass datum, a radial
+datum with a breakpoint below 0, a convert input with dim other than 1,
+with a measures.csv that lacks its header or has no row, or with a row
+that is not six finite numbers with t >= 0, a run past the row budget
+MAX_OUTPUT_ROWS and a run past the cell-step budget
+conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
 NaN produced while stepping, a coordinate map that underflows and a
 float overflow anywhere), 4 I/O error, 5 verification failed (a verify
 row reads FAIL; the report is written first).  Every error is one JSON
@@ -27,6 +28,7 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -110,6 +112,8 @@ class RunConfig:
             raise ConfigError("t_end must be nonnegative")
         if self.snapshot_cadence <= 0:
             raise ConfigError("snapshot_cadence must be positive")
+        if self.trace_threshold <= 0:
+            raise ConfigError("trace_threshold must be positive")
         if self.z_count < 16:
             raise ConfigError("z_count must be >= 16")
         if self.frame not in ("driftfree", "original"):
@@ -249,14 +253,20 @@ class SimulationResult:
     datum: InitialDatum
 
 
-def simulate(config: RunConfig) -> SimulationResult:
-    """Run the half-line solver and assemble measure snapshots."""
+def initial_state(config: RunConfig) -> tuple:
+    """The config's datum and the half-line state built from it."""
+    cfg = config.gamma_config()
+    datum = config.build_datum()
+    return datum, init_from_datum(datum, make_grid(datum, cfg, config.grid_cells), cfg)
+
+
+def simulate(config: RunConfig, start: Optional[tuple] = None) -> SimulationResult:
+    """Run the half-line solver and assemble measure snapshots; ``start``
+    is the ``initial_state`` of the config if it is already built."""
     if config.dim != 1:
         raise ConfigError("simulate requires dim = 1")
     cfg = config.gamma_config()
-    datum = config.build_datum()
-    grid = make_grid(datum, cfg, config.grid_cells)
-    state = init_from_datum(datum, grid, cfg)
+    datum, state = start or initial_state(config)
     snapshots: list = []
     run_until(state, config.t_end, config.cfl, cfg,
               observer=snapshots.append, cadence=config.snapshot_cadence)
@@ -338,7 +348,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     diagnostics, the convergence size grid_cells from its snapshot at
     0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
     read in the unit-mass scale through the exact dilation of the block
-    onto the unit-mass block on [0, 1].
+    onto the unit-mass block on [0, 1]. Both law-run budgets, cell steps
+    and snapshot rows, are checked before any solver run.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -346,6 +357,18 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     g = config.gamma
     cfg = GammaConfig(gamma=g, dim=1)
     rows = []
+
+    # one run to 4/gamma serves every row but the smaller convergence
+    # sizes; its snapshot at a time t equals a run that lands on t, to
+    # rounding. Its snapshots and their pseudo-inverses stay in memory.
+    law_cfg = RunConfig(gamma=g, datum={"kind": "example36"},
+                        grid_cells=config.grid_cells, cfl=config.cfl,
+                        t_end=4.0 / g, snapshot_cadence=0.5 / g,
+                        z_count=config.z_count)
+    law_start = initial_state(law_cfg)
+    conslaw.check_cell_steps(law_start[1], law_cfg.t_end, config.cfl, cfg)
+    _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
+                "law-run snapshot", "lower grid_cells or z_count")
 
     def add(name, status, value, target):
         rows.append((name, status, value, target))
@@ -367,16 +390,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             state = init_from_datum(datum, make_grid(datum, cfg, n), cfg)
             errors[n] = l1_error(run_until(state, t_probe, config.cfl, cfg))
 
-    # one run to 4/gamma serves every other row; its snapshot at a time t
-    # equals a run that lands on t, to rounding. Its snapshots and their
-    # pseudo-inverses stay in memory.
-    _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
-                "law-run snapshot", "lower grid_cells or z_count")
-    law_cfg = RunConfig(gamma=g, datum={"kind": "example36"},
-                        grid_cells=config.grid_cells, cfl=config.cfl,
-                        t_end=4.0 / g, snapshot_cadence=0.5 / g,
-                        z_count=config.z_count)
-    law_res = simulate(law_cfg)
+    law_res = simulate(law_cfg, law_start)
     ms2, ps2 = law_res.ms_series, law_res.ps_series
     times = np.array([ms.time for ms in ms2])
     if config.grid_cells in sizes:

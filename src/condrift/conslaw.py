@@ -23,6 +23,14 @@ mass and every speed points at the origin, so the empty cells beyond
 stay exactly +0.0.  It copies the state for snapshot interpolation only
 on the steps that reach a snapshot time.  ``step`` is the one-step case
 of the same stepper.
+
+A step makes one reduction: a max over the bit patterns of the updated
+cells.  A double with its sign bit clear orders like its unsigned bit
+pattern, every negative value (-0.0 included) has a pattern of at least
+0x8000..., and every NaN one above +inf's.  So a largest pattern below
++inf's proves every cell +0.0 or positive and finite, which is the case
+where the positivity guard has nothing to do, and the float with that
+pattern is the max that sets the next CFL step.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .frames import GammaConfig, x_of_xi, xi_of_x
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
 MAX_CELL_STEPS = 10**10  # cell updates of one run_until call
+INF_BITS = 0x7FF0000000000000  # bit pattern of +inf
 GRID_MARGIN = 1.1  # grid extent over the xi-image of the datum support
 # row indices of the two half-lines, and the sign that maps a row's xi to x
 LEFT, RIGHT = 0, 1
@@ -204,15 +213,32 @@ def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.n
     return flux
 
 
-def _cfl_dt(u: np.ndarray, cfl: float, cell_width: float, gamma: float) -> float:
-    """cfl * dxi / max(max(u)^gamma, EPS_SPEED)."""
-    speed = float(u.max(initial=0.0)) ** gamma
+def _cfl_dt(peak: float, cfl: float, cell_width: float, gamma: float) -> float:
+    """cfl * dxi / max(peak^gamma, EPS_SPEED), peak the largest cell value."""
+    speed = peak ** gamma
     return cfl * cell_width / max(speed, EPS_SPEED)
 
 
 def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
     """CFL time step cfl * dxi / max(speed) over both rows, floored at EPS_SPEED."""
-    return _cfl_dt(state.cells[state.rows], cfl, state.grid.cell_width, cfg.gamma)
+    return _cfl_dt(float(state.cells[state.rows].max(initial=0.0)), cfl,
+                   state.grid.cell_width, cfg.gamma)
+
+
+def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
+                     cfg: GammaConfig) -> None:
+    """Raise :class:`WorkBudgetExceeded` if stepping the state to t_end could
+    take more than MAX_CELL_STEPS cell updates.
+
+    The monotone scheme never raises max u, so no uncapped step is shorter
+    than the current ``stable_dt``, which bounds the step count.
+    """
+    steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+    cell_steps = state.cells[state.rows].size * steps
+    if cell_steps > MAX_CELL_STEPS:
+        raise WorkBudgetExceeded(
+            f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
+            f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
 
 
 def _clip_roundoff(u: np.ndarray, what: str) -> None:
@@ -232,8 +258,16 @@ class _Stepper:
     occupied column.  The columns beyond stay exactly +0.0 under the
     update (zero inflow, speeds toward the origin), so they are never
     touched.  The flux and increment go into buffers reused from step to
-    step.  The stepped rows' ledger is kept in Python floats; ``sync``
-    writes it back.
+    step; the flux buffer has one ghost column past the window, so one
+    subtraction gives every increment.  The stepped rows' ledger is kept
+    in Python floats; ``sync`` writes it back.
+
+    One reduction per step: the max over the cells' bit patterns (see the
+    module docstring).  Below +inf's pattern, every cell is +0.0 or
+    positive and finite, so the positivity guard would do nothing and the
+    float with that pattern is kept as the peak for the next ``dt``.
+    Otherwise the update made a NaN, an inf, a negative or a -0.0, and
+    the step runs ``_clip_roundoff`` and a float max.
     """
 
     def __init__(self, state: HalfLineState, cfl: float, cfg: GammaConfig):
@@ -247,33 +281,41 @@ class _Stepper:
         self.state, self.cfl, self.gamma = state, cfl, cfg.gamma
         self.width = state.grid.cell_width
         self.u = u = u[:, :hi]
-        self.flux = flux = np.empty_like(u)
-        self.increment = increment = np.empty_like(u)
+        self.bits = u.view(np.uint64)
+        self.increment = np.empty_like(u)
+        # the ghost column is never written: the last window cell's increment
+        # is ghost - flux, +0.0 - flux for the zero cell hi and -0.0 - flux
+        # (that is, -flux) past the grid's end
+        flux = np.empty((u.shape[0], hi + 1))
+        flux[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
         # views of the buffers, sliced once
-        self.flux_right, self.flux_left = flux[:, 1:], flux[:, :-1]
-        self.flux_last, self.outflux = flux[:, -1], flux[:, 0]
-        self.increment_inner, self.increment_last = increment[:, :-1], increment[:, -1]
-        # the last window cell's increment is ghost - flux: the zero cell hi
-        # gives +0.0 - flux; past the grid's end -0.0 - flux, which is -flux
-        self.ghost = np.array(0.0 if hi < state.grid.cell_count else -0.0)
+        self.flux_cells, self.flux_right, self.outflux = flux[:, :-1], flux[:, 1:], flux[:, 0]
+        # the largest bit pattern, and the same 8 bytes read as a float
+        self.peak_bits = np.zeros((), np.uint64)
+        self.peak_float = self.peak_bits.view(np.float64)
+        self.peak = float(u.max(initial=0.0))
         self.ledger = state.outflux_ledger[state.rows].tolist()
         self.boundary = state.cells[:, 0]
 
     def dt(self, dt_cap: Optional[float]) -> float:
         """The CFL step, capped by ``dt_cap`` if given."""
-        dt = _cfl_dt(self.u, self.cfl, self.width, self.gamma)
+        dt = _cfl_dt(self.peak, self.cfl, self.width, self.gamma)
         return dt if dt_cap is None else min(dt, dt_cap)
 
     def advance(self, dt: float) -> None:
-        """u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit check, the
-        ledger, the time and the trace."""
+        """u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit check and
+        the peak, the ledger, the time and the trace."""
         u, increment, state = self.u, self.increment, self.state
-        _flux(u, self.gamma, out=self.flux)
-        np.subtract(self.flux_right, self.flux_left, out=self.increment_inner)
-        np.subtract(self.ghost, self.flux_last, out=self.increment_last)
+        _flux(u, self.gamma, out=self.flux_cells)
+        np.subtract(self.flux_right, self.flux_cells, out=increment)
         increment *= dt / self.width
         u += increment
-        _clip_roundoff(u, "monotone update")
+        np.maximum.reduce(self.bits, axis=None, initial=0, out=self.peak_bits)
+        if self.peak_bits.item() < INF_BITS:
+            self.peak = self.peak_float.item()
+        else:
+            _clip_roundoff(u, "monotone update")
+            self.peak = float(u.max(initial=0.0))
         self.ledger = [mass + dt * out for mass, out in zip(self.ledger, self.outflux.tolist())]
         state.time += dt
         state.trace_times.append(state.time)
@@ -310,21 +352,14 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     of the cadence.
 
     Raises :class:`WorkBudgetExceeded` before the first step if the run
-    could take more than MAX_CELL_STEPS cell updates.  The monotone scheme
-    never raises max u, so no uncapped step is shorter than the current
-    ``stable_dt``, which bounds the step count.
+    could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``).
     """
     if t_end < state.time:
         raise ValueError("t_end precedes the current state time")
     if observer is not None and (cadence is None or cadence <= 0):
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise the first step raises CflViolation
-        steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
-        cell_steps = state.cells[state.rows].size * steps
-        if cell_steps > MAX_CELL_STEPS:
-            raise WorkBudgetExceeded(
-                f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
-                f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
+        check_cell_steps(state, t_end, cfl, cfg)
     tiny = 1e-12 * max(1.0, abs(t_end))
     next_snap = state.time
     last_snap = None

@@ -657,11 +657,8 @@ def test_cmd_verify_coarse_marks_convergence_informational(tmp_path, capsys):
     assert "FAIL" not in table.replace("pass/fail", "")
 
 
-@pytest.mark.parametrize("gamma, cells", list(VERIFY_REPORTS))
-def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypatch,
-                                                              gamma, cells):
-    # the convergence size grid_cells and the pseudo-inverse row come off
-    # the law run: two convergence runs and the law run build a stepper each
+def count_steppers(monkeypatch) -> list:
+    """The list that every _Stepper built from now on is appended to."""
     built = []
     real = conslaw._Stepper.__init__
 
@@ -670,6 +667,15 @@ def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypa
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(conslaw._Stepper, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("gamma, cells", list(VERIFY_REPORTS))
+def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypatch,
+                                                              gamma, cells):
+    # the convergence size grid_cells and the pseudo-inverse row come off
+    # the law run: two convergence runs and the law run build a stepper each
+    built = count_steppers(monkeypatch)
     path = write_config(tmp_path, gamma=gamma, grid_cells=cells, z_count=cells)
     out = tmp_path / "verify"
     report = VERIFY_REPORTS[gamma, cells]
@@ -704,15 +710,25 @@ ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
     # the 9 snapshots of verify's law run (to 4/gamma at cadence 0.5/gamma)
     # with 2*10^6 z-points each are past the row budget
     ("verify", {"z_count": 2 * 10**6}, "budget"),
-], ids=["simulate", "verify", "characteristics", "verify-law-run-budget"])
-def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, command, override,
-                                                 message):
+    # a threshold of 0 divided by zero in verify's onset tolerance, and a
+    # negative one made it complex; simulate ran with a meaningless onset
+    *((command, {"gamma": 1.5, "grid_cells": 64, "trace_threshold": threshold},
+       "config error: trace_threshold must be positive")
+      for command in ("simulate", "verify") for threshold in (0, -0.01)),
+], ids=["simulate", "verify", "characteristics", "verify-law-run-budget",
+        "simulate-threshold-0", "simulate-threshold-negative",
+        "verify-threshold-0", "verify-threshold-negative"])
+def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command,
+                                                 override, message):
+    # verify checks both law-run budgets before it builds any stepper
+    built = count_steppers(monkeypatch)
     path = write_config(tmp_path, **override)
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--output", str(out),
                  "--quiet"]) == EXIT_CONFIG
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+    assert built == []
 
 
 def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):

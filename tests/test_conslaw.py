@@ -527,6 +527,22 @@ def test_step_rejects_a_bad_cell_set_between_steps(gamma, bad):
         step(state, 0.9, cfg)
 
 
+@pytest.mark.parametrize("through", ["run_until", "step"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_run_until_raises_on_a_nan_made_by_the_update(rows, through):
+    # u^2/2 overflows to inf, so the first update makes inf - inf = NaN
+    # inside the window: the guard's slow path must see it mid-run
+    cells = np.zeros((2, 64))
+    cells[2 - rows:] = 1e200
+    state = HalfLineState(grid=HalfLineGrid(64, 1e190), cells=cells)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="monotone update"):
+        if through == "run_until":
+            run_until(state, 5e-10, 0.9, CFG)
+        else:
+            step(state, 0.9, CFG)
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_step_clips_roundoff_negatives_to_positive_zero(gamma):
     cfg = GammaConfig(gamma=gamma)
