@@ -23,6 +23,9 @@ from .frames import GammaConfig
 # halvings of each foot bracket: a unit bracket shrinks to 5e-20, below
 # the float spacing of any foot beyond 1e-3
 FOOT_HALVINGS = 64
+# brackets of one bisection block: whole rows of (times, points), so a
+# long time grid holds a few MB of temporaries, not eight full arrays
+BLOCK_POINTS = 1 << 16
 
 
 class ZeroDatum(ValueError):
@@ -67,10 +70,14 @@ def blow_up_time(datum: InitialDatum, cfg: GammaConfig) -> float:
 
     Exact smooth-breakdown time for radially non-increasing data; otherwise
     an upper bound (a shock may form earlier, see :func:`first_shock_time`).
+    Raises OverflowError when t* is past the largest float.
     """
     if datum.sup_value <= 0:
         raise ZeroDatum("blow-up time undefined for an identically zero datum")
-    return 1.0 / (cfg.gamma * cfg.dim * datum.sup_value**cfg.gamma)
+    rate = cfg.gamma * cfg.dim * datum.sup_value**cfg.gamma
+    if rate == 0.0 or math.isinf(1.0 / rate):
+        raise OverflowError(f"blow-up time 1/{rate} overflows: sup is {datum.sup_value}")
+    return 1.0 / rate
 
 
 def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
@@ -112,9 +119,10 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     return 1.0 / best if best > 0 else math.inf
 
 
-def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig,
+def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig,
                          horizon: float | None = None) -> np.ndarray:
-    """Density values at the points ``xs`` at time t in the smooth regime.
+    """Density values at the points ``xs`` at the time t, or at each time
+    of a 1-D array t, in the smooth regime.
 
     The foot x0 of each point is bracketed on the point's own side of the
     origin, with the outer end one float outside the support, and the
@@ -127,39 +135,65 @@ def evaluate_smooth_grid(xs, t: float, datum: InitialDatum, cfg: GammaConfig,
     edge, it gives the centered rarefaction fan.  Points outside the
     support are 0.
 
+    An array t gives one row per time, each equal byte for byte to the
+    call with that time alone; its positive times share the bisection as
+    a (times, points) bracket array, processed in blocks of whole rows
+    of at most BLOCK_POINTS brackets.
+
     ``horizon`` is the smooth horizon min(blow_up_time, first_shock_time)
     of this datum; a caller that evaluates several times passes it to
-    compute it once, and it is computed here when omitted.
+    compute it once, and it is computed here when omitted.  Every time
+    must lie in [0, horizon).
     """
-    if t < 0:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a time or a 1-D array of times")
+    if np.any(times < 0):
         raise ValueError("t must be nonnegative")
     if horizon is None:
         horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
-    if t >= horizon:
-        raise NotSmoothRegime(f"t={t} is past the smooth horizon {horizon}")
+    late = times >= horizon
+    if np.any(late):
+        raise NotSmoothRegime(f"t={times[late][0]} is past the smooth horizon {horizon}")
     xs = np.asarray(xs, dtype=float)
-    if t == 0.0:
-        return datum(xs)
     g, d = cfg.gamma, cfg.dim
-    rate = g * d * t
-    out = np.zeros_like(xs)
-    inside = (xs >= datum.a) & (xs <= datum.b) & (xs != 0)
-    x = xs[inside]
+    # a time too small for gamma*d*t to leave 0, as t = 0, moves nothing
+    rates = g * d * times.ravel()
+    if times.ndim == 0 and rates[0] == 0.0:
+        return datum(xs)
+    flat = xs.ravel()
+    out = np.zeros((rates.size, flat.size))
+    out[rates == 0.0] = datum(flat)
+    inside = (flat >= datum.a) & (flat <= datum.b) & (flat != 0)
+    origin = flat == 0
+    x = flat[inside]
     right = x > 0
-    lo = np.where(right, max(datum.a, 0.0), np.nextafter(datum.a, -np.inf))
-    hi = np.where(right, np.nextafter(datum.b, np.inf), min(datum.b, 0.0))
-    for _ in range(FOOT_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = mid * (1.0 - rate * datum(mid) ** g) ** ((1 + g) / (g * d)) <= x
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    f_lo, f_hi = datum(lo), datum(hi)
-    # the end away from the origin is never 0; clipped, it is the exact
-    # support edge when the bracket straddles one
-    x0 = np.clip(np.where(right, hi, lo), datum.a, datum.b)
-    s = (x / x0) ** (g * d / (1 + g))
-    u0 = np.clip(((1.0 - s) / rate) ** (1 / g),
-                 np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
-    out[inside] = u0 / (1.0 - rate * u0**g) ** (1 / g)
-    out[xs == 0] = advance(0.0, t, datum, cfg).value
-    return out
+    lo0 = np.where(right, max(datum.a, 0.0), np.nextafter(datum.a, -np.inf))
+    hi0 = np.where(right, np.nextafter(datum.b, np.inf), min(datum.b, 0.0))
+    moving = np.flatnonzero(rates > 0.0)
+    per_block = max(1, BLOCK_POINTS // max(x.size, 1))
+    for first in range(0, moving.size, per_block):
+        block = moving[first:first + per_block]
+        rate = rates[block, None]
+        lo, hi = lo0, hi0
+        for _ in range(FOOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            below = mid * (1.0 - rate * datum(mid) ** g) ** ((1 + g) / (g * d)) <= x
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        f_lo, f_hi = datum(lo), datum(hi)
+        # the end away from the origin is never 0; clipped, it is the exact
+        # support edge when the bracket straddles one
+        x0 = np.clip(np.where(right, hi, lo), datum.a, datum.b)
+        s = (x / x0) ** (g * d / (1 + g))
+        # at a tiny t the roundoff of 1 - s over the rate can pass the
+        # largest float; the clip then takes the datum value
+        with np.errstate(over="ignore"):
+            u0 = np.clip(((1.0 - s) / rate) ** (1 / g),
+                         np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
+        values = np.zeros((block.size, flat.size))
+        values[:, inside] = u0 / (1.0 - rate * u0**g) ** (1 / g)
+        values[:, origin] = [[advance(0.0, float(t), datum, cfg).value]
+                             for t in times.ravel()[block]]
+        out[block] = values
+    return out.reshape(times.shape + xs.shape)

@@ -334,7 +334,7 @@ def _write_trace_ledger(out_dir: Path, state: conslaw.HalfLineState,
     for row, side in enumerate(SIDES):
         write_csv(out_dir / f"ledger_{side}.csv",
                   ["t", "trace_u0", "outflux_cumulative"],
-                  zip(times, values[:, row], cumulative[:, row]))
+                  np.column_stack([times, values[:, row], cumulative[:, row]]))
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -349,7 +349,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
     read in the unit-mass scale through the exact dilation of the block
     onto the unit-mass block on [0, 1]. Both law-run budgets, cell steps
-    and snapshot rows, are checked before any solver run.
+    and snapshot rows, are checked before any solver run; the cell steps
+    are checked on the block's table (conslaw.screen_cell_steps), and on
+    the law run's built cells only when the table's bounds straddle the
+    budget.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -365,8 +368,12 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         grid_cells=config.grid_cells, cfl=config.cfl,
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
-    law_start = initial_state(law_cfg)
-    conslaw.check_cell_steps(law_start[1], law_cfg.t_end, config.cfl, cfg)
+    law_datum = example_block_datum(g)
+    law_start = None
+    if conslaw.screen_cell_steps(law_datum, make_grid(law_datum, cfg, config.grid_cells),
+                                 law_cfg.t_end, config.cfl, cfg):
+        law_start = initial_state(law_cfg)
+        conslaw.check_cell_steps(law_start[1], law_cfg.t_end, config.cfl, cfg)
     _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
 
@@ -480,11 +487,11 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
         raise NotSmoothRegime(
             f"t_end={config.t_end} is past the smooth horizon {horizon}")
     xs = np.linspace(datum.a, datum.b, config.grid_cells)
-    times = np.arange(0.0, config.t_end + 1e-12, config.snapshot_cadence)
-    if times[-1] < config.t_end:
-        times = np.append(times, config.t_end)
-    rho = [evaluate_smooth_grid(xs, float(t), datum, cfg, horizon=horizon)
-           for t in times]
+    # 0 and the k * cadence short of t_end by more than 1e-12, then t_end
+    times = np.arange(0.0, config.t_end, config.snapshot_cadence)
+    times = np.append(times[(times == 0.0) | (times < config.t_end - 1e-12)],
+                      config.t_end)
+    rho = evaluate_smooth_grid(xs, times, datum, cfg, horizon=horizon)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"],
                  ((t, xs, r) for t, r in zip(times, rho)))

@@ -234,7 +234,40 @@ def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
     than the current ``stable_dt``, which bounds the step count.
     """
     steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
-    cell_steps = state.cells[state.rows].size * steps
+    _check_cell_count(state.cells[state.rows].size * steps)
+
+
+def screen_cell_steps(datum: InitialDatum, grid: HalfLineGrid, t_end: float,
+                      cfl: float, cfg: GammaConfig) -> bool:
+    """Check the run of ``init_from_datum(datum, grid, cfg)`` from t = 0
+    to t_end against MAX_CELL_STEPS without building its cells.
+
+    Raises :class:`WorkBudgetExceeded` when the fewest cell steps the
+    datum allows exceed the budget, and returns whether the most it
+    allows do, in which case only :func:`check_cell_steps` on the built
+    state decides.  A side's cell averages sum to its mass over dxi on
+    the cells that meet (0, reach], reach the xi-extent of the support,
+    so the largest is at least mass / (reach + 2 dxi) on the heavier
+    side; u_I = (gamma*xi)^(1/gamma) * f is at most
+    (gamma*reach)^(1/gamma) * sup f.  One or two rows are stepped.  The
+    count grows with the largest average; a relative 1e-6 covers the
+    roundoff of the averages.
+    """
+    reach = xi_extent_of_datum(datum, cfg)
+    origin = min(max(0.0, datum.a), datum.b)
+    side_mass = integrate_piecewise(datum, [datum.a, origin], [origin, datum.b])
+    low = float(side_mass.max()) / (reach + 2 * grid.cell_width) * (1 - 1e-6)
+    high = (cfg.gamma * reach) ** (1 / cfg.gamma) * datum.sup_value * (1 + 1e-6)
+
+    def cell_steps(rows: int, peak: float) -> float:
+        dt = _cfl_dt(peak, cfl, grid.cell_width, cfg.gamma)
+        return rows * grid.cell_count * np.ceil(t_end / dt)
+
+    _check_cell_count(cell_steps(1, low))
+    return cell_steps(2, high) > MAX_CELL_STEPS
+
+
+def _check_cell_count(cell_steps: float) -> None:
     if cell_steps > MAX_CELL_STEPS:
         raise WorkBudgetExceeded(
             f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "

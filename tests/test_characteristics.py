@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condrift import characteristics
 from condrift.characteristics import (
     NotSmoothRegime,
     ZeroDatum,
@@ -196,11 +198,47 @@ def test_first_shock_at_a_zero_on_the_origin_is_finite_without_warnings(dim):
     assert t == pytest.approx(1.0 / (0.5 * (dim + 1.5)), rel=1e-14)
 
 
+def test_blow_up_time_past_the_largest_float_raises_overflow():
+    # sup^gamma underflows to 0, then to a value whose reciprocal is inf
+    for sup in (6.13e-264, 3e-155):
+        with pytest.raises(OverflowError):
+            blow_up_time(block_datum(sup, 0.0, 1.0), GammaConfig(gamma=2.0))
+
+
 def test_evaluate_smooth_identity_at_zero_time():
     datum = tent_datum()
     cfg = GammaConfig(gamma=1.0)
     xs = np.linspace(-0.2, 1.2, 23)
     assert np.allclose(evaluate_smooth_grid(xs, 0.0, datum, cfg), datum(xs))
+
+
+def test_evaluate_smooth_at_a_time_whose_rate_underflows_is_the_datum():
+    # gamma*d*t = 0.5 * 5e-324 rounds to 0: no characteristic moves, and
+    # the fan formula, which divides by the rate, must not run
+    datum = example_block_datum(0.5)
+    cfg = GammaConfig(gamma=0.5)
+    xs = np.linspace(-0.1, 0.8, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = evaluate_smooth_grid(xs, 5e-324, datum, cfg)
+        batched = evaluate_smooth_grid(xs, [5e-324, 0.0], datum, cfg)
+    assert single.tobytes() == datum(xs).tobytes()
+    assert batched.tobytes() == np.stack([datum(xs)] * 2).tobytes()
+
+
+@pytest.mark.parametrize("gamma, dim", [(0.3, 1), (0.3, 2), (0.5, 2), (2.0, 1)])
+def test_evaluate_smooth_at_tiny_times_is_the_datum(gamma, dim):
+    # the roundoff of 1 - s over a rate of 1e-200 or less, raised to
+    # 1/gamma > 1, passes the largest float; under main's errstate that
+    # raised, and exited 3, before the clip to the datum values could act
+    datum = piecewise_constant([0.0, 0.3, 1.0], [1.0, 0.5])
+    cfg = GammaConfig(gamma=gamma, dim=dim)
+    xs = np.linspace(0.0, 1.0, 257)
+    off_jumps = ~np.isin(xs, datum.breakpoints)
+    with np.errstate(over="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = evaluate_smooth_grid(xs, [5e-324, 1e-320, 1e-300, 1e-200], datum, cfg)
+    assert np.all(rows[:, off_jumps] == datum(xs[off_jumps]))
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -247,6 +285,81 @@ def test_evaluate_smooth_grid_given_horizon_is_bit_identical():
         evaluate_smooth_grid(xs, horizon, datum, cfg, horizon=horizon)
     with pytest.raises(ValueError):
         evaluate_smooth_grid(xs, -0.1, datum, cfg, horizon=horizon)
+
+
+@st.composite
+def smooth_cases(draw):
+    """(datum, cfg, xs, times): a constant or linear table, dim 1 or 2,
+    that is smooth up to its horizon (constant values fall away from the
+    origin, linear values are positive); xs hold 0, the breakpoints and
+    points outside the support, times hold 0 and the float just below
+    the horizon."""
+    kind = draw(st.sampled_from(["constant", "linear"]))
+    dim = draw(st.sampled_from([1, 2]))
+    gamma = draw(st.floats(0.3, 3.0))
+    n = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    count = n + (kind == "linear")
+    values = draw(st.lists(st.floats(0.05, 2.0), min_size=count, max_size=count))
+    left = draw(st.floats(0.0, 0.9)) if dim == 1 else 0.0
+    breakpoints = np.cumsum([0.0] + widths)
+    breakpoints -= left * breakpoints[-1]
+    if kind == "constant":
+        # the larger values on the segments nearer the origin
+        distance = np.maximum(np.maximum(breakpoints[:-1], -breakpoints[1:]), 0.0)
+        values = np.sort(values)[::-1][np.argsort(np.argsort(distance, kind="stable"))]
+        datum = piecewise_constant(breakpoints, values)
+    else:
+        datum = piecewise_linear(breakpoints, values)
+    cfg = GammaConfig(gamma=gamma, dim=dim)
+    horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
+    span = breakpoints[-1] - breakpoints[0]
+    xs = np.concatenate([
+        np.linspace(breakpoints[0] - 0.2 * span, breakpoints[-1] + 0.2 * span,
+                    draw(st.integers(2, 60))),
+        breakpoints, [0.0]])
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5))
+    times = np.array([0.0, *(f * horizon for f in fractions),
+                      np.nextafter(horizon, 0.0)])
+    return (datum, cfg, np.array(draw(st.permutations(xs))),
+            np.array(draw(st.permutations(times))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(smooth_cases(), st.integers(1, 200))
+def test_batched_times_equal_the_per_time_rows(case, block_points):
+    # small blocks split the (times, points) brackets into several blocks
+    datum, cfg, xs, times = case
+    stacked = np.stack([evaluate_smooth_grid(xs, float(t), datum, cfg) for t in times])
+    with mock.patch.object(characteristics, "BLOCK_POINTS", block_points):
+        batched = evaluate_smooth_grid(xs, times, datum, cfg)
+    assert batched.shape == (times.size, xs.size)
+    assert batched.tobytes() == stacked.tobytes()
+
+
+def test_batched_times_past_one_block_equal_the_per_time_rows():
+    # three positive times of 30 001 points at the default block size: a
+    # block of two rows, then one of one row
+    datum = piecewise_linear([-0.5, -0.2, 0.0, 0.3, 0.6], [0.4, 0.7, 1.0, 0.6, 0.4])
+    cfg = GammaConfig(gamma=1.5)
+    xs = np.linspace(-0.6, 0.7, 30_001)
+    times = np.array([0.2, 0.0, 0.5, 0.9]) * blow_up_time(datum, cfg)
+    assert 2 * xs.size <= characteristics.BLOCK_POINTS < 3 * xs.size
+    stacked = np.stack([evaluate_smooth_grid(xs, t, datum, cfg) for t in times])
+    assert evaluate_smooth_grid(xs, times, datum, cfg).tobytes() == stacked.tobytes()
+
+
+def test_batched_times_are_each_checked():
+    datum = tent_datum()
+    cfg = GammaConfig(gamma=1.0)  # the horizon is 1, the blow-up time
+    xs = np.linspace(-0.2, 1.2, 15)
+    with pytest.raises(ValueError):
+        evaluate_smooth_grid(xs, [0.0, 0.5, -1e-300], datum, cfg)
+    with pytest.raises(NotSmoothRegime):
+        evaluate_smooth_grid(xs, [0.0, 1.0, 0.5], datum, cfg)
+    with pytest.raises(ValueError):
+        evaluate_smooth_grid(xs, [[0.1, 0.2]], datum, cfg)
+    assert evaluate_smooth_grid(xs, [], datum, cfg).shape == (0, 15)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import condrift
 from condrift import cli, conslaw, oracle
@@ -178,7 +183,8 @@ def test_blocked_outputs_match_per_value_format(tmp_path):
                  str(chars), "--quiet"]) == 0
     smooth = load_config(str(path)).build_datum()
     xs = np.linspace(-0.4, 0.5, 64)
-    times = np.arange(0.0, 0.6 + 1e-12, 0.2)  # the last one is 0.6000000000000001
+    # k * 0.2 short of t_end, then t_end itself, not 3 * 0.2 = 0.6000000000000001
+    times = [0.0, 0.2, 0.4, 0.6]
     write_csv_per_value(reference, ["t", "x", "rho"], [
         (t, x, r) for t in times
         for x, r in zip(xs, evaluate_smooth_grid(xs, t, smooth,
@@ -355,12 +361,14 @@ HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
     ("characteristics", HUGE_BLOCK),
     ("simulate", {"datum": {"kind": "piecewise_constant",
                             "breakpoints": [0.0, 1e300], "values": [1.0]}}),
+    ("characteristics", {"gamma": 2.0, "datum": {
+        "kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "values": [6e-264]}}),
 ], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200",
-        "simulate-breakpoints-1e300"])
+        "simulate-breakpoints-1e300", "characteristics-values-6e-264"])
 def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
     # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step,
-    # sup**gamma in blow_up_time, and the measure of a huge support
-    # overflow a float
+    # sup**gamma in blow_up_time, the measure of a huge support, and the
+    # blow-up time of a datum whose sup**gamma underflows overflow a float
     path = write_config(tmp_path, **override)
     fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
 
@@ -618,6 +626,98 @@ def test_cmd_characteristics_computes_the_horizon_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+TENT = {"kind": "piecewise_linear", "breakpoints": [0.0, 0.5, 1.0],
+        "values": [1.0, 1.0, 0.0]}
+
+
+def block_times(csv: Path) -> list:
+    """The t of each block of a blocked CSV file, in order."""
+    lines = csv.read_text().splitlines()[1:]
+    return list(dict.fromkeys(float(line.split(",", 1)[0]) for line in lines))
+
+
+@pytest.mark.parametrize("t_end, cadence, times", [
+    (0.9, 0.225, [k * 0.225 for k in range(4)] + [0.9]),
+    # 3 * 0.1 = 0.30000000000000004 and 3 * 0.2 = 0.6000000000000001
+    # overshot t_end
+    (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),
+    (0.6, 0.2, [0.0, 0.2, 0.4, 0.6]),
+    # 4 * 0.125 is short of t_end by less than 1e-12: t_end stands for it
+    (0.5 + 5e-13, 0.125, [0.0, 0.125, 0.25, 0.375, 0.5 + 5e-13]),
+    (1e-13, 0.25, [0.0, 1e-13]),
+    (0.0, 0.25, [0.0]),
+], ids=["workload", "0.3-by-0.1", "0.6-by-0.2", "just-past-a-multiple", "tiny", "zero"])
+def test_characteristics_time_grid_ends_at_t_end(tmp_path, t_end, cadence, times):
+    path = write_config(tmp_path, t_end=t_end, snapshot_cadence=cadence,
+                        grid_cells=16, datum=TENT)
+    out = tmp_path / "chars"
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(out), "--quiet"]) == 0
+    assert block_times(out / "characteristics.csv") == times
+
+
+def test_characteristics_runs_to_a_t_end_just_inside_the_horizon(tmp_path):
+    # sup 1/nextafter(0.3, 1) puts the blow-up time at 0.30000000000000004:
+    # t_end 0.3 lies inside it, 3 * 0.1 does not
+    sup = 1.0 / np.nextafter(0.3, 1.0)
+    path = write_config(tmp_path, t_end=0.3, snapshot_cadence=0.1, grid_cells=16,
+                        datum={**TENT, "values": [sup, sup, 0.0]})
+    out = tmp_path / "chars"
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(out), "--quiet"]) == 0
+    report = json.loads((out / "characteristics_report.json").read_text())
+    assert report["t_star_smooth"] == np.nextafter(0.3, 1.0)
+    assert block_times(out / "characteristics.csv") == [0.0, 0.1, 0.2, 0.3]
+
+
+@st.composite
+def characteristics_configs(draw):
+    """Config dicts for characteristics, valid or not: at most 256 cells
+    and 20 output times."""
+    kind = draw(st.sampled_from(["example36", "piecewise_constant", "piecewise_linear"]))
+    datum = {"kind": kind}
+    if kind != "example36":
+        n = draw(st.integers(1, 4))
+        start = draw(st.floats(-1.0, 0.5))
+        widths = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        count = n + (kind == "piecewise_linear")
+        value = st.floats(0.0, 3.0)
+        datum.update(breakpoints=[float(x) for x in np.cumsum([start] + widths)],
+                     values=draw(st.lists(value, min_size=count, max_size=count)))
+    t_end = draw(st.floats(0.0, 1.5))
+    return {"gamma": draw(st.floats(0.2, 4.0)), "dim": draw(st.integers(1, 3)),
+            "datum": datum, "grid_cells": draw(st.integers(8, 256)), "t_end": t_end,
+            "snapshot_cadence": draw(st.floats(max(t_end / 19, 1e-3), 2.0))}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(characteristics_configs())
+def test_characteristics_config_fuzz(raw):
+    # every config runs, or fails with one JSON error and exit 2 or 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(raw))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["characteristics", "--config", str(path), "--output",
+                         str(out), "--quiet"])
+        event(f"exit {code}")
+        assert code in (0, EXIT_CONFIG, EXIT_NUMERICAL)
+        if stderr.getvalue():
+            error = json.loads(stderr.getvalue())
+            assert error["exit_code"] == code
+        else:
+            assert code == 0
+        if code != 0:
+            assert not out.exists()
+        else:
+            rows = np.loadtxt(out / "characteristics.csv", delimiter=",", skiprows=1,
+                              ndmin=2)
+            assert np.all(np.isfinite(rows)) and np.all(rows[:, 2] >= 0)
+            assert rows[-1, 0] == raw["t_end"]
+            assert len(block_times(out / "characteristics.csv")) <= 20
+
+
 def test_characteristics_cross_check_against_solver(tmp_path):
     # the smooth solution and the finite-volume run agree at t*/2
     from condrift import evaluate_smooth_grid, piecewise_linear
@@ -729,6 +829,31 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, 
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
     assert built == []
+
+
+@pytest.mark.parametrize("cells, averaged", [(10**7, 0), (60_000, 2)],
+                         ids=["screened", "counted"])
+def test_verify_counts_cell_steps_before_building_a_large_state(tmp_path, capsys,
+                                                                monkeypatch, cells,
+                                                                averaged):
+    # the law run's datum table rejects 10^7 cells (about 4e14 cell steps)
+    # before its (2, 10^7) state exists; at 60 000 cells (about 1.5e10)
+    # the table's bounds straddle the budget and the built state decides
+    built = []
+
+    def counted(*args, real=conslaw._cell_averages):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conslaw, "_cell_averages", counted)
+    steppers = count_steppers(monkeypatch)
+    path = write_config(tmp_path, grid_cells=cells)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert "cell-step budget" in json.loads(capsys.readouterr().err)["error"]
+    assert len(built) == averaged
+    assert steppers == [] and not out.exists()
 
 
 def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):

@@ -10,10 +10,13 @@ from condrift.conslaw import (
     HalfLineGrid,
     HalfLineState,
     SupportOverflow,
+    WorkBudgetExceeded,
+    check_cell_steps,
     godunov_flux,
     init_from_datum,
     make_grid,
     run_until,
+    screen_cell_steps,
     stable_dt,
     step,
     xi_extent_of_datum,
@@ -604,3 +607,32 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
                                rtol=1e-13, atol=0)
     np.testing.assert_allclose(unit_ps.x_values, (1.0 + gamma) * block_ps.x_values,
                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("datum, gamma, t_end", [
+    (example_block_datum(0.5), 0.5, 8.0),
+    (example_block_datum(1.0), 1.0, 4.0),
+    (example_block_datum(2.0), 2.0, 2.0),
+    (two_sided_datum(), 1.5, 1.0),
+], ids=["block-0.5", "block-1", "block-2", "two-sided"])
+def test_screen_cell_steps_agrees_with_the_exact_count(datum, gamma, t_end):
+    # the screen rejects only what the exact count rejects and passes only
+    # what it passes; the sizes between, near the budget, it leaves to it
+    cfg = GammaConfig(gamma=gamma)
+    sizes = np.geomspace(10_000, 200_000, 14).astype(int)
+    outcomes = []
+    for n in sizes:
+        grid = make_grid(datum, cfg, int(n))
+        try:
+            check_cell_steps(init_from_datum(datum, grid, cfg), t_end, 0.9, cfg)
+            exact = "pass"
+        except WorkBudgetExceeded:
+            exact = "reject"
+        try:
+            screened = "exact" if screen_cell_steps(datum, grid, t_end, 0.9, cfg) else "pass"
+        except WorkBudgetExceeded:
+            screened = "reject"
+        assert screened in (exact, "exact"), n
+        outcomes.append(screened)
+    assert {"pass", "reject"} < set(outcomes)
+    assert outcomes.count("exact") < sizes.size // 2
