@@ -22,19 +22,29 @@ steps only through the last occupied column: the far ghost feeds no
 mass and every speed points at the origin, so the empty cells beyond
 stay exactly +0.0.  It copies the state for snapshot interpolation only
 on the steps that reach a snapshot time.  ``step`` is the one-step case
-of the same stepper.
+of the same loop.
 
-A step makes one reduction: a max over the bit patterns of the updated
-cells.  A double with its sign bit clear orders like its unsigned bit
-pattern, every negative value (-0.0 included) has a pattern of at least
-0x8000..., and every NaN one above +inf's.  So a largest pattern below
-+inf's proves every cell +0.0 or positive and finite, which is the case
-where the positivity guard has nothing to do, and the float with that
-pattern is the max that sets the next CFL step.
+A step is six array passes: the flux's power and divide, the
+subtraction, the scaling, the update, and one reduction, a max over the
+bit patterns of the updated cells.  A double with its sign bit clear
+orders like its unsigned bit pattern, every negative value (-0.0
+included) has a pattern of at least 0x8000..., and every NaN one above
++inf's.  So a largest pattern below +inf's proves every cell +0.0 or
+positive and finite, which is the case where the positivity guard has
+nothing to do, and the float with that pattern is the max that sets the
+next CFL step.
+
+A step does not add its outflux to the ledger: it appends ``dt`` and the
+rows' outflux to two lists, and the run folds them into the ledger with
+one sequential ``np.add.accumulate`` at each step that reaches a snapshot
+time and at the end.  The accumulate adds the products dt * outflux in
+step order, left to right, so the ledger equals the per-step float sum
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -138,7 +148,7 @@ class HalfLineState(Snapshot):
         np.maximum(self.cells, 0.0, out=self.cells)
         if not self.trace_times:
             self.trace_times.append(self.time)
-            self.trace_values.append(self.cells[:, 0].copy())
+            self.trace_values.append(self.cells[:, 0].tolist())
         if self.sup_initial == 0.0:
             self.sup_initial = float(self.cells.max(initial=0.0))
         occupied = np.flatnonzero(self.cells.any(axis=1))
@@ -208,7 +218,7 @@ def godunov_flux(u_upwind, cfg: GammaConfig):
 
 def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """u^(1+gamma)/(1+gamma) of a nonnegative array, into ``out`` or one new array."""
-    flux = np.power(u, 1 + gamma, out=out)
+    flux = np.power(u, 1 + gamma, out)
     flux /= 1 + gamma
     return flux
 
@@ -226,15 +236,17 @@ def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
 
 
 def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
-                     cfg: GammaConfig) -> None:
-    """Raise :class:`WorkBudgetExceeded` if stepping the state to t_end could
-    take more than MAX_CELL_STEPS cell updates.
+                     cfg: GammaConfig) -> float:
+    """The most uncapped steps that stepping the state to t_end can take;
+    raises :class:`WorkBudgetExceeded` if they could make more than
+    MAX_CELL_STEPS cell updates.
 
     The monotone scheme never raises max u, so no uncapped step is shorter
     than the current ``stable_dt``, which bounds the step count.
     """
     steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
     _check_cell_count(state.cells[state.rows].size * steps)
+    return float(steps)
 
 
 def screen_cell_steps(datum: InitialDatum, grid: HalfLineGrid, t_end: float,
@@ -292,15 +304,15 @@ class _Stepper:
     update (zero inflow, speeds toward the origin), so they are never
     touched.  The flux and increment go into buffers reused from step to
     step; the flux buffer has one ghost column past the window, so one
-    subtraction gives every increment.  The stepped rows' ledger is kept
-    in Python floats; ``sync`` writes it back.
+    subtraction gives every increment.
 
-    One reduction per step: the max over the cells' bit patterns (see the
-    module docstring).  Below +inf's pattern, every cell is +0.0 or
-    positive and finite, so the positivity guard would do nothing and the
-    float with that pattern is kept as the peak for the next ``dt``.
-    Otherwise the update made a NaN, an inf, a negative or a -0.0, and
-    the step runs ``_clip_roundoff`` and a float max.
+    ``run`` binds the buffers, ufuncs and scalars to locals once, so a
+    step is its six array passes and no Python call but ``_flux``.  When
+    the max of the cells' bit patterns reaches +inf's (a NaN, an inf, a
+    negative or a -0.0; see the module docstring), the step runs
+    ``_clip_roundoff`` and a float max.  Each step appends its ``dt`` and
+    the rows' outflux to two lists, which ``_fold`` adds to the ledger at
+    the steps that reach a snapshot time and when the run ends.
     """
 
     def __init__(self, state: HalfLineState, cfl: float, cfg: GammaConfig):
@@ -327,36 +339,92 @@ class _Stepper:
         self.peak_bits = np.zeros((), np.uint64)
         self.peak_float = self.peak_bits.view(np.float64)
         self.peak = float(u.max(initial=0.0))
-        self.ledger = state.outflux_ledger[state.rows].tolist()
-        self.boundary = state.cells[:, 0]
 
-    def dt(self, dt_cap: Optional[float]) -> float:
-        """The CFL step, capped by ``dt_cap`` if given."""
-        dt = _cfl_dt(self.peak, self.cfl, self.width, self.gamma)
-        return dt if dt_cap is None else min(dt, dt_cap)
+    def _fold(self, dts: list, outs: list) -> np.ndarray:
+        """Add the pending steps' dt * outflux to the stepped rows' ledger and
+        empty both lists; returns the ledger before the last pending step.
 
-    def advance(self, dt: float) -> None:
-        """u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit check and
-        the peak, the ledger, the time and the trace."""
-        u, increment, state = self.u, self.increment, self.state
-        _flux(u, self.gamma, out=self.flux_cells)
-        np.subtract(self.flux_right, self.flux_cells, out=increment)
-        increment *= dt / self.width
-        u += increment
-        np.maximum.reduce(self.bits, axis=None, initial=0, out=self.peak_bits)
-        if self.peak_bits.item() < INF_BITS:
-            self.peak = self.peak_float.item()
-        else:
-            _clip_roundoff(u, "monotone update")
-            self.peak = float(u.max(initial=0.0))
-        self.ledger = [mass + dt * out for mass, out in zip(self.ledger, self.outflux.tolist())]
-        state.time += dt
-        state.trace_times.append(state.time)
-        state.trace_values.append(self.boundary.copy())
+        ``add.accumulate`` adds row after row, left to right, so the ledger
+        has the bits of adding each step's outflux as it is made."""
+        state = self.state
+        sums = np.add.accumulate(np.concatenate(
+            [state.outflux_ledger[None, state.rows], np.multiply(outs, np.array(dts)[:, None])]))
+        state.outflux_ledger[state.rows] = sums[-1]
+        dts.clear()
+        outs.clear()
+        return sums[-2]
 
-    def sync(self) -> None:
-        """Write the stepped rows' ledger back to the state."""
-        self.state.outflux_ledger[self.state.rows] = self.ledger
+    def run(self, t_end: float, tiny: float, observer=None, cadence: float = 0.0,
+            next_snap: float = math.inf, dt_cap: Optional[float] = None) -> Optional[float]:
+        """Step until t_end - time <= tiny; with ``dt_cap``, take the one step
+        min(cfl dt, dt_cap) instead.
+
+        Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit
+        check and the peak, the ledger, the time and the trace.  Snapshots
+        from ``next_snap`` on, every ``cadence``, go to ``observer``,
+        linearly interpolated between the two steps that bracket them;
+        returns the time of the last one, None if there was none.
+        """
+        state, gamma, width = self.state, self.gamma, self.width
+        u, increment, bits = self.u, self.increment, self.bits
+        flux_cells, flux_right, outflux = self.flux_cells, self.flux_right, self.outflux
+        peak_bits, peak_float, peak = self.peak_bits, self.peak_float, self.peak
+        flux, subtract, reduce_max = _flux, np.subtract, np.maximum.reduce
+        cw, eps = self.cfl * width, EPS_SPEED
+        dts, outs = [], []
+        add_dt, add_out = dts.append, outs.append
+        add_time, add_value = state.trace_times.append, state.trace_values.append
+        boundary = state.cells[:, 0]
+        t = state.time
+        last_snap = None
+        try:
+            while t_end - t > tiny:
+                # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
+                speed = peak ** gamma
+                dt = cw / (eps if eps > speed else speed)
+                cap = t_end - t if dt_cap is None else dt_cap
+                if cap < dt:
+                    dt = cap
+                # only a step that reaches the next snapshot time needs a copy
+                # of the state before it, to interpolate
+                snap = next_snap <= t + dt + tiny
+                if snap:
+                    prev_cells, prev_time = state.cells.copy(), t
+                flux(u, gamma, flux_cells)
+                subtract(flux_right, flux_cells, increment)
+                increment *= dt / width
+                u += increment
+                reduce_max(bits, None, None, peak_bits, False, 0)
+                if peak_bits.item() < INF_BITS:
+                    peak = peak_float.item()
+                else:
+                    _clip_roundoff(u, "monotone update")
+                    peak = float(u.max(initial=0.0))
+                add_dt(dt)
+                add_out(outflux.tolist())
+                t += dt
+                add_time(t)
+                add_value(boundary.tolist())
+                if snap:
+                    prev_ledger = state.outflux_ledger.copy()
+                    prev_ledger[state.rows] = self._fold(dts, outs)
+                    state.time = t
+                    while next_snap <= t + tiny and next_snap <= t_end + tiny:
+                        w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
+                        observer(Snapshot(state.grid,
+                                          (1 - w) * prev_cells + w * state.cells,
+                                          next_snap,
+                                          (1 - w) * prev_ledger + w * state.outflux_ledger,
+                                          state.sup_initial))
+                        last_snap = next_snap
+                        next_snap += cadence
+                if dt_cap is not None:
+                    break
+        finally:
+            if dts:
+                self._fold(dts, outs)
+            state.time = t
+        return last_snap
 
 
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
@@ -368,9 +436,8 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
     xi = 0 is added to each row's outflux ledger so that
     dxi * sum(cells) + ledger is constant to rounding, row by row.
     """
-    stepper = _Stepper(state, cfl, cfg)
-    stepper.advance(stepper.dt(dt_cap))
-    stepper.sync()
+    _Stepper(state, cfl, cfg).run(math.inf, 0.0,
+                                  dt_cap=math.inf if dt_cap is None else dt_cap)
     return state
 
 
@@ -394,40 +461,16 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if cfl > 0:  # otherwise the first step raises CflViolation
         check_cell_steps(state, t_end, cfl, cfg)
     tiny = 1e-12 * max(1.0, abs(t_end))
-    next_snap = state.time
+    next_snap = math.inf
     last_snap = None
     if observer is not None:
         observer(state.snapshot())
         last_snap = state.time
-        next_snap += cadence
+        next_snap = state.time + cadence
     if t_end - state.time > tiny:
-        stepper = _Stepper(state, cfl, cfg)
-        try:
-            while t_end - state.time > tiny:
-                dt = stepper.dt(t_end - state.time)
-                # only a step that reaches the next snapshot time needs a copy
-                # of the state before it, to interpolate
-                if observer is None or not next_snap <= state.time + dt + tiny:
-                    stepper.advance(dt)
-                    continue
-                stepper.sync()
-                prev_cells = state.cells.copy()
-                prev_time = state.time
-                prev_ledger = state.outflux_ledger.copy()
-                stepper.advance(dt)
-                stepper.sync()
-                while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
-                    w = 0.0 if state.time == prev_time else (
-                        (next_snap - prev_time) / (state.time - prev_time))
-                    observer(Snapshot(state.grid,
-                                      (1 - w) * prev_cells + w * state.cells,
-                                      next_snap,
-                                      (1 - w) * prev_ledger + w * state.outflux_ledger,
-                                      state.sup_initial))
-                    last_snap = next_snap
-                    next_snap += cadence
-        finally:
-            stepper.sync()
+        stepped = _Stepper(state, cfl, cfg).run(t_end, tiny, observer, cadence, next_snap)
+        if stepped is not None:
+            last_snap = stepped
     state.time = t_end
     if observer is not None and (last_snap is None or last_snap < t_end - tiny):
         observer(state.snapshot())

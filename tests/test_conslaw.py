@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from condrift import conslaw, measure
@@ -352,6 +354,9 @@ def test_trace_history_records_boundary_cell():
 
 
 GAMMAS = (0.5, 1.0, 2.0)
+# 1+gamma = 1.3 and 4 as well: powers with neither a half nor a whole exponent,
+# and one that numpy may square twice
+BIT_GAMMAS = GAMMAS + (0.3, 3.0)
 # cells handed to the constructor as -0.0: one inside the random data, one
 # at the far end of a row, where the update adds -0.0 to an empty cell
 SIGNED_ZEROS = (np.array([RIGHT, LEFT]), np.array([50, 127]))
@@ -399,7 +404,7 @@ def state_bytes(state):
 
 @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
 @pytest.mark.parametrize("kind", list(STATES))
-@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
 def test_step_is_bit_identical_to_reference(gamma, kind, capped):
     cfg = GammaConfig(gamma=gamma)
     state, reference = STATES[kind](cfg), reference_state(kind, cfg)
@@ -435,17 +440,19 @@ def entry_window(state):
     return np.flatnonzero(state.cells[state.rows].any(axis=0))[-1] + 1
 
 
-def run_bytes(run, state, cfg, observe):
-    """Every snapshot's cells, time and ledger, then the final state, as bytes."""
+def run_bytes(run, state, cfg, observe, cadence=None):
+    """Every snapshot's cells, time and ledger, then the final state, as
+    bytes; snapshots every ``cadence``, 0.1/gamma if not given."""
     snaps = []
-    kwargs = {"observer": snaps.append, "cadence": 0.1 / cfg.gamma} if observe else {}
+    cadence = cadence or 0.1 / cfg.gamma
+    kwargs = {"observer": snaps.append, "cadence": cadence} if observe else {}
     run(state, 1.2 / cfg.gamma, 0.9, cfg, **kwargs)
     return [(s.cells.tobytes(), np.float64(s.time).tobytes(),
              s.outflux_ledger.tobytes()) for s in snaps] + [state_bytes(state)]
 
 
 @pytest.mark.parametrize("kind", list(RUN_STATES))
-@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
 def test_run_until_snapshots_are_bit_identical_to_reference(gamma, kind):
     cfg = GammaConfig(gamma=gamma)
     for observe in (True, False):
@@ -454,6 +461,20 @@ def test_run_until_snapshots_are_bit_identical_to_reference(gamma, kind):
         assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, observe)
         assert len(fused) == (14 if observe else 1)
         assert state.outflux_ledger[state.rows].min() > 0
+
+
+@pytest.mark.parametrize("kind", ["example36", "two-sided"])
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
+def test_run_until_with_a_cadence_below_dt_is_bit_identical_to_reference(gamma, kind):
+    # every step reaches a snapshot time, so the ledger is folded at
+    # consecutive steps, and after the last one there is nothing left to fold
+    cfg = GammaConfig(gamma=gamma)
+    state = RUN_STATES[kind](cfg)
+    cadence = 0.4 * stable_dt(state, 0.9, cfg)
+    fused = run_bytes(run_until, state, cfg, True, cadence)
+    assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, True, cadence)
+    steps = len(state.trace_times) - 1
+    assert len(fused) - 1 > 2 * steps
 
 
 @pytest.mark.parametrize("kind", list(RUN_STATES))
@@ -636,3 +657,30 @@ def test_screen_cell_steps_agrees_with_the_exact_count(datum, gamma, t_end):
         outcomes.append(screened)
     assert {"pass", "reject"} < set(outcomes)
     assert outcomes.count("exact") < sizes.size // 2
+
+
+@st.composite
+def two_sided_runs(draw):
+    """A random two-sided piecewise-constant datum on at most 128 cells, with
+    a cfl and an end time."""
+    gamma = draw(st.floats(0.3, 3.0))
+    left, right = (draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=4))
+                   for _ in range(2))
+    breakpoints = np.concatenate([-np.cumsum(left)[::-1], [0.0], np.cumsum(right)])
+    values = draw(st.lists(st.floats(0.05, 2.0), min_size=breakpoints.size - 1,
+                           max_size=breakpoints.size - 1))
+    cfg = GammaConfig(gamma=gamma)
+    datum = piecewise_constant(breakpoints, values)
+    state = init_from_datum(datum, make_grid(datum, cfg, draw(st.integers(8, 128))), cfg)
+    return state, draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 4.0)) / gamma, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_sided_runs())
+def test_run_until_takes_no_more_steps_than_check_cell_steps_estimates(case):
+    # max u never rises, so no uncapped step is shorter than the first; the
+    # step that lands on t_end may be capped
+    state, cfl, t_end, cfg = case
+    estimate = check_cell_steps(state, t_end, cfl, cfg)
+    run_until(state, t_end, cfl, cfg)
+    assert len(state.trace_times) - 1 <= estimate + 1
