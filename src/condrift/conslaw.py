@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -354,16 +354,16 @@ class _Stepper:
         outs.clear()
         return sums[-2]
 
-    def run(self, t_end: float, tiny: float, observer=None, cadence: float = 0.0,
-            next_snap: float = math.inf, dt_cap: Optional[float] = None) -> Optional[float]:
+    def run(self, t_end: float, tiny: float, observer=None, snap_times: Iterator = iter(()),
+            dt_cap: Optional[float] = None) -> None:
         """Step until t_end - time <= tiny; with ``dt_cap``, take the one step
         min(cfl dt, dt_cap) instead.
 
         Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit
-        check and the peak, the ledger, the time and the trace.  Snapshots
-        from ``next_snap`` on, every ``cadence``, go to ``observer``,
-        linearly interpolated between the two steps that bracket them;
-        returns the time of the last one, None if there was none.
+        check and the peak, the ledger, the time and the trace.  The
+        snapshots at ``snap_times``, increasing times the run reaches, go to
+        ``observer``, linearly interpolated between the two steps that
+        bracket them.
         """
         state, gamma, width = self.state, self.gamma, self.width
         u, increment, bits = self.u, self.increment, self.bits
@@ -376,7 +376,7 @@ class _Stepper:
         add_time, add_value = state.trace_times.append, state.trace_values.append
         boundary = state.cells[:, 0]
         t = state.time
-        last_snap = None
+        next_snap = next(snap_times, math.inf)
         try:
             while t_end - t > tiny:
                 # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
@@ -409,22 +409,20 @@ class _Stepper:
                     prev_ledger = state.outflux_ledger.copy()
                     prev_ledger[state.rows] = self._fold(dts, outs)
                     state.time = t
-                    while next_snap <= t + tiny and next_snap <= t_end + tiny:
+                    while next_snap <= t + tiny:
                         w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
                         observer(Snapshot(state.grid,
                                           (1 - w) * prev_cells + w * state.cells,
                                           next_snap,
                                           (1 - w) * prev_ledger + w * state.outflux_ledger,
                                           state.sup_initial))
-                        last_snap = next_snap
-                        next_snap += cadence
+                        next_snap = next(snap_times, math.inf)
                 if dt_cap is not None:
                     break
         finally:
             if dts:
                 self._fold(dts, outs)
             state.time = t
-        return last_snap
 
 
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
@@ -446,10 +444,11 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
               cadence: Optional[float] = None) -> HalfLineState:
     """Step until t_end, landing on it exactly.
 
-    If an observer is given, it is called with decoupled snapshots at times
-    t0 + k*cadence (k = 0, 1, ...), linearly interpolated in time between
-    the two bracketing steps; the stepping sequence itself is independent
-    of the cadence.
+    If an observer is given, it is called with decoupled snapshots at the
+    times t0 + k*cadence (k = 0, 1, ...) short of t_end by more than
+    1e-12 * max(1, |t_end|), linearly interpolated in time between the two
+    bracketing steps, and then at t_end; the stepping sequence itself is
+    independent of the cadence.
 
     Raises :class:`WorkBudgetExceeded` before the first step if the run
     could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``).
@@ -461,17 +460,21 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if cfl > 0:  # otherwise the first step raises CflViolation
         check_cell_steps(state, t_end, cfl, cfg)
     tiny = 1e-12 * max(1.0, abs(t_end))
-    next_snap = math.inf
-    last_snap = None
+    t0 = state.time
     if observer is not None:
         observer(state.snapshot())
-        last_snap = state.time
-        next_snap = state.time + cadence
-    if t_end - state.time > tiny:
-        stepped = _Stepper(state, cfl, cfg).run(t_end, tiny, observer, cadence, next_snap)
-        if stepped is not None:
-            last_snap = stepped
+    if t_end - t0 > tiny:
+        times = _snapshot_times(t0, t_end - tiny, cadence) if observer else iter(())
+        _Stepper(state, cfl, cfg).run(t_end, tiny, observer, times)
     state.time = t_end
-    if observer is not None and (last_snap is None or last_snap < t_end - tiny):
+    if observer is not None and t0 < t_end - tiny:
         observer(state.snapshot())
     return state
+
+
+def _snapshot_times(t0: float, before: float, cadence: float) -> Iterator[float]:
+    """t0 + k*cadence for k = 1, 2, ... while below ``before``."""
+    k = 1
+    while (time := t0 + k * cadence) < before:
+        yield time
+        k += 1

@@ -248,7 +248,8 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
 def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cadence=None):
     """``run_until`` as it was when it called one step per step, driving
     ``step_reference``: it copies the cells and the ledger before every
-    step when an observer is set."""
+    step when an observer is set.  Snapshots fall at t0 + k*cadence short
+    of t_end by more than tiny, then at t_end."""
     if t_end < state.time:
         raise ValueError("t_end precedes the current state time")
     if observer is not None and (cadence is None or cadence <= 0):
@@ -261,12 +262,13 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
                 f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
                 f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
     tiny = 1e-12 * max(1.0, abs(t_end))
-    next_snap = state.time
+    t0 = state.time
+    k = 1
+    next_snap = t0 + k * cadence if observer is not None else None
     last_snap = None
     if observer is not None:
         observer(state.snapshot())
         last_snap = state.time
-        next_snap += cadence
     prev_cells = None
     prev_time = state.time
     prev_ledger = state.outflux_ledger
@@ -277,7 +279,7 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
             prev_ledger = state.outflux_ledger.copy()
         step_reference(state, cfl, cfg, dt_cap=t_end - state.time)
         if observer is not None:
-            while next_snap <= state.time + tiny and next_snap <= t_end + tiny:
+            while next_snap <= state.time + tiny and next_snap < t_end - tiny:
                 w = 0.0 if state.time == prev_time else (
                     (next_snap - prev_time) / (state.time - prev_time))
                 observer(Snapshot(state.grid,
@@ -286,7 +288,8 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
                                   (1 - w) * prev_ledger + w * state.outflux_ledger,
                                   state.sup_initial))
                 last_snap = next_snap
-                next_snap += cadence
+                k += 1
+                next_snap = t0 + k * cadence
     state.time = t_end
     if observer is not None and (last_snap is None or last_snap < t_end - tiny):
         observer(state.snapshot())

@@ -258,6 +258,21 @@ def test_run_until_cadence_does_not_change_dynamics():
     assert s1.cells.min() >= 0.0
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_run_until_places_snapshots_at_multiples_of_the_cadence(t0):
+    # adding the cadence up drifts: 1e-3 added up to t = 50 ends
+    # 2.6e-11 short of 50
+    datum = example_block_datum(1.0)
+    state = init_from_datum(datum, make_grid(datum, CFG, 16), CFG)
+    run_until(state, t0, 0.9, CFG)
+    times = []
+    run_until(state, 50.0, 0.9, CFG, observer=lambda snap: times.append(snap.time),
+              cadence=1e-3)
+    assert len(times) == round((50.0 - t0) / 1e-3) + 1
+    assert times[:-1] == [t0 + k * 1e-3 for k in range(len(times) - 1)]
+    assert times[-1] == 50.0
+
+
 def test_run_until_rejects_past_target():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
