@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -354,8 +354,9 @@ class _Stepper:
         outs.clear()
         return sums[-2]
 
-    def run(self, t_end: float, tiny: float, observer=None, snap_times: Iterator = iter(()),
-            dt_cap: Optional[float] = None) -> None:
+    def run(self, t_end: float, tiny: float,
+            observer: Optional[Callable[[Snapshot], None]] = None,
+            snap_times: Iterable[float] = (), dt_cap: Optional[float] = None) -> None:
         """Step until t_end - time <= tiny; with ``dt_cap``, take the one step
         min(cfl dt, dt_cap) instead.
 
@@ -370,12 +371,13 @@ class _Stepper:
         flux_cells, flux_right, outflux = self.flux_cells, self.flux_right, self.outflux
         peak_bits, peak_float, peak = self.peak_bits, self.peak_float, self.peak
         flux, subtract, reduce_max = _flux, np.subtract, np.maximum.reduce
-        cw, eps = self.cfl * width, EPS_SPEED
+        cw, eps, inf_bits = self.cfl * width, EPS_SPEED, INF_BITS
         dts, outs = [], []
         add_dt, add_out = dts.append, outs.append
         add_time, add_value = state.trace_times.append, state.trace_values.append
         boundary = state.cells[:, 0]
         t = state.time
+        snap_times = iter(snap_times)
         next_snap = next(snap_times, math.inf)
         try:
             while t_end - t > tiny:
@@ -395,7 +397,7 @@ class _Stepper:
                 increment *= dt / width
                 u += increment
                 reduce_max(bits, None, None, peak_bits, False, 0)
-                if peak_bits.item() < INF_BITS:
+                if peak_bits.item() < inf_bits:
                     peak = peak_float.item()
                 else:
                     _clip_roundoff(u, "monotone update")
@@ -464,7 +466,7 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if observer is not None:
         observer(state.snapshot())
     if t_end - t0 > tiny:
-        times = _snapshot_times(t0, t_end - tiny, cadence) if observer else iter(())
+        times = () if observer is None else _snapshot_times(t0, t_end - tiny, cadence)
         _Stepper(state, cfl, cfg).run(t_end, tiny, observer, times)
     state.time = t_end
     if observer is not None and t0 < t_end - tiny:
