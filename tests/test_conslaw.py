@@ -369,8 +369,8 @@ def test_trace_history_records_boundary_cell():
 
 
 GAMMAS = (0.5, 1.0, 2.0)
-# 1+gamma = 1.3 and 4 as well: powers with neither a half nor a whole exponent,
-# and one that numpy may square twice
+# the bit-identity tests also run at the ends of the gamma range that the
+# property tests draw from, where 1+gamma is 1.3 and 4
 BIT_GAMMAS = GAMMAS + (0.3, 3.0)
 # cells handed to the constructor as -0.0: one inside the random data, one
 # at the far end of a row, where the update adds -0.0 to an empty cell
