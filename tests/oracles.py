@@ -262,13 +262,13 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
                 f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
                 f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
     tiny = 1e-12 * max(1.0, abs(t_end))
-    t0 = state.time
-    k = 1
-    next_snap = t0 + k * cadence if observer is not None else None
+    t0, k = state.time, 1
+    next_snap = state.time
     last_snap = None
     if observer is not None:
         observer(state.snapshot())
         last_snap = state.time
+        next_snap += cadence
     prev_cells = None
     prev_time = state.time
     prev_ledger = state.outflux_ledger
