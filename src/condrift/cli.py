@@ -28,7 +28,6 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -253,20 +252,14 @@ class SimulationResult:
     datum: InitialDatum
 
 
-def initial_state(config: RunConfig) -> tuple:
-    """The config's datum and the half-line state built from it."""
-    cfg = config.gamma_config()
-    datum = config.build_datum()
-    return datum, init_from_datum(datum, make_grid(datum, cfg, config.grid_cells), cfg)
-
-
-def simulate(config: RunConfig, start: Optional[tuple] = None) -> SimulationResult:
-    """Run the half-line solver and assemble measure snapshots; ``start``
-    is the ``initial_state`` of the config if it is already built."""
+def simulate(config: RunConfig) -> SimulationResult:
+    """Run the half-line solver and assemble measure snapshots."""
     if config.dim != 1:
         raise ConfigError("simulate requires dim = 1")
     cfg = config.gamma_config()
-    datum, state = start or initial_state(config)
+    datum = config.build_datum()
+    grid = make_grid(datum, cfg, config.grid_cells)
+    state = init_from_datum(datum, grid, cfg)
     snapshots: list = []
     run_until(state, config.t_end, config.cfl, cfg,
               observer=snapshots.append, cadence=config.snapshot_cadence)
@@ -349,10 +342,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
     read in the unit-mass scale through the exact dilation of the block
     onto the unit-mass block on [0, 1]. Both law-run budgets, cell steps
-    and snapshot rows, are checked before any solver run; the cell steps
-    are checked on the block's table (conslaw.screen_cell_steps), and on
-    the law run's built cells only when the table's bounds straddle the
-    budget.
+    and snapshot rows, are checked before any solver run or state is built.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -369,11 +359,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
     law_datum = example_block_datum(g)
-    law_start = None
-    if conslaw.screen_cell_steps(law_datum, make_grid(law_datum, cfg, config.grid_cells),
-                                 law_cfg.t_end, config.cfl, cfg):
-        law_start = initial_state(law_cfg)
-        conslaw.check_cell_steps(law_start[1], law_cfg.t_end, config.cfl, cfg)
+    conslaw.check_block_cell_steps(law_datum, make_grid(law_datum, cfg, config.grid_cells),
+                                   law_cfg.t_end, config.cfl, cfg)
     _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
 
@@ -397,7 +384,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             state = init_from_datum(datum, make_grid(datum, cfg, n), cfg)
             errors[n] = l1_error(run_until(state, t_probe, config.cfl, cfg))
 
-    law_res = simulate(law_cfg, law_start)
+    law_res = simulate(law_cfg)
     ms2, ps2 = law_res.ms_series, law_res.ps_series
     times = np.array([ms.time for ms in ms2])
     if config.grid_cells in sizes:

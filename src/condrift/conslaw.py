@@ -26,13 +26,15 @@ of the same loop.
 
 A step is six array passes: the flux's power and divide, the
 subtraction, the scaling, the update, and one reduction, a max over the
-bit patterns of the updated cells.  A double with its sign bit clear
-orders like its unsigned bit pattern, every negative value (-0.0
-included) has a pattern of at least 0x8000..., and every NaN one above
-+inf's.  So a largest pattern below +inf's proves every cell +0.0 or
-positive and finite, which is the case where the positivity guard has
-nothing to do, and the float with that pattern is the max that sets the
-next CFL step.
+bit patterns of the updated cells.  At gamma = 1 the flux is a square
+and a halving instead: ``np.square`` rounds the same product as
+``np.power(u, 2.0)`` and halving is exact, so the bits do not change.
+A double with its sign bit clear orders like its unsigned bit pattern,
+every negative value (-0.0 included) has a pattern of at least
+0x8000..., and every NaN one above +inf's.  So a largest pattern below
++inf's proves every cell +0.0 or positive and finite, which is the case
+where the positivity guard has nothing to do, and the float with that
+pattern is the max that sets the next CFL step.
 
 A step does not add its outflux to the ledger: it appends ``dt`` and the
 rows' outflux to two lists, and the run folds them into the ledger with
@@ -175,13 +177,16 @@ def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int) -> HalfLin
 
 
 def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
-                   sign: float) -> np.ndarray:
-    """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)).
+                   sign: float, first: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)) on
+    the cells [first, stop), all of them by default.
 
     The integral over each cell equals the exact datum mass over the
-    cell's x-image, so the averages are exact.
+    cell's x-image, so the averages are exact.  A cell's average depends
+    only on its own two edges: it has the same bits in any range.
     """
-    ends = sign * np.asarray(x_of_xi(grid.edges, cfg))
+    stop = grid.cell_count if stop is None else stop
+    ends = sign * np.asarray(x_of_xi(np.arange(first, stop + 1) * grid.cell_width, cfg))
     lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
     return integrate_piecewise(datum, lo, hi) / grid.cell_width
 
@@ -217,9 +222,14 @@ def godunov_flux(u_upwind, cfg: GammaConfig):
 
 
 def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """u^(1+gamma)/(1+gamma) of a nonnegative array, into ``out`` or one new array."""
-    flux = np.power(u, 1 + gamma, out)
-    flux /= 1 + gamma
+    """u^(1+gamma)/(1+gamma) of a nonnegative array, into ``out`` or one new
+    array; at gamma = 1 a square and an exact halving, with the same bits."""
+    if gamma == 1.0:
+        flux = np.square(u, out)
+        flux *= 0.5
+    else:
+        flux = np.power(u, 1 + gamma, out)
+        flux /= 1 + gamma
     return flux
 
 
@@ -244,46 +254,45 @@ def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
     The monotone scheme never raises max u, so no uncapped step is shorter
     than the current ``stable_dt``, which bounds the step count.
     """
-    steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
-    _check_cell_count(state.cells[state.rows].size * steps)
-    return float(steps)
+    return _check_steps(t_end - state.time, stable_dt(state, cfl, cfg),
+                        state.cells[state.rows].size)
 
 
-def screen_cell_steps(datum: InitialDatum, grid: HalfLineGrid, t_end: float,
-                      cfl: float, cfg: GammaConfig) -> bool:
-    """Check the run of ``init_from_datum(datum, grid, cfg)`` from t = 0
-    to t_end against MAX_CELL_STEPS without building its cells.
+def check_block_cell_steps(datum: InitialDatum, grid: HalfLineGrid, t_end: float,
+                           cfl: float, cfg: GammaConfig) -> float:
+    """``check_cell_steps`` of ``init_from_datum(datum, grid, cfg)`` from
+    t = 0 to t_end, without building its cells, for a block on [0, b].
 
-    Raises :class:`WorkBudgetExceeded` when the fewest cell steps the
-    datum allows exceed the budget, and returns whether the most it
-    allows do, in which case only :func:`check_cell_steps` on the built
-    state decides.  A side's cell averages sum to its mass over dxi on
-    the cells that meet (0, reach], reach the xi-extent of the support,
-    so the largest is at least mass / (reach + 2 dxi) on the heavier
-    side; u_I = (gamma*xi)^(1/gamma) * f is at most
-    (gamma*reach)^(1/gamma) * sup f.  One or two rows are stepped.  The
-    count grows with the largest average; a relative 1e-6 covers the
-    roundoff of the averages.
+    Only the right row is stepped, and its largest cell average is
+    ``block_peak``, so the count is the same, with the same bits.
     """
-    reach = xi_extent_of_datum(datum, cfg)
-    origin = min(max(0.0, datum.a), datum.b)
-    side_mass = integrate_piecewise(datum, [datum.a, origin], [origin, datum.b])
-    low = float(side_mass.max()) / (reach + 2 * grid.cell_width) * (1 - 1e-6)
-    high = (cfg.gamma * reach) ** (1 / cfg.gamma) * datum.sup_value * (1 + 1e-6)
-
-    def cell_steps(rows: int, peak: float) -> float:
-        dt = _cfl_dt(peak, cfl, grid.cell_width, cfg.gamma)
-        return rows * grid.cell_count * np.ceil(t_end / dt)
-
-    _check_cell_count(cell_steps(1, low))
-    return cell_steps(2, high) > MAX_CELL_STEPS
+    dt = _cfl_dt(block_peak(datum, grid, cfg), cfl, grid.cell_width, cfg.gamma)
+    return _check_steps(t_end, dt, grid.cell_count)
 
 
-def _check_cell_count(cell_steps: float) -> None:
+def block_peak(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig) -> float:
+    """The largest right-row cell average of a block datum on [0, b].
+
+    On a block u_I = (gamma*xi)^(1/gamma) * f increases in xi up to the
+    xi-image of b, so every full cell's average is below the next one's,
+    and the largest is the last full cell's or the partial cell's at the
+    support's end, which GRID_MARGIN keeps short of the grid's end.  Only
+    those two cells are computed, as ``_cell_averages`` computes them.
+    """
+    last = int(xi_extent_of_datum(datum, cfg) / grid.cell_width)
+    return float(_cell_averages(datum, grid, cfg, 1.0, last - 1, last + 1).max())
+
+
+def _check_steps(duration: float, dt: float, cells: int) -> float:
+    """ceil(duration / dt); raises :class:`WorkBudgetExceeded` if that many
+    steps of ``cells`` cells exceed MAX_CELL_STEPS."""
+    steps = np.ceil(duration / dt)
+    cell_steps = cells * steps
     if cell_steps > MAX_CELL_STEPS:
         raise WorkBudgetExceeded(
             f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
             f"of {MAX_CELL_STEPS:.3g}; lower t_end or grid_cells")
+    return float(steps)
 
 
 def _clip_roundoff(u: np.ndarray, what: str) -> None:
@@ -307,7 +316,8 @@ class _Stepper:
     subtraction gives every increment.
 
     ``run`` binds the buffers, ufuncs and scalars to locals once, so a
-    step is its six array passes and no Python call but ``_flux``.  When
+    step is its six array passes and no Python call but ``_flux``, whose
+    power and divide are a square and an exact halving at gamma = 1.  When
     the max of the cells' bit patterns reaches +inf's (a NaN, an inf, a
     negative or a -0.0; see the module docstring), the step runs
     ``_clip_roundoff`` and a float max.  Each step appends its ``dt`` and

@@ -831,29 +831,28 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, 
     assert built == []
 
 
-@pytest.mark.parametrize("cells, averaged", [(10**7, 0), (60_000, 2)],
-                         ids=["screened", "counted"])
+# 10^7 cells is far past the budget (about 4e14 cell steps); 60 000 is
+# just past it (about 1.5e10), where only the exact count can decide
+@pytest.mark.parametrize("cells", [10**7, 60_000], ids=["screened", "counted"])
 def test_verify_counts_cell_steps_before_building_a_large_state(tmp_path, capsys,
-                                                                monkeypatch, cells,
-                                                                averaged):
-    # the law run's datum table rejects 10^7 cells (about 4e14 cell steps)
-    # before its (2, 10^7) state exists; at 60 000 cells (about 1.5e10)
-    # the table's bounds straddle the budget and the built state decides
+                                                                monkeypatch, cells):
+    # the law run's exact count comes from the block's last two cells, so
+    # no state is built
     built = []
+    real = conslaw.HalfLineState.__post_init__
 
-    def counted(*args, real=conslaw._cell_averages):
-        built.append(args)
-        return real(*args)
+    def counted(self):
+        built.append(self)
+        real(self)
 
-    monkeypatch.setattr(conslaw, "_cell_averages", counted)
+    monkeypatch.setattr(conslaw.HalfLineState, "__post_init__", counted)
     steppers = count_steppers(monkeypatch)
     path = write_config(tmp_path, grid_cells=cells)
     out = tmp_path / "out"
     assert main(["verify", "--config", str(path), "--output", str(out),
                  "--quiet"]) == EXIT_CONFIG
     assert "cell-step budget" in json.loads(capsys.readouterr().err)["error"]
-    assert len(built) == averaged
-    assert steppers == [] and not out.exists()
+    assert built == [] and steppers == [] and not out.exists()
 
 
 def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):
