@@ -202,12 +202,13 @@ def load_config(path: str) -> RunConfig:
 def write_csv(path: Path, header: list, rows) -> None:
     """Write a float table, every value as %.17g so that it reads back to
     the same float. ``rows`` is a 2-D array or any iterable of equal-length
-    rows; the whole table is formatted by one % operation."""
+    rows; the whole table is formatted by one bytes % operation."""
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
                        dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    path.write_text(",".join(header) + "\n"
-                    + (line * len(table)) % tuple(table.ravel().tolist()))
+    line = b",".join([b"%.17g"] * len(header)) + b"\n"
+    with path.open("wb") as out:
+        out.write(",".join(header).encode() + b"\n")
+        out.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_blocks(path: Path, header: list, blocks) -> None:
@@ -215,15 +216,15 @@ def write_blocks(path: Path, header: list, blocks) -> None:
     values[i]``, every value as %.17g, one block at a time; ``column``
     and ``values`` are float arrays of one length. Each distinct
     ``column`` (by its bytes, so -0.0 stays apart from 0.0) is formatted
-    once, and each block by one % operation."""
+    once, and each block by one bytes % operation."""
     tails: dict = {}
-    with path.open("w") as out:
-        out.write(",".join(header) + "\n")
+    with path.open("wb") as out:
+        out.write(",".join(header).encode() + b"\n")
         for t, column, values in blocks:
             key = column.tobytes()
             if key not in tails:
-                tails[key] = [""] + [",%.17g,%%.17g\n" % c for c in column.tolist()]
-            block = ("%.17g" % t).join(tails[key])
+                tails[key] = [b""] + [b",%.17g,%%.17g\n" % c for c in column.tolist()]
+            block = (b"%.17g" % t).join(tails[key])
             out.write(block % tuple(values.tolist()))
 
 
@@ -263,33 +264,32 @@ def simulate(config: RunConfig) -> SimulationResult:
     snapshots: list = []
     run_until(state, config.t_end, config.cfl, cfg,
               observer=snapshots.append, cadence=config.snapshot_cadence)
-    ms_series = [measure.assemble(snap, cfg) for snap in snapshots]
+    geometry = measure.grid_geometry(snapshots[0], cfg)
+    ms_series = [measure.assemble(snap, cfg, geometry) for snap in snapshots]
     ps_series = [measure.pseudo_inverse(ms, config.z_count) for ms in ms_series]
     return SimulationResult(state, snapshots, ms_series, ps_series, datum)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Run, then write the artifacts; every one is computed before the
+    output directory is made, so a run that fails leaves none."""
     config.check_output_budget()
     res = simulate(config)
     ms_series, ps_series = res.ms_series, res.ps_series
     cfg = config.gamma_config()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-    for row, side in enumerate(SIDES):
-        write_snapshot_csv(out_dir / f"snapshots_{side}.csv", res.snapshots, row)
-    _write_trace_ledger(out_dir, res.state, cfg)
+    times = np.asarray(res.state.trace_times)
+    values = np.asarray(res.state.trace_values)
+    # outflux_cumulative: left-endpoint quadrature matches the explicit
+    # stepping exactly, so the last recorded value is never fluxed
+    increments = np.zeros_like(values)
+    increments[1:] = conslaw.godunov_flux(values[:-1], cfg) * np.diff(times)[:, None]
+    cumulative = np.cumsum(increments, axis=0)
     rows = measure.measure_rows(ms_series)
-    write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
-    write_pseudoinverse_csv(out_dir / "pseudoinverse.csv", ms_series, ps_series)
-    if config.frame == "original":
-        write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
-                  measure.original_frame_series(rows, config.gamma))
-
+    frame_rows = (measure.original_frame_series(rows, config.gamma)
+                  if config.frame == "original" else None)
     violations = measure.check_entropy_measure(ms_series, ps_series, cfg,
                                                datum=res.datum)
-    onset = min(measure.trace_onset_time(res.state, config.trace_threshold))
+    onset = min(measure.trace_onset_time(times, values, config.trace_threshold))
     summary = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
@@ -304,6 +304,22 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "total_mass": ms_series[-1].total_mass,
         "violation_counts": collections.Counter(v.kind for v in violations),
     }
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.json").write_text(
+        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    for row, side in enumerate(SIDES):
+        write_snapshot_csv(out_dir / f"snapshots_{side}.csv", res.snapshots, row)
+    # ledger_<side>.csv: one row per recorded step; both share the time column
+    for row, side in enumerate(SIDES):
+        write_csv(out_dir / f"ledger_{side}.csv",
+                  ["t", "trace_u0", "outflux_cumulative"],
+                  np.column_stack([times, values[:, row], cumulative[:, row]]))
+    write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
+    write_pseudoinverse_csv(out_dir / "pseudoinverse.csv", ms_series, ps_series)
+    if frame_rows is not None:
+        write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
+                  frame_rows)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if not quiet:
@@ -311,23 +327,6 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
               f"{summary['final_dirac_fraction']:.4f}, "
               f"violations {len(violations)}")
     return EXIT_OK
-
-
-def _write_trace_ledger(out_dir: Path, state: conslaw.HalfLineState,
-                        cfg: GammaConfig) -> None:
-    """ledger_<side>.csv: t, trace_u0, outflux_cumulative, one row per
-    recorded step; both files share the time column."""
-    times = np.asarray(state.trace_times)
-    values = np.asarray(state.trace_values)
-    fluxes = conslaw.godunov_flux(values, cfg)
-    # left-endpoint quadrature matches the explicit stepping exactly
-    increments = np.concatenate([np.zeros((1, 2)),
-                                 fluxes[:-1] * np.diff(times)[:, None]])
-    cumulative = np.cumsum(increments, axis=0)
-    for row, side in enumerate(SIDES):
-        write_csv(out_dir / f"ledger_{side}.csv",
-                  ["t", "trace_u0", "outflux_cumulative"],
-                  np.column_stack([times, values[:, row], cumulative[:, row]]))
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -398,7 +397,9 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         f"{order:.3f}", ">= 0.8")
 
     # trace onset vs 1/gamma
-    onset = measure.trace_onset_time(law_res.state, config.trace_threshold)[RIGHT]
+    onset = measure.trace_onset_time(law_res.state.trace_times,
+                                     law_res.state.trace_values,
+                                     config.trace_threshold)[RIGHT]
     tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width,
                                      config.trace_threshold)
     # a tolerance of 1/gamma or more passes every onset in [0, 1/gamma]

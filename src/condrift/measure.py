@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conslaw import LEFT, RIGHT, SIGNS, HalfLineState, Snapshot
+from .conslaw import LEFT, RIGHT, SIGNS, HalfLineGrid, Snapshot
 from .datum import InitialDatum, integrate_piecewise
 from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
 
@@ -80,36 +80,81 @@ class Violation:
     detail: str
 
 
-def _side_breakpoints(snap: Snapshot, row: int, cfg: GammaConfig):
-    """Ascending (x_edges, cell_masses, x_centers, u_cells) for one row.
+@dataclass(frozen=True)
+class GridGeometry:
+    """The x-images of a run's cells, computed once per run.
+
+    Row r of ``x_edges`` and ``x_centers`` is SIGNS[r] * x_of_xi of the
+    grid's edges and centers, and ``dxi_dx`` is dxi/dx at the centers, the
+    same for both rows (it reads |x|).  The maps are elementwise, so a
+    snapshot's slice of these arrays has the bits of the maps evaluated on
+    that slice.  They cover the cells up to the outermost one that carries
+    mass in the snapshot they were computed from; see :func:`grid_geometry`.
+    """
+
+    grid: HalfLineGrid
+    x_edges: np.ndarray
+    x_centers: np.ndarray
+    dxi_dx: np.ndarray
+
+
+def grid_geometry(snap: Snapshot, cfg: GammaConfig) -> GridGeometry:
+    """GridGeometry of ``snap``'s grid up to its outermost cell with mass.
+
+    Every characteristic speed points to the origin, so a vacuum cell
+    beyond the support stays vacuum: the first snapshot's geometry covers
+    every later snapshot of the run.  Raises FloatingPointError where x(xi)
+    underflows to 0 at a cell center.
+    """
+    occupied = np.flatnonzero((snap.cells > 0).any(axis=0))
+    size = int(occupied[-1]) + 1 if occupied.size else 0
+    x_edges = np.asarray(x_of_xi(snap.grid.edges[: size + 1], cfg))
+    x_centers = np.asarray(x_of_xi(snap.grid.centers[:size], cfg))
+    if np.any(x_centers == 0):  # cell centers sit at xi > 0; x(xi) underflowed
+        raise FloatingPointError(
+            f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
+    signs = np.array(SIGNS)[:, None]
+    return GridGeometry(snap.grid, signs * x_edges, signs * x_centers,
+                        dxi_dx(x_centers, cfg))
+
+
+def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
+    """Ascending (x_edges, cell_masses, x_centers, dxi_dx, u_cells) for one
+    row.
 
     Trailing vacuum beyond the outermost nonzero cell is trimmed so that the
     final breakpoint is the support edge.
     """
     u = snap.cells[row]
-    sign = SIGNS[row]
-    nz = np.nonzero(u > 0)[0]
+    nz = np.flatnonzero(u > 0)
     if nz.size == 0:
-        return (np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+        return (np.empty(0),) * 5
     last = int(nz[-1])
-    edges = snap.grid.edges[: last + 2]
-    centers = snap.grid.centers[: last + 1]
-    masses = u[: last + 1] * snap.grid.cell_width
-    x_edges = sign * np.asarray(x_of_xi(edges, cfg))
-    x_centers = sign * np.asarray(x_of_xi(centers, cfg))
+    if last >= geometry.dxi_dx.size or geometry.grid != snap.grid:
+        raise ValueError("the grid geometry does not cover the snapshot")
+    side = (geometry.x_edges[row, : last + 2], u[: last + 1] * snap.grid.cell_width,
+            geometry.x_centers[row, : last + 1], geometry.dxi_dx[: last + 1],
+            u[: last + 1])
     if row == LEFT:  # reflected side: ascending order is reversed canonical order
-        return (x_edges[::-1], masses[::-1], x_centers[::-1], u[: last + 1][::-1])
-    return (x_edges, masses, x_centers, u[: last + 1])
+        return tuple(a[::-1] for a in side)
+    return side
 
 
-def assemble(snap: Snapshot, cfg: GammaConfig) -> MeasureState:
-    """Stitch the two rows of a half-line snapshot into one measure snapshot."""
+def assemble(snap: Snapshot, cfg: GammaConfig,
+             geometry: Optional[GridGeometry] = None) -> MeasureState:
+    """Stitch the two rows of a half-line snapshot into one measure snapshot.
+
+    A run passes the ``geometry`` of its first snapshot to every snapshot;
+    without one, the snapshot's own is computed.
+    """
+    if geometry is None:
+        geometry = grid_geometry(snap, cfg)
     dirac = snap.outflux_ledger[LEFT] + snap.outflux_ledger[RIGHT]
     row_mass = snap.mass
     total = dirac + row_mass[LEFT] + row_mass[RIGHT]
 
-    lx_edges, lmass, lx_centers, lu = _side_breakpoints(snap, LEFT, cfg)
-    rx_edges, rmass, rx_centers, ru = _side_breakpoints(snap, RIGHT, cfg)
+    lx_edges, lmass, lx_centers, ldxi, lu = _side_breakpoints(snap, LEFT, geometry)
+    rx_edges, rmass, rx_centers, rdxi, ru = _side_breakpoints(snap, RIGHT, geometry)
 
     xs = [lx_edges if lx_edges.size else np.array([0.0])]
     vs = [np.concatenate([[0.0], np.cumsum(lmass)]) if lmass.size else np.array([0.0])]
@@ -124,12 +169,8 @@ def assemble(snap: Snapshot, cfg: GammaConfig) -> MeasureState:
     F_val = np.concatenate(vs)
 
     x = np.concatenate([lx_centers, rx_centers])
-    u_vals = np.concatenate([lu, ru])
     weights = np.concatenate([lmass, rmass])
-    if np.any(x == 0):  # cell centers sit at xi > 0; x(xi) underflowed
-        raise FloatingPointError(
-            f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
-    rho = dxi_dx(x, cfg) * u_vals if x.size else np.empty(0)
+    rho = np.concatenate([ldxi, rdxi]) * np.concatenate([lu, ru])
     return MeasureState(
         time=snap.time,
         dirac_mass=dirac,
@@ -215,13 +256,18 @@ def _oleinik_flags(ps: PseudoInverse, x_tol: float):
     decreasing where X > 0; candidates are adjacent-slope ratios beyond
     SLOPE_JUMP_RATIO, evaluated away from the plateau and the edges.
     """
-    z, X = ps.z_grid, ps.x_values
-    s = np.diff(X) / (z[1] - z[0])
+    X = ps.x_values
     interior = _interior_mask(ps, x_tol)
+    return _jump_flags(X, np.diff(X) / (ps.z_grid[1] - ps.z_grid[0]),
+                       interior[:-1] & interior[1:], x_tol)
+
+
+def _jump_flags(X: np.ndarray, slopes: np.ndarray, pair: np.ndarray, x_tol: float):
+    """_oleinik_flags of X given its slopes np.diff(X) / dz and the mask of
+    the adjacent node pairs that are both interior."""
     floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
-    j = np.flatnonzero(interior[:-2] & interior[1:-1]
-                       & (s[:-1] > floor) & (s[1:] > floor)) + 1
-    ratio = s[j] / s[j - 1]
+    j = np.flatnonzero(pair[:-1] & (slopes[:-1] > floor) & (slopes[1:] > floor)) + 1
+    ratio = slopes[j] / slopes[j - 1]
     inadmissible = (((ratio > SLOPE_JUMP_RATIO) & (X[j] > x_tol))
                     | ((ratio < 1.0 / SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
     return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
@@ -288,15 +334,17 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         X, z = ps.x_values, ps.z_grid
         dz = z[1] - z[0]
         diam = max(ms.support[1] - ms.support[0], 1e-300)
-        defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
+        dX = np.diff(X)
+        defect = float(max(0.0, -np.min(dX))) if X.size > 1 else 0.0
         if defect > 1e-12 * diam:
             violations.append(Violation(
                 "monotonicity", t, f"X decreases by {defect:.3e}"))
 
         interior = _interior_mask(ps, x_tol)
         pair = interior[:-1] & interior[1:]
-        if np.any(pair):
-            gaps = np.diff(X)[pair]
+        any_pair = bool(np.any(pair))
+        if any_pair:
+            gaps = dX[pair]
             gap_tol = 10.0 * diam * (dz / ms.total_mass) ** (g / (1 + g))
             if float(gaps.max()) > gap_tol:
                 violations.append(Violation(
@@ -312,8 +360,8 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
         # edge steepness and jump admissibility are required for t > 0 only:
         # a BV initial datum may carry edge jumps that the evolution
         # instantly opens into fans
-        slopes = np.diff(X) / dz
-        pos = slopes[pair & (slopes > 0)] if np.any(pair) else np.array([])
+        slopes = dX / dz
+        pos = slopes[pair & (slopes > 0)] if any_pair else np.array([])
         median_slope = float(np.median(pos)) if pos.size else 0.0
         if median_slope > 0 and t > 0:
             if X[0] < -x_tol and slopes[0] < EDGE_SLOPE_FACTOR * median_slope:
@@ -325,7 +373,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                     "edge-slope", t,
                     f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
 
-        flags = _oleinik_flags(ps, x_tol) if t > 0 else []
+        flags = _jump_flags(X, slopes, pair, x_tol) if t > 0 else []
         if flags:
             coarse = pseudo_inverse(ms, max(16, z.size // 2))
             coarse_flags = _oleinik_flags(coarse, x_tol)
@@ -341,11 +389,12 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     return violations
 
 
-def trace_onset_time(state: HalfLineState, threshold: float = 1e-2) -> tuple:
-    """First recorded time each row's boundary trace exceeds the threshold,
-    as (left, right); inf for a row whose trace never does."""
+def trace_onset_time(times, values, threshold: float = 1e-2) -> tuple:
+    """First of the recorded ``times`` at which each row's boundary trace,
+    a column of ``values`` (one row per time), exceeds the threshold, as
+    (left, right); inf for a row whose trace never does."""
     onsets = []
-    for values in np.asarray(state.trace_values).T:
-        above = np.flatnonzero(values > threshold)
-        onsets.append(float(state.trace_times[above[0]]) if above.size else math.inf)
+    for column in np.asarray(values).T:
+        above = np.flatnonzero(column > threshold)
+        onsets.append(float(times[above[0]]) if above.size else math.inf)
     return tuple(onsets)

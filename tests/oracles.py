@@ -12,6 +12,11 @@ their equation.
 trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
 a frozen copy of the run loop that called a step per step, driving
 ``step_reference``, that ``conslaw.run_until`` must match bit for bit.
+``assemble_reference`` and ``check_entropy_measure_reference`` are
+frozen copies of ``measure.assemble``, which evaluated the coordinate
+maps on every snapshot, and of ``measure.check_entropy_measure``, which
+took the differences, slopes and interior mask of each pseudo-inverse up
+to three times; the one-pass versions must match them bit for bit.
 ``VERIFY_REPORTS`` freezes the verify report text of the five-run
 ``verify``.  ``rho_explicit`` is the closed-form density of the block,
 which ``oracle`` gives as u and X only, and ``X_unit_mass`` and
@@ -20,17 +25,33 @@ of these is used by the library itself.  ``right_row_state`` builds the
 one-sided states the scheme tests step.
 """
 
+import math
+
 import numpy as np
 
 from condrift.conslaw import (
+    LEFT,
     MAX_CELL_STEPS,
+    RIGHT,
+    SIGNS,
     CflViolation,
     HalfLineState,
     Snapshot,
     WorkBudgetExceeded,
     stable_dt,
 )
-from condrift.measure import SLOPE_JUMP_RATIO, PseudoInverse, _interior_mask
+from condrift.datum import integrate_piecewise
+from condrift.frames import dxi_dx, x_of_xi
+from condrift.measure import (
+    EDGE_SLOPE_FACTOR,
+    MASS_REL_TOL,
+    SLOPE_JUMP_RATIO,
+    MeasureState,
+    PseudoInverse,
+    Violation,
+    _interior_mask,
+    pseudo_inverse,
+)
 from condrift.oracle import X_explicit, mass_explicit
 
 
@@ -196,6 +217,170 @@ def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:
             PseudoInverse(z, X1, ps2.plateau), x_tol)
         residuals.append((ms1.time, float(np.sum(np.abs(resid[mask])) * dz)))
     return residuals
+
+
+def _side_breakpoints_reference(snap, row: int, cfg):
+    u = snap.cells[row]
+    sign = SIGNS[row]
+    nz = np.nonzero(u > 0)[0]
+    if nz.size == 0:
+        return (np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+    last = int(nz[-1])
+    edges = snap.grid.edges[: last + 2]
+    centers = snap.grid.centers[: last + 1]
+    masses = u[: last + 1] * snap.grid.cell_width
+    x_edges = sign * np.asarray(x_of_xi(edges, cfg))
+    x_centers = sign * np.asarray(x_of_xi(centers, cfg))
+    if row == LEFT:
+        return (x_edges[::-1], masses[::-1], x_centers[::-1], u[: last + 1][::-1])
+    return (x_edges, masses, x_centers, u[: last + 1])
+
+
+def assemble_reference(snap, cfg) -> MeasureState:
+    """``measure.assemble`` as it was when it evaluated x(xi) and dxi/dx on
+    each snapshot's own cells."""
+    dirac = snap.outflux_ledger[LEFT] + snap.outflux_ledger[RIGHT]
+    row_mass = snap.mass
+    total = dirac + row_mass[LEFT] + row_mass[RIGHT]
+
+    lx_edges, lmass, lx_centers, lu = _side_breakpoints_reference(snap, LEFT, cfg)
+    rx_edges, rmass, rx_centers, ru = _side_breakpoints_reference(snap, RIGHT, cfg)
+
+    xs = [lx_edges if lx_edges.size else np.array([0.0])]
+    vs = [np.concatenate([[0.0], np.cumsum(lmass)]) if lmass.size else np.array([0.0])]
+    left_total = float(lmass.sum())
+    xs.append(np.array([0.0]))
+    vs.append(np.array([left_total + dirac]))
+    if rmass.size:
+        xs.append(rx_edges)
+        vs.append(left_total + dirac + np.concatenate([[0.0], np.cumsum(rmass)]))
+    F_x = np.concatenate(xs)
+    F_val = np.concatenate(vs)
+
+    x = np.concatenate([lx_centers, rx_centers])
+    u_vals = np.concatenate([lu, ru])
+    weights = np.concatenate([lmass, rmass])
+    if np.any(x == 0):
+        raise FloatingPointError(
+            f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
+    rho = dxi_dx(x, cfg) * u_vals if x.size else np.empty(0)
+    return MeasureState(time=snap.time, dirac_mass=dirac, total_mass=total, x=x,
+                        rho=rho, mass_weights=weights, F_x=F_x, F_val=F_val,
+                        support=(float(F_x[0]), float(F_x[-1])),
+                        sup_u_initial=snap.sup_initial)
+
+
+def _oleinik_flags_reference(ps, x_tol: float):
+    z, X = ps.z_grid, ps.x_values
+    s = np.diff(X) / (z[1] - z[0])
+    interior = _interior_mask(ps, x_tol)
+    floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
+    j = np.flatnonzero(interior[:-2] & interior[1:-1]
+                       & (s[:-1] > floor) & (s[1:] > floor)) + 1
+    ratio = s[j] / s[j - 1]
+    inadmissible = (((ratio > SLOPE_JUMP_RATIO) & (X[j] > x_tol))
+                    | ((ratio < 1.0 / SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
+    return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
+
+
+def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> list:
+    """``measure.check_entropy_measure`` as it was when it took np.diff(X),
+    the slopes and the interior mask of a snapshot up to three times."""
+    if len(ms_series) == 0 or len(ms_series) != len(ps_series):
+        raise ValueError("need matching non-empty snapshot series")
+    times = [ms.time for ms in ms_series]
+    if any(t2 <= t1 for t1, t2 in zip(times[:-1], times[1:])):
+        raise ValueError("snapshot times must be strictly increasing")
+    violations = []
+    g = cfg.gamma
+
+    M = max(ms_series[0].total_mass, 1e-300)
+    diam0 = max(ms_series[0].support[1] - ms_series[0].support[0], 1e-300)
+    x_tol = 1e-9 * diam0
+
+    if datum is not None:
+        ms0 = ms_series[0]
+        F_ref = integrate_piecewise(datum, datum.a, ms0.F_x)
+        sup_err = float(np.max(np.abs(F_ref - ms0.F_val)))
+        if sup_err > 1e-8 * max(M, 1.0) or ms0.dirac_mass != 0.0:
+            violations.append(Violation(
+                "initial-datum", ms0.time,
+                f"cumulative mismatch {sup_err:.3e} or nonzero initial Dirac mass"))
+
+    decay_bound = (1 + g) ** (-1 / (1 + g))
+    prev_m = -math.inf
+    for ms, ps in zip(ms_series, ps_series):
+        t = ms.time
+        mass_err = max(abs(ms.dirac_mass + ms.ac_mass - ms.total_mass),
+                       abs(ms.total_mass - ms_series[0].total_mass))
+        if mass_err > MASS_REL_TOL * max(ms.total_mass, 1.0):
+            violations.append(Violation(
+                "mass-conservation", t, f"m + ac - M = {mass_err:.3e}"))
+        if ms.dirac_mass < prev_m - 1e-12 * max(ms.total_mass, 1.0):
+            violations.append(Violation(
+                "mass-monotonicity", t,
+                f"concentrated mass decreased from {prev_m} to {ms.dirac_mass}"))
+        prev_m = max(prev_m, ms.dirac_mass)
+
+        if ms.sup_u_initial > 0 and ms.x.size:
+            lhs = ms.rho * np.abs(ms.x) ** (1 / (1 + g))
+            bound = decay_bound * ms.sup_u_initial
+            if float(lhs.max()) > bound * (1 + 1e-9):
+                violations.append(Violation(
+                    "decay-bound", t,
+                    f"rho*|x|^(1/(1+gamma)) reached {lhs.max():.3e} > {bound:.3e}"))
+
+        X, z = ps.x_values, ps.z_grid
+        dz = z[1] - z[0]
+        diam = max(ms.support[1] - ms.support[0], 1e-300)
+        defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
+        if defect > 1e-12 * diam:
+            violations.append(Violation(
+                "monotonicity", t, f"X decreases by {defect:.3e}"))
+
+        interior = _interior_mask(ps, x_tol)
+        pair = interior[:-1] & interior[1:]
+        if np.any(pair):
+            gaps = np.diff(X)[pair]
+            gap_tol = 10.0 * diam * (dz / ms.total_mass) ** (g / (1 + g))
+            if float(gaps.max()) > gap_tol:
+                violations.append(Violation(
+                    "continuity", t,
+                    f"interior gap {gaps.max():.3e} exceeds {gap_tol:.3e}"))
+            if float(gaps.min()) <= 0.0:
+                j = int(np.nonzero(pair)[0][np.argmin(gaps)])
+                if abs(X[j]) > x_tol:
+                    violations.append(Violation(
+                        "interior-slope", t,
+                        f"zero slope off the plateau at z={z[j]:.6f}, X={X[j]:.3e}"))
+
+        slopes = np.diff(X) / dz
+        pos = slopes[pair & (slopes > 0)] if np.any(pair) else np.array([])
+        median_slope = float(np.median(pos)) if pos.size else 0.0
+        if median_slope > 0 and t > 0:
+            if X[0] < -x_tol and slopes[0] < EDGE_SLOPE_FACTOR * median_slope:
+                violations.append(Violation(
+                    "edge-slope", t,
+                    f"left edge slope {slopes[0]:.3e} not steep vs median {median_slope:.3e}"))
+            if X[-1] > x_tol and slopes[-1] < EDGE_SLOPE_FACTOR * median_slope:
+                violations.append(Violation(
+                    "edge-slope", t,
+                    f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
+
+        flags = _oleinik_flags_reference(ps, x_tol) if t > 0 else []
+        if flags:
+            coarse = pseudo_inverse(ms, max(16, z.size // 2))
+            coarse_flags = _oleinik_flags_reference(coarse, x_tol)
+            coarse_z = [coarse.z_grid[j] for j, _ in coarse_flags]
+            dz_c = coarse.z_grid[1] - coarse.z_grid[0]
+            for j, ratio in flags:
+                if any(abs(z[j] - zc) <= 2 * dz_c for zc in coarse_z):
+                    violations.append(Violation(
+                        "oleinik", t,
+                        f"inadmissible slope jump (ratio {ratio:.2f}) at "
+                        f"z={z[j]:.6f}, X={X[j]:.3e}"))
+
+    return violations
 
 
 def write_csv_per_value(path, header, rows) -> None:

@@ -55,7 +55,8 @@ def test_criterion_1_trace_onset_time(gamma):
     started = time.monotonic()
     run_until(state, 1.3 / gamma, 0.99, cfg)
     elapsed = time.monotonic() - started
-    _, onset = trace_onset_time(state, TRACE_THRESHOLD)
+    _, onset = trace_onset_time(state.trace_times, state.trace_values,
+                                TRACE_THRESHOLD)
     tol = 5.0 * trace_time_tolerance(gamma, grid.cell_width, TRACE_THRESHOLD)
     ok = abs(onset - 1.0 / gamma) <= tol
     report(f"criterion 1 gamma={gamma}: onset={onset:.5f} target={1/gamma:.5f} "

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import condrift
@@ -19,6 +19,7 @@ from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_VERIFY,
     ConfigError,
@@ -106,6 +107,24 @@ def test_cmd_simulate_writes_artifacts_and_is_deterministic(tmp_path):
     header = (out1 / "measures.csv").read_text().splitlines()[0]
     assert header == "t,dirac_mass,ac_mass,support_lo,support_hi,w1_to_dirac"
 
+
+
+def test_trace_ledger_closes_on_the_concentrated_mass(tmp_path):
+    # left-endpoint quadrature of the recorded trace: both rows' final
+    # outflux_cumulative add up to the final concentrated mass
+    datum = {"kind": "piecewise_constant", "breakpoints": [-0.5, -0.1, 0.3, 0.6],
+             "values": [0.8, 1.3, 0.6]}
+    path = write_config(tmp_path, gamma=1.5, t_end=1.2, grid_cells=128, datum=datum)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == 0
+    ledgers = [np.loadtxt(out / f"ledger_{side}.csv", delimiter=",", skiprows=1)
+               for side in cli.SIDES]
+    assert np.array_equal(ledgers[0][:, 0], ledgers[1][:, 0])
+    assert all(ledger[0, 2] == 0.0 for ledger in ledgers)
+    dirac = np.loadtxt(out / "measures.csv", delimiter=",", skiprows=1)[-1, 1]
+    assert ledgers[0][-1, 2] > 0 and ledgers[1][-1, 2] > 0
+    assert ledgers[0][-1, 2] + ledgers[1][-1, 2] == pytest.approx(dirac, rel=1e-12)
 
 def test_write_csv_matches_per_value_format(tmp_path):
     table = np.array([[-0.0, 5e-324, 0.1],
@@ -670,10 +689,10 @@ def test_characteristics_runs_to_a_t_end_just_inside_the_horizon(tmp_path):
     assert block_times(out / "characteristics.csv") == [0.0, 0.1, 0.2, 0.3]
 
 
-@st.composite
-def characteristics_configs(draw):
-    """Config dicts for characteristics, valid or not: at most 256 cells
-    and 20 output times."""
+def draw_datum(draw, max_value: float) -> dict:
+    """A config datum table, valid or not: example36, or one to four
+    piecewise segments from a start in [-1, 0.5] with values in [0,
+    max_value]."""
     kind = draw(st.sampled_from(["example36", "piecewise_constant", "piecewise_linear"]))
     datum = {"kind": kind}
     if kind != "example36":
@@ -681,9 +700,17 @@ def characteristics_configs(draw):
         start = draw(st.floats(-1.0, 0.5))
         widths = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
         count = n + (kind == "piecewise_linear")
-        value = st.floats(0.0, 3.0)
+        value = st.floats(0.0, max_value)
         datum.update(breakpoints=[float(x) for x in np.cumsum([start] + widths)],
                      values=draw(st.lists(value, min_size=count, max_size=count)))
+    return datum
+
+
+@st.composite
+def characteristics_configs(draw):
+    """Config dicts for characteristics, valid or not: at most 256 cells
+    and 20 output times."""
+    datum = draw_datum(draw, 3.0)
     t_end = draw(st.floats(0.0, 1.5))
     return {"gamma": draw(st.floats(0.2, 4.0)), "dim": draw(st.integers(1, 3)),
             "datum": datum, "grid_cells": draw(st.integers(8, 256)), "t_end": t_end,
@@ -716,6 +743,91 @@ def test_characteristics_config_fuzz(raw):
             assert np.all(np.isfinite(rows)) and np.all(rows[:, 2] >= 0)
             assert rows[-1, 0] == raw["t_end"]
             assert len(block_times(out / "characteristics.csv")) <= 20
+
+
+# gamma = 2 flux of the trace value 1e150 overflows: the run used to
+# write its config and snapshot files, then exit 3 in the trace ledger
+OVERFLOWING_TRACE = {
+    "gamma": 2.0, "grid_cells": 8, "z_count": 64, "t_end": 0,
+    "snapshot_cadence": 0.001,
+    "datum": {"kind": "piecewise_constant",
+              "breakpoints": [-0.22038238595773185, 0.7866340851152702],
+              "values": [1e150]}}
+
+
+def run_simulate(raw: dict, tmp: Path) -> tuple:
+    """(exit code, stderr, output directory) of simulate on a config dict."""
+    path, out = tmp / "config.json", tmp / "out"
+    path.write_text(json.dumps(raw))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["simulate", "--config", str(path), "--output", str(out),
+                     "--quiet"])
+    return code, stderr.getvalue(), out
+
+
+def assert_finite_outputs(out: Path) -> None:
+    """Every number of every CSV file and of summary.json is finite."""
+    for csv in out.glob("*.csv"):
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)), csv.name
+    summary = json.loads((out / "summary.json").read_text())
+    numbers = [summary["gamma"], summary["t_end"], summary["final_dirac_fraction"],
+               summary["total_mass"], *summary["grid"].values()]
+    if summary["t_star_trace"] is not None:
+        numbers.append(summary["t_star_trace"])
+    assert all(map(math.isfinite, numbers)), summary
+
+
+@pytest.mark.parametrize("late_failure", [False, True], ids=["repro", "late-failure"])
+def test_failed_simulate_leaves_no_partial_directory(tmp_path, monkeypatch, late_failure):
+    # every artifact is computed before the output directory is made
+    if late_failure:
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow encountered in power")
+
+        monkeypatch.setattr(cli.measure, "trace_onset_time", overflow)
+    code, stderr, out = run_simulate(OVERFLOWING_TRACE, tmp_path)
+    if late_failure:
+        assert code == EXIT_NUMERICAL and json.loads(stderr)["exit_code"] == code
+        assert not out.exists()
+    else:
+        assert code == 0 and stderr == ""
+        assert_finite_outputs(out)
+
+
+@st.composite
+def simulate_configs(draw):
+    """Config dicts for simulate, valid or not: at most 256 cells, 1024
+    z-points, t_end 4 and 20 snapshots."""
+    datum = draw_datum(draw, 2.0)
+    t_end = draw(st.floats(0.0, 4.0))
+    return {"gamma": draw(st.floats(0.2, 3.0)), "dim": draw(st.integers(1, 2)),
+            "datum": datum, "grid_cells": draw(st.integers(8, 256)),
+            "z_count": draw(st.integers(16, 1024)), "t_end": t_end,
+            "snapshot_cadence": draw(st.floats(max(t_end / 19, 1e-3), 2.0)),
+            "frame": draw(st.sampled_from(["driftfree", "original"]))}
+
+
+@settings(max_examples=50, deadline=5000, derandomize=True)
+@given(simulate_configs())
+@example(OVERFLOWING_TRACE)
+def test_simulate_config_fuzz(raw):
+    # every config runs to finite outputs, or fails with one JSON error,
+    # exit 2, 3 or 4, and no output directory
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stderr, out = run_simulate(raw, Path(tmp))
+        event(f"exit {code}")
+        assert code in (0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+        if stderr:
+            assert stderr.count("\n") == 1
+            assert json.loads(stderr)["exit_code"] == code
+        else:
+            assert code == 0
+        if code != 0:
+            assert not out.exists()
+        else:
+            assert_finite_outputs(out)
 
 
 def test_characteristics_cross_check_against_solver(tmp_path):

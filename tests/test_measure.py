@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from condrift.conslaw import HalfLineGrid, HalfLineState, init_from_datum, make_grid, run_until
-from condrift.datum import block_datum, example_block_datum, integrate_piecewise
+from condrift.datum import (
+    block_datum,
+    example_block_datum,
+    integrate_piecewise,
+    piecewise_constant,
+    piecewise_linear,
+)
 from condrift.frames import GammaConfig
 from condrift.measure import (
     SLOPE_JUMP_RATIO,
@@ -13,13 +21,21 @@ from condrift.measure import (
     _oleinik_flags,
     assemble,
     check_entropy_measure,
+    grid_geometry,
     measure_rows,
     original_frame_series,
     pseudo_inverse,
     trace_onset_time,
     wasserstein_to_dirac,
 )
-from oracles import X_unit_mass, eq_residual_l1, mass_unit_mass, oleinik_flags_loop
+from oracles import (
+    X_unit_mass,
+    assemble_reference,
+    check_entropy_measure_reference,
+    eq_residual_l1,
+    mass_unit_mass,
+    oleinik_flags_loop,
+)
 
 CFG = GammaConfig(gamma=1.0)
 
@@ -143,7 +159,8 @@ def test_trace_onset_time():
     grid = make_grid(datum, cfg, 512)
     state = init_from_datum(datum, grid, cfg)
     run_until(state, 1.5, 0.9, cfg)
-    onset_left, onset = trace_onset_time(state, 1e-2)
+    onset_left, onset = trace_onset_time(state.trace_times, state.trace_values,
+                                         1e-2)
     # N = 512 resolves the onset only to ~dxi*(gamma^gamma*((1+gamma)*thr)^-gamma
     # + thr^-gamma) = 0.32
     assert 0.65 < onset < 1.1
@@ -280,3 +297,69 @@ def test_equation_residual_first_order_on_explicit_solution():
     fine = residual(1025, 0.01)
     assert fine < 0.62 * coarse
     assert fine < 0.05
+
+
+def match_references(datum, gamma, cells, z_count, t_end):
+    """Run the datum to t_end with snapshots at cadence 0.5/gamma, and check
+    that assemble on the run's geometry and check_entropy_measure give the
+    bytes and the Violation list of their frozen references.  Returns the
+    violations, or None when both assemblies raise FloatingPointError."""
+    cfg = GammaConfig(gamma=gamma)
+    state = init_from_datum(datum, make_grid(datum, cfg, cells), cfg)
+    snaps = []
+    run_until(state, t_end, 0.9, cfg, observer=snaps.append, cadence=0.5 / gamma)
+    try:
+        expected = [assemble_reference(snap, cfg) for snap in snaps]
+    except FloatingPointError as error:
+        with pytest.raises(FloatingPointError) as raised:
+            assemble(snaps[0], cfg)
+        assert str(raised.value) == str(error)
+        return None
+    geometry = grid_geometry(snaps[0], cfg)
+    ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
+    for ms, ref in zip(ms_series, expected):
+        for name in ("x", "rho", "mass_weights", "F_x", "F_val"):
+            assert getattr(ms, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (ms.time, ms.dirac_mass, ms.total_mass, ms.support) == \
+            (ref.time, ref.dirac_mass, ref.total_mass, ref.support)
+    violations = check_entropy_measure(
+        ms_series, [pseudo_inverse(ms, z_count) for ms in ms_series], cfg, datum=datum)
+    assert violations == check_entropy_measure_reference(
+        expected, [pseudo_inverse(ms, z_count) for ms in expected], cfg, datum=datum)
+    return violations
+
+
+@st.composite
+def piecewise_runs(draw):
+    """A random piecewise-constant or piecewise-linear datum with positive
+    values on at most five segments, a gamma, at most 128 cells and a
+    z_count."""
+    linear = draw(st.booleans())
+    widths = draw(st.lists(st.floats(0.02, 1.0), min_size=1, max_size=5))
+    breakpoints = draw(st.floats(-1.0, 0.5)) + np.concatenate([[0.0], np.cumsum(widths)])
+    count = breakpoints.size - (not linear)
+    values = draw(st.lists(st.floats(0.05, 2.0), min_size=count, max_size=count))
+    datum = (piecewise_linear if linear else piecewise_constant)(breakpoints, values)
+    return (datum, draw(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.0])),
+            draw(st.integers(8, 128)), draw(st.sampled_from([16, 64, 128, 256])))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(piecewise_runs())
+def test_geometry_and_one_pass_diagnostics_match_references(case):
+    datum, gamma, cells, z_count = case
+    violations = match_references(datum, gamma, cells, z_count, 3.0 / gamma)
+    event("flagged" if violations else "clean")
+
+
+def test_flagged_run_matches_references():
+    # a valid run whose diagnostics flag inadmissible slope jumps: the
+    # references must agree on a non-empty Violation list
+    datum = piecewise_constant([-0.065, 0.095, 0.752], [1.177, 0.233])
+    violations = match_references(datum, 0.5, 128, 128, 6.0)
+    assert any(v.kind == "oleinik" for v in violations)
+
+
+def test_geometry_raises_where_x_underflows_like_the_reference():
+    # at gamma = 1e-3 the block's innermost cell centers map to x = 0
+    assert match_references(example_block_datum(1e-3), 1e-3, 128, 128, 0.0) is None
