@@ -5,9 +5,9 @@ origin: cell masses map exactly through the coordinate change (the
 integral of u over a xi-cell equals the integral of rho over the cell's
 x-image), the accumulated boundary outflux becomes the concentrated mass
 m(t), and the cumulative distribution F carries a jump of height m at
-x = 0.  The
-pseudo-inverse X(z) of F encodes the concentrated mass as a plateau at
-zero, which is how every structural diagnostic below reads the solution.
+x = 0.  The pseudo-inverse X(z) of F encodes the concentrated mass as a
+plateau at zero.  ``check_entropy_measure`` reads seven of the paper's
+statements off a series, one per violation kind.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .datum import InitialDatum, integrate_piecewise
 from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
 
 MASS_REL_TOL = 1e-10
-SLOPE_JUMP_RATIO = 3.0
-EDGE_SLOPE_FACTOR = 5.0
 EDGE_EXCLUDE_CELLS = 2
 # columns of measures.csv and original_frame.csv
 MEASURE_COLUMNS = ["t", "dirac_mass", "ac_mass", "support_lo", "support_hi",
@@ -249,42 +247,21 @@ def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:
     return mask
 
 
-def _oleinik_flags(ps: PseudoInverse, x_tol: float):
-    """Indices of slope jumps violating the one-sided admissibility pattern.
-
-    Admissible derivative jumps of X are increasing where X < 0 and
-    decreasing where X > 0; candidates are adjacent-slope ratios beyond
-    SLOPE_JUMP_RATIO, evaluated away from the plateau and the edges.
-    """
-    X = ps.x_values
-    interior = _interior_mask(ps, x_tol)
-    return _jump_flags(X, np.diff(X) / (ps.z_grid[1] - ps.z_grid[0]),
-                       interior[:-1] & interior[1:], x_tol)
-
-
-def _jump_flags(X: np.ndarray, slopes: np.ndarray, pair: np.ndarray, x_tol: float):
-    """_oleinik_flags of X given its slopes np.diff(X) / dz and the mask of
-    the adjacent node pairs that are both interior."""
-    floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
-    j = np.flatnonzero(pair[:-1] & (slopes[:-1] > floor) & (slopes[1:] > floor)) + 1
-    ratio = slopes[j] / slopes[j - 1]
-    inadmissible = (((ratio > SLOPE_JUMP_RATIO) & (X[j] > x_tol))
-                    | ((ratio < 1.0 / SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
-    return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
-
-
 def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                           datum: Optional[InitialDatum] = None) -> list:
     """Structural diagnostics of a solution series: the list of every
-    Violation found, in order of time.
+    Violation found, in order of time.  Each kind checks one statement:
 
-    Checked per snapshot: initial-datum match (cumulative distributions at
-    the breakpoints, when a datum is supplied), monotonicity and continuity
-    of X, positive interior slopes, steep edge slopes where the support
-    does not touch the origin, the one-sided slope-jump admissibility
-    pattern (kept only if stable under z-refinement), mass bookkeeping, and
-    the sup-decay bound on rho * |x|^(1/(1+gamma)).  Across snapshots: the
-    concentrated mass must not decrease.
+    - initial-datum: the projection matches the datum (cumulative
+      distributions at the breakpoints, no Dirac mass; with a ``datum``);
+    - mass-conservation: the ledger identity m + ac mass = M(0);
+    - mass-monotonicity: m(t) never decreases;
+    - decay-bound: the paper's sup bound
+      rho |x|^(1/(1+gamma)) <= (1+gamma)^(-1/(1+gamma)) sup u0;
+    - monotonicity: X is monotone;
+    - continuity: no interior gap in X, so the support stays connected;
+    - interior-slope: no flat stretch of X off the plateau at zero, so
+      mass concentrates only at the origin.
     """
     if len(ms_series) == 0 or len(ms_series) != len(ps_series):
         raise ValueError("need matching non-empty snapshot series")
@@ -342,8 +319,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
 
         interior = _interior_mask(ps, x_tol)
         pair = interior[:-1] & interior[1:]
-        any_pair = bool(np.any(pair))
-        if any_pair:
+        if np.any(pair):
             gaps = dX[pair]
             gap_tol = 10.0 * diam * (dz / ms.total_mass) ** (g / (1 + g))
             if float(gaps.max()) > gap_tol:
@@ -356,35 +332,6 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                     violations.append(Violation(
                         "interior-slope", t,
                         f"zero slope off the plateau at z={z[j]:.6f}, X={X[j]:.3e}"))
-
-        # edge steepness and jump admissibility are required for t > 0 only:
-        # a BV initial datum may carry edge jumps that the evolution
-        # instantly opens into fans
-        slopes = dX / dz
-        pos = slopes[pair & (slopes > 0)] if any_pair else np.array([])
-        median_slope = float(np.median(pos)) if pos.size else 0.0
-        if median_slope > 0 and t > 0:
-            if X[0] < -x_tol and slopes[0] < EDGE_SLOPE_FACTOR * median_slope:
-                violations.append(Violation(
-                    "edge-slope", t,
-                    f"left edge slope {slopes[0]:.3e} not steep vs median {median_slope:.3e}"))
-            if X[-1] > x_tol and slopes[-1] < EDGE_SLOPE_FACTOR * median_slope:
-                violations.append(Violation(
-                    "edge-slope", t,
-                    f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
-
-        flags = _jump_flags(X, slopes, pair, x_tol) if t > 0 else []
-        if flags:
-            coarse = pseudo_inverse(ms, max(16, z.size // 2))
-            coarse_flags = _oleinik_flags(coarse, x_tol)
-            coarse_z = [coarse.z_grid[j] for j, _ in coarse_flags]
-            dz_c = coarse.z_grid[1] - coarse.z_grid[0]
-            for j, ratio in flags:
-                if any(abs(z[j] - zc) <= 2 * dz_c for zc in coarse_z):
-                    violations.append(Violation(
-                        "oleinik", t,
-                        f"inadmissible slope jump (ratio {ratio:.2f}) at "
-                        f"z={z[j]:.6f}, X={X[j]:.3e}"))
 
     return violations
 

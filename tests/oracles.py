@@ -3,20 +3,23 @@
 Exact Riemann solutions and the discrete total variation check the
 Godunov scheme; a per-segment loop checks the vectorized datum
 integration; a fixed-step RK4 integrator checks the closed-form
-characteristics.  The per-node slope-jump loop and the per-value CSV
-writer check their vectorized counterparts in ``measure`` and ``cli``;
-``eq_residual_l1`` measures how well sampled pseudo-inverses satisfy
-their equation.
+characteristics.  The per-value CSV writer checks its blocked
+counterpart in ``cli``; ``eq_residual_l1`` measures how well sampled
+pseudo-inverses satisfy their equation.
 ``step_reference`` is a frozen copy of the straightforward Godunov step
 (unconditional clips, flux and increment as plain expressions) that the
 trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
 a frozen copy of the run loop that called a step per step, driving
 ``step_reference``, that ``conslaw.run_until`` must match bit for bit.
-``assemble_reference`` and ``check_entropy_measure_reference`` are
-frozen copies of ``measure.assemble``, which evaluated the coordinate
-maps on every snapshot, and of ``measure.check_entropy_measure``, which
-took the differences, slopes and interior mask of each pseudo-inverse up
-to three times; the one-pass versions must match them bit for bit.
+``assemble_reference`` is a frozen copy of ``measure.assemble`` when it
+evaluated the coordinate maps on every snapshot, which the one-pass
+version must match bit for bit.  ``check_entropy_measure_reference`` is a
+frozen copy of ``measure.check_entropy_measure`` when it took the
+differences, slopes and interior mask of each pseudo-inverse up to three
+times and had nine kinds; its two slope thresholds are frozen here.  Two
+kinds, ``oleinik`` (slope-jump admissibility) and ``edge-slope``, flagged
+valid runs and are gone from ``measure``; the seven kept kinds must give
+its list without them.
 ``VERIFY_REPORTS`` freezes the verify report text of the five-run
 ``verify``.  ``rho_explicit`` is the closed-form density of the block,
 which ``oracle`` gives as u and X only, and ``X_unit_mass`` and
@@ -43,9 +46,7 @@ from condrift.conslaw import (
 from condrift.datum import integrate_piecewise
 from condrift.frames import dxi_dx, x_of_xi
 from condrift.measure import (
-    EDGE_SLOPE_FACTOR,
     MASS_REL_TOL,
-    SLOPE_JUMP_RATIO,
     MeasureState,
     PseudoInverse,
     Violation,
@@ -172,29 +173,6 @@ def rk4_characteristics(x0, u0, t, gamma, dim, steps=4000):
     return y
 
 
-def oleinik_flags_loop(ps, x_tol: float):
-    """(j, ratio) slope jumps violating the one-sided admissibility
-    pattern, one z-node at a time."""
-    z, X = ps.z_grid, ps.x_values
-    dz = z[1] - z[0]
-    s = np.diff(X) / dz
-    flags = []
-    interior = _interior_mask(ps, x_tol)
-    floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
-    for j in range(1, s.size):
-        if not (interior[j] and interior[j - 1]):
-            continue
-        if s[j - 1] <= floor or s[j] <= floor:
-            continue
-        ratio = s[j] / s[j - 1]
-        x_here = X[j]
-        if ratio > SLOPE_JUMP_RATIO and x_here > x_tol:
-            flags.append((j, ratio))
-        elif ratio < 1.0 / SLOPE_JUMP_RATIO and x_here < -x_tol:
-            flags.append((j, ratio))
-    return flags
-
-
 def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:
     """(t1, L1) per pair of consecutive snapshots on one z-grid: the
     discrete L1 norm of the pseudo-inverse equation residual
@@ -270,6 +248,10 @@ def assemble_reference(snap, cfg) -> MeasureState:
                         sup_u_initial=snap.sup_initial)
 
 
+REFERENCE_SLOPE_JUMP_RATIO = 3.0
+REFERENCE_EDGE_SLOPE_FACTOR = 5.0
+
+
 def _oleinik_flags_reference(ps, x_tol: float):
     z, X = ps.z_grid, ps.x_values
     s = np.diff(X) / (z[1] - z[0])
@@ -278,14 +260,15 @@ def _oleinik_flags_reference(ps, x_tol: float):
     j = np.flatnonzero(interior[:-2] & interior[1:-1]
                        & (s[:-1] > floor) & (s[1:] > floor)) + 1
     ratio = s[j] / s[j - 1]
-    inadmissible = (((ratio > SLOPE_JUMP_RATIO) & (X[j] > x_tol))
-                    | ((ratio < 1.0 / SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
+    inadmissible = (((ratio > REFERENCE_SLOPE_JUMP_RATIO) & (X[j] > x_tol))
+                    | ((ratio < 1.0 / REFERENCE_SLOPE_JUMP_RATIO) & (X[j] < -x_tol)))
     return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
 
 
 def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> list:
     """``measure.check_entropy_measure`` as it was when it took np.diff(X),
-    the slopes and the interior mask of a snapshot up to three times."""
+    the slopes and the interior mask of a snapshot up to three times, with
+    the ``edge-slope`` and ``oleinik`` kinds it has since dropped."""
     if len(ms_series) == 0 or len(ms_series) != len(ps_series):
         raise ValueError("need matching non-empty snapshot series")
     times = [ms.time for ms in ms_series]
@@ -358,11 +341,11 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
         pos = slopes[pair & (slopes > 0)] if np.any(pair) else np.array([])
         median_slope = float(np.median(pos)) if pos.size else 0.0
         if median_slope > 0 and t > 0:
-            if X[0] < -x_tol and slopes[0] < EDGE_SLOPE_FACTOR * median_slope:
+            if X[0] < -x_tol and slopes[0] < REFERENCE_EDGE_SLOPE_FACTOR * median_slope:
                 violations.append(Violation(
                     "edge-slope", t,
                     f"left edge slope {slopes[0]:.3e} not steep vs median {median_slope:.3e}"))
-            if X[-1] > x_tol and slopes[-1] < EDGE_SLOPE_FACTOR * median_slope:
+            if X[-1] > x_tol and slopes[-1] < REFERENCE_EDGE_SLOPE_FACTOR * median_slope:
                 violations.append(Violation(
                     "edge-slope", t,
                     f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
