@@ -119,8 +119,7 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     return 1.0 / best if best > 0 else math.inf
 
 
-def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig,
-                         horizon: float | None = None) -> np.ndarray:
+def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:
     """Density values at the points ``xs`` at the time t, or at each time
     of a 1-D array t, in the smooth regime.
 
@@ -140,27 +139,23 @@ def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig,
     a (times, points) bracket array, processed in blocks of whole rows
     of at most BLOCK_POINTS brackets.
 
-    ``horizon`` is the smooth horizon min(blow_up_time, first_shock_time)
-    of this datum; a caller that evaluates several times passes it to
-    compute it once, and it is computed here when omitted.  Every time
-    must lie in [0, horizon).
+    Every time must lie in [0, horizon), the horizon being the smooth
+    horizon min(blow_up_time, first_shock_time) of this datum; the first
+    time at or past it raises :class:`NotSmoothRegime`.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a time or a 1-D array of times")
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
-    if horizon is None:
-        horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
+    horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
     late = times >= horizon
     if np.any(late):
-        raise NotSmoothRegime(f"t={times[late][0]} is past the smooth horizon {horizon}")
+        raise NotSmoothRegime(f"t={times[late][0]} is at or past the smooth horizon {horizon}")
     xs = np.asarray(xs, dtype=float)
     g, d = cfg.gamma, cfg.dim
     # a time too small for gamma*d*t to leave 0, as t = 0, moves nothing
     rates = g * d * times.ravel()
-    if times.ndim == 0 and rates[0] == 0.0:
-        return datum(xs)
     flat = xs.ravel()
     out = np.zeros((rates.size, flat.size))
     out[rates == 0.0] = datum(flat)

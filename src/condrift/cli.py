@@ -228,20 +228,6 @@ def write_blocks(path: Path, header: list, blocks) -> None:
             out.write(block % tuple(values.tolist()))
 
 
-def write_snapshot_csv(path: Path, snapshots, row: int) -> None:
-    """One row's snapshot rows: t, xi_center, u (signed original xi); the
-    snapshots of one run share its grid."""
-    centers = SIGNS[row] * snapshots[0].grid.centers
-    write_blocks(path, ["t", "xi_center", "u"],
-                 ((snap.time, centers, snap.cells[row]) for snap in snapshots))
-
-
-def write_pseudoinverse_csv(path: Path, ms_series, ps_series) -> None:
-    write_blocks(path, ["t", "z", "X"],
-                 ((ms.time, ps.z_grid, ps.x_values)
-                  for ms, ps in zip(ms_series, ps_series)))
-
-
 @dataclass
 class SimulationResult:
     """Everything cmd_simulate needs to write its artifacts."""
@@ -308,15 +294,19 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    # snapshots_<side>.csv: t, xi_center, u (signed original xi)
     for row, side in enumerate(SIDES):
-        write_snapshot_csv(out_dir / f"snapshots_{side}.csv", res.snapshots, row)
+        centers = SIGNS[row] * res.state.grid.centers
+        write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
+                     ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
     # ledger_<side>.csv: one row per recorded step; both share the time column
     for row, side in enumerate(SIDES):
         write_csv(out_dir / f"ledger_{side}.csv",
                   ["t", "trace_u0", "outflux_cumulative"],
                   np.column_stack([times, values[:, row], cumulative[:, row]]))
     write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
-    write_pseudoinverse_csv(out_dir / "pseudoinverse.csv", ms_series, ps_series)
+    write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"],
+                 ((ms.time, ps.z_grid, ps.x_values) for ms, ps in zip(ms_series, ps_series)))
     if frame_rows is not None:
         write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
                   frame_rows)
@@ -402,11 +392,13 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                                      config.trace_threshold)[RIGHT]
     tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width,
                                      config.trace_threshold)
-    # a tolerance of 1/gamma or more passes every onset in [0, 1/gamma]
-    status = ("INFO" if tol >= 1.0 / g
+    # a tolerance of 1/gamma or more passes every onset in [0, 1/gamma]; max u
+    # never grows, so the trace never reaches a threshold of sup_initial or more
+    unreachable = config.trace_threshold >= law_res.state.sup_initial
+    status = ("INFO" if tol >= 1.0 / g or unreachable
               else "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL")
     add("trace onset time vs 1/gamma", status,
-        f"{onset:.5f}", f"{1.0 / g:.5f} +/- {tol:.2g}")
+        "none" if math.isinf(onset) else f"{onset:.5f}", f"{1.0 / g:.5f} +/- {tol:.2g}")
 
     # condensed-mass law on [1.5/gamma, 4/gamma]
     worst = 0.0
@@ -470,16 +462,13 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
     datum = config.build_datum()
     t_star = blow_up_time(datum, cfg)
     shock = first_shock_time(datum, cfg)
-    horizon = min(t_star, shock)
-    if config.t_end >= horizon:
-        raise NotSmoothRegime(
-            f"t_end={config.t_end} is past the smooth horizon {horizon}")
     xs = np.linspace(datum.a, datum.b, config.grid_cells)
     # 0 and the k * cadence short of t_end by more than 1e-12, then t_end
     times = np.arange(0.0, config.t_end, config.snapshot_cadence)
     times = np.append(times[(times == 0.0) | (times < config.t_end - 1e-12)],
                       config.t_end)
-    rho = evaluate_smooth_grid(xs, times, datum, cfg, horizon=horizon)
+    # raises NotSmoothRegime if a time is at or past the smooth horizon
+    rho = evaluate_smooth_grid(xs, times, datum, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"],
                  ((t, xs, r) for t, r in zip(times, rho)))
@@ -520,9 +509,9 @@ def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
             raise ConfigError(f"malformed measures.csv row {line!r}: need "
                               f"{width} finite numbers, t >= 0")
         rows.append(row)
+    frame_rows = measure.original_frame_series(rows, config.gamma)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
-              measure.original_frame_series(rows, config.gamma))
+    write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS, frame_rows)
     if not quiet:
         print(f"converted {len(rows)} snapshots to the original frame")
     return EXIT_OK

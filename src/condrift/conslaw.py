@@ -17,12 +17,11 @@ they feed into the origin, so they are stepped together as the two rows
 of one ``(2, N)`` array: row 0 is the reflected left half-line, row 1 the
 right one.
 
-``run_until`` builds one stepper per run and reuses its buffers.  It
-steps only through the last occupied column: the far ghost feeds no
-mass and every speed points at the origin, so the empty cells beyond
-stay exactly +0.0.  It copies the state for snapshot interpolation only
-on the steps that reach a snapshot time.  ``step`` is the one-step case
-of the same loop.
+``run_until`` and ``step`` call ``_advance``, which steps only through
+the last occupied column: the far ghost feeds no mass and every speed
+points at the origin, so the empty cells beyond stay exactly +0.0.  It
+copies the state for snapshot interpolation only on the steps that reach
+a snapshot time.  ``step`` is the one-step case of the same loop.
 
 A step is six array passes: the flux's power and divide, the
 subtraction, the scaling, the update, and one reduction, a max over the
@@ -304,137 +303,118 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
-class _Stepper:
-    """Godunov updates of one state's stepped rows, in place.
+def _fold(state: HalfLineState, dts: list, outs: list) -> np.ndarray:
+    """Add the pending steps' dt * outflux to the stepped rows' ledger and
+    empty both lists; returns the ledger before the last pending step.
 
-    Built once per run: it checks the cfl, clips the state before the
-    update and fixes the column window [0, hi), hi one past the last
-    occupied column.  The columns beyond stay exactly +0.0 under the
-    update (zero inflow, speeds toward the origin), so they are never
-    touched.  The flux and increment go into buffers reused from step to
-    step; the flux buffer has one ghost column past the window, so one
-    subtraction gives every increment.
+    ``add.accumulate`` adds row after row, left to right, so the ledger
+    has the bits of adding each step's outflux as it is made."""
+    sums = np.add.accumulate(np.concatenate(
+        [state.outflux_ledger[None, state.rows], np.multiply(outs, np.array(dts)[:, None])]))
+    state.outflux_ledger[state.rows] = sums[-1]
+    dts.clear()
+    outs.clear()
+    return sums[-2]
 
-    ``run`` binds the buffers, ufuncs and scalars to locals once, so a
-    step is its six array passes and no Python call but ``_flux``, whose
-    power and divide are a square and an exact halving at gamma = 1.  When
-    the max of the cells' bit patterns reaches +inf's (a NaN, an inf, a
-    negative or a -0.0; see the module docstring), the step runs
-    ``_clip_roundoff`` and a float max.  Each step appends its ``dt`` and
-    the rows' outflux to two lists, which ``_fold`` adds to the ledger at
-    the steps that reach a snapshot time and when the run ends.
+
+def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
+             tiny: float, observer: Optional[Callable[[Snapshot], None]] = None,
+             snap_times: Iterable[float] = (), dt_cap: Optional[float] = None) -> None:
+    """Godunov updates of the state's stepped rows, in place, until
+    t_end - time <= tiny; with ``dt_cap``, the one step min(cfl dt, dt_cap).
+
+    It checks the cfl, clips the state and fixes the column window [0, hi),
+    hi one past the last occupied column; the columns beyond stay exactly
+    +0.0, so they are never touched.  The flux and increment go into
+    buffers reused from step to step; the flux buffer has one ghost column
+    past the window, so one subtraction gives every increment.
+
+    Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), six array passes
+    and no Python call but ``_flux``, then the exit check and the peak, the
+    ledger, the time and the trace.  A bit-pattern max at or above +inf's
+    (see the module docstring) runs ``_clip_roundoff`` and a float max.
+    ``_fold`` adds the steps' dt * outflux to the ledger at the steps that
+    reach a snapshot time and at the end.  The snapshots at ``snap_times``,
+    increasing times the run reaches, go to ``observer``, linearly
+    interpolated between the two steps that bracket them.
     """
-
-    def __init__(self, state: HalfLineState, cfl: float, cfg: GammaConfig):
-        if not 0 < cfl <= 1:
-            raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
-        u = state.cells[state.rows]
-        _clip_roundoff(u, "state before the update")
-        # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
-        occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
-        hi = occupied[-1] + 1 if occupied.size else 1
-        self.state, self.cfl, self.gamma = state, cfl, cfg.gamma
-        self.width = state.grid.cell_width
-        self.u = u = u[:, :hi]
-        self.bits = u.view(np.uint64)
-        self.increment = np.empty_like(u)
-        # the ghost column is never written: the last window cell's increment
-        # is ghost - flux, +0.0 - flux for the zero cell hi and -0.0 - flux
-        # (that is, -flux) past the grid's end
-        flux = np.empty((u.shape[0], hi + 1))
-        flux[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
-        # views of the buffers, sliced once
-        self.flux_cells, self.flux_right, self.outflux = flux[:, :-1], flux[:, 1:], flux[:, 0]
-        # the largest bit pattern, and the same 8 bytes read as a float
-        self.peak_bits = np.zeros((), np.uint64)
-        self.peak_float = self.peak_bits.view(np.float64)
-        self.peak = float(u.max(initial=0.0))
-
-    def _fold(self, dts: list, outs: list) -> np.ndarray:
-        """Add the pending steps' dt * outflux to the stepped rows' ledger and
-        empty both lists; returns the ledger before the last pending step.
-
-        ``add.accumulate`` adds row after row, left to right, so the ledger
-        has the bits of adding each step's outflux as it is made."""
-        state = self.state
-        sums = np.add.accumulate(np.concatenate(
-            [state.outflux_ledger[None, state.rows], np.multiply(outs, np.array(dts)[:, None])]))
-        state.outflux_ledger[state.rows] = sums[-1]
-        dts.clear()
-        outs.clear()
-        return sums[-2]
-
-    def run(self, t_end: float, tiny: float,
-            observer: Optional[Callable[[Snapshot], None]] = None,
-            snap_times: Iterable[float] = (), dt_cap: Optional[float] = None) -> None:
-        """Step until t_end - time <= tiny; with ``dt_cap``, take the one step
-        min(cfl dt, dt_cap) instead.
-
-        Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), then the exit
-        check and the peak, the ledger, the time and the trace.  The
-        snapshots at ``snap_times``, increasing times the run reaches, go to
-        ``observer``, linearly interpolated between the two steps that
-        bracket them.
-        """
-        state, gamma, width = self.state, self.gamma, self.width
-        u, increment, bits = self.u, self.increment, self.bits
-        flux_cells, flux_right, outflux = self.flux_cells, self.flux_right, self.outflux
-        peak_bits, peak_float, peak = self.peak_bits, self.peak_float, self.peak
-        flux, subtract, reduce_max = _flux, np.subtract, np.maximum.reduce
-        cw, eps, inf_bits = self.cfl * width, EPS_SPEED, INF_BITS
-        dts, outs = [], []
-        add_dt, add_out = dts.append, outs.append
-        add_time, add_value = state.trace_times.append, state.trace_values.append
-        boundary = state.cells[:, 0]
-        t = state.time
-        snap_times = iter(snap_times)
-        next_snap = next(snap_times, math.inf)
-        try:
-            while t_end - t > tiny:
-                # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
-                speed = peak ** gamma
-                dt = cw / (eps if eps > speed else speed)
-                cap = t_end - t if dt_cap is None else dt_cap
-                if cap < dt:
-                    dt = cap
-                # only a step that reaches the next snapshot time needs a copy
-                # of the state before it, to interpolate
-                snap = next_snap <= t + dt + tiny
-                if snap:
-                    prev_cells, prev_time = state.cells.copy(), t
-                flux(u, gamma, flux_cells)
-                subtract(flux_right, flux_cells, increment)
-                increment *= dt / width
-                u += increment
-                reduce_max(bits, None, None, peak_bits, False, 0)
-                if peak_bits.item() < inf_bits:
-                    peak = peak_float.item()
-                else:
-                    _clip_roundoff(u, "monotone update")
-                    peak = float(u.max(initial=0.0))
-                add_dt(dt)
-                add_out(outflux.tolist())
-                t += dt
-                add_time(t)
-                add_value(boundary.tolist())
-                if snap:
-                    prev_ledger = state.outflux_ledger.copy()
-                    prev_ledger[state.rows] = self._fold(dts, outs)
-                    state.time = t
-                    while next_snap <= t + tiny:
-                        w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
-                        observer(Snapshot(state.grid,
-                                          (1 - w) * prev_cells + w * state.cells,
-                                          next_snap,
-                                          (1 - w) * prev_ledger + w * state.outflux_ledger,
-                                          state.sup_initial))
-                        next_snap = next(snap_times, math.inf)
-                if dt_cap is not None:
-                    break
-        finally:
-            if dts:
-                self._fold(dts, outs)
-            state.time = t
+    if not 0 < cfl <= 1:
+        raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
+    u = state.cells[state.rows]
+    _clip_roundoff(u, "state before the update")
+    # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
+    occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
+    hi = occupied[-1] + 1 if occupied.size else 1
+    gamma, width = cfg.gamma, state.grid.cell_width
+    u = u[:, :hi]
+    bits = u.view(np.uint64)
+    increment = np.empty_like(u)
+    # the ghost column is never written: the last window cell's increment
+    # is ghost - flux, +0.0 - flux for the zero cell hi and -0.0 - flux
+    # (that is, -flux) past the grid's end
+    flux_buffer = np.empty((u.shape[0], hi + 1))
+    flux_buffer[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
+    # views of the buffer, sliced once
+    flux_cells, flux_right, outflux = flux_buffer[:, :-1], flux_buffer[:, 1:], flux_buffer[:, 0]
+    # the largest bit pattern, and the same 8 bytes read as a float
+    peak_bits = np.zeros((), np.uint64)
+    peak_float = peak_bits.view(np.float64)
+    peak = float(u.max(initial=0.0))
+    flux, subtract, reduce_max = _flux, np.subtract, np.maximum.reduce
+    cw, eps, inf_bits = cfl * width, EPS_SPEED, INF_BITS
+    dts, outs = [], []
+    add_dt, add_out = dts.append, outs.append
+    add_time, add_value = state.trace_times.append, state.trace_values.append
+    boundary = state.cells[:, 0]
+    t = state.time
+    snap_times = iter(snap_times)
+    next_snap = next(snap_times, math.inf)
+    try:
+        while t_end - t > tiny:
+            # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
+            speed = peak ** gamma
+            dt = cw / (eps if eps > speed else speed)
+            cap = t_end - t if dt_cap is None else dt_cap
+            if cap < dt:
+                dt = cap
+            # only a step that reaches the next snapshot time needs a copy
+            # of the state before it, to interpolate
+            snap = next_snap <= t + dt + tiny
+            if snap:
+                prev_cells, prev_time = state.cells.copy(), t
+            flux(u, gamma, flux_cells)
+            subtract(flux_right, flux_cells, increment)
+            increment *= dt / width
+            u += increment
+            reduce_max(bits, None, None, peak_bits, False, 0)
+            if peak_bits.item() < inf_bits:
+                peak = peak_float.item()
+            else:
+                _clip_roundoff(u, "monotone update")
+                peak = float(u.max(initial=0.0))
+            add_dt(dt)
+            add_out(outflux.tolist())
+            t += dt
+            add_time(t)
+            add_value(boundary.tolist())
+            if snap:
+                prev_ledger = state.outflux_ledger.copy()
+                prev_ledger[state.rows] = _fold(state, dts, outs)
+                state.time = t
+                while next_snap <= t + tiny:
+                    w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
+                    observer(Snapshot(state.grid,
+                                      (1 - w) * prev_cells + w * state.cells,
+                                      next_snap,
+                                      (1 - w) * prev_ledger + w * state.outflux_ledger,
+                                      state.sup_initial))
+                    next_snap = next(snap_times, math.inf)
+            if dt_cap is not None:
+                break
+    finally:
+        if dts:
+            _fold(state, dts, outs)
+        state.time = t
 
 
 def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
@@ -446,8 +426,8 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
     xi = 0 is added to each row's outflux ledger so that
     dxi * sum(cells) + ledger is constant to rounding, row by row.
     """
-    _Stepper(state, cfl, cfg).run(math.inf, 0.0,
-                                  dt_cap=math.inf if dt_cap is None else dt_cap)
+    _advance(state, cfl, cfg, math.inf, 0.0,
+             dt_cap=math.inf if dt_cap is None else dt_cap)
     return state
 
 
@@ -477,7 +457,7 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
         observer(state.snapshot())
     if t_end - t0 > tiny:
         times = () if observer is None else _snapshot_times(t0, t_end - tiny, cadence)
-        _Stepper(state, cfl, cfg).run(t_end, tiny, observer, times)
+        _advance(state, cfl, cfg, t_end, tiny, observer, times)
     state.time = t_end
     if observer is not None and t0 < t_end - tiny:
         observer(state.snapshot())

@@ -271,22 +271,6 @@ def test_evaluate_smooth_regime_guard():
         evaluate_smooth_grid([0.3], -0.1, datum, cfg)
 
 
-def test_evaluate_smooth_grid_given_horizon_is_bit_identical():
-    # a caller's precomputed horizon gives the same values and the same
-    # guards as the horizon computed inside
-    datum = piecewise_linear([-0.5, -0.2, 0.0, 0.3, 0.6], [0.4, 0.7, 1.0, 0.6, 0.4])
-    cfg = GammaConfig(gamma=1.5)
-    horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
-    xs = np.linspace(-0.6, 0.7, 301)
-    for t in (0.0, 0.3 * horizon, 0.9 * horizon):
-        assert (evaluate_smooth_grid(xs, t, datum, cfg, horizon=horizon).tobytes()
-                == evaluate_smooth_grid(xs, t, datum, cfg).tobytes())
-    with pytest.raises(NotSmoothRegime):
-        evaluate_smooth_grid(xs, horizon, datum, cfg, horizon=horizon)
-    with pytest.raises(ValueError):
-        evaluate_smooth_grid(xs, -0.1, datum, cfg, horizon=horizon)
-
-
 @st.composite
 def smooth_cases(draw):
     """(datum, cfg, xs, times): a constant or linear table, dim 1 or 2,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -616,33 +617,17 @@ def test_cmd_characteristics_rejects_shock_at_start(tmp_path, breakpoints, value
                  str(tmp_path / "z"), "--quiet"]) == EXIT_NUMERICAL
 
 
-def test_cmd_characteristics_rejects_past_horizon(tmp_path):
+def test_cmd_characteristics_rejects_past_horizon(tmp_path, capsys):
+    # the evaluator names the first output time at or past the horizon 1
     path = write_config(tmp_path, t_end=2.0,
                         datum={"kind": "piecewise_linear",
                                "breakpoints": [0.0, 0.5, 1.0],
                                "values": [1.0, 1.0, 0.0]})
     assert main(["characteristics", "--config", str(path), "--output",
                  str(tmp_path / "z"), "--quiet"]) == EXIT_NUMERICAL
-
-
-def test_cmd_characteristics_computes_the_horizon_once(tmp_path, monkeypatch):
-    from condrift import characteristics, cli
-
-    calls = []
-
-    def counted(datum, cfg, real=characteristics.first_shock_time):
-        calls.append(datum)
-        return real(datum, cfg)
-
-    monkeypatch.setattr(characteristics, "first_shock_time", counted)
-    monkeypatch.setattr(cli, "first_shock_time", counted)
-    path = write_config(tmp_path, t_end=0.8, snapshot_cadence=0.2,
-                        datum={"kind": "piecewise_linear",
-                               "breakpoints": [0.0, 0.5, 1.0],
-                               "values": [1.0, 1.0, 0.0]})
-    assert main(["characteristics", "--config", str(path), "--output",
-                 str(tmp_path / "chars"), "--quiet"]) == 0
-    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "numerical validity error: t=1.0 is at or past the smooth horizon 1.0")
+    assert not (tmp_path / "z").exists()
 
 
 TENT = {"kind": "piecewise_linear", "breakpoints": [0.0, 0.5, 1.0],
@@ -830,6 +815,202 @@ def test_simulate_config_fuzz(raw):
             assert_finite_outputs(out)
 
 
+NON_FINITE = {"nan", "inf", "infinity"}
+
+
+def assert_no_non_finite_token(out: Path) -> None:
+    """No file in ``out`` holds a nan or inf token, of any case or sign."""
+    for path in out.iterdir():
+        tokens = re.split(r"[\s,:\[\]{}\"]+", path.read_text())
+        assert not NON_FINITE & {t.lstrip("+-").lower() for t in tokens}, path.name
+
+
+def run_command(argv: list) -> tuple:
+    """(exit code, stderr) of one quiet command."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--quiet"])
+    return code, stderr.getvalue()
+
+
+def assert_exit_contract(code: int, stderr: str, out: Path, codes: set) -> None:
+    """The exit code is one of ``codes``; stderr is empty on exit 0 and one
+    JSON error line otherwise; an exit 0 or 5 leaves outputs without nan or
+    inf, and any other exit leaves no output directory."""
+    event(f"exit {code}")
+    assert code in codes
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert stderr.count("\n") == 1
+        assert json.loads(stderr)["exit_code"] == code
+    if code in (0, EXIT_VERIFY):
+        assert_no_non_finite_token(out)
+    else:
+        assert not out.exists()
+
+
+@st.composite
+def verify_configs(draw):
+    """Config dicts for verify, valid or not: at most 256 cells, 1024
+    z-points, t_end 4, cfl from 0.5 and trace_threshold up to 10."""
+    raw = draw(simulate_configs())
+    raw.update(cfl=draw(st.floats(0.5, 1.0)),
+               trace_threshold=draw(st.floats(0.0, 10.0)))
+    if draw(st.booleans()):
+        raw["datum"] = {"kind": "example36"}
+    return raw
+
+
+# the trace never reaches a threshold above the largest initial cell
+# average: the onset row read FAIL inf
+UNREACHABLE_ONSET = {"gamma": 1.0, "datum": {"kind": "example36"}, "grid_cells": 256,
+                     "z_count": 256, "trace_threshold": 1.5}
+
+
+@settings(max_examples=40, deadline=10000, derandomize=True)
+@given(verify_configs())
+@example(UNREACHABLE_ONSET)
+def test_verify_config_fuzz(raw):
+    # every config writes a report free of nan and inf and exits 0 or 5,
+    # or fails with one JSON error, exit 2, 3 or 4, and no report
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(raw))
+        code, stderr = run_command(["verify", "--config", str(path), "--output", str(out)])
+        assert_exit_contract(code, stderr, out, {0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO,
+                                                 EXIT_VERIFY})
+
+
+@pytest.mark.parametrize("threshold, cells, status, expected", [
+    (1.5, 2048, "INFO", 0),
+    (0.99, 256, "FAIL", EXIT_VERIFY),
+], ids=["above-the-initial-peak", "below-the-initial-peak"])
+def test_verify_onset_row_without_an_onset_reads_none(tmp_path, threshold, cells,
+                                                      status, expected):
+    # the trace stays at or below the law run's largest initial cell
+    # average, about 0.999 at 2048 cells and 0.995 at 256: a threshold at or
+    # above it cannot be crossed and reads INFO, one below it that is never
+    # crossed reads FAIL; neither has an onset time to print
+    path = write_config(tmp_path, grid_cells=cells, z_count=cells,
+                        trace_threshold=threshold)
+    out = tmp_path / "verify"
+    code, _ = run_command(["verify", "--config", str(path), "--output", str(out)])
+    assert code == expected
+    rows = (out / "verify_report.txt").read_text().splitlines()
+    onset = next(row for row in rows if row.startswith("trace onset time"))
+    assert onset.split()[-5:-3] == [status, "none"]
+    assert_no_non_finite_token(out)
+    others = [row for row in rows if row != onset]
+    if cells == 256:  # as the default threshold's report, but for the onset row
+        assert others == [row for row in VERIFY_REPORTS[1.0, cells].splitlines()
+                          if not row.startswith("trace onset time")]
+    else:
+        assert all(" PASS " in row for row in others[1:])
+
+
+def simulated_run(tmp: Path) -> Path:
+    """The run directory of a small simulate of the block to t = 2."""
+    run = tmp / "run"
+    path = write_config(tmp, t_end=2.0, grid_cells=64, z_count=64,
+                        snapshot_cadence=0.5)
+    assert main(["simulate", "--config", str(path), "--output", str(run), "--quiet"]) == 0
+    return run
+
+
+def test_convert_overflow_leaves_no_output_directory(tmp_path):
+    # tau = log(1 + gamma*t)/gamma overflows at gamma 1e10, t 1e300; the
+    # output directory used to be made before the rows were computed
+    run = simulated_run(tmp_path)
+    resolved = run / "resolved_config.json"
+    resolved.write_text(json.dumps(dict(json.loads(resolved.read_text()), gamma=1e10)))
+    measures = run / "measures.csv"
+    lines = edit_row(measures.read_text().splitlines(), -1,
+                     lambda line: set_cell(line, 0, "1e300"))
+    measures.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "conv"
+    code, stderr = run_command(["convert", "--input", str(run), "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert json.loads(stderr) == {"error": "numerical validity error: overflow "
+                                           "encountered in multiply",
+                                  "exit_code": EXIT_NUMERICAL}
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def convert_source(tmp_path_factory) -> Path:
+    return simulated_run(tmp_path_factory.mktemp("convert"))
+
+
+def edit_row(lines: list, row: int, change) -> list:
+    """``lines`` with the data row ``row``, modulo the row count, mapped by
+    ``change``; unchanged if there is no data row."""
+    if len(lines) < 2:
+        return lines
+    row = 1 + row % (len(lines) - 1)
+    return [*lines[:row], change(lines[row]), *lines[row + 1:]]
+
+
+def set_cell(line: str, column: int, value: str) -> str:
+    cells = line.split(",")
+    cells[column % len(cells)] = value
+    return ",".join(cells)
+
+
+@st.composite
+def measures_edits(draw):
+    """One corruption of measures.csv, as a function of its lines."""
+    row, column = draw(st.integers(0, 20)), draw(st.integers(0, 5))
+    value = draw(st.sampled_from(["nan", "inf", "-inf", "x", "", "1e300"]))
+    at = draw(st.integers(0, 6))
+    return draw(st.sampled_from([
+        lambda lines: lines[1:],  # no header
+        lambda lines: [*lines[:at], lines[0] if lines else "", *lines[at:]],  # a header again
+        lambda lines: edit_row(lines, row, lambda line: set_cell(line, column, value)),
+        lambda lines: edit_row(lines, row, lambda line: set_cell(line, 0, "-0.5")),
+        lambda lines: edit_row(lines, row, lambda line: line + ",1"),  # too wide
+        lambda lines: edit_row(lines, row, lambda line: line.rsplit(",", 1)[0]),  # too narrow
+        lambda lines: [*lines[:at], "", *lines[at:]],  # a blank line
+        lambda lines: [],  # an empty file
+    ]))
+
+
+@st.composite
+def convert_inputs(draw):
+    """(measures.csv edits, resolved_config.json edit, CRLF line ends)."""
+    config_edit = draw(st.none() | st.sampled_from([
+        "bad-json", "unknown-key", "dim-2", "huge-gamma-and-t"]))
+    return (draw(st.lists(measures_edits(), max_size=2)), config_edit,
+            draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(convert_inputs())
+def test_convert_input_fuzz(convert_source, edits):
+    # every corrupted copy of a run converts to finite rows, or fails with
+    # one JSON error, exit 2, 3 or 4, and no output directory
+    row_edits, config_edit, crlf = edits
+    with tempfile.TemporaryDirectory() as tmp:
+        run, out = Path(tmp) / "run", Path(tmp) / "out"
+        run.mkdir()
+        lines = (convert_source / "measures.csv").read_text().splitlines()
+        config = json.loads((convert_source / "resolved_config.json").read_text())
+        for edit in row_edits:
+            lines = edit(lines)
+        if config_edit == "huge-gamma-and-t" and len(lines) > 1:
+            config["gamma"] = 1e10
+            lines = edit_row(lines, -1, lambda line: set_cell(line, 0, "1e300"))
+        edited = {"unknown-key": {**config, "spare": 1}, "dim-2": {**config, "dim": 2}}
+        config_text = json.dumps(edited.get(config_edit, config))
+        if config_edit == "bad-json":
+            config_text = config_text[:-1]
+        (run / "resolved_config.json").write_text(config_text)
+        end = "\r\n" if crlf else "\n"
+        (run / "measures.csv").write_bytes("".join(line + end for line in lines).encode())
+        code, stderr = run_command(["convert", "--input", str(run), "--output", str(out)])
+        assert_exit_contract(code, stderr, out, {0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO})
+
+
 def test_characteristics_cross_check_against_solver(tmp_path):
     # the smooth solution and the finite-volume run agree at t*/2
     from condrift import evaluate_smooth_grid, piecewise_linear
@@ -870,15 +1051,16 @@ def test_cmd_verify_coarse_marks_convergence_informational(tmp_path, capsys):
 
 
 def count_steppers(monkeypatch) -> list:
-    """The list that every _Stepper built from now on is appended to."""
+    """The list that the state of every ``conslaw._advance`` call from now
+    on is appended to."""
     built = []
-    real = conslaw._Stepper.__init__
+    real = conslaw._advance
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def counted(state, *args, **kwargs):
+        built.append(state)
+        real(state, *args, **kwargs)
 
-    monkeypatch.setattr(conslaw._Stepper, "__init__", counted)
+    monkeypatch.setattr(conslaw, "_advance", counted)
     return built
 
 
