@@ -34,7 +34,6 @@ from .conslaw import (
     HalfLineGrid,
     HalfLineState,
     SupportOverflow,
-    godunov_flux,
     init_from_datum,
     Snapshot,
     make_grid,

@@ -265,11 +265,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     cfg = config.gamma_config()
     times = np.asarray(res.state.trace_times)
     values = np.asarray(res.state.trace_values)
-    # outflux_cumulative: left-endpoint quadrature matches the explicit
-    # stepping exactly, so the last recorded value is never fluxed
-    increments = np.zeros_like(values)
-    increments[1:] = conslaw.godunov_flux(values[:-1], cfg) * np.diff(times)[:, None]
-    cumulative = np.cumsum(increments, axis=0)
+    cumulative = np.asarray(res.state.ledger_history)
     rows = measure.measure_rows(ms_series)
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
@@ -299,7 +295,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         centers = SIGNS[row] * res.state.grid.centers
         write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
                      ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
-    # ledger_<side>.csv: one row per recorded step; both share the time column
+    # ledger_<side>.csv: the solver's ledger after each step; one time column
     for row, side in enumerate(SIDES):
         write_csv(out_dir / f"ledger_{side}.csv",
                   ["t", "trace_u0", "outflux_cumulative"],

@@ -40,7 +40,8 @@ rows' outflux to two lists, and the run folds them into the ledger with
 one sequential ``np.add.accumulate`` at each step that reaches a snapshot
 time and at the end.  The accumulate adds the products dt * outflux in
 step order, left to right, so the ledger equals the per-step float sum
-bit for bit.
+bit for bit.  The fold also records the ledger after each step in
+``ledger_history``, the one outflux integration, which ``simulate`` writes.
 """
 
 from __future__ import annotations
@@ -125,15 +126,18 @@ class Snapshot:
 
 @dataclass
 class HalfLineState(Snapshot):
-    """A snapshot that steps, plus the boundary trace u(0, t) of each row.
+    """A snapshot that steps, plus the boundary trace u(0, t) and the
+    ledger of each row, one entry per step after the initial one.
 
     ``rows`` is the slice of rows that carry mass at construction; only
     those are stepped.  A row that starts empty stays exactly zero, since
-    the far ghost has zero inflow and the origin is outflow-only.
+    the far ghost has zero inflow and the origin is outflow-only, and it
+    keeps its initial ledger.
     """
 
     trace_times: list = field(default_factory=list)
     trace_values: list = field(default_factory=list)
+    ledger_history: list = field(default_factory=list)
     rows: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,6 +154,7 @@ class HalfLineState(Snapshot):
         if not self.trace_times:
             self.trace_times.append(self.time)
             self.trace_values.append(self.cells[:, 0].tolist())
+            self.ledger_history.append(self.outflux_ledger.copy())
         if self.sup_initial == 0.0:
             self.sup_initial = float(self.cells.max(initial=0.0))
         occupied = np.flatnonzero(self.cells.any(axis=1))
@@ -206,18 +211,6 @@ def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
             f"xi-image of support reaches {reach}, grid extent is only {grid.extent}")
     cells = np.stack([_cell_averages(datum, grid, cfg, sign) for sign in SIGNS])
     return HalfLineState(grid=grid, cells=cells)
-
-
-def godunov_flux(u_upwind, cfg: GammaConfig):
-    """Interface flux u^(1+gamma)/(1+gamma), fed by the right-side cell.
-
-    In canonical orientation all speeds are <= 0, so exact Godunov upwinding
-    reduces to evaluating the flux at the downwind (right) value.
-    """
-    u = np.asarray(u_upwind, dtype=float)
-    if u.min(initial=0.0) < 0:
-        raise ValueError("flux requires u >= 0")
-    return _flux(u, cfg.gamma)
 
 
 def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -303,18 +296,21 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
-def _fold(state: HalfLineState, dts: list, outs: list) -> np.ndarray:
-    """Add the pending steps' dt * outflux to the stepped rows' ledger and
-    empty both lists; returns the ledger before the last pending step.
+def _fold(state: HalfLineState, dts: list, outs: list) -> None:
+    """Add the pending steps' dt * outflux to the stepped rows' ledger,
+    append the ledger after each of those steps to ``ledger_history``, and
+    empty both lists.
 
-    ``add.accumulate`` adds row after row, left to right, so the ledger
-    has the bits of adding each step's outflux as it is made."""
+    ``add.accumulate`` adds row after row, left to right, so each recorded
+    ledger has the bits of adding each step's outflux as it is made."""
     sums = np.add.accumulate(np.concatenate(
         [state.outflux_ledger[None, state.rows], np.multiply(outs, np.array(dts)[:, None])]))
-    state.outflux_ledger[state.rows] = sums[-1]
+    ledgers = np.repeat(state.outflux_ledger[None], len(dts), axis=0)
+    ledgers[:, state.rows] = sums[1:]
+    state.outflux_ledger[:] = ledgers[-1]
+    state.ledger_history.extend(ledgers)
     dts.clear()
     outs.clear()
-    return sums[-2]
 
 
 def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
@@ -333,10 +329,12 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     and no Python call but ``_flux``, then the exit check and the peak, the
     ledger, the time and the trace.  A bit-pattern max at or above +inf's
     (see the module docstring) runs ``_clip_roundoff`` and a float max.
-    ``_fold`` adds the steps' dt * outflux to the ledger at the steps that
-    reach a snapshot time and at the end.  The snapshots at ``snap_times``,
-    increasing times the run reaches, go to ``observer``, linearly
-    interpolated between the two steps that bracket them.
+    ``_fold`` adds the steps' dt * outflux to the ledger, and records the
+    ledger after each step, at the steps that reach a snapshot time and at
+    the end.  The snapshots at ``snap_times``, increasing times the run
+    reaches, go to ``observer``, linearly interpolated between the two
+    steps that bracket them; the ledger before the second is the
+    history's last but one.
     """
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
@@ -398,8 +396,8 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             add_time(t)
             add_value(boundary.tolist())
             if snap:
-                prev_ledger = state.outflux_ledger.copy()
-                prev_ledger[state.rows] = _fold(state, dts, outs)
+                _fold(state, dts, outs)
+                prev_ledger = state.ledger_history[-2]
                 state.time = t
                 while next_snap <= t + tiny:
                     w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)

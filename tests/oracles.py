@@ -392,7 +392,8 @@ def _flux_reference(u: np.ndarray, gamma: float) -> np.ndarray:
 
 def step_reference(state, cfl: float, cfg, dt_cap=None):
     """One Godunov update of ``state`` in place, written without any pass
-    saved: clip, CFL dt, flux, increment, update, clip, ledger, trace."""
+    saved: clip, CFL dt, flux, increment, update, clip, ledger, trace and
+    the ledger's history."""
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
     u = state.cells[state.rows]
@@ -410,6 +411,7 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
     state.time += dt
     state.trace_times.append(state.time)
     state.trace_values.append(state.cells[:, 0].copy())
+    state.ledger_history.append(state.outflux_ledger.copy())
     return state
 
 

@@ -110,12 +110,22 @@ def test_cmd_simulate_writes_artifacts_and_is_deterministic(tmp_path):
 
 
 
-def test_trace_ledger_closes_on_the_concentrated_mass(tmp_path):
-    # left-endpoint quadrature of the recorded trace: both rows' final
-    # outflux_cumulative add up to the final concentrated mass
-    datum = {"kind": "piecewise_constant", "breakpoints": [-0.5, -0.1, 0.3, 0.6],
-             "values": [0.8, 1.3, 0.6]}
-    path = write_config(tmp_path, gamma=1.5, t_end=1.2, grid_cells=128, datum=datum)
+# a two-sided table, and the one-sided block, whose left row never steps
+CLOSURE_RUNS = {
+    "two-sided": {"gamma": 1.5, "t_end": 1.2, "grid_cells": 128,
+                  "datum": {"kind": "piecewise_constant",
+                            "breakpoints": [-0.5, -0.1, 0.3, 0.6],
+                            "values": [0.8, 1.3, 0.6]}},
+    "example36": {"gamma": 1.5, "t_end": 1.2, "grid_cells": 128},
+}
+
+
+@pytest.mark.parametrize("overrides", CLOSURE_RUNS.values(), ids=CLOSURE_RUNS)
+def test_trace_ledger_closes_on_the_concentrated_mass(tmp_path, overrides):
+    # outflux_cumulative is the solver's own ledger: each file's last value
+    # is the run's ledger, and the two add up to the final concentrated
+    # mass bit for bit
+    path = write_config(tmp_path, **overrides)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(path), "--output", str(out),
                  "--quiet"]) == 0
@@ -123,9 +133,16 @@ def test_trace_ledger_closes_on_the_concentrated_mass(tmp_path):
                for side in cli.SIDES]
     assert np.array_equal(ledgers[0][:, 0], ledgers[1][:, 0])
     assert all(ledger[0, 2] == 0.0 for ledger in ledgers)
+    final = simulate(load_config(str(path))).state.outflux_ledger
+    assert [ledger[-1, 2] for ledger in ledgers] == final.tolist()
     dirac = np.loadtxt(out / "measures.csv", delimiter=",", skiprows=1)[-1, 1]
-    assert ledgers[0][-1, 2] > 0 and ledgers[1][-1, 2] > 0
-    assert ledgers[0][-1, 2] + ledgers[1][-1, 2] == pytest.approx(dirac, rel=1e-12)
+    assert ledgers[0][-1, 2] + ledgers[1][-1, 2] == dirac
+    assert ledgers[1][-1, 2] > 0
+    if "datum" in overrides:
+        assert ledgers[0][-1, 2] > 0
+    else:
+        assert not ledgers[0][:, 2].any()
+
 
 def test_write_csv_matches_per_value_format(tmp_path):
     table = np.array([[-0.0, 5e-324, 0.1],

@@ -18,7 +18,6 @@ from condrift.conslaw import (
     block_peak,
     check_block_cell_steps,
     check_cell_steps,
-    godunov_flux,
     init_from_datum,
     make_grid,
     run_until,
@@ -94,16 +93,13 @@ def test_init_support_overflow():
         init_from_datum(datum, grid, CFG)
 
 
-def test_godunov_flux_values():
-    assert godunov_flux(0.0, CFG) == 0.0
-    assert godunov_flux(1.0, CFG) == pytest.approx(0.5)
-    cfg2 = GammaConfig(gamma=2.0)
-    assert godunov_flux(2.0, cfg2) == pytest.approx(8.0 / 3.0)
-    with pytest.raises(ValueError):
-        godunov_flux(-0.1, CFG)
+def test_flux_values():
+    assert conslaw._flux(0.0, 1.0) == 0.0
+    assert conslaw._flux(1.0, 1.0) == pytest.approx(0.5)
+    assert conslaw._flux(2.0, 2.0) == pytest.approx(8.0 / 3.0)
 
 
-def test_godunov_flux_equals_riemann_interface_flux():
+def test_flux_equals_riemann_interface_flux():
     # the scheme's interface flux must equal the flux of the exact Riemann
     # solution sampled at the interface (xi/t = 0)
     rng = np.random.default_rng(5)
@@ -112,7 +108,7 @@ def test_godunov_flux_equals_riemann_interface_flux():
         for _ in range(200):
             u_l, u_r = rng.uniform(0.0, 2.0, 2)
             interface = riemann_exact(float(u_l), float(u_r), 0.0, cfg)
-            assert godunov_flux(interface, cfg) == godunov_flux(float(u_r), cfg)
+            assert conslaw._flux(interface, gamma) == conslaw._flux(float(u_r), gamma)
 
 
 # The gamma = 1 flux is a square and a halving; both must give the bits of
@@ -137,7 +133,6 @@ def test_flux_at_gamma_1_has_the_bits_of_the_power_and_divide(values):
     u = np.array(values)
     expected = bits(np.power(u, 2.0) / 2.0)
     assert bits(conslaw._flux(u, 1.0)) == expected
-    assert bits(godunov_flux(u, CFG)) == expected
     out = np.full_like(u, np.nan)
     assert conslaw._flux(u, 1.0, out) is out
     assert bits(out) == expected
@@ -149,15 +144,13 @@ def test_flux_at_gamma_1_overflows_like_the_power_and_divide():
     u = np.array([1.3e154, 1.4e154])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for flux in (lambda: np.power(u, 2.0) / 2.0, lambda: conslaw._flux(u, 1.0),
-                     lambda: godunov_flux(u, CFG)):
+        for flux in (lambda: np.power(u, 2.0) / 2.0, lambda: conslaw._flux(u, 1.0)):
             with pytest.raises(RuntimeWarning, match="overflow"):
                 flux()
     with np.errstate(over="ignore"):
         expected = np.power(u, 2.0) / 2.0
         assert expected[1] == np.inf
         assert bits(conslaw._flux(u, 1.0)) == bits(expected)
-        assert bits(godunov_flux(u, CFG)) == bits(expected)
 
 
 def test_riemann_constant_state():
@@ -462,7 +455,8 @@ def reference_state(kind, cfg):
 def state_bytes(state):
     return (state.cells.tobytes(), state.outflux_ledger.tobytes(),
             np.float64(state.time).tobytes(), np.asarray(state.trace_times).tobytes(),
-            np.asarray(state.trace_values).tobytes())
+            np.asarray(state.trace_values).tobytes(),
+            np.asarray(state.ledger_history).tobytes())
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
