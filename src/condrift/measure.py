@@ -23,7 +23,6 @@ from .datum import InitialDatum, integrate_piecewise
 from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
 
 MASS_REL_TOL = 1e-10
-EDGE_EXCLUDE_CELLS = 2
 # columns of measures.csv and original_frame.csv
 MEASURE_COLUMNS = ["t", "dirac_mass", "ac_mass", "support_lo", "support_hi",
                    "w1_to_dirac"]
@@ -234,19 +233,6 @@ def original_frame_series(rows, gamma: float) -> list:
     return out
 
 
-def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:
-    """Nodes away from the plateau (one-cell buffer) and the support edges."""
-    z = ps.z_grid
-    dz = z[1] - z[0]
-    mask = np.ones(z.size, dtype=bool)
-    mask[: EDGE_EXCLUDE_CELLS] = False
-    mask[-EDGE_EXCLUDE_CELLS:] = False
-    z_lo, z_hi = ps.plateau
-    mask &= ~((z >= z_lo - dz) & (z <= z_hi + dz))
-    mask &= np.abs(ps.x_values) > x_tol
-    return mask
-
-
 def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                           datum: Optional[InitialDatum] = None) -> list:
     """Structural diagnostics of a solution series: the list of every
@@ -258,10 +244,12 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     - mass-monotonicity: m(t) never decreases;
     - decay-bound: the paper's sup bound
       rho |x|^(1/(1+gamma)) <= (1+gamma)^(-1/(1+gamma)) sup u0;
-    - monotonicity: X is monotone;
-    - continuity: no interior gap in X, so the support stays connected;
-    - interior-slope: no flat stretch of X off the plateau at zero, so
-      mass concentrates only at the origin.
+    - monotonicity: X, the output of ``pseudo_inverse``, is monotone;
+    - continuity: on each side, no massless cell lies between cells with
+      mass, nor, once m > 0, between the origin and the side's mass, so the
+      support stays connected;
+    - interior-slope: F is vertical (a zero-width step with a rise) only
+      at x = 0, so mass concentrates only at the origin.
     """
     if len(ms_series) == 0 or len(ms_series) != len(ps_series):
         raise ValueError("need matching non-empty snapshot series")
@@ -272,8 +260,6 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     g = cfg.gamma
 
     M = max(ms_series[0].total_mass, 1e-300)
-    diam0 = max(ms_series[0].support[1] - ms_series[0].support[0], 1e-300)
-    x_tol = 1e-9 * diam0
 
     if datum is not None:
         ms0 = ms_series[0]
@@ -308,30 +294,38 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                     "decay-bound", t,
                     f"rho*|x|^(1/(1+gamma)) reached {lhs.max():.3e} > {bound:.3e}"))
 
-        X, z = ps.x_values, ps.z_grid
-        dz = z[1] - z[0]
+        X = ps.x_values
         diam = max(ms.support[1] - ms.support[0], 1e-300)
-        dX = np.diff(X)
-        defect = float(max(0.0, -np.min(dX))) if X.size > 1 else 0.0
+        defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
         if defect > 1e-12 * diam:
             violations.append(Violation(
                 "monotonicity", t, f"X decreases by {defect:.3e}"))
 
-        interior = _interior_mask(ps, x_tol)
-        pair = interior[:-1] & interior[1:]
-        if np.any(pair):
-            gaps = dX[pair]
-            gap_tol = 10.0 * diam * (dz / ms.total_mass) ** (g / (1 + g))
-            if float(gaps.max()) > gap_tol:
+        # cell masses from mass_weights: F_val, their running sum, rounds
+        # away cells far lighter than the mass before them, such as the
+        # subnormal ones ahead of a shock that nears the origin
+        n_left = int(np.count_nonzero(ms.x < 0))  # cells in ascending x
+        has_mass = ms.mass_weights > 0
+        occupied = np.flatnonzero(has_mass)
+        split = int(np.searchsorted(occupied, n_left))
+        for side, cells, origin in (("left", occupied[:split], n_left - 1),
+                                    ("right", occupied[split:], n_left)):
+            if cells.size == 0:
+                continue
+            lo, hi = int(cells[0]), int(cells[-1])
+            if ms.dirac_mass > 0:  # the side's mass must reach the origin
+                lo, hi = min(lo, origin), max(hi, origin)
+            if hi - lo + 1 > cells.size:
+                empty = lo + np.flatnonzero(~has_mass[lo: hi + 1])
                 violations.append(Violation(
-                    "continuity", t,
-                    f"interior gap {gaps.max():.3e} exceeds {gap_tol:.3e}"))
-            if float(gaps.min()) <= 0.0:
-                j = int(np.nonzero(pair)[0][np.argmin(gaps)])
-                if abs(X[j]) > x_tol:
-                    violations.append(Violation(
-                        "interior-slope", t,
-                        f"zero slope off the plateau at z={z[j]:.6f}, X={X[j]:.3e}"))
+                    "continuity", t, f"{side} side: massless cells at x in "
+                    f"[{ms.x[empty[0]]:.6g}, {ms.x[empty[-1]]:.6g}]"))
+        for j in np.flatnonzero(np.diff(ms.F_x) == 0):  # zero-width steps of F
+            rise = ms.F_val[j + 1] - ms.F_val[j]
+            if rise > 0 and ms.F_x[j] != 0:
+                violations.append(Violation(
+                    "interior-slope", t,
+                    f"F jumps by {rise:.3e} at x={ms.F_x[j]:.6g}, off the origin"))
 
     return violations
 

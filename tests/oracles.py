@@ -16,10 +16,12 @@ evaluated the coordinate maps on every snapshot, which the one-pass
 version must match bit for bit.  ``check_entropy_measure_reference`` is a
 frozen copy of ``measure.check_entropy_measure`` when it took the
 differences, slopes and interior mask of each pseudo-inverse up to three
-times and had nine kinds; its two slope thresholds are frozen here.  Two
-kinds, ``oleinik`` (slope-jump admissibility) and ``edge-slope``, flagged
-valid runs and are gone from ``measure``; the seven kept kinds must give
-its list without them.
+times and had nine kinds, and read ``continuity`` and ``interior-slope``
+off X with tolerances; its two slope thresholds and its interior mask,
+which ``eq_residual_l1`` uses too, are frozen here.  Two kinds,
+``oleinik`` (slope-jump admissibility) and ``edge-slope``, flagged valid
+runs and are gone from ``measure``; on valid runs the seven kept kinds
+must give its list without them.
 ``VERIFY_REPORTS`` freezes the verify report text of the five-run
 ``verify``.  ``rho_explicit`` is the closed-form density of the block,
 which ``oracle`` gives as u and X only, and ``X_unit_mass`` and
@@ -50,7 +52,6 @@ from condrift.measure import (
     MeasureState,
     PseudoInverse,
     Violation,
-    _interior_mask,
     pseudo_inverse,
 )
 from condrift.oracle import X_explicit, mass_explicit
@@ -171,6 +172,22 @@ def rk4_characteristics(x0, u0, t, gamma, dim, steps=4000):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+REFERENCE_EDGE_EXCLUDE_CELLS = 2
+
+
+def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:
+    """Nodes away from the plateau (one-cell buffer) and the support edges."""
+    z = ps.z_grid
+    dz = z[1] - z[0]
+    mask = np.ones(z.size, dtype=bool)
+    mask[: REFERENCE_EDGE_EXCLUDE_CELLS] = False
+    mask[-REFERENCE_EDGE_EXCLUDE_CELLS:] = False
+    z_lo, z_hi = ps.plateau
+    mask &= ~((z >= z_lo - dz) & (z <= z_hi + dz))
+    mask &= np.abs(ps.x_values) > x_tol
+    return mask
 
 
 def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:

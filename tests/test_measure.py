@@ -7,7 +7,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from condrift import conslaw
-from condrift.conslaw import HalfLineGrid, HalfLineState, init_from_datum, make_grid, run_until
+from condrift.conslaw import (
+    LEFT,
+    RIGHT,
+    HalfLineGrid,
+    HalfLineState,
+    init_from_datum,
+    make_grid,
+    run_until,
+)
 from condrift.datum import (
     block_datum,
     example_block_datum,
@@ -210,6 +218,20 @@ KEPT_KINDS = ["initial-datum", "mass-conservation", "mass-monotonicity",
               "decay-bound", "monotonicity", "continuity", "interior-slope"]
 
 
+def massless_band(ms, lo, count):
+    """A copy of ``ms`` whose cells lo..lo+count-1 (in ascending x) carry no
+    mass.  Their mass is spread over the other cells in proportion, so the
+    ac mass stays and rho is untouched; F_val is rebuilt from the weights."""
+    weights = ms.mass_weights.copy()
+    band = weights[lo: lo + count].sum()
+    weights[lo: lo + count] = 0.0
+    weights *= ms.ac_mass / (ms.ac_mass - band)
+    rise = np.diff(ms.F_val)
+    rise[(ms.F_x[:-1] < 0) | (ms.F_x[1:] > 0)] = weights  # the cells' steps of F
+    F_val = ms.F_val[0] + np.concatenate([[0.0], np.cumsum(rise)])
+    return replace(ms, mass_weights=weights, F_val=F_val)
+
+
 def doctor(kind, ms_series, ps_series):
     """Copies of a three-snapshot series with one fault that only ``kind``
     checks."""
@@ -223,16 +245,19 @@ def doctor(kind, ms_series, ps_series):
         ps[1:] = ps[:0:-1]
     elif kind == "decay-bound":
         ms[1] = replace(ms[1], rho=ms[1].rho * 1.1)
-    else:
+    elif kind == "monotonicity":  # X steps back at its edge
         X = ps[1].x_values.copy()
-        k = X.size // 2
-        if kind == "monotonicity":  # at the edge, outside the interior mask
-            X[-1] = X[-2] - 1e-3
-        elif kind == "continuity":  # a gap as wide as the support
-            X[k:] += 0.5
-        else:  # interior-slope: a flat stretch, that is a Dirac mass, at X > 0
-            X[k + 1] = X[k]
+        X[-1] = X[-2] - 1e-3
         ps[1] = replace(ps[1], x_values=X)
+    else:
+        k = ms[1].mass_weights.size // 2
+        if kind == "continuity":  # a massless band splits the support
+            ms[1] = massless_band(ms[1], k, 4)
+        else:  # interior-slope: two coincident edges, a Dirac mass at x > 0
+            F_x = ms[1].F_x.copy()
+            F_x[k + 1] = F_x[k]
+            ms[1] = replace(ms[1], F_x=F_x)
+        ps[1] = pseudo_inverse(ms[1], ps[1].z_grid.size)
     return ms, ps
 
 
@@ -245,6 +270,49 @@ def test_check_flags_each_doctored_fault_as_its_own_kind(kind):
     violations = check_entropy_measure(*doctor(kind, ms_series, ps_series), CFG,
                                        datum=datum)
     assert {v.kind for v in violations} == {kind}, violations
+
+
+@pytest.mark.parametrize("count", [4, 69])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_continuity_flags_a_massless_band_at_every_gamma(gamma, count):
+    # the block at t = 1/gamma with a band of cells emptied in the middle
+    # of its support, its mass kept: the support is split at every gamma
+    cfg = GammaConfig(gamma=gamma)
+    ms = simulate_block(gamma, 256, [1.0 / gamma])[0][0]
+    ms = massless_band(ms, ms.mass_weights.size // 2 - count // 2, count)
+    violations = check_entropy_measure([ms], [pseudo_inverse(ms, 1024)], cfg)
+    assert [v.kind for v in violations] == ["continuity"], violations
+    assert violations[0].detail.startswith("right side")
+
+
+@pytest.mark.parametrize("breakpoints, row", [([0.6, 0.9], RIGHT),
+                                              ([-0.9, -0.6], LEFT)])
+def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row):
+    # a block away from the origin, run past the time its mass reaches the
+    # origin: vacuum between the two is valid while m = 0, and after that
+    # its row's origin cell carries mass, even when only a subnormal-sized
+    # amount that a running sum of F_val rounds away
+    cfg = GammaConfig(gamma=1.0)
+    datum = piecewise_constant(breakpoints, [1.0])
+    state = init_from_datum(datum, make_grid(datum, cfg, 128), cfg)
+    snaps = []
+    run_until(state, 3.2, 0.9, cfg, observer=snaps.append, cadence=0.1)
+    geometry = grid_geometry(snaps[0], cfg)
+    ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
+    ps_series = [pseudo_inverse(ms, 256) for ms in ms_series]
+    assert check_entropy_measure(ms_series, ps_series, cfg, datum=datum) == []
+    first = next(k for k, ms in enumerate(ms_series) if ms.dirac_mass > 0)
+    assert snaps[first // 2].cells[row, 0] == 0  # a vacuum at m = 0
+    # the origin cell's mass moved one cell out
+    cells = snaps[first].cells.copy()
+    cells[row, 1] += cells[row, 0]
+    cells[row, 0] = 0.0
+    ms_series[first] = assemble(replace(snaps[first], cells=cells), cfg, geometry)
+    ps_series[first] = pseudo_inverse(ms_series[first], 256)
+    violations = check_entropy_measure(ms_series, ps_series, cfg, datum=datum)
+    assert [(v.kind, v.time) for v in violations] == \
+        [("continuity", ms_series[first].time)], violations
+    assert violations[0].detail.startswith("right" if row == RIGHT else "left")
 
 
 @pytest.mark.parametrize("cfl", [0.9, 1.2])
