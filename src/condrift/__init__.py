@@ -49,6 +49,7 @@ from .measure import (
     pseudo_inverse,
     trace_onset_time,
     wasserstein_to_dirac,
+    z_grid,
 )
 from .oracle import (
     X_explicit,

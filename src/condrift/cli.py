@@ -252,7 +252,8 @@ def simulate(config: RunConfig) -> SimulationResult:
               observer=snapshots.append, cadence=config.snapshot_cadence)
     geometry = measure.grid_geometry(snapshots[0], cfg)
     ms_series = [measure.assemble(snap, cfg, geometry) for snap in snapshots]
-    ps_series = [measure.pseudo_inverse(ms, config.z_count) for ms in ms_series]
+    z = measure.z_grid(ms_series[0], config.z_count)
+    ps_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
     return SimulationResult(state, snapshots, ms_series, ps_series, datum)
 
 

@@ -23,11 +23,15 @@ points at the origin, so the empty cells beyond stay exactly +0.0.  It
 copies the state for snapshot interpolation only on the steps that reach
 a snapshot time.  ``step`` is the one-step case of the same loop.
 
-A step is six array passes: the flux's power and divide, the
-subtraction, the scaling, the update, and one reduction, a max over the
-bit patterns of the updated cells.  At gamma = 1 the flux is a square
-and a halving instead: ``np.square`` rounds the same product as
-``np.power(u, 2.0)`` and halving is exact, so the bits do not change.
+A step is six array passes: the power u^(1+gamma) and its division by
+1+gamma, the subtraction, the scaling, the update, and one reduction, a
+max over the bit patterns of the updated cells.  When 1+gamma is a power
+of two (gamma = 1, 3, 7) the division folds into the scaling and a step
+is five passes.  Scaling by a power of two commutes with rounding, so
+the cells keep the bits of the six-pass step except next to a divided
+flux that is subnormal, where they can move by a few units of 2^-1074.
+At gamma = 1 the power is ``np.square``, which rounds the same product
+as ``np.power(u, 2.0)``.
 A double with its sign bit clear orders like its unsigned bit pattern,
 every negative value (-0.0 included) has a pattern of at least
 0x8000..., and every NaN one above +inf's.  So a largest pattern below
@@ -35,13 +39,16 @@ every negative value (-0.0 included) has a pattern of at least
 where the positivity guard has nothing to do, and the float with that
 pattern is the max that sets the next CFL step.
 
-A step does not add its outflux to the ledger: it appends ``dt`` and the
-rows' outflux to two lists, and the run folds them into the ledger with
-one sequential ``np.add.accumulate`` at each step that reaches a snapshot
-time and at the end.  The accumulate adds the products dt * outflux in
-step order, left to right, so the ledger equals the per-step float sum
-bit for bit.  The fold also records the ledger after each step in
-``ledger_history``, the one outflux integration, which ``simulate`` writes.
+A step does not add its outflux to the ledger: it appends ``dt`` to a
+list and its boundary cells to the trace.  A step's outflux is the flux
+of the boundary cells it starts from, the trace's entry before its own,
+so the run folds the pending steps into the ledger with one ``_flux``
+call over their trace entries and one sequential ``np.add.accumulate``,
+at each step that reaches a snapshot time and at the end.  The
+accumulate adds the products dt * outflux in step order, left to right,
+so the ledger equals the per-step float sum bit for bit.  The fold also
+records the ledger after each step in ``ledger_history``, the one
+outflux integration, which ``simulate`` writes.
 """
 
 from __future__ import annotations
@@ -213,16 +220,17 @@ def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
     return HalfLineState(grid=grid, cells=cells)
 
 
-def _flux(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """u^(1+gamma)/(1+gamma) of a nonnegative array, into ``out`` or one new
-    array; at gamma = 1 a square and an exact halving, with the same bits."""
+def _power(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u^(1+gamma) of a nonnegative array, into ``out`` or one new array; at
+    gamma = 1 a square, with the bits of the power."""
     if gamma == 1.0:
-        flux = np.square(u, out)
-        flux *= 0.5
-    else:
-        flux = np.power(u, 1 + gamma, out)
-        flux /= 1 + gamma
-    return flux
+        return np.square(u, out)
+    return np.power(u, 1 + gamma, out)
+
+
+def _flux(u: np.ndarray, gamma: float) -> np.ndarray:
+    """The flux u^(1+gamma)/(1+gamma) of a nonnegative array."""
+    return _power(u, gamma) / (1 + gamma)
 
 
 def _cfl_dt(peak: float, cfl: float, cell_width: float, gamma: float) -> float:
@@ -296,21 +304,25 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
-def _fold(state: HalfLineState, dts: list, outs: list) -> None:
+def _fold(state: HalfLineState, dts: list, gamma: float) -> None:
     """Add the pending steps' dt * outflux to the stepped rows' ledger,
     append the ledger after each of those steps to ``ledger_history``, and
-    empty both lists.
+    empty ``dts``.
 
-    ``add.accumulate`` adds row after row, left to right, so each recorded
-    ledger has the bits of adding each step's outflux as it is made."""
+    The steps are the trace's last len(dts) entries, and each one's outflux
+    is the flux of the boundary cells in the entry before it, the cells it
+    stepped from.  ``add.accumulate`` adds row after row, left to right, so
+    each recorded ledger has the bits of adding each step's outflux as it
+    is made."""
+    n = len(dts)
+    starts = np.array(state.trace_values[-n - 1:-1])[:, state.rows]
     sums = np.add.accumulate(np.concatenate(
-        [state.outflux_ledger[None, state.rows], np.multiply(outs, np.array(dts)[:, None])]))
-    ledgers = np.repeat(state.outflux_ledger[None], len(dts), axis=0)
+        [state.outflux_ledger[None, state.rows], _flux(starts, gamma) * np.array(dts)[:, None]]))
+    ledgers = np.repeat(state.outflux_ledger[None], n, axis=0)
     ledgers[:, state.rows] = sums[1:]
     state.outflux_ledger[:] = ledgers[-1]
     state.ledger_history.extend(ledgers)
     dts.clear()
-    outs.clear()
 
 
 def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
@@ -325,13 +337,14 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     buffers reused from step to step; the flux buffer has one ghost column
     past the window, so one subtraction gives every increment.
 
-    Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), six array passes
-    and no Python call but ``_flux``, then the exit check and the peak, the
-    ledger, the time and the trace.  A bit-pattern max at or above +inf's
-    (see the module docstring) runs ``_clip_roundoff`` and a float max.
-    ``_fold`` adds the steps' dt * outflux to the ledger, and records the
-    ledger after each step, at the steps that reach a snapshot time and at
-    the end.  The snapshots at ``snap_times``, increasing times the run
+    Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), five or six array
+    passes (see the module docstring) and no Python call but ``_power``,
+    then the exit check and the peak, the time, and the trace and ``dt``
+    appended to two lists.  A bit-pattern max at or above +inf's runs
+    ``_clip_roundoff`` and a float max.  ``_fold`` adds the steps'
+    dt * outflux, read off the trace, to the ledger, and records the ledger
+    after each step, at the steps that reach a snapshot time and at the
+    end.  The snapshots at ``snap_times``, increasing times the run
     reaches, go to ``observer``, linearly interpolated between the two
     steps that bracket them; the ledger before the second is the
     history's last but one.
@@ -340,6 +353,10 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
     u = state.cells[state.rows]
     _clip_roundoff(u, "state before the update")
+    # the first step's outflux is read off the trace's last entry: make it
+    # the clipped boundary the step starts from, even if the cells were set
+    # after it was recorded
+    state.trace_values[-1] = state.cells[:, 0].tolist()
     # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
     occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
     hi = occupied[-1] + 1 if occupied.size else 1
@@ -353,15 +370,21 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     flux_buffer = np.empty((u.shape[0], hi + 1))
     flux_buffer[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
     # views of the buffer, sliced once
-    flux_cells, flux_right, outflux = flux_buffer[:, :-1], flux_buffer[:, 1:], flux_buffer[:, 0]
+    flux_cells, flux_right = flux_buffer[:, :-1], flux_buffer[:, 1:]
+    # when 1+gamma is a power of two, dividing by it commutes with rounding,
+    # so the step scales the increment by dt / (dxi (1+gamma)) in place of
+    # dividing the flux
+    one_plus = 1 + gamma
+    divide = math.frexp(one_plus)[0] != 0.5
+    scaled_width = width if divide else width * one_plus
     # the largest bit pattern, and the same 8 bytes read as a float
     peak_bits = np.zeros((), np.uint64)
     peak_float = peak_bits.view(np.float64)
     peak = float(u.max(initial=0.0))
-    flux, subtract, reduce_max = _flux, np.subtract, np.maximum.reduce
+    power, subtract, reduce_max = _power, np.subtract, np.maximum.reduce
     cw, eps, inf_bits = cfl * width, EPS_SPEED, INF_BITS
-    dts, outs = [], []
-    add_dt, add_out = dts.append, outs.append
+    dts = []
+    add_dt = dts.append
     add_time, add_value = state.trace_times.append, state.trace_values.append
     boundary = state.cells[:, 0]
     t = state.time
@@ -380,9 +403,11 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             snap = next_snap <= t + dt + tiny
             if snap:
                 prev_cells, prev_time = state.cells.copy(), t
-            flux(u, gamma, flux_cells)
+            power(u, gamma, flux_cells)
+            if divide:
+                flux_cells /= one_plus
             subtract(flux_right, flux_cells, increment)
-            increment *= dt / width
+            increment *= dt / scaled_width
             u += increment
             reduce_max(bits, None, None, peak_bits, False, 0)
             if peak_bits.item() < inf_bits:
@@ -391,12 +416,11 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                 _clip_roundoff(u, "monotone update")
                 peak = float(u.max(initial=0.0))
             add_dt(dt)
-            add_out(outflux.tolist())
             t += dt
             add_time(t)
             add_value(boundary.tolist())
             if snap:
-                _fold(state, dts, outs)
+                _fold(state, dts, gamma)
                 prev_ledger = state.ledger_history[-2]
                 state.time = t
                 while next_snap <= t + tiny:
@@ -411,7 +435,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                 break
     finally:
         if dts:
-            _fold(state, dts, outs)
+            _fold(state, dts, gamma)
         state.time = t
 
 

@@ -182,15 +182,23 @@ def assemble(snap: Snapshot, cfg: GammaConfig,
     )
 
 
-def pseudo_inverse(ms: MeasureState, z_count: int) -> PseudoInverse:
-    """Monotone inversion of the cumulative distribution on a uniform z-grid.
+def z_grid(ms: MeasureState, z_count: int) -> np.ndarray:
+    """z_count points spaced uniformly over [0, ms.total_mass].
+
+    A run builds one, over its first snapshot, for every snapshot: the
+    total mass of later snapshots drifts in the last bits.
+    """
+    if z_count < 16:
+        raise ValueError("z_count must be at least 16")
+    return np.linspace(0.0, ms.total_mass, z_count)
+
+
+def pseudo_inverse(ms: MeasureState, z: np.ndarray) -> PseudoInverse:
+    """Monotone inversion of the cumulative distribution on the z-grid ``z``.
 
     Flat stretches of F (vacuum) resolve to the infimum convention; the
     plateau at the origin has width equal to the concentrated mass.
     """
-    if z_count < 16:
-        raise ValueError("z_count must be at least 16")
-    z = np.linspace(0.0, ms.total_mass, z_count)
     F_x, F_val = ms.F_x, ms.F_val
     k = np.searchsorted(F_val, z, side="right")
     k = np.clip(k, 1, F_val.size - 1)

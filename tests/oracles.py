@@ -53,6 +53,7 @@ from condrift.measure import (
     PseudoInverse,
     Violation,
     pseudo_inverse,
+    z_grid,
 )
 from condrift.oracle import X_explicit, mass_explicit
 
@@ -369,7 +370,7 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
 
         flags = _oleinik_flags_reference(ps, x_tol) if t > 0 else []
         if flags:
-            coarse = pseudo_inverse(ms, max(16, z.size // 2))
+            coarse = pseudo_inverse(ms, z_grid(ms, max(16, z.size // 2)))
             coarse_flags = _oleinik_flags_reference(coarse, x_tol)
             coarse_z = [coarse.z_grid[j] for j, _ in coarse_flags]
             dz_c = coarse.z_grid[1] - coarse.z_grid[0]

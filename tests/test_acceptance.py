@@ -31,6 +31,7 @@ from condrift.measure import (
     original_frame_series,
     pseudo_inverse,
     trace_onset_time,
+    z_grid,
 )
 from condrift.oracle import mass_explicit, u_explicit
 from oracles import X_unit_mass, riemann_exact, right_row_state, rk4_characteristics
@@ -117,7 +118,7 @@ def test_criterion_4_pseudo_inverse_oracle():
     for t in (0.5 / gamma, 2.0 / gamma):
         run_until(state, t, 0.9, cfg)
         ms = assemble(state, cfg)
-        ps = pseudo_inverse(ms, 4096)
+        ps = pseudo_inverse(ms, z_grid(ms, 4096))
         exact = X_unit_mass(np.clip(ps.z_grid, 0.0, 1.0), t, gamma)
         worst = max(worst, float(np.max(np.abs(ps.x_values - exact))))
     ok = worst <= 1e-2

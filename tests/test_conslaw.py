@@ -111,9 +111,9 @@ def test_flux_equals_riemann_interface_flux():
             assert conslaw._flux(interface, gamma) == conslaw._flux(float(u_r), gamma)
 
 
-# The gamma = 1 flux is a square and a halving; both must give the bits of
-# the general power and divide, down to the subnormals, where 1e-160 squares
-# to one, and up to 1.3e154, whose square is still finite.
+# The gamma = 1 power is a square; it and the flux must give the bits of the
+# general power and divide, down to the subnormals, where 1e-160 squares to
+# one, and up to 1.3e154, whose square is still finite.
 FLUX_VALUES = {
     "zero": [0.0],
     "smallest-subnormal": [5e-324],
@@ -134,8 +134,8 @@ def test_flux_at_gamma_1_has_the_bits_of_the_power_and_divide(values):
     expected = bits(np.power(u, 2.0) / 2.0)
     assert bits(conslaw._flux(u, 1.0)) == expected
     out = np.full_like(u, np.nan)
-    assert conslaw._flux(u, 1.0, out) is out
-    assert bits(out) == expected
+    assert conslaw._power(u, 1.0, out) is out
+    assert bits(out) == bits(np.power(u, 2.0))
 
 
 def test_flux_at_gamma_1_overflows_like_the_power_and_divide():
@@ -411,8 +411,9 @@ def test_trace_history_records_boundary_cell():
 
 GAMMAS = (0.5, 1.0, 2.0)
 # the bit-identity tests also run at the ends of the gamma range that the
-# property tests draw from, where 1+gamma is 1.3 and 4
-BIT_GAMMAS = GAMMAS + (0.3, 3.0)
+# property tests draw from, where 1+gamma is 1.3 and 4, and at gamma = 7:
+# where 1+gamma is a power of two, the step folds 1/(1+gamma) into its scale
+BIT_GAMMAS = GAMMAS + (0.3, 3.0, 7.0)
 # cells handed to the constructor as -0.0: one inside the random data, one
 # at the far end of a row, where the update adds -0.0 to an empty cell
 SIGNED_ZEROS = (np.array([RIGHT, LEFT]), np.array([50, 127]))
@@ -543,13 +544,14 @@ def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamm
     assert hi == n if kind == "full-row" else hi < n
     if kind == "margin-3":
         assert hi < 0.4 * n
-    widths, unwatched = [], conslaw._flux
+    widths, unwatched = [], conslaw._power
 
-    def flux(u, gamma, out=None):
-        widths.append(u.shape[1])
+    def power(u, gamma, out=None):
+        if out is not None:  # the kernel's calls; the ledger's have no buffer
+            widths.append(u.shape[1])
         return unwatched(u, gamma, out)
 
-    monkeypatch.setattr(conslaw, "_flux", flux)
+    monkeypatch.setattr(conslaw, "_power", power)
     run_until(state, 1.2 / gamma, 0.9, cfg)
     assert len(widths) > 50 and set(widths) == {hi}
     beyond = state.cells[:, hi:]
@@ -569,7 +571,7 @@ def test_run_until_rejects_a_bad_cell_set_before_the_run(gamma, bad, where):
         run_until(state, 1.0 / gamma, 0.9, cfg)
 
 
-@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("gamma", GAMMAS + (3.0,))
 def test_run_until_clips_roundoff_negatives_to_positive_zero(gamma):
     cfg = GammaConfig(gamma=gamma)
     state, reference = example36_state(cfg), example36_state(cfg)
@@ -582,7 +584,7 @@ def test_run_until_clips_roundoff_negatives_to_positive_zero(gamma):
     assert not np.signbit(state.cells).any()
 
 
-@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("gamma", GAMMAS + (3.0,))
 def test_run_until_steps_a_negative_zero_beyond_the_support(gamma):
     # a -0.0 set after construction is occupied: the update turns it into
     # +0.0, as the reference's entry clip does
@@ -594,6 +596,105 @@ def test_run_until_steps_a_negative_zero_beyond_the_support(gamma):
     fused = run_bytes(run_until, state, cfg, True)
     assert fused == run_bytes(run_until_reference, reference, cfg, True)
     assert not np.signbit(state.cells).any()
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_run_until_reads_the_first_outflux_off_the_clipped_boundary(gamma):
+    # roundoff negatives set in the boundary cells after construction: the
+    # first step's outflux is the flux of their clipped +0.0, not of the
+    # values that the trace recorded at construction
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = full_row_state(cfg), full_row_state(cfg)
+    assert min(state.trace_values[0]) > 0.2
+    for s in (state, reference):
+        s.cells[:, 0] = -1e-14
+    run_until(state, 1.2 / gamma, 0.9, cfg)
+    run_until_reference(reference, 1.2 / gamma, 0.9, cfg)
+    assert state.trace_values[0] == [0.0, 0.0]
+    assert state_bytes(state)[:4] == state_bytes(reference)[:4]
+    assert np.asarray(state.trace_values[1:]).tobytes() == \
+        np.asarray(reference.trace_values[1:]).tobytes()
+    assert np.asarray(state.ledger_history).tobytes() == \
+        np.asarray(reference.ledger_history).tobytes()
+
+
+# Where 1+gamma is a power of two the step scales the increment by
+# (dt/dxi)/(1+gamma) in place of dividing the flux.  That commutes with
+# rounding except where the divided flux is subnormal, so a cell can move
+# by a few units of the smallest subnormal, 2^-1074.  On these data the
+# largest moves are 1 unit at gamma = 1 and 4 units at gamma = 3, where the
+# two cells that move are normal but below 2^-1019; the trace and the
+# ledger keep their bits.
+SUBNORMAL_CASES = {
+    "gamma-1": (1.0, np.finfo(float).smallest_normal),
+    "gamma-3": (3.0, 2.0 ** -1019),
+}
+SUBNORMAL_UNITS = 4
+
+
+@pytest.mark.parametrize("support", [[0.6, 0.9], [0.95, 0.99]])
+@pytest.mark.parametrize("gamma, below", SUBNORMAL_CASES.values(), ids=SUBNORMAL_CASES)
+def test_folded_scale_moves_only_cells_next_to_the_subnormals(gamma, below, support):
+    cfg = GammaConfig(gamma=gamma)
+    datum = piecewise_constant(support, [1.0])
+    runs = []
+    for run in (run_until, run_until_reference):
+        state = init_from_datum(datum, make_grid(datum, cfg, 64), cfg)
+        snaps = []
+        run(state, 4.0 / gamma, 0.9, cfg, observer=snaps.append, cadence=0.25 / gamma)
+        runs.append((state, snaps))
+    (state, snaps), (reference, reference_snaps) = runs
+    assert len(snaps) == len(reference_snaps) == 17
+    for history in ("trace_times", "trace_values", "ledger_history"):
+        assert np.asarray(getattr(state, history)).tobytes() == \
+            np.asarray(getattr(reference, history)).tobytes()
+    for snap, expected in zip(snaps + [state], reference_snaps + [reference]):
+        assert snap.time == expected.time
+        assert snap.outflux_ledger.tobytes() == expected.outflux_ledger.tobytes()
+        moved = snap.cells != expected.cells
+        assert (snap.cells[moved] < below).all() and (expected.cells[moved] < below).all()
+        units = np.abs(snap.cells[moved] - expected.cells[moved]) / 2.0 ** -1074
+        assert (units <= SUBNORMAL_UNITS).all()
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["end", "snapshots"])
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
+def test_a_run_stopped_by_a_nan_folds_the_ledger_of_every_step_it_made(
+        monkeypatch, gamma, observe):
+    # the kernel's 40th flux power is NaN, so the run raises mid-step; the
+    # fold in the run's finally must still add every completed step's
+    # dt * flux(boundary it started from) to the ledger and its history
+    peaks, real = [], conslaw._power
+
+    def power(u, gamma, out=None):
+        result = real(u, gamma, out)
+        if out is not None:
+            peaks.append(float(u.max()))
+            if len(peaks) == 40:
+                result[...] = np.nan
+        return result
+
+    monkeypatch.setattr(conslaw, "_power", power)
+    cfg = GammaConfig(gamma=gamma)
+    state = two_sided_random_state(cfg)
+    ledger = state.outflux_ledger.copy()
+    # with snapshots every 10 steps or so, the steps up to the last one are
+    # folded as the run reaches them, and only the rest in the finally
+    snaps = []
+    kwargs = ({"observer": snaps.append, "cadence": 10 * stable_dt(state, 0.9, cfg)}
+              if observe else {})
+    with pytest.raises(FloatingPointError, match="monotone update"):
+        run_until(state, 1.2 / gamma, 0.9, cfg, **kwargs)
+    assert len(snaps) == (4 if observe else 0)
+    assert len(state.trace_times) == len(state.ledger_history) == 40
+    expected = [ledger.copy()]
+    for k in range(1, 40):
+        dt = conslaw._cfl_dt(peaks[k - 1], 0.9, state.grid.cell_width, gamma)
+        assert state.trace_times[k] == state.trace_times[k - 1] + dt
+        ledger = ledger + dt * conslaw._flux(np.asarray(state.trace_values[k - 1]), gamma)
+        expected.append(ledger.copy())
+    assert np.asarray(state.ledger_history).tobytes() == np.asarray(expected).tobytes()
+    assert state.outflux_ledger.tobytes() == expected[-1].tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
@@ -679,8 +780,9 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
                                rtol=1e-13, atol=0)
     assert unit.outflux_ledger[RIGHT] == pytest.approx(
         (1.0 + gamma) * block.outflux_ledger[RIGHT], rel=1e-13)
-    block_ps, unit_ps = (measure.pseudo_inverse(measure.assemble(s, cfg), 128)
-                         for s in (block, unit))
+    block_ms, unit_ms = (measure.assemble(s, cfg) for s in (block, unit))
+    block_ps, unit_ps = (measure.pseudo_inverse(ms, measure.z_grid(ms, 128))
+                         for ms in (block_ms, unit_ms))
     np.testing.assert_allclose(unit_ps.z_grid, (1.0 + gamma) * block_ps.z_grid,
                                rtol=1e-13, atol=0)
     np.testing.assert_allclose(unit_ps.x_values, (1.0 + gamma) * block_ps.x_values,

@@ -35,6 +35,7 @@ from condrift.measure import (
     pseudo_inverse,
     trace_onset_time,
     wasserstein_to_dirac,
+    z_grid,
 )
 from oracles import (
     X_unit_mass,
@@ -100,7 +101,7 @@ def test_pseudo_inverse_pure_dirac():
     state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
                           outflux_ledger=[0.3, 0.2])
     ms = assemble(state, CFG)
-    ps = pseudo_inverse(ms, 64)
+    ps = pseudo_inverse(ms, z_grid(ms, 64))
     assert np.all(ps.x_values == 0.0)
     assert ps.plateau == (0.0, 0.5)
     assert wasserstein_to_dirac(ms) == 0.0
@@ -109,13 +110,13 @@ def test_pseudo_inverse_pure_dirac():
 def test_pseudo_inverse_needs_enough_nodes():
     ms_series, _ = simulate_block(1.0, 128, [0.1])
     with pytest.raises(ValueError):
-        pseudo_inverse(ms_series[0], 8)
+        z_grid(ms_series[0], 8)
 
 
 def test_pseudo_inverse_plateau_width_is_dirac_mass():
     ms_series, _ = simulate_block(1.0, 1024, [1.5, 2.5])
     for ms in ms_series:
-        ps = pseudo_inverse(ms, 512)
+        ps = pseudo_inverse(ms, z_grid(ms, 512))
         assert ps.plateau[1] - ps.plateau[0] == pytest.approx(ms.dirac_mass, abs=1e-14)
         on_plateau = np.abs(ps.x_values) == 0.0
         dz = ps.z_grid[1] - ps.z_grid[0]
@@ -124,7 +125,7 @@ def test_pseudo_inverse_plateau_width_is_dirac_mass():
 
 def test_pseudo_inverse_monotone_and_matches_initial_profile():
     ms_series, _ = simulate_block(1.0, 1024, [0.0], datum=block_datum(1.0, 0.0, 1.0))
-    ps = pseudo_inverse(ms_series[0], 256)
+    ps = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 256))
     assert np.all(np.diff(ps.x_values) >= -1e-15)
     # X(z, 0) = z for the uniform unit datum
     assert np.max(np.abs(ps.x_values - ps.z_grid)) < 2e-3
@@ -177,7 +178,7 @@ def test_trace_onset_time():
 def test_check_passes_on_clean_simulation():
     times = [0.5, 1.0, 1.5, 2.0, 3.0]
     ms_series, datum = simulate_block(1.0, 1024, times)
-    ps_series = [pseudo_inverse(ms, 1024) for ms in ms_series]
+    ps_series = [pseudo_inverse(ms, z_grid(ms, 1024)) for ms in ms_series]
     violations = check_entropy_measure(ms_series, ps_series, CFG, datum=None)
     assert not violations, violations
     assert ms_series[-1].dirac_mass / ms_series[-1].total_mass > 0.4
@@ -185,7 +186,7 @@ def test_check_passes_on_clean_simulation():
 
 def test_check_initial_datum_cumulative_match():
     ms_series, datum = simulate_block(1.0, 512, [0.0, 0.5])
-    ps_series = [pseudo_inverse(ms, 512) for ms in ms_series]
+    ps_series = [pseudo_inverse(ms, z_grid(ms, 512)) for ms in ms_series]
     violations = check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
     assert not violations, violations
     ms0 = ms_series[0]
@@ -202,14 +203,14 @@ def test_check_stationary_condensed_state():
         return assemble(state, CFG)
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
-    ps_series = [pseudo_inverse(ms, 64) for ms in ms_series]
+    ps_series = [pseudo_inverse(ms, z_grid(ms, 64)) for ms in ms_series]
     violations = check_entropy_measure(ms_series, ps_series, CFG)
     assert not violations, violations
 
 
 def test_check_requires_increasing_times():
     ms_series, _ = simulate_block(1.0, 128, [0.5])
-    ps = pseudo_inverse(ms_series[0], 64)
+    ps = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 64))
     with pytest.raises(ValueError):
         check_entropy_measure(ms_series * 2, [ps, ps], CFG)
 
@@ -257,7 +258,7 @@ def doctor(kind, ms_series, ps_series):
             F_x = ms[1].F_x.copy()
             F_x[k + 1] = F_x[k]
             ms[1] = replace(ms[1], F_x=F_x)
-        ps[1] = pseudo_inverse(ms[1], ps[1].z_grid.size)
+        ps[1] = pseudo_inverse(ms[1], z_grid(ms[1], ps[1].z_grid.size))
     return ms, ps
 
 
@@ -265,7 +266,7 @@ def doctor(kind, ms_series, ps_series):
 def test_check_flags_each_doctored_fault_as_its_own_kind(kind):
     times = [0.0, 1.0, 2.0]
     ms_series, datum = simulate_block(1.0, 256, times)
-    ps_series = [pseudo_inverse(ms, 256) for ms in ms_series]
+    ps_series = [pseudo_inverse(ms, z_grid(ms, 256)) for ms in ms_series]
     assert not check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
     violations = check_entropy_measure(*doctor(kind, ms_series, ps_series), CFG,
                                        datum=datum)
@@ -280,7 +281,7 @@ def test_continuity_flags_a_massless_band_at_every_gamma(gamma, count):
     cfg = GammaConfig(gamma=gamma)
     ms = simulate_block(gamma, 256, [1.0 / gamma])[0][0]
     ms = massless_band(ms, ms.mass_weights.size // 2 - count // 2, count)
-    violations = check_entropy_measure([ms], [pseudo_inverse(ms, 1024)], cfg)
+    violations = check_entropy_measure([ms], [pseudo_inverse(ms, z_grid(ms, 1024))], cfg)
     assert [v.kind for v in violations] == ["continuity"], violations
     assert violations[0].detail.startswith("right side")
 
@@ -299,7 +300,7 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     run_until(state, 3.2, 0.9, cfg, observer=snaps.append, cadence=0.1)
     geometry = grid_geometry(snaps[0], cfg)
     ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
-    ps_series = [pseudo_inverse(ms, 256) for ms in ms_series]
+    ps_series = [pseudo_inverse(ms, z_grid(ms, 256)) for ms in ms_series]
     assert check_entropy_measure(ms_series, ps_series, cfg, datum=datum) == []
     first = next(k for k, ms in enumerate(ms_series) if ms.dirac_mass > 0)
     assert snaps[first // 2].cells[row, 0] == 0  # a vacuum at m = 0
@@ -308,7 +309,7 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     cells[row, 1] += cells[row, 0]
     cells[row, 0] = 0.0
     ms_series[first] = assemble(replace(snaps[first], cells=cells), cfg, geometry)
-    ps_series[first] = pseudo_inverse(ms_series[first], 256)
+    ps_series[first] = pseudo_inverse(ms_series[first], z_grid(ms_series[first], 256))
     violations = check_entropy_measure(ms_series, ps_series, cfg, datum=datum)
     assert [(v.kind, v.time) for v in violations] == \
         [("continuity", ms_series[first].time)], violations
@@ -319,16 +320,17 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 def test_decay_bound_flags_a_run_stepped_past_its_cfl_bound(monkeypatch, gamma, cfl):
     # verify's law run of the block at N = 256, stepped at cfl 0.9 with its
-    # flux scaled by cfl / 0.9: the cell update of a step at cfl, past the
-    # bound cfl <= 1 that the stepping checks
-    real = conslaw._flux
+    # flux power scaled by cfl / 0.9: the cell update of a step at cfl, past
+    # the bound cfl <= 1 that the stepping checks, and the ledger of the
+    # same scaled flux
+    real = conslaw._power
 
     def scaled(u, gamma, out=None):
-        flux = real(u, gamma, out)
-        flux *= cfl / 0.9
-        return flux
+        power = real(u, gamma, out)
+        power *= cfl / 0.9
+        return power
 
-    monkeypatch.setattr(conslaw, "_flux", scaled)
+    monkeypatch.setattr(conslaw, "_power", scaled)
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     state = init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
@@ -336,7 +338,7 @@ def test_decay_bound_flags_a_run_stepped_past_its_cfl_bound(monkeypatch, gamma, 
     conslaw.run_until(state, 4.0 / gamma, 0.9, cfg, snaps.append, 0.5 / gamma)
     ms_series = [assemble(snap, cfg) for snap in snaps]
     violations = check_entropy_measure(
-        ms_series, [pseudo_inverse(ms, 1024) for ms in ms_series], cfg, datum=datum)
+        ms_series, [pseudo_inverse(ms, z_grid(ms, 1024)) for ms in ms_series], cfg, datum=datum)
     assert {v.kind for v in violations} == ({"decay-bound"} if cfl > 1 else set())
 
 
@@ -393,9 +395,9 @@ def match_references(datum, gamma, cells, z_count, t_end):
         assert (ms.time, ms.dirac_mass, ms.total_mass, ms.support) == \
             (ref.time, ref.dirac_mass, ref.total_mass, ref.support)
     violations = check_entropy_measure(
-        ms_series, [pseudo_inverse(ms, z_count) for ms in ms_series], cfg, datum=datum)
+        ms_series, [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in ms_series], cfg, datum=datum)
     reference = check_entropy_measure_reference(
-        expected, [pseudo_inverse(ms, z_count) for ms in expected], cfg, datum=datum)
+        expected, [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in expected], cfg, datum=datum)
     assert violations == [v for v in reference if v.kind not in DELETED_KINDS]
     assert violations == []
     return reference

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from condrift.frames import GammaConfig, dxi_dx, x_of_xi, xi_of_x
-from condrift.measure import MeasureState, pseudo_inverse
+from condrift.measure import MeasureState, pseudo_inverse, z_grid
 from condrift.oracle import X_explicit, mass_explicit, u_explicit
 from oracles import X_unit_mass, mass_unit_mass, rho_explicit
 
@@ -164,6 +164,6 @@ def test_pseudo_inverse_of_explicit_density_reproduces_X(t):
     ms = measure_from_explicit_density(gamma, t)
     # Gauss quadrature of the inverse-sqrt density loses ~1e-5 near the origin
     assert ms.total_mass == pytest.approx(1.0, abs=1e-4)
-    ps = pseudo_inverse(ms, 4096)
+    ps = pseudo_inverse(ms, z_grid(ms, 4096))
     exact = X_unit_mass(np.clip(ps.z_grid, 0.0, 1.0), t, gamma)
     assert float(np.max(np.abs(ps.x_values - exact))) <= 1e-3
