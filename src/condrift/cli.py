@@ -263,23 +263,21 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     config.check_output_budget()
     res = simulate(config)
     ms_series, ps_series = res.ms_series, res.ps_series
-    cfg = config.gamma_config()
-    times = np.asarray(res.state.trace_times)
-    values = np.asarray(res.state.trace_values)
-    cumulative = np.asarray(res.state.ledger_history)
+    cfg, state = config.gamma_config(), res.state
     rows = measure.measure_rows(ms_series)
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
     violations = measure.check_entropy_measure(ms_series, ps_series, cfg,
                                                datum=res.datum)
-    onset = min(measure.trace_onset_time(times, values, config.trace_threshold))
+    onset = min(measure.trace_onset_time(state.trace_times, state.trace_values,
+                                         config.trace_threshold))
     summary = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
         "dim": config.dim,
         "grid": {"cells": config.grid_cells,
-                 "dxi": res.state.grid.cell_width,
-                 "extent": res.state.grid.extent},
+                 "dxi": state.grid.cell_width,
+                 "extent": state.grid.extent},
         "t_end": config.t_end,
         "t_star_trace": None if math.isinf(onset) else onset,
         "final_dirac_fraction": ms_series[-1].dirac_mass
@@ -293,14 +291,15 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
     # snapshots_<side>.csv: t, xi_center, u (signed original xi)
     for row, side in enumerate(SIDES):
-        centers = SIGNS[row] * res.state.grid.centers
+        centers = SIGNS[row] * state.grid.centers
         write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
                      ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
     # ledger_<side>.csv: the solver's ledger after each step; one time column
     for row, side in enumerate(SIDES):
         write_csv(out_dir / f"ledger_{side}.csv",
                   ["t", "trace_u0", "outflux_cumulative"],
-                  np.column_stack([times, values[:, row], cumulative[:, row]]))
+                  np.column_stack([state.trace_times, state.trace_values[:, row],
+                                   state.ledger_history[:, row]]))
     write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
     write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"],
                  ((ms.time, ps.z_grid, ps.x_values) for ms, ps in zip(ms_series, ps_series)))

@@ -23,32 +23,35 @@ points at the origin, so the empty cells beyond stay exactly +0.0.  It
 copies the state for snapshot interpolation only on the steps that reach
 a snapshot time.  ``step`` is the one-step case of the same loop.
 
-A step is six array passes: the power u^(1+gamma) and its division by
-1+gamma, the subtraction, the scaling, the update, and one reduction, a
-max over the bit patterns of the updated cells.  When 1+gamma is a power
-of two (gamma = 1, 3, 7) the division folds into the scaling and a step
-is five passes.  Scaling by a power of two commutes with rounding, so
-the cells keep the bits of the six-pass step except next to a divided
-flux that is subnormal, where they can move by a few units of 2^-1074.
-At gamma = 1 the power is ``np.square``, which rounds the same product
-as ``np.power(u, 2.0)``.
+A step is five or six array passes and one argmax: the power
+u^(1+gamma) and its division by 1+gamma, the subtraction, the scaling,
+the update, and the argmax over the bit patterns of the updated cells.
+When 1+gamma is a power of two (gamma = 1, 3, 7) the division folds into
+the scaling and a step is five passes.  Scaling by a power of two
+commutes with rounding, so the cells keep the bits of the six-pass step
+except next to a divided flux that is subnormal, where they can move by
+a few units of 2^-1074.  At gamma = 1 the power is ``np.square``, which
+rounds the same product as ``np.power(u, 2.0)``.
 A double with its sign bit clear orders like its unsigned bit pattern,
 every negative value (-0.0 included) has a pattern of at least
 0x8000..., and every NaN one above +inf's.  So a largest pattern below
 +inf's proves every cell +0.0 or positive and finite, which is the case
-where the positivity guard has nothing to do, and the float with that
-pattern is the max that sets the next CFL step.
+where the positivity guard has nothing to do, and the cell at the argmax
+holds the max that sets the next CFL step.
 
-A step does not add its outflux to the ledger: it appends ``dt`` to a
-list and its boundary cells to the trace.  A step's outflux is the flux
-of the boundary cells it starts from, the trace's entry before its own,
-so the run folds the pending steps into the ledger with one ``_flux``
-call over their trace entries and one sequential ``np.add.accumulate``,
-at each step that reaches a snapshot time and at the end.  The
-accumulate adds the products dt * outflux in step order, left to right,
-so the ledger equals the per-step float sum bit for bit.  The fold also
-records the ledger after each step in ``ledger_history``, the one
-outflux integration, which ``simulate`` writes.
+A step does not add its outflux to the ledger, and it records itself in
+two Python lists: its ``dt``, and its boundary cells extended onto a
+flat list.  A step's outflux is the flux of the boundary cells it starts
+from, the record before its own, so the run folds the pending steps into
+the ledger with one ``_flux`` call over those cells and one sequential
+``np.add.accumulate``, at each step that reaches a snapshot time and at
+the end.  The accumulate adds the products dt * outflux in step order,
+left to right, so the ledger equals the per-step float sum bit for bit;
+another one over the dts gives the step times with the bits of the
+run's own clock.  The fold also gives the ledger after each step, the
+one outflux integration, which ``simulate`` writes.  The run appends
+the folded times, boundary cells and ledgers to the state's three
+record arrays once, at its end.
 """
 
 from __future__ import annotations
@@ -134,7 +137,10 @@ class Snapshot:
 @dataclass
 class HalfLineState(Snapshot):
     """A snapshot that steps, plus the boundary trace u(0, t) and the
-    ledger of each row, one entry per step after the initial one.
+    ledger of each row, one entry per step after the initial one:
+    float64 arrays ``trace_times`` of shape (k+1,), and ``trace_values``
+    and ``ledger_history`` of shape (k+1, 2), one column per row, after
+    k steps.
 
     ``rows`` is the slice of rows that carry mass at construction; only
     those are stepped.  A row that starts empty stays exactly zero, since
@@ -142,9 +148,9 @@ class HalfLineState(Snapshot):
     keeps its initial ledger.
     """
 
-    trace_times: list = field(default_factory=list)
-    trace_values: list = field(default_factory=list)
-    ledger_history: list = field(default_factory=list)
+    trace_times: np.ndarray = field(init=False)
+    trace_values: np.ndarray = field(init=False)
+    ledger_history: np.ndarray = field(init=False)
     rows: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,10 +164,9 @@ class HalfLineState(Snapshot):
             raise ValueError("cell averages must be nonnegative")
         # -0.0 -> +0.0, so that step need not clip a state free of negatives
         np.maximum(self.cells, 0.0, out=self.cells)
-        if not self.trace_times:
-            self.trace_times.append(self.time)
-            self.trace_values.append(self.cells[:, 0].tolist())
-            self.ledger_history.append(self.outflux_ledger.copy())
+        self.trace_times = np.array([self.time], dtype=float)
+        self.trace_values = self.cells[None, :, 0].copy()
+        self.ledger_history = self.outflux_ledger[None].copy()
         if self.sup_initial == 0.0:
             self.sup_initial = float(self.cells.max(initial=0.0))
         occupied = np.flatnonzero(self.cells.any(axis=1))
@@ -304,25 +309,34 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
-def _fold(state: HalfLineState, dts: list, gamma: float) -> None:
+def _fold(state: HalfLineState, steps: list, flat: list, gamma: float,
+          records: tuple) -> np.ndarray:
     """Add the pending steps' dt * outflux to the stepped rows' ledger,
-    append the ledger after each of those steps to ``ledger_history``, and
-    empty ``dts``.
+    append their times, boundary cells and ledgers to the three lists of
+    ``records``, and return the ledger before the last of them.
 
-    The steps are the trace's last len(dts) entries, and each one's outflux
-    is the flux of the boundary cells in the entry before it, the cells it
-    stepped from.  ``add.accumulate`` adds row after row, left to right, so
-    each recorded ledger has the bits of adding each step's outflux as it
-    is made."""
-    n = len(dts)
-    starts = np.array(state.trace_values[-n - 1:-1])[:, state.rows]
+    ``steps`` holds the run's time at the last fold, then each pending
+    step's dt; ``flat`` the two boundary cells each pending step starts
+    from, then the two after each step.  Each step's outflux is the flux of
+    the cells it starts from.  ``add.accumulate`` adds left to right, so
+    each time has the bits of the run's clock and each ledger the bits of
+    adding each step's outflux as it is made.  Both lists are left holding
+    what the next step starts from."""
+    n = len(steps) - 1
+    clock = np.array(steps)
+    values = np.array(flat).reshape(n + 1, 2)
+    times = np.add.accumulate(clock)
     sums = np.add.accumulate(np.concatenate(
-        [state.outflux_ledger[None, state.rows], _flux(starts, gamma) * np.array(dts)[:, None]]))
-    ledgers = np.repeat(state.outflux_ledger[None], n, axis=0)
-    ledgers[:, state.rows] = sums[1:]
+        [state.outflux_ledger[None, state.rows],
+         _flux(values[:-1, state.rows], gamma) * clock[1:, None]]))
+    ledgers = np.repeat(state.outflux_ledger[None], n + 1, axis=0)
+    ledgers[:, state.rows] = sums
     state.outflux_ledger[:] = ledgers[-1]
-    state.ledger_history.extend(ledgers)
-    dts.clear()
+    for record, folded in zip(records, (times, values, ledgers)):
+        record.append(folded[1:])
+    steps[:] = [times.item(-1)]
+    del flat[:-2]
+    return ledgers[-2]
 
 
 def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
@@ -339,15 +353,17 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
 
     Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), five or six array
     passes (see the module docstring) and no Python call but ``_power``,
-    then the exit check and the peak, the time, and the trace and ``dt``
-    appended to two lists.  A bit-pattern max at or above +inf's runs
-    ``_clip_roundoff`` and a float max.  ``_fold`` adds the steps'
-    dt * outflux, read off the trace, to the ledger, and records the ledger
-    after each step, at the steps that reach a snapshot time and at the
-    end.  The snapshots at ``snap_times``, increasing times the run
-    reaches, go to ``observer``, linearly interpolated between the two
-    steps that bracket them; the ledger before the second is the
-    history's last but one.
+    then the argmax of the window's bit patterns, which is the exit check
+    and the peak, the time, ``dt`` appended to a list and the boundary
+    cells extended onto a flat one.  ``argmax`` and ``item`` take flat
+    indices, so one code path serves the strided two-row window too.  A
+    largest pattern at or above +inf's runs ``_clip_roundoff`` and a float
+    max.  ``_fold`` adds the steps' dt * outflux to the ledger and turns
+    the two lists into records, at the steps that reach a snapshot time
+    and at the end, where the records are appended to the state's arrays.
+    The snapshots at ``snap_times``, increasing times the run reaches, go
+    to ``observer``, linearly interpolated between the two steps that
+    bracket them; ``_fold`` returns the ledger before the second.
     """
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
@@ -356,13 +372,16 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     # the first step's outflux is read off the trace's last entry: make it
     # the clipped boundary the step starts from, even if the cells were set
     # after it was recorded
-    state.trace_values[-1] = state.cells[:, 0].tolist()
+    boundary = state.cells[:, 0]
+    state.trace_values[-1] = boundary
     # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
     occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
     hi = occupied[-1] + 1 if occupied.size else 1
     gamma, width = cfg.gamma, state.grid.cell_width
     u = u[:, :hi]
-    bits = u.view(np.uint64)
+    # the zero state steps no row: its peak is read off one +0.0 cell
+    peaks = u if u.size else np.zeros(1)
+    bits = peaks.view(np.uint64)
     increment = np.empty_like(u)
     # the ghost column is never written: the last window cell's increment
     # is ghost - flux, +0.0 - flux for the zero cell hi and -0.0 - flux
@@ -377,17 +396,14 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     one_plus = 1 + gamma
     divide = math.frexp(one_plus)[0] != 0.5
     scaled_width = width if divide else width * one_plus
-    # the largest bit pattern, and the same 8 bytes read as a float
-    peak_bits = np.zeros((), np.uint64)
-    peak_float = peak_bits.view(np.float64)
     peak = float(u.max(initial=0.0))
-    power, subtract, reduce_max = _power, np.subtract, np.maximum.reduce
+    power, subtract = _power, np.subtract
+    argmax, bits_at, peak_at = bits.argmax, bits.item, peaks.item
     cw, eps, inf_bits = cfl * width, EPS_SPEED, INF_BITS
-    dts = []
-    add_dt = dts.append
-    add_time, add_value = state.trace_times.append, state.trace_values.append
-    boundary = state.cells[:, 0]
     t = state.time
+    steps, flat = [t], boundary.tolist()
+    add_dt, add_values = steps.append, flat.extend
+    records = ([state.trace_times], [state.trace_values], [state.ledger_history])
     snap_times = iter(snap_times)
     next_snap = next(snap_times, math.inf)
     try:
@@ -409,19 +425,17 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             subtract(flux_right, flux_cells, increment)
             increment *= dt / scaled_width
             u += increment
-            reduce_max(bits, None, None, peak_bits, False, 0)
-            if peak_bits.item() < inf_bits:
-                peak = peak_float.item()
+            i = argmax()
+            if bits_at(i) < inf_bits:
+                peak = peak_at(i)
             else:
                 _clip_roundoff(u, "monotone update")
                 peak = float(u.max(initial=0.0))
             add_dt(dt)
             t += dt
-            add_time(t)
-            add_value(boundary.tolist())
+            add_values(boundary.tolist())
             if snap:
-                _fold(state, dts, gamma)
-                prev_ledger = state.ledger_history[-2]
+                prev_ledger = _fold(state, steps, flat, gamma, records)
                 state.time = t
                 while next_snap <= t + tiny:
                     w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
@@ -434,8 +448,10 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             if dt_cap is not None:
                 break
     finally:
-        if dts:
-            _fold(state, dts, gamma)
+        if len(steps) > 1:
+            _fold(state, steps, flat, gamma, records)
+        state.trace_times, state.trace_values, state.ledger_history = map(
+            np.concatenate, records)
         state.time = t
 
 

@@ -340,10 +340,10 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
 
 def trace_onset_time(times, values, threshold: float = 1e-2) -> tuple:
     """First of the recorded ``times`` at which each row's boundary trace,
-    a column of ``values`` (one row per time), exceeds the threshold, as
-    (left, right); inf for a row whose trace never does."""
+    a column of the array ``values`` (one row per time), exceeds the
+    threshold, as (left, right); inf for a row whose trace never does."""
     onsets = []
-    for column in np.asarray(values).T:
+    for column in values.T:
         above = np.flatnonzero(column > threshold)
         onsets.append(float(times[above[0]]) if above.size else math.inf)
     return tuple(onsets)

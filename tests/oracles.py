@@ -427,9 +427,9 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
     _clip_roundoff_reference(u, "monotone update")
     state.outflux_ledger[state.rows] += dt * flux[:, 0]
     state.time += dt
-    state.trace_times.append(state.time)
-    state.trace_values.append(state.cells[:, 0].copy())
-    state.ledger_history.append(state.outflux_ledger.copy())
+    state.trace_times = np.append(state.trace_times, state.time)
+    state.trace_values = np.vstack([state.trace_values, state.cells[:, 0]])
+    state.ledger_history = np.vstack([state.ledger_history, state.outflux_ledger])
     return state
 
 

@@ -32,6 +32,7 @@ from condrift.datum import (
     piecewise_linear,
 )
 from condrift.frames import GammaConfig, x_of_xi
+import oracles
 from oracles import (
     riemann_exact,
     right_row_state,
@@ -384,7 +385,7 @@ def test_empty_row_stays_exactly_zero():
     assert state.outflux_ledger[RIGHT] > 0
     assert state.outflux_ledger[LEFT] == 0.0
     assert not state.cells[LEFT].any()
-    assert not np.asarray(state.trace_values)[:, LEFT].any()
+    assert not state.trace_values[:, LEFT].any()
     assert all(not s.cells[LEFT].any() and s.outflux_ledger[LEFT] == 0.0 for s in snaps)
 
 
@@ -403,7 +404,7 @@ def test_trace_history_records_boundary_cell():
     state = init_from_datum(datum, grid, CFG)
     run_until(state, 0.25, 0.9, CFG)
     assert state.trace_times[0] == 0.0
-    assert state.trace_values[-1][RIGHT] == state.cells[RIGHT, 0]
+    assert state.trace_values[-1, RIGHT] == state.cells[RIGHT, 0]
     assert len(state.trace_times) == len(state.trace_values)
     x_last = x_of_xi(np.asarray([grid.edges[-1]]), CFG)
     assert np.isfinite(x_last).all()
@@ -455,9 +456,8 @@ def reference_state(kind, cfg):
 
 def state_bytes(state):
     return (state.cells.tobytes(), state.outflux_ledger.tobytes(),
-            np.float64(state.time).tobytes(), np.asarray(state.trace_times).tobytes(),
-            np.asarray(state.trace_values).tobytes(),
-            np.asarray(state.ledger_history).tobytes())
+            np.float64(state.time).tobytes(), state.trace_times.tobytes(),
+            state.trace_values.tobytes(), state.ledger_history.tobytes())
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
@@ -505,8 +505,12 @@ def run_bytes(run, state, cfg, observe, cadence=None):
     cadence = cadence or 0.1 / cfg.gamma
     kwargs = {"observer": snaps.append, "cadence": cadence} if observe else {}
     run(state, 1.2 / cfg.gamma, 0.9, cfg, **kwargs)
-    return [(s.cells.tobytes(), np.float64(s.time).tobytes(),
-             s.outflux_ledger.tobytes()) for s in snaps] + [state_bytes(state)]
+    return snapshot_bytes(snaps) + [state_bytes(state)]
+
+
+def snapshot_bytes(snaps):
+    return [(s.cells.tobytes(), np.float64(s.time).tobytes(), s.outflux_ledger.tobytes())
+            for s in snaps]
 
 
 @pytest.mark.parametrize("kind", list(RUN_STATES))
@@ -533,6 +537,35 @@ def test_run_until_with_a_cadence_below_dt_is_bit_identical_to_reference(gamma, 
     assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, True, cadence)
     steps = len(state.trace_times) - 1
     assert len(fused) - 1 > 2 * steps
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["end", "snapshots"])
+@pytest.mark.parametrize("kind", ["example36", "two-sided"])
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
+def test_chained_run_until_calls_are_bit_identical_to_reference(gamma, kind, observe):
+    # a run that lands on t1 and then goes on to t2; the second t1 lies
+    # within the landing tolerance past a step time, so the first run stops
+    # on that step and its last recorded time is not t1, the time the
+    # second run starts from
+    cfg = GammaConfig(gamma=gamma)
+    probe = run_until(RUN_STATES[kind](cfg), 0.5 / gamma, 0.9, cfg)
+    t_step = probe.trace_times[len(probe.trace_times) // 2]
+    for t1 in (0.5 / gamma, t_step + 0.5e-12 * max(1.0, t_step)):
+        runs = []
+        for run in (run_until, run_until_reference):
+            state, snaps = RUN_STATES[kind](cfg), []
+            kwargs = {"observer": snaps.append, "cadence": 0.1 / gamma} if observe else {}
+            run(state, t1, 0.9, cfg, **kwargs)
+            landed = state.trace_times[-1] == state.time
+            run(state, 1.2 / gamma, 0.9, cfg, **kwargs)
+            runs.append((landed, snapshot_bytes(snaps), state_bytes(state)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (t1 == 0.5 / gamma)
+        k = len(state.trace_times)
+        assert k > 2 and (len(runs[0][1]) > 10 if observe else not runs[0][1])
+        for record, shape in ((state.trace_times, (k,)), (state.trace_values, (k, 2)),
+                              (state.ledger_history, (k, 2))):
+            assert record.dtype == np.float64 and record.shape == shape
 
 
 @pytest.mark.parametrize("kind", list(RUN_STATES))
@@ -605,17 +638,15 @@ def test_run_until_reads_the_first_outflux_off_the_clipped_boundary(gamma):
     # values that the trace recorded at construction
     cfg = GammaConfig(gamma=gamma)
     state, reference = full_row_state(cfg), full_row_state(cfg)
-    assert min(state.trace_values[0]) > 0.2
+    assert state.trace_values[0].min() > 0.2
     for s in (state, reference):
         s.cells[:, 0] = -1e-14
     run_until(state, 1.2 / gamma, 0.9, cfg)
     run_until_reference(reference, 1.2 / gamma, 0.9, cfg)
-    assert state.trace_values[0] == [0.0, 0.0]
+    assert state.trace_values[0].tobytes() == np.zeros(2).tobytes()
     assert state_bytes(state)[:4] == state_bytes(reference)[:4]
-    assert np.asarray(state.trace_values[1:]).tobytes() == \
-        np.asarray(reference.trace_values[1:]).tobytes()
-    assert np.asarray(state.ledger_history).tobytes() == \
-        np.asarray(reference.ledger_history).tobytes()
+    assert state.trace_values[1:].tobytes() == reference.trace_values[1:].tobytes()
+    assert state.ledger_history.tobytes() == reference.ledger_history.tobytes()
 
 
 # Where 1+gamma is a power of two the step scales the increment by
@@ -646,8 +677,7 @@ def test_folded_scale_moves_only_cells_next_to_the_subnormals(gamma, below, supp
     (state, snaps), (reference, reference_snaps) = runs
     assert len(snaps) == len(reference_snaps) == 17
     for history in ("trace_times", "trace_values", "ledger_history"):
-        assert np.asarray(getattr(state, history)).tobytes() == \
-            np.asarray(getattr(reference, history)).tobytes()
+        assert getattr(state, history).tobytes() == getattr(reference, history).tobytes()
     for snap, expected in zip(snaps + [state], reference_snaps + [reference]):
         assert snap.time == expected.time
         assert snap.outflux_ledger.tobytes() == expected.outflux_ledger.tobytes()
@@ -691,10 +721,75 @@ def test_a_run_stopped_by_a_nan_folds_the_ledger_of_every_step_it_made(
     for k in range(1, 40):
         dt = conslaw._cfl_dt(peaks[k - 1], 0.9, state.grid.cell_width, gamma)
         assert state.trace_times[k] == state.trace_times[k - 1] + dt
-        ledger = ledger + dt * conslaw._flux(np.asarray(state.trace_values[k - 1]), gamma)
+        ledger = ledger + dt * conslaw._flux(state.trace_values[k - 1], gamma)
         expected.append(ledger.copy())
-    assert np.asarray(state.ledger_history).tobytes() == np.asarray(expected).tobytes()
+    assert state.ledger_history.tobytes() == np.array(expected).tobytes()
     assert state.outflux_ledger.tobytes() == expected[-1].tobytes()
+
+
+FAULT_STEP = 20
+
+
+def set_fault(u, flux, row, column, hi, bad):
+    """Set ``bad`` into cell (row, column) of u, after its flux is taken,
+    and level the flux so that the update leaves the cell at ``bad``: the
+    next cell's flux becomes the cell's, or, in the window's last column,
+    the cell's becomes the +0.0 flux of the empty cell beyond it."""
+    u[row, column] = bad
+    if column + 1 < hi:
+        flux[row, column + 1] = flux[row, column]
+    else:
+        flux[row, column] = 0.0
+
+
+FAULTS = {"nan": (np.nan, "raises"), "negative": (-1e-3, "raises"),
+          "roundoff": (-1e-14, "clips")}
+
+
+@pytest.mark.parametrize("bad, outcome", FAULTS.values(), ids=FAULTS)
+@pytest.mark.parametrize("column", ["first", "last"])
+@pytest.mark.parametrize("row", [LEFT, RIGHT], ids=["left", "right"])
+@pytest.mark.parametrize("kind", ["two-sided", "full-row"])
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
+        monkeypatch, gamma, kind, row, column, bad, outcome):
+    # the window's first column holds the argmax's first flat index (left
+    # row) and the last column its last (right row); the fault is made by
+    # the update of the FAULT_STEP-th step, in the kernel and in the reference
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = RUN_STATES[kind](cfg), RUN_STATES[kind](cfg)
+    hi = entry_window(state)
+    where = (row, 0 if column == "first" else hi - 1, hi, bad)
+    windows, reference_steps = [], []
+    power, flux_reference = conslaw._power, oracles._flux_reference
+
+    def power_spy(u, gamma, out=None):
+        result = power(u, gamma, out)
+        if out is not None:  # the kernel's calls
+            windows.append(u.shape)
+            if len(windows) == FAULT_STEP:
+                set_fault(u, result, *where)
+        return result
+
+    def flux_reference_spy(u, gamma):
+        result = flux_reference(u, gamma)
+        reference_steps.append(u.shape)
+        if len(reference_steps) == FAULT_STEP:
+            set_fault(u, result, *where)
+        return result
+
+    monkeypatch.setattr(conslaw, "_power", power_spy)
+    monkeypatch.setattr(oracles, "_flux_reference", flux_reference_spy)
+    if outcome == "clips":
+        fused = run_bytes(run_until, state, cfg, True)
+        assert fused == run_bytes(run_until_reference, reference, cfg, True)
+        assert len(windows) > FAULT_STEP and set(windows) == {(2, hi)}
+        assert not np.signbit(state.cells).any()
+    else:
+        with pytest.raises(FloatingPointError, match="monotone update"):
+            run_until(state, 1.2 / gamma, 0.9, cfg)
+        assert windows == [(2, hi)] * FAULT_STEP
+        assert len(state.trace_times) == len(state.ledger_history) == FAULT_STEP
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
