@@ -294,12 +294,15 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         centers = SIGNS[row] * state.grid.centers
         write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
                      ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
-    # ledger_<side>.csv: the solver's ledger after each step; one time column
+    # ledger_<side>.csv: the solver's ledger after each step; the two files
+    # share their time column, so it is formatted once, into a per-row
+    # format that each file fills with its two columns
+    times = state.trace_times.tolist()
+    ledger_rows = (b"%.17g,%%.17g,%%.17g\n" * len(times)) % tuple(times)
     for row, side in enumerate(SIDES):
-        write_csv(out_dir / f"ledger_{side}.csv",
-                  ["t", "trace_u0", "outflux_cumulative"],
-                  np.column_stack([state.trace_times, state.trace_values[:, row],
-                                   state.ledger_history[:, row]]))
+        columns = np.column_stack([state.trace_values[:, row], state.ledger_history[:, row]])
+        (out_dir / f"ledger_{side}.csv").write_bytes(
+            b"t,trace_u0,outflux_cumulative\n" + ledger_rows % tuple(columns.ravel().tolist()))
     write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
     write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"],
                  ((ms.time, ps.z_grid, ps.x_values) for ms, ps in zip(ms_series, ps_series)))

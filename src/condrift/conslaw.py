@@ -20,8 +20,11 @@ right one.
 ``run_until`` and ``step`` call ``_advance``, which steps only through
 the last occupied column: the far ghost feeds no mass and every speed
 points at the origin, so the empty cells beyond stay exactly +0.0.  It
-copies the state for snapshot interpolation only on the steps that reach
-a snapshot time.  ``step`` is the one-step case of the same loop.
+steps a column-major copy of the stepped rows' window, so that each pass
+over two rows walks one contiguous run of memory, and writes it back
+into the state at the steps that reach a snapshot time, where it copies
+the state for snapshot interpolation, and at the end.  ``step`` is the
+one-step case of the same loop.
 
 A step is five or six array passes and one argmax: the power
 u^(1+gamma) and its division by 1+gamma, the subtraction, the scaling,
@@ -40,15 +43,15 @@ where the positivity guard has nothing to do, and the cell at the argmax
 holds the max that sets the next CFL step.
 
 A step does not add its outflux to the ledger, and it records itself in
-two Python lists: its ``dt``, and its boundary cells extended onto a
-flat list.  A step's outflux is the flux of the boundary cells it starts
-from, the record before its own, so the run folds the pending steps into
-the ledger with one ``_flux`` call over those cells and one sequential
-``np.add.accumulate``, at each step that reaches a snapshot time and at
-the end.  The accumulate adds the products dt * outflux in step order,
-left to right, so the ledger equals the per-step float sum bit for bit;
-another one over the dts gives the step times with the bits of the
-run's own clock.  The fold also gives the ledger after each step, the
+two Python lists: its ``dt``, and the stepped rows' boundary cells
+extended onto a flat list.  A step's outflux is the flux of the boundary
+cells it starts from, the record before its own, so the run folds the
+pending steps into the ledger with one ``_flux`` call over those cells
+and one sequential ``np.add.accumulate``, at each step that reaches a
+snapshot time and at the end.  The accumulate adds the products
+dt * outflux in step order, left to right, so the ledger equals the
+per-step float sum bit for bit; another one over the dts gives the step
+times with the bits of the run's own clock.  The fold also gives the ledger after each step, the
 one outflux integration, which ``simulate`` writes.  The run appends
 the folded times, boundary cells and ledgers to the state's three
 record arrays once, at its end.
@@ -316,26 +319,30 @@ def _fold(state: HalfLineState, steps: list, flat: list, gamma: float,
     ``records``, and return the ledger before the last of them.
 
     ``steps`` holds the run's time at the last fold, then each pending
-    step's dt; ``flat`` the two boundary cells each pending step starts
-    from, then the two after each step.  Each step's outflux is the flux of
-    the cells it starts from.  ``add.accumulate`` adds left to right, so
-    each time has the bits of the run's clock and each ledger the bits of
-    adding each step's outflux as it is made.  Both lists are left holding
-    what the next step starts from."""
+    step's dt; ``flat`` the stepped rows' boundary cells that each pending
+    step starts from, then those after each step.  A row that is not
+    stepped keeps the boundary cell it had at the run's entry, the last
+    trace record, so its column is filled from that.  Each step's outflux
+    is the flux of the cells it starts from.  ``add.accumulate`` adds left
+    to right, so each time has the bits of the run's clock and each ledger
+    the bits of adding each step's outflux as it is made.  Both lists are
+    left holding what the next step starts from."""
     n = len(steps) - 1
     clock = np.array(steps)
-    values = np.array(flat).reshape(n + 1, 2)
+    stepped = np.array(flat).reshape(n + 1, -1)
     times = np.add.accumulate(clock)
     sums = np.add.accumulate(np.concatenate(
         [state.outflux_ledger[None, state.rows],
-         _flux(values[:-1, state.rows], gamma) * clock[1:, None]]))
+         _flux(stepped[:-1], gamma) * clock[1:, None]]))
+    values = np.repeat(state.trace_values[-1:], n + 1, axis=0)
+    values[:, state.rows] = stepped
     ledgers = np.repeat(state.outflux_ledger[None], n + 1, axis=0)
     ledgers[:, state.rows] = sums
     state.outflux_ledger[:] = ledgers[-1]
     for record, folded in zip(records, (times, values, ledgers)):
         record.append(folded[1:])
     steps[:] = [times.item(-1)]
-    del flat[:-2]
+    del flat[:n * stepped.shape[1]]
     return ledgers[-2]
 
 
@@ -347,23 +354,28 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
 
     It checks the cfl, clips the state and fixes the column window [0, hi),
     hi one past the last occupied column; the columns beyond stay exactly
-    +0.0, so they are never touched.  The flux and increment go into
-    buffers reused from step to step; the flux buffer has one ghost column
-    past the window, so one subtraction gives every increment.
+    +0.0, so they are never touched.  It steps a column-major copy of the
+    stepped rows' window, so that every pass over two rows walks one
+    contiguous run of memory, and writes it back into the cells at each
+    step that reaches a snapshot time and at the end, also when a step
+    raises.  The flux and increment go into buffers of the same order
+    reused from step to step; the flux buffer has one ghost column past
+    the window, so one subtraction gives every increment.
 
     Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), five or six array
     passes (see the module docstring) and no Python call but ``_power``,
     then the argmax of the window's bit patterns, which is the exit check
-    and the peak, the time, ``dt`` appended to a list and the boundary
-    cells extended onto a flat one.  ``argmax`` and ``item`` take flat
-    indices, so one code path serves the strided two-row window too.  A
-    largest pattern at or above +inf's runs ``_clip_roundoff`` and a float
-    max.  ``_fold`` adds the steps' dt * outflux to the ledger and turns
-    the two lists into records, at the steps that reach a snapshot time
-    and at the end, where the records are appended to the state's arrays.
-    The snapshots at ``snap_times``, increasing times the run reaches, go
-    to ``observer``, linearly interpolated between the two steps that
-    bracket them; ``_fold`` returns the ledger before the second.
+    and the peak, the time, ``dt`` appended to a list and the stepped rows'
+    boundary cells extended onto a flat one.  ``argmax`` and ``item`` take
+    flat indices of the window's transpose, its memory order, so they
+    copy nothing, and one code path serves one row and two.  A largest
+    pattern at or above +inf's runs ``_clip_roundoff`` and a float max.
+    ``_fold`` adds the steps' dt * outflux to the ledger and turns the two
+    lists into records, at the steps that reach a snapshot time and at the
+    end, where the records are appended to the state's arrays.  The
+    snapshots at ``snap_times``, increasing times the run reaches, go to
+    ``observer``, linearly interpolated between the two steps that bracket
+    them; ``_fold`` returns the ledger before the second.
     """
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
@@ -372,21 +384,21 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     # the first step's outflux is read off the trace's last entry: make it
     # the clipped boundary the step starts from, even if the cells were set
     # after it was recorded
-    boundary = state.cells[:, 0]
-    state.trace_values[-1] = boundary
+    state.trace_values[-1] = state.cells[:, 0]
     # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
     occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
     hi = occupied[-1] + 1 if occupied.size else 1
     gamma, width = cfg.gamma, state.grid.cell_width
-    u = u[:, :hi]
+    window = u[:, :hi]
+    u = np.asfortranarray(window)
     # the zero state steps no row: its peak is read off one +0.0 cell
-    peaks = u if u.size else np.zeros(1)
+    peaks = u.T if u.size else np.zeros(1)
     bits = peaks.view(np.uint64)
     increment = np.empty_like(u)
     # the ghost column is never written: the last window cell's increment
     # is ghost - flux, +0.0 - flux for the zero cell hi and -0.0 - flux
     # (that is, -flux) past the grid's end
-    flux_buffer = np.empty((u.shape[0], hi + 1))
+    flux_buffer = np.empty((u.shape[0], hi + 1), order="F")
     flux_buffer[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
     # views of the buffer, sliced once
     flux_cells, flux_right = flux_buffer[:, :-1], flux_buffer[:, 1:]
@@ -399,9 +411,10 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     peak = float(u.max(initial=0.0))
     power, subtract = _power, np.subtract
     argmax, bits_at, peak_at = bits.argmax, bits.item, peaks.item
+    boundary = u[:, 0].tolist
     cw, eps, inf_bits = cfl * width, EPS_SPEED, INF_BITS
     t = state.time
-    steps, flat = [t], boundary.tolist()
+    steps, flat = [t], boundary()
     add_dt, add_values = steps.append, flat.extend
     records = ([state.trace_times], [state.trace_values], [state.ledger_history])
     snap_times = iter(snap_times)
@@ -418,6 +431,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             # of the state before it, to interpolate
             snap = next_snap <= t + dt + tiny
             if snap:
+                window[...] = u
                 prev_cells, prev_time = state.cells.copy(), t
             power(u, gamma, flux_cells)
             if divide:
@@ -433,8 +447,9 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                 peak = float(u.max(initial=0.0))
             add_dt(dt)
             t += dt
-            add_values(boundary.tolist())
+            add_values(boundary())
             if snap:
+                window[...] = u
                 prev_ledger = _fold(state, steps, flat, gamma, records)
                 state.time = t
                 while next_snap <= t + tiny:
@@ -448,6 +463,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             if dt_cap is not None:
                 break
     finally:
+        window[...] = u
         if len(steps) > 1:
             _fold(state, steps, flat, gamma, records)
         state.trace_times, state.trace_values, state.ledger_history = map(

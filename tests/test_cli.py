@@ -133,8 +133,15 @@ def test_trace_ledger_closes_on_the_concentrated_mass(tmp_path, overrides):
                for side in cli.SIDES]
     assert np.array_equal(ledgers[0][:, 0], ledgers[1][:, 0])
     assert all(ledger[0, 2] == 0.0 for ledger in ledgers)
-    final = simulate(load_config(str(path))).state.outflux_ledger
-    assert [ledger[-1, 2] for ledger in ledgers] == final.tolist()
+    state = simulate(load_config(str(path))).state
+    assert [ledger[-1, 2] for ledger in ledgers] == state.outflux_ledger.tolist()
+    # each file holds the records' bits, in write_csv's format
+    for row, side in enumerate(cli.SIDES):
+        reference = tmp_path / f"reference_{side}.csv"
+        write_csv_per_value(reference, ["t", "trace_u0", "outflux_cumulative"],
+                            np.column_stack([state.trace_times, state.trace_values[:, row],
+                                             state.ledger_history[:, row]]))
+        assert (out / f"ledger_{side}.csv").read_bytes() == reference.read_bytes()
     dirac = np.loadtxt(out / "measures.csv", delimiter=",", skiprows=1)[-1, 1]
     assert ledgers[0][-1, 2] + ledgers[1][-1, 2] == dirac
     assert ledgers[1][-1, 2] > 0

@@ -577,16 +577,20 @@ def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamm
     assert hi == n if kind == "full-row" else hi < n
     if kind == "margin-3":
         assert hi < 0.4 * n
-    widths, unwatched = [], conslaw._power
+    rows = state.rows.stop - state.rows.start
+    assert rows == (1 if kind in ("example36", "margin-3") else 2)
+    layouts, unwatched = [], conslaw._power
 
     def power(u, gamma, out=None):
         if out is not None:  # the kernel's calls; the ledger's have no buffer
-            widths.append(u.shape[1])
+            # the kernel steps a column-major window: each pass over it,
+            # two rows too, walks one contiguous run of memory
+            layouts.append((u.shape, u.flags.f_contiguous, out.shape, out.flags.f_contiguous))
         return unwatched(u, gamma, out)
 
     monkeypatch.setattr(conslaw, "_power", power)
     run_until(state, 1.2 / gamma, 0.9, cfg)
-    assert len(widths) > 50 and set(widths) == {hi}
+    assert len(layouts) > 50 and set(layouts) == {((rows, hi), True, (rows, hi), True)}
     beyond = state.cells[:, hi:]
     assert not beyond.any() and not np.signbit(beyond).any()
 
@@ -647,6 +651,23 @@ def test_run_until_reads_the_first_outflux_off_the_clipped_boundary(gamma):
     assert state_bytes(state)[:4] == state_bytes(reference)[:4]
     assert state.trace_values[1:].tobytes() == reference.trace_values[1:].tobytes()
     assert state.ledger_history.tobytes() == reference.ledger_history.tobytes()
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_an_unstepped_row_records_its_boundary_cell_at_entry(gamma):
+    # the left row of the block is empty at construction, so it is not
+    # stepped; a boundary cell set in it afterwards is recorded at every step
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = example36_state(cfg), example36_state(cfg)
+    for s in (state, reference):
+        s.cells[LEFT, 0] = 0.25
+    run_until(state, 1.2 / gamma, 0.9, cfg)
+    run_until_reference(reference, 1.2 / gamma, 0.9, cfg)
+    assert state.rows == slice(RIGHT, RIGHT + 1)
+    assert state.trace_values[0, RIGHT] == reference.trace_values[0, RIGHT]
+    assert state.trace_values[1:].tobytes() == reference.trace_values[1:].tobytes()
+    assert state.ledger_history.tobytes() == reference.ledger_history.tobytes()
+    assert (state.trace_values[:, LEFT] == 0.25).all()
 
 
 # Where 1+gamma is a power of two the step scales the increment by
@@ -742,24 +763,10 @@ def set_fault(u, flux, row, column, hi, bad):
         flux[row, column] = 0.0
 
 
-FAULTS = {"nan": (np.nan, "raises"), "negative": (-1e-3, "raises"),
-          "roundoff": (-1e-14, "clips")}
-
-
-@pytest.mark.parametrize("bad, outcome", FAULTS.values(), ids=FAULTS)
-@pytest.mark.parametrize("column", ["first", "last"])
-@pytest.mark.parametrize("row", [LEFT, RIGHT], ids=["left", "right"])
-@pytest.mark.parametrize("kind", ["two-sided", "full-row"])
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
-        monkeypatch, gamma, kind, row, column, bad, outcome):
-    # the window's first column holds the argmax's first flat index (left
-    # row) and the last column its last (right row); the fault is made by
-    # the update of the FAULT_STEP-th step, in the kernel and in the reference
-    cfg = GammaConfig(gamma=gamma)
-    state, reference = RUN_STATES[kind](cfg), RUN_STATES[kind](cfg)
-    hi = entry_window(state)
-    where = (row, 0 if column == "first" else hi - 1, hi, bad)
+def spy_fault(monkeypatch, *where):
+    """Spies on ``_power`` and ``oracles._flux_reference`` that ``set_fault``
+    at ``where`` in the FAULT_STEP-th update of the kernel and of the
+    reference; returns the window shapes each has stepped."""
     windows, reference_steps = [], []
     power, flux_reference = conslaw._power, oracles._flux_reference
 
@@ -780,6 +787,27 @@ def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
 
     monkeypatch.setattr(conslaw, "_power", power_spy)
     monkeypatch.setattr(oracles, "_flux_reference", flux_reference_spy)
+    return windows, reference_steps
+
+
+FAULTS = {"nan": (np.nan, "raises"), "negative": (-1e-3, "raises"),
+          "roundoff": (-1e-14, "clips")}
+
+
+@pytest.mark.parametrize("bad, outcome", FAULTS.values(), ids=FAULTS)
+@pytest.mark.parametrize("column", ["first", "last"])
+@pytest.mark.parametrize("row", [LEFT, RIGHT], ids=["left", "right"])
+@pytest.mark.parametrize("kind", ["two-sided", "full-row"])
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
+        monkeypatch, gamma, kind, row, column, bad, outcome):
+    # the window's first column holds the argmax's first flat index (left
+    # row) and the last column its last (right row); the fault is made by
+    # the update of the FAULT_STEP-th step, in the kernel and in the reference
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = RUN_STATES[kind](cfg), RUN_STATES[kind](cfg)
+    hi = entry_window(state)
+    windows, _ = spy_fault(monkeypatch, row, 0 if column == "first" else hi - 1, hi, bad)
     if outcome == "clips":
         fused = run_bytes(run_until, state, cfg, True)
         assert fused == run_bytes(run_until_reference, reference, cfg, True)
@@ -790,6 +818,28 @@ def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
             run_until(state, 1.2 / gamma, 0.9, cfg)
         assert windows == [(2, hi)] * FAULT_STEP
         assert len(state.trace_times) == len(state.ledger_history) == FAULT_STEP
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
+@pytest.mark.parametrize("kind", ["example36", "two-sided"])
+@pytest.mark.parametrize("gamma", BIT_GAMMAS)
+def test_a_run_stopped_mid_step_leaves_the_cells_of_the_reference(
+        monkeypatch, gamma, kind, bad):
+    # the FAULT_STEP-th update makes a fault in the middle of the last
+    # stepped row, in the kernel and in the reference; the cells the run
+    # leaves, the fault included, must be written back from the kernel's
+    # own copy of the window
+    cfg = GammaConfig(gamma=gamma)
+    state, reference = RUN_STATES[kind](cfg), RUN_STATES[kind](cfg)
+    hi = entry_window(state)
+    windows, reference_steps = spy_fault(monkeypatch, -1, hi // 2, hi, bad)
+    for run, s in ((run_until, state), (run_until_reference, reference)):
+        with pytest.raises(FloatingPointError, match="monotone update"):
+            run(s, 1.2 / gamma, 0.9, cfg)
+    assert len(windows) == len(reference_steps) == FAULT_STEP
+    assert state_bytes(state) == state_bytes(reference)
+    fault = state.cells[state.rows.stop - 1, hi // 2]
+    assert np.isnan(fault) if np.isnan(bad) else fault == bad
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
