@@ -136,12 +136,12 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def check_output_budget(self) -> None:
-        """simulate and characteristics: the CSV rows the run writes."""
-        rows = ((self.t_end / self.snapshot_cadence + 2)
-                * (2 * self.grid_cells + self.z_count))
-        _check_rows(rows, "output", "raise snapshot_cadence or lower grid_cells "
-                                    "or z_count")
+    def check_output_budget(self, rows_per_time: int, sizes: str) -> None:
+        """simulate and characteristics: the CSV rows the run writes, at
+        most t_end / snapshot_cadence + 2 output times of ``rows_per_time``,
+        which the config keys ``sizes`` set."""
+        rows = (self.t_end / self.snapshot_cadence + 2) * rows_per_time
+        _check_rows(rows, "output", f"raise snapshot_cadence or lower {sizes}")
 
     def build_datum(self) -> InitialDatum:
         kind = self.datum["kind"]
@@ -260,7 +260,9 @@ def simulate(config: RunConfig) -> SimulationResult:
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Run, then write the artifacts; every one is computed before the
     output directory is made, so a run that fails leaves none."""
-    config.check_output_budget()
+    # per output time: a snapshot block per row and a pseudo-inverse block
+    config.check_output_budget(2 * config.grid_cells + config.z_count,
+                               "grid_cells or z_count")
     res = simulate(config)
     ms_series, ps_series = res.ms_series, res.ps_series
     cfg, state = config.gamma_config(), res.state
@@ -329,8 +331,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     diagnostics, the convergence size grid_cells from its snapshot at
     0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
     read in the unit-mass scale through the exact dilation of the block
-    onto the unit-mass block on [0, 1]. Both law-run budgets, cell steps
-    and snapshot rows, are checked before any solver run or state is built.
+    onto the unit-mass block on [0, 1]. The law run's snapshot rows are
+    checked first, before any state is built; then the law run goes
+    first, so its own cell-step check (``run_until``'s) rejects it before
+    its first step and before any other run.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -346,11 +350,10 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         grid_cells=config.grid_cells, cfl=config.cfl,
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
-    law_datum = example_block_datum(g)
-    conslaw.check_block_cell_steps(law_datum, make_grid(law_datum, cfg, config.grid_cells),
-                                   law_cfg.t_end, config.cfl, cfg)
     _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
+    law_res = simulate(law_cfg)
+    ms2, ps2 = law_res.ms_series, law_res.ps_series
 
     def add(name, status, value, target):
         rows.append((name, status, value, target))
@@ -372,8 +375,6 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             state = init_from_datum(datum, make_grid(datum, cfg, n), cfg)
             errors[n] = l1_error(run_until(state, t_probe, config.cfl, cfg))
 
-    law_res = simulate(law_cfg)
-    ms2, ps2 = law_res.ms_series, law_res.ps_series
     times = np.array([ms.time for ms in ms2])
     if config.grid_cells in sizes:
         errors[config.grid_cells] = l1_error(
@@ -456,16 +457,17 @@ def trace_time_tolerance(gamma: float, dxi: float, threshold: float) -> float:
 
 def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Smooth-regime evaluation on a grid plus blow-up/shock report."""
-    config.check_output_budget()
+    config.check_output_budget(config.grid_cells, "grid_cells")
     cfg = config.gamma_config()
     datum = config.build_datum()
     t_star = blow_up_time(datum, cfg)
     shock = first_shock_time(datum, cfg)
     xs = np.linspace(datum.a, datum.b, config.grid_cells)
-    # 0 and the k * cadence short of t_end by more than 1e-12, then t_end
+    # 0 and the k * cadence short of t_end by more than the solver's
+    # landing tolerance, then t_end
     times = np.arange(0.0, config.t_end, config.snapshot_cadence)
-    times = np.append(times[(times == 0.0) | (times < config.t_end - 1e-12)],
-                      config.t_end)
+    before = config.t_end - conslaw.landing_tolerance(config.t_end)
+    times = np.append(times[(times == 0.0) | (times < before)], config.t_end)
     # raises NotSmoothRegime if a time is at or past the smooth horizon
     rho = evaluate_smooth_grid(xs, times, datum, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)

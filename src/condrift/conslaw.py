@@ -196,16 +196,13 @@ def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int) -> HalfLin
 
 
 def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
-                   sign: float, first: int = 0, stop: Optional[int] = None) -> np.ndarray:
-    """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)) on
-    the cells [first, stop), all of them by default.
+                   sign: float) -> np.ndarray:
+    """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)).
 
     The integral over each cell equals the exact datum mass over the
-    cell's x-image, so the averages are exact.  A cell's average depends
-    only on its own two edges: it has the same bits in any range.
+    cell's x-image, so the averages are exact.
     """
-    stop = grid.cell_count if stop is None else stop
-    ends = sign * np.asarray(x_of_xi(np.arange(first, stop + 1) * grid.cell_width, cfg))
+    ends = sign * np.asarray(x_of_xi(grid.edges, cfg))
     lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
     return integrate_piecewise(datum, lo, hi) / grid.cell_width
 
@@ -262,40 +259,8 @@ def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
     The monotone scheme never raises max u, so no uncapped step is shorter
     than the current ``stable_dt``, which bounds the step count.
     """
-    return _check_steps(t_end - state.time, stable_dt(state, cfl, cfg),
-                        state.cells[state.rows].size)
-
-
-def check_block_cell_steps(datum: InitialDatum, grid: HalfLineGrid, t_end: float,
-                           cfl: float, cfg: GammaConfig) -> float:
-    """``check_cell_steps`` of ``init_from_datum(datum, grid, cfg)`` from
-    t = 0 to t_end, without building its cells, for a block on [0, b].
-
-    Only the right row is stepped, and its largest cell average is
-    ``block_peak``, so the count is the same, with the same bits.
-    """
-    dt = _cfl_dt(block_peak(datum, grid, cfg), cfl, grid.cell_width, cfg.gamma)
-    return _check_steps(t_end, dt, grid.cell_count)
-
-
-def block_peak(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig) -> float:
-    """The largest right-row cell average of a block datum on [0, b].
-
-    On a block u_I = (gamma*xi)^(1/gamma) * f increases in xi up to the
-    xi-image of b, so every full cell's average is below the next one's,
-    and the largest is the last full cell's or the partial cell's at the
-    support's end, which GRID_MARGIN keeps short of the grid's end.  Only
-    those two cells are computed, as ``_cell_averages`` computes them.
-    """
-    last = int(xi_extent_of_datum(datum, cfg) / grid.cell_width)
-    return float(_cell_averages(datum, grid, cfg, 1.0, last - 1, last + 1).max())
-
-
-def _check_steps(duration: float, dt: float, cells: int) -> float:
-    """ceil(duration / dt); raises :class:`WorkBudgetExceeded` if that many
-    steps of ``cells`` cells exceed MAX_CELL_STEPS."""
-    steps = np.ceil(duration / dt)
-    cell_steps = cells * steps
+    steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+    cell_steps = state.cells[state.rows].size * steps
     if cell_steps > MAX_CELL_STEPS:
         raise WorkBudgetExceeded(
             f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
@@ -492,9 +457,9 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
 
     If an observer is given, it is called with decoupled snapshots at the
     times t0 + k*cadence (k = 0, 1, ...) short of t_end by more than
-    1e-12 * max(1, |t_end|), linearly interpolated in time between the two
-    bracketing steps, and then at t_end; the stepping sequence itself is
-    independent of the cadence.
+    ``landing_tolerance(t_end)``, linearly interpolated in time between
+    the two bracketing steps, and then at t_end; the stepping sequence
+    itself is independent of the cadence.
 
     Raises :class:`WorkBudgetExceeded` before the first step if the run
     could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``).
@@ -505,7 +470,7 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise the first step raises CflViolation
         check_cell_steps(state, t_end, cfl, cfg)
-    tiny = 1e-12 * max(1.0, abs(t_end))
+    tiny = landing_tolerance(t_end)
     t0 = state.time
     if observer is not None:
         observer(state.snapshot())
@@ -516,6 +481,12 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if observer is not None and t0 < t_end - tiny:
         observer(state.snapshot())
     return state
+
+
+def landing_tolerance(t_end: float) -> float:
+    """1e-12 * max(1, |t_end|): a run ends once it is this close to t_end,
+    and an output time this close to t_end gives way to t_end itself."""
+    return 1e-12 * max(1.0, abs(t_end))
 
 
 def _snapshot_times(t0: float, before: float, cadence: float) -> Iterator[float]:

@@ -61,13 +61,12 @@ class MeasureState:
 class PseudoInverse:
     """Monotone rearrangement X(z) on [0, M], sampled on a uniform z-grid.
 
-    The concentrated mass shows up as the plateau X = 0 on
-    z in [plateau[0], plateau[1]].
+    The concentrated mass m shows up as the plateau X = 0 on z in
+    [a, a + m], a the absolutely continuous mass left of the origin.
     """
 
     z_grid: np.ndarray
     x_values: np.ndarray
-    plateau: tuple
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,7 @@ def pseudo_inverse(ms: MeasureState, z: np.ndarray) -> PseudoInverse:
         w = np.where(denom > 0, (z - F_val[k - 1]) / denom, 0.0)
     w = np.clip(w, 0.0, 1.0)
     X = F_x[k - 1] + w * (F_x[k] - F_x[k - 1])
-    left_ac = float(F_val[np.nonzero(F_x < 0)[0][-1] + 1]) if np.any(F_x < 0) else 0.0
-    plateau = (left_ac, left_ac + ms.dirac_mass)
-    return PseudoInverse(z_grid=z, x_values=X, plateau=plateau)
+    return PseudoInverse(z_grid=z, x_values=X)
 
 
 def wasserstein_to_dirac(ms: MeasureState) -> float:

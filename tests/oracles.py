@@ -178,14 +178,23 @@ def rk4_characteristics(x0, u0, t, gamma, dim, steps=4000):
 REFERENCE_EDGE_EXCLUDE_CELLS = 2
 
 
-def _interior_mask(ps: PseudoInverse, x_tol: float) -> np.ndarray:
+def _plateau(ms) -> tuple:
+    """The z-range (a, a + m) of the plateau X = 0, a the absolutely
+    continuous mass left of the origin, as ``measure.pseudo_inverse``
+    computed it when it returned one."""
+    F_x, F_val = ms.F_x, ms.F_val
+    left_ac = float(F_val[np.nonzero(F_x < 0)[0][-1] + 1]) if np.any(F_x < 0) else 0.0
+    return left_ac, left_ac + ms.dirac_mass
+
+
+def _interior_mask(ps: PseudoInverse, plateau: tuple, x_tol: float) -> np.ndarray:
     """Nodes away from the plateau (one-cell buffer) and the support edges."""
     z = ps.z_grid
     dz = z[1] - z[0]
     mask = np.ones(z.size, dtype=bool)
     mask[: REFERENCE_EDGE_EXCLUDE_CELLS] = False
     mask[-REFERENCE_EDGE_EXCLUDE_CELLS:] = False
-    z_lo, z_hi = ps.plateau
+    z_lo, z_hi = plateau
     mask &= ~((z >= z_lo - dz) & (z <= z_hi + dz))
     mask &= np.abs(ps.x_values) > x_tol
     return mask
@@ -209,8 +218,8 @@ def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:
         Xt = (X2 - X1) / dt
         Xz = np.gradient(X1, dz)
         resid = Xt * np.abs(Xz) ** gamma + X1
-        mask = _interior_mask(ps1, x_tol) & _interior_mask(
-            PseudoInverse(z, X1, ps2.plateau), x_tol)
+        mask = _interior_mask(ps1, _plateau(ms1), x_tol) & _interior_mask(
+            ps1, _plateau(ms2), x_tol)
         residuals.append((ms1.time, float(np.sum(np.abs(resid[mask])) * dz)))
     return residuals
 
@@ -270,10 +279,10 @@ REFERENCE_SLOPE_JUMP_RATIO = 3.0
 REFERENCE_EDGE_SLOPE_FACTOR = 5.0
 
 
-def _oleinik_flags_reference(ps, x_tol: float):
+def _oleinik_flags_reference(ms, ps, x_tol: float):
     z, X = ps.z_grid, ps.x_values
     s = np.diff(X) / (z[1] - z[0])
-    interior = _interior_mask(ps, x_tol)
+    interior = _interior_mask(ps, _plateau(ms), x_tol)
     floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
     j = np.flatnonzero(interior[:-2] & interior[1:-1]
                        & (s[:-1] > floor) & (s[1:] > floor)) + 1
@@ -339,7 +348,7 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
             violations.append(Violation(
                 "monotonicity", t, f"X decreases by {defect:.3e}"))
 
-        interior = _interior_mask(ps, x_tol)
+        interior = _interior_mask(ps, _plateau(ms), x_tol)
         pair = interior[:-1] & interior[1:]
         if np.any(pair):
             gaps = np.diff(X)[pair]
@@ -368,10 +377,10 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
                     "edge-slope", t,
                     f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
 
-        flags = _oleinik_flags_reference(ps, x_tol) if t > 0 else []
+        flags = _oleinik_flags_reference(ms, ps, x_tol) if t > 0 else []
         if flags:
             coarse = pseudo_inverse(ms, z_grid(ms, max(16, z.size // 2)))
-            coarse_flags = _oleinik_flags_reference(coarse, x_tol)
+            coarse_flags = _oleinik_flags_reference(ms, coarse, x_tol)
             coarse_z = [coarse.z_grid[j] for j, _ in coarse_flags]
             dz_c = coarse.z_grid[1] - coarse.z_grid[0]
             for j, ratio in flags:

@@ -280,10 +280,11 @@ def test_output_budget_exits_2(tmp_path, capsys, command, override):
     assert "budget" in error["error"]
 
 
-# Without the budget these runs would step for hours.
+# Without the budget these runs would step for hours; verify's law run at
+# 60 000 cells is inside the row budget and past the cell-step budget
 @pytest.mark.parametrize("command, override", [
     ("simulate", {"grid_cells": 10**6, "t_end": 100.0, "snapshot_cadence": 100.0}),
-    ("verify", {"grid_cells": 10**6, "snapshot_cadence": 1.0}),
+    ("verify", {"grid_cells": 60_000, "snapshot_cadence": 1.0}),
 ], ids=["simulate", "verify"])
 def test_cell_step_budget_exits_2(tmp_path, capsys, command, override):
     path = write_config(tmp_path, **override)
@@ -674,14 +675,39 @@ def block_times(csv: Path) -> list:
     (0.5 + 5e-13, 0.125, [0.0, 0.125, 0.25, 0.375, 0.5 + 5e-13]),
     (1e-13, 0.25, [0.0, 1e-13]),
     (0.0, 0.25, [0.0]),
-], ids=["workload", "0.3-by-0.1", "0.6-by-0.2", "just-past-a-multiple", "tiny", "zero"])
+    # past t_end = 1 the solver's tolerance is 1e-12 * t_end, so 3, which
+    # is 2e-12 short of t_end, gives way to t_end
+    (3 + 2e-12, 1.0, [0.0, 1.0, 2.0, 3 + 2e-12]),
+], ids=["workload", "0.3-by-0.1", "0.6-by-0.2", "just-past-a-multiple", "tiny", "zero",
+        "past-one"])
 def test_characteristics_time_grid_ends_at_t_end(tmp_path, t_end, cadence, times):
+    # sup 0.25 puts the tent's blow-up at t = 4, past every t_end here
     path = write_config(tmp_path, t_end=t_end, snapshot_cadence=cadence,
-                        grid_cells=16, datum=TENT)
+                        grid_cells=16, datum={**TENT, "values": [0.25, 0.25, 0.0]})
     out = tmp_path / "chars"
     assert main(["characteristics", "--config", str(path), "--output",
                  str(out), "--quiet"]) == 0
     assert block_times(out / "characteristics.csv") == times
+
+
+def test_characteristics_budgets_only_the_rows_it_writes(tmp_path, capsys):
+    # characteristics writes grid_cells rows per time and no pseudo-inverse,
+    # so a z_count of 10^7 adds no row to its budget
+    datum = {"kind": "piecewise_linear", "breakpoints": [-0.5, 0.0, 0.6],
+             "values": [0.4, 1.0, 0.4]}
+    path = write_config(tmp_path, datum=datum, grid_cells=64, z_count=10**7,
+                        t_end=0.5, snapshot_cadence=0.25)
+    out = tmp_path / "chars"
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(out), "--quiet"]) == 0
+    assert len((out / "characteristics.csv").read_text().splitlines()) == 1 + 3 * 64
+    # t_end / snapshot_cadence overflows to inf, still past the budget
+    path = write_config(tmp_path, datum=datum, grid_cells=64, t_end=1e300,
+                        snapshot_cadence=1e-300)
+    assert main(["characteristics", "--config", str(path), "--output",
+                 str(tmp_path / "inf"), "--quiet"]) == EXIT_CONFIG
+    assert "budget" in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "inf").exists()
 
 
 def test_characteristics_runs_to_a_t_end_just_inside_the_horizon(tmp_path):
@@ -1138,7 +1164,8 @@ ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
         "verify-threshold-0", "verify-threshold-negative"])
 def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command,
                                                  override, message):
-    # verify checks both law-run budgets before it builds any stepper
+    # verify checks its law run's rows before it builds any state, and
+    # run_until checks the law run's cell steps before its first step
     built = count_steppers(monkeypatch)
     path = write_config(tmp_path, **override)
     out = tmp_path / "out"
@@ -1149,13 +1176,17 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, 
     assert built == []
 
 
-# 10^7 cells is far past the budget (about 4e14 cell steps); 60 000 is
-# just past it (about 1.5e10), where only the exact count can decide
-@pytest.mark.parametrize("cells", [10**7, 60_000], ids=["screened", "counted"])
+# 10^7 cells puts the law run's 9 snapshots past the row budget; 60 000 is
+# inside it and just past the cell-step budget (about 1.5e10 cell steps)
+@pytest.mark.parametrize("cells, message, states", [
+    (10**7, "law-run snapshot rows exceed the budget", 0),
+    (60_000, "cell-step budget", 1),
+], ids=["screened", "counted"])
 def test_verify_counts_cell_steps_before_building_a_large_state(tmp_path, capsys,
-                                                                monkeypatch, cells):
-    # the law run's exact count comes from the block's last two cells, so
-    # no state is built
+                                                                monkeypatch, cells,
+                                                                message, states):
+    # the rows are checked before any state is built; the law run goes
+    # first, and run_until counts its cell steps before its first step
     built = []
     real = conslaw.HalfLineState.__post_init__
 
@@ -1169,8 +1200,8 @@ def test_verify_counts_cell_steps_before_building_a_large_state(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["verify", "--config", str(path), "--output", str(out),
                  "--quiet"]) == EXIT_CONFIG
-    assert "cell-step budget" in json.loads(capsys.readouterr().err)["error"]
-    assert built == [] and steppers == [] and not out.exists()
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert len(built) == states and steppers == [] and not out.exists()
 
 
 def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):

@@ -14,9 +14,6 @@ from condrift.conslaw import (
     HalfLineGrid,
     HalfLineState,
     SupportOverflow,
-    WorkBudgetExceeded,
-    block_peak,
-    check_block_cell_steps,
     check_cell_steps,
     init_from_datum,
     make_grid,
@@ -932,28 +929,6 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
                                rtol=1e-13, atol=0)
     np.testing.assert_allclose(unit_ps.x_values, (1.0 + gamma) * block_ps.x_values,
                                rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0, 3.0, 7.0])
-def test_block_peak_is_the_largest_built_cell_average(gamma):
-    # verify checks its law run's cell-step budget from this peak before it
-    # builds the state, so it must be the built state's max to the bit
-    cfg = GammaConfig(gamma=gamma)
-    datum = example_block_datum(gamma)
-
-    def outcome(check, *args):
-        try:
-            return check(*args)
-        except WorkBudgetExceeded as error:
-            return str(error)
-
-    for n in (8, 9, 13, 50, 257, 1000, 2048, 6001, 30_000, 131_072):
-        grid = make_grid(datum, cfg, n)
-        state = init_from_datum(datum, grid, cfg)
-        assert np.float64(block_peak(datum, grid, cfg)).tobytes() == \
-            state.cells[RIGHT].max().tobytes(), n
-        assert outcome(check_block_cell_steps, datum, grid, 4.0 / gamma, 0.9, cfg) == \
-            outcome(check_cell_steps, state, 4.0 / gamma, 0.9, cfg), n
 
 
 @st.composite

@@ -103,7 +103,6 @@ def test_pseudo_inverse_pure_dirac():
     ms = assemble(state, CFG)
     ps = pseudo_inverse(ms, z_grid(ms, 64))
     assert np.all(ps.x_values == 0.0)
-    assert ps.plateau == (0.0, 0.5)
     assert wasserstein_to_dirac(ms) == 0.0
 
 
@@ -117,7 +116,6 @@ def test_pseudo_inverse_plateau_width_is_dirac_mass():
     ms_series, _ = simulate_block(1.0, 1024, [1.5, 2.5])
     for ms in ms_series:
         ps = pseudo_inverse(ms, z_grid(ms, 512))
-        assert ps.plateau[1] - ps.plateau[0] == pytest.approx(ms.dirac_mass, abs=1e-14)
         on_plateau = np.abs(ps.x_values) == 0.0
         dz = ps.z_grid[1] - ps.z_grid[0]
         assert abs(on_plateau.sum() * dz - ms.dirac_mass) <= 2.5 * dz
@@ -357,7 +355,7 @@ def test_equation_residual_first_order_on_explicit_solution():
                               mass_weights=np.array([1.0 - m]),
                               F_x=X, F_val=z, support=(0.0, 1.0))
             ms_list.append(ms)
-            ps_list.append(PseudoInverse(z_grid=z, x_values=X, plateau=(0.0, m)))
+            ps_list.append(PseudoInverse(z_grid=z, x_values=X))
         return eq_residual_l1(ms_list, ps_list, 1.0)[0][1]
 
     coarse = residual(513, 0.02)
@@ -372,7 +370,8 @@ DELETED_KINDS = ("edge-slope", "oleinik")
 def match_references(datum, gamma, cells, z_count, t_end):
     """Run the datum to t_end with snapshots at cadence 0.5/gamma, and check
     that assemble on the run's geometry gives the bytes of its frozen
-    reference and that check_entropy_measure finds no violation, as the
+    reference, that each pseudo-inverse is 0 exactly on the plateau of the
+    concentrated mass and that check_entropy_measure finds no violation, as the
     frozen reference does once its deleted kinds are dropped.  Returns the
     reference's violations, or None when both assemblies raise
     FloatingPointError."""
@@ -394,8 +393,17 @@ def match_references(datum, gamma, cells, z_count, t_end):
             assert getattr(ms, name).tobytes() == getattr(ref, name).tobytes(), name
         assert (ms.time, ms.dirac_mass, ms.total_mass, ms.support) == \
             (ref.time, ref.dirac_mass, ref.total_mass, ref.support)
-    violations = check_entropy_measure(
-        ms_series, [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in ms_series], cfg, datum=datum)
+    ps_series = [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in ms_series]
+    for ms, ps in zip(ms_series, ps_series):
+        # X is exactly 0 on z in [a, a + m], a the absolutely continuous
+        # mass left of the origin and m the concentrated mass, and nowhere
+        # else, to within one z-step
+        a, m = ms.mass_weights[ms.x < 0].sum(), ms.dirac_mass
+        z, dz = ps.z_grid, ps.z_grid[1] - ps.z_grid[0]
+        assert np.all(ps.x_values[(z >= a + dz) & (z <= a + m - dz)] == 0)
+        zeros = z[ps.x_values == 0]
+        assert np.all((zeros >= a - dz) & (zeros <= a + m + dz))
+    violations = check_entropy_measure(ms_series, ps_series, cfg, datum=datum)
     reference = check_entropy_measure_reference(
         expected, [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in expected], cfg, datum=datum)
     assert violations == [v for v in reference if v.kind not in DELETED_KINDS]
