@@ -33,6 +33,7 @@ from condrift.cli import (
     write_csv,
 )
 from condrift.conslaw import SIGNS
+from condrift.datum import example_block_datum
 from condrift.frames import GammaConfig
 from oracles import VERIFY_REPORTS, write_csv_per_value
 
@@ -1202,6 +1203,26 @@ def test_verify_counts_cell_steps_before_building_a_large_state(tmp_path, capsys
                  "--quiet"]) == EXIT_CONFIG
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert len(built) == states and steppers == [] and not out.exists()
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0, 3.0, 7.0])
+def test_verify_rejects_its_law_run_with_the_built_block_count(tmp_path, capsys,
+                                                               monkeypatch, gamma):
+    # at 60 000 cells the law run to 4/gamma is just past the cell-step
+    # budget for every gamma; verify's rejection is check_cell_steps of the
+    # built block state, to the digit, before any step
+    cfg = GammaConfig(gamma=gamma)
+    datum = example_block_datum(gamma)
+    state = conslaw.init_from_datum(datum, conslaw.make_grid(datum, cfg, 60_000), cfg)
+    with pytest.raises(conslaw.WorkBudgetExceeded) as expected:
+        conslaw.check_cell_steps(state, 4.0 / gamma, 0.9, cfg)
+    steppers = count_steppers(monkeypatch)
+    path = write_config(tmp_path, gamma=gamma, grid_cells=60_000)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == f"config error: {expected.value}"
+    assert steppers == [] and not out.exists()
 
 
 def test_verify_budget_ignores_t_end_and_snapshot_cadence(tmp_path, capsys):
