@@ -66,8 +66,6 @@ PIECEWISE_KINDS = {"piecewise_constant": "constant", "piecewise_linear": "linear
 # the keys each config datum kind reads
 DATUM_KEYS = {"example36": {"kind"},
               **{kind: {"kind", "breakpoints", "values"} for kind in PIECEWISE_KINDS}}
-# snapshots of verify's law run: t = 0 to 4/gamma at cadence 0.5/gamma
-LAW_RUN_SNAPSHOTS = 9
 
 
 class ConfigError(ValueError):
@@ -296,15 +294,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         centers = SIGNS[row] * state.grid.centers
         write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
                      ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
-    # ledger_<side>.csv: the solver's ledger after each step; the two files
-    # share their time column, so it is formatted once, into a per-row
-    # format that each file fills with its two columns
-    times = state.trace_times.tolist()
-    ledger_rows = (b"%.17g,%%.17g,%%.17g\n" * len(times)) % tuple(times)
+    # ledger_<side>.csv: the solver's ledger after each step
     for row, side in enumerate(SIDES):
-        columns = np.column_stack([state.trace_values[:, row], state.ledger_history[:, row]])
-        (out_dir / f"ledger_{side}.csv").write_bytes(
-            b"t,trace_u0,outflux_cumulative\n" + ledger_rows % tuple(columns.ravel().tolist()))
+        write_csv(out_dir / f"ledger_{side}.csv", ["t", "trace_u0", "outflux_cumulative"],
+                  np.column_stack([state.trace_times, state.trace_values[:, row],
+                                   state.ledger_history[:, row]]))
     write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
     write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"],
                  ((ms.time, ps.z_grid, ps.x_values) for ms, ps in zip(ms_series, ps_series)))
@@ -350,7 +344,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         grid_cells=config.grid_cells, cfl=config.cfl,
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
-    _check_rows(LAW_RUN_SNAPSHOTS * (2 * config.grid_cells + config.z_count),
+    law_times = conslaw.output_times(0.0, law_cfg.t_end, law_cfg.snapshot_cadence)
+    _check_rows(len(law_times) * (2 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
     law_res = simulate(law_cfg)
     ms2, ps2 = law_res.ms_series, law_res.ps_series
@@ -463,11 +458,8 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
     t_star = blow_up_time(datum, cfg)
     shock = first_shock_time(datum, cfg)
     xs = np.linspace(datum.a, datum.b, config.grid_cells)
-    # 0 and the k * cadence short of t_end by more than the solver's
-    # landing tolerance, then t_end
-    times = np.arange(0.0, config.t_end, config.snapshot_cadence)
-    before = config.t_end - conslaw.landing_tolerance(config.t_end)
-    times = np.append(times[(times == 0.0) | (times < before)], config.t_end)
+    # the output times of simulate's run, from 0
+    times = conslaw.output_times(0.0, config.t_end, config.snapshot_cadence)
     # raises NotSmoothRegime if a time is at or past the smooth horizon
     rho = evaluate_smooth_grid(xs, times, datum, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,11 +17,12 @@ they feed into the origin, so they are stepped together as the two rows
 of one ``(2, N)`` array: row 0 is the reflected left half-line, row 1 the
 right one.
 
-``run_until`` and ``step`` call ``_advance``, which steps only through
-the last occupied column: the far ghost feeds no mass and every speed
-points at the origin, so the empty cells beyond stay exactly +0.0.  It
-steps a column-major copy of the stepped rows' window, so that each pass
-over two rows walks one contiguous run of memory, and writes it back
+``run_until`` and ``step`` call ``_advance``, which steps only the
+occupied rows through the last occupied column, both read off the cells'
+bit patterns at its entry: the far ghost feeds no mass and every speed
+points at the origin, so an empty row and the empty cells beyond stay
+exactly +0.0.  It steps a column-major copy of that window, so that each
+pass over two rows walks one contiguous run of memory, and writes it back
 into the state at the steps that reach a snapshot time, where it copies
 the state for snapshot interpolation, and at the end.  ``step`` is the
 one-step case of the same loop.
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -144,17 +145,11 @@ class HalfLineState(Snapshot):
     float64 arrays ``trace_times`` of shape (k+1,), and ``trace_values``
     and ``ledger_history`` of shape (k+1, 2), one column per row, after
     k steps.
-
-    ``rows`` is the slice of rows that carry mass at construction; only
-    those are stepped.  A row that starts empty stays exactly zero, since
-    the far ghost has zero inflow and the origin is outflow-only, and it
-    keeps its initial ledger.
     """
 
     trace_times: np.ndarray = field(init=False)
     trace_values: np.ndarray = field(init=False)
     ledger_history: np.ndarray = field(init=False)
-    rows: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=float)
@@ -172,8 +167,6 @@ class HalfLineState(Snapshot):
         self.ledger_history = self.outflux_ledger[None].copy()
         if self.sup_initial == 0.0:
             self.sup_initial = float(self.cells.max(initial=0.0))
-        occupied = np.flatnonzero(self.cells.any(axis=1))
-        self.rows = slice(occupied[0], occupied[-1] + 1) if occupied.size else slice(0, 0)
 
     def snapshot(self) -> Snapshot:
         """Decoupled copy of the time, cells and ledger."""
@@ -244,10 +237,17 @@ def _cfl_dt(peak: float, cfl: float, cell_width: float, gamma: float) -> float:
     return cfl * cell_width / max(speed, EPS_SPEED)
 
 
+def _stepped_rows(cells: np.ndarray) -> slice:
+    """The rows from the first through the last that hold a cell other
+    than +0.0, by bit pattern; the rows outside stay exactly +0.0."""
+    occupied = np.flatnonzero(cells.view(np.uint64).any(axis=1))
+    return slice(occupied[0], occupied[-1] + 1) if occupied.size else slice(0, 0)
+
+
 def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
     """CFL time step cfl * dxi / max(speed) over both rows, floored at EPS_SPEED."""
-    return _cfl_dt(float(state.cells[state.rows].max(initial=0.0)), cfl,
-                   state.grid.cell_width, cfg.gamma)
+    return _cfl_dt(float(state.cells.max(initial=0.0)), cfl, state.grid.cell_width,
+                   cfg.gamma)
 
 
 def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
@@ -260,7 +260,7 @@ def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
     than the current ``stable_dt``, which bounds the step count.
     """
     steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
-    cell_steps = state.cells[state.rows].size * steps
+    cell_steps = state.cells[_stepped_rows(state.cells)].size * steps
     if cell_steps > MAX_CELL_STEPS:
         raise WorkBudgetExceeded(
             f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
@@ -277,17 +277,17 @@ def _clip_roundoff(u: np.ndarray, what: str) -> None:
         np.maximum(u, 0.0, out=u)
 
 
-def _fold(state: HalfLineState, steps: list, flat: list, gamma: float,
-          records: tuple) -> np.ndarray:
-    """Add the pending steps' dt * outflux to the stepped rows' ledger,
-    append their times, boundary cells and ledgers to the three lists of
-    ``records``, and return the ledger before the last of them.
+def _fold(state: HalfLineState, rows: slice, steps: list, flat: list,
+          gamma: float, records: tuple) -> np.ndarray:
+    """Add the pending steps' dt * outflux to the ledger of the stepped
+    ``rows``, append their times, boundary cells and ledgers to the three
+    lists of ``records``, and return the ledger before the last of them.
 
     ``steps`` holds the run's time at the last fold, then each pending
     step's dt; ``flat`` the stepped rows' boundary cells that each pending
     step starts from, then those after each step.  A row that is not
-    stepped keeps the boundary cell it had at the run's entry, the last
-    trace record, so its column is filled from that.  Each step's outflux
+    stepped keeps the +0.0 boundary cell it had at the run's entry, the
+    last trace record, so its column is filled from that.  Each step's outflux
     is the flux of the cells it starts from.  ``add.accumulate`` adds left
     to right, so each time has the bits of the run's clock and each ledger
     the bits of adding each step's outflux as it is made.  Both lists are
@@ -297,12 +297,12 @@ def _fold(state: HalfLineState, steps: list, flat: list, gamma: float,
     stepped = np.array(flat).reshape(n + 1, -1)
     times = np.add.accumulate(clock)
     sums = np.add.accumulate(np.concatenate(
-        [state.outflux_ledger[None, state.rows],
+        [state.outflux_ledger[None, rows],
          _flux(stepped[:-1], gamma) * clock[1:, None]]))
     values = np.repeat(state.trace_values[-1:], n + 1, axis=0)
-    values[:, state.rows] = stepped
+    values[:, rows] = stepped
     ledgers = np.repeat(state.outflux_ledger[None], n + 1, axis=0)
-    ledgers[:, state.rows] = sums
+    ledgers[:, rows] = sums
     state.outflux_ledger[:] = ledgers[-1]
     for record, folded in zip(records, (times, values, ledgers)):
         record.append(folded[1:])
@@ -317,11 +317,11 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     """Godunov updates of the state's stepped rows, in place, until
     t_end - time <= tiny; with ``dt_cap``, the one step min(cfl dt, dt_cap).
 
-    It checks the cfl, clips the state and fixes the column window [0, hi),
-    hi one past the last occupied column; the columns beyond stay exactly
-    +0.0, so they are never touched.  It steps a column-major copy of the
-    stepped rows' window, so that every pass over two rows walks one
-    contiguous run of memory, and writes it back into the cells at each
+    It checks the cfl, fixes the stepped rows, clips them and fixes the
+    column window [0, hi), hi one past the last occupied column; the rows
+    and columns outside stay exactly +0.0, so they are never touched.  It
+    steps a column-major copy of the window, so that every pass over two
+    rows walks one contiguous run of memory, and writes it back into the cells at each
     step that reaches a snapshot time and at the end, also when a step
     raises.  The flux and increment go into buffers of the same order
     reused from step to step; the flux buffer has one ghost column past
@@ -344,7 +344,8 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     """
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
-    u = state.cells[state.rows]
+    rows = _stepped_rows(state.cells)
+    u = state.cells[rows]
     _clip_roundoff(u, "state before the update")
     # the first step's outflux is read off the trace's last entry: make it
     # the clipped boundary the step starts from, even if the cells were set
@@ -415,7 +416,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             add_values(boundary())
             if snap:
                 window[...] = u
-                prev_ledger = _fold(state, steps, flat, gamma, records)
+                prev_ledger = _fold(state, rows, steps, flat, gamma, records)
                 state.time = t
                 while next_snap <= t + tiny:
                     w = 0.0 if t == prev_time else (next_snap - prev_time) / (t - prev_time)
@@ -430,7 +431,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     finally:
         window[...] = u
         if len(steps) > 1:
-            _fold(state, steps, flat, gamma, records)
+            _fold(state, rows, steps, flat, gamma, records)
         state.trace_times, state.trace_values, state.ledger_history = map(
             np.concatenate, records)
         state.time = t
@@ -453,16 +454,21 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
 def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
               observer: Optional[Callable[[Snapshot], None]] = None,
               cadence: Optional[float] = None) -> HalfLineState:
-    """Step until t_end, landing on it exactly.
+    """Step from the state's time t0 until t_end, landing on it exactly.
 
-    If an observer is given, it is called with decoupled snapshots at the
-    times t0 + k*cadence (k = 0, 1, ...) short of t_end by more than
-    ``landing_tolerance(t_end)``, linearly interpolated in time between
-    the two bracketing steps, and then at t_end; the stepping sequence
-    itself is independent of the cadence.
+    It steps the rows that hold a cell other than +0.0 at its start, by
+    the CFL step of the largest cell, and stops within
+    ``landing_tolerance(t_end)`` of t_end, its time then t_end: a shorter
+    run takes no step.  An observer gets a decoupled snapshot at each of
+    ``output_times(t0, t_end, cadence)``, the inner ones interpolated
+    linearly between the two steps around them; the cadence does not
+    change the steps.
 
     Raises :class:`WorkBudgetExceeded` before the first step if the run
-    could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``).
+    could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``),
+    and :class:`FloatingPointError` on a NaN or a real negative in a
+    stepped row.  A run stopped so leaves the cells of the faulting update
+    and the time, ledger and records of its last whole step.
     """
     if t_end < state.time:
         raise ValueError("t_end precedes the current state time")
@@ -471,14 +477,13 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if cfl > 0:  # otherwise the first step raises CflViolation
         check_cell_steps(state, t_end, cfl, cfg)
     tiny = landing_tolerance(t_end)
-    t0 = state.time
+    times = [] if observer is None else output_times(state.time, t_end, cadence).tolist()
     if observer is not None:
         observer(state.snapshot())
-    if t_end - t0 > tiny:
-        times = () if observer is None else _snapshot_times(t0, t_end - tiny, cadence)
-        _advance(state, cfl, cfg, t_end, tiny, observer, times)
+    if t_end - state.time > tiny:
+        _advance(state, cfl, cfg, t_end, tiny, observer, times[1:-1])
     state.time = t_end
-    if observer is not None and t0 < t_end - tiny:
+    if len(times) > 1:
         observer(state.snapshot())
     return state
 
@@ -489,9 +494,11 @@ def landing_tolerance(t_end: float) -> float:
     return 1e-12 * max(1.0, abs(t_end))
 
 
-def _snapshot_times(t0: float, before: float, cadence: float) -> Iterator[float]:
-    """t0 + k*cadence for k = 1, 2, ... while below ``before``."""
-    k = 1
-    while (time := t0 + k * cadence) < before:
-        yield time
-        k += 1
+def output_times(t0: float, t_end: float, cadence: float) -> np.ndarray:
+    """The output times of a run from t0 to t_end: t0, then t0 + k*cadence
+    for k = 1, 2, ... while below t_end - landing_tolerance(t_end), then
+    t_end whenever t_end > t0."""
+    before = t_end - landing_tolerance(t_end)
+    k = np.arange(1.0, max(1.0, (before - t0) / cadence + 2.0))
+    times = t0 + k * cadence
+    return np.concatenate([[t0], times[times < before], [t_end] if t_end > t0 else []])

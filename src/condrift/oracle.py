@@ -56,8 +56,9 @@ def X_explicit(z, t, gamma: float):
         out = zz.copy()
     else:
         out = np.empty_like(zz)
-        region_a = zz <= 1.0 - g * t  # empty for t >= 1/gamma
-        out[region_a] = zz[region_a] * (1.0 - g * t) ** (1.0 / g)
+        region_a = zz <= 1.0 - g * t
+        if 1.0 - g * t >= 0:  # else region A is empty and its power complex or NaN
+            out[region_a] = zz[region_a] * (1.0 - g * t) ** (1.0 / g)
         zb = zz[~region_a]
         base = 1.0 - (g * t) ** (1.0 / (1.0 + g)) * (1.0 - zb) ** (g / (1.0 + g))
         out[~region_a] = np.maximum(base, 0.0) ** ((1.0 + g) / g)

@@ -417,15 +417,24 @@ def _flux_reference(u: np.ndarray, gamma: float) -> np.ndarray:
     return u ** (1 + gamma) / (1 + gamma)
 
 
+def stepped_rows_reference(cells: np.ndarray) -> slice:
+    """The rows from the first through the last that hold a cell that is
+    not +0.0: nonzero, NaN or -0.0."""
+    occupied = [row for row in range(cells.shape[0])
+                if np.any((cells[row] != 0) | np.signbit(cells[row]))]
+    return slice(occupied[0], occupied[-1] + 1) if occupied else slice(0, 0)
+
+
 def step_reference(state, cfl: float, cfg, dt_cap=None):
     """One Godunov update of ``state`` in place, written without any pass
-    saved: clip, CFL dt, flux, increment, update, clip, ledger, trace and
-    the ledger's history."""
+    saved: stepped rows, clip, CFL dt, flux, increment, update, clip,
+    ledger, trace and the ledger's history."""
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
-    u = state.cells[state.rows]
+    rows = stepped_rows_reference(state.cells)
+    u = state.cells[rows]
     _clip_roundoff_reference(u, "state before the update")
-    speed = float(state.cells[state.rows].max(initial=0.0)) ** cfg.gamma
+    speed = float(state.cells[rows].max(initial=0.0)) ** cfg.gamma
     dt = cfl * state.grid.cell_width / max(speed, REFERENCE_EPS_SPEED)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
@@ -434,7 +443,7 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
     increment[:, :-1] += flux[:, 1:]
     u += (dt / state.grid.cell_width) * increment
     _clip_roundoff_reference(u, "monotone update")
-    state.outflux_ledger[state.rows] += dt * flux[:, 0]
+    state.outflux_ledger[rows] += dt * flux[:, 0]
     state.time += dt
     state.trace_times = np.append(state.trace_times, state.time)
     state.trace_values = np.vstack([state.trace_values, state.cells[:, 0]])
@@ -442,18 +451,30 @@ def step_reference(state, cfl: float, cfg, dt_cap=None):
     return state
 
 
+def output_times_reference(t0: float, t_end: float, cadence: float) -> list:
+    """The output times of ``run_until_reference``, one k at a time: t0,
+    then t0 + k*cadence while short of t_end by more than tiny, then t_end
+    if t_end > t0."""
+    tiny = 1e-12 * max(1.0, abs(t_end))
+    times, k = [t0], 1
+    while (time := t0 + k * cadence) < t_end - tiny:
+        times.append(time)
+        k += 1
+    return times + [t_end] if t_end > t0 else times
+
+
 def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cadence=None):
     """``run_until`` as it was when it called one step per step, driving
     ``step_reference``: it copies the cells and the ledger before every
-    step when an observer is set.  Snapshots fall at t0 + k*cadence short
-    of t_end by more than tiny, then at t_end."""
+    step when an observer is set.  Snapshots fall at t0, at t0 + k*cadence
+    short of t_end by more than tiny, and at t_end if t_end > t0."""
     if t_end < state.time:
         raise ValueError("t_end precedes the current state time")
     if observer is not None and (cadence is None or cadence <= 0):
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise step raises CflViolation
         steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
-        cell_steps = state.cells[state.rows].size * steps
+        cell_steps = state.cells[stepped_rows_reference(state.cells)].size * steps
         if cell_steps > MAX_CELL_STEPS:
             raise WorkBudgetExceeded(
                 f"about {cell_steps:.3g} cell-steps exceed the cell-step budget "
@@ -461,10 +482,8 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
     tiny = 1e-12 * max(1.0, abs(t_end))
     t0, k = state.time, 1
     next_snap = state.time
-    last_snap = None
     if observer is not None:
         observer(state.snapshot())
-        last_snap = state.time
         next_snap += cadence
     prev_cells = None
     prev_time = state.time
@@ -484,11 +503,10 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
                                   next_snap,
                                   (1 - w) * prev_ledger + w * state.outflux_ledger,
                                   state.sup_initial))
-                last_snap = next_snap
                 k += 1
                 next_snap = t0 + k * cadence
     state.time = t_end
-    if observer is not None and (last_snap is None or last_snap < t_end - tiny):
+    if observer is not None and t0 < t_end:
         observer(state.snapshot())
     return state
 

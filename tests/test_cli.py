@@ -691,6 +691,30 @@ def test_characteristics_time_grid_ends_at_t_end(tmp_path, t_end, cadence, times
     assert block_times(out / "characteristics.csv") == times
 
 
+@pytest.mark.parametrize("t_end", [0.0, 1e-13, 0.5, 0.4321987654321],
+                         ids=["zero", "below-the-landing-tolerance", "cadence-multiple",
+                              "off-the-cadence"])
+def test_simulate_and_characteristics_write_the_same_output_times(tmp_path, t_end):
+    # both commands take their times from conslaw.output_times, so the t
+    # column of measures.csv is the t of characteristics.csv's blocks, as
+    # written; a run shorter than the landing tolerance ends at t_end too
+    datum = {"kind": "piecewise_linear", "breakpoints": [-0.5, 0.0, 0.6],
+             "values": [0.4, 1.0, 0.4]}
+    path = write_config(tmp_path, datum=datum, grid_cells=16, t_end=t_end,
+                        snapshot_cadence=0.125)
+    columns = {}
+    for command, csv in (("simulate", "measures.csv"),
+                         ("characteristics", "characteristics.csv")):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--output", str(out),
+                     "--quiet"]) == 0
+        lines = (out / csv).read_text().splitlines()[1:]
+        columns[command] = list(dict.fromkeys(line.split(",", 1)[0] for line in lines))
+    assert columns["simulate"] == columns["characteristics"]
+    assert float(columns["simulate"][-1]) == t_end and len(columns["simulate"]) == (
+        1 if t_end == 0.0 else 2 if t_end < 0.125 else 5)
+
+
 def test_characteristics_budgets_only_the_rows_it_writes(tmp_path, capsys):
     # characteristics writes grid_cells rows per time and no pseudo-inverse,
     # so a z_count of 10^7 adds no row to its budget
@@ -919,9 +943,16 @@ UNREACHABLE_ONSET = {"gamma": 1.0, "datum": {"kind": "example36"}, "grid_cells":
                      "z_count": 256, "trace_threshold": 1.5}
 
 
+# the pseudo-inverse row reads X_explicit at t = 2/gamma = 1, past 1/gamma,
+# where region A's power would take the square root of 1 - 2 = -1
+PAST_THE_ONSET = {"gamma": 2.0, "datum": {"kind": "example36"}, "grid_cells": 64,
+                  "z_count": 64}
+
+
 @settings(max_examples=40, deadline=10000, derandomize=True)
 @given(verify_configs())
 @example(UNREACHABLE_ONSET)
+@example(PAST_THE_ONSET)
 def test_verify_config_fuzz(raw):
     # every config writes a report free of nan and inf and exits 0 or 5,
     # or fails with one JSON error, exit 2, 3 or 4, and no report

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -31,10 +31,12 @@ from condrift.datum import (
 from condrift.frames import GammaConfig, x_of_xi
 import oracles
 from oracles import (
+    output_times_reference,
     riemann_exact,
     right_row_state,
     run_until_reference,
     step_reference,
+    stepped_rows_reference,
     total_variation,
 )
 
@@ -312,6 +314,25 @@ def test_run_until_places_snapshots_at_multiples_of_the_cadence(t0):
     assert times[-1] == 50.0
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+       span=st.one_of(st.sampled_from([0.0, 1e-13, 5e-13, 2e-12]), st.floats(0.0, 20.0)),
+       cadence=st.floats(1e-3, 5.0))
+def test_output_times_follow_the_one_k_at_a_time_rule(t0, span, cadence):
+    # from t0 = 0 they are also characteristics' former np.arange times,
+    # cut at the landing tolerance and ended by t_end
+    t_end = t0 + span
+    assume(span / cadence < 1e4)
+    times = conslaw.output_times(t0, t_end, cadence)
+    assert times.dtype == np.float64
+    assert times.tolist() == output_times_reference(t0, t_end, cadence)
+    if t0 == 0.0:
+        grid = np.arange(0.0, t_end, cadence)
+        before = t_end - conslaw.landing_tolerance(t_end)
+        grid = np.append(grid[(grid == 0.0) | (grid < before)], t_end)
+        assert times.tolist() == (grid.tolist() if t_end > 0 else [0.0])
+
+
 def test_run_until_rejects_past_target():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
@@ -470,7 +491,7 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
         step(state, 0.9, cfg, dt_cap=cap)
         step_reference(reference, 0.9, cfg, dt_cap=cap)
     assert state_bytes(state) == state_bytes(reference)
-    assert state.outflux_ledger[state.rows].min() > 0
+    assert state.outflux_ledger[stepped_rows_reference(state.cells)].min() > 0
 
 
 def margin_state(cfg):
@@ -491,8 +512,8 @@ RUN_STATES = {"example36": example36_state, "two-sided": two_sided_random_state,
 
 
 def entry_window(state):
-    """One past the last occupied column of the stepped rows."""
-    return np.flatnonzero(state.cells[state.rows].any(axis=0))[-1] + 1
+    """One past the last occupied column."""
+    return np.flatnonzero(state.cells.any(axis=0))[-1] + 1
 
 
 def run_bytes(run, state, cfg, observe, cadence=None):
@@ -519,7 +540,7 @@ def test_run_until_snapshots_are_bit_identical_to_reference(gamma, kind):
         fused = run_bytes(run_until, state, cfg, observe)
         assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, observe)
         assert len(fused) == (14 if observe else 1)
-        assert state.outflux_ledger[state.rows].min() > 0
+        assert state.outflux_ledger[stepped_rows_reference(state.cells)].min() > 0
 
 
 @pytest.mark.parametrize("kind", ["example36", "two-sided"])
@@ -574,7 +595,7 @@ def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamm
     assert hi == n if kind == "full-row" else hi < n
     if kind == "margin-3":
         assert hi < 0.4 * n
-    rows = state.rows.stop - state.rows.start
+    rows = int(state.cells.any(axis=1).sum())
     assert rows == (1 if kind in ("example36", "margin-3") else 2)
     layouts, unwatched = [], conslaw._power
 
@@ -592,15 +613,18 @@ def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamm
     assert not beyond.any() and not np.signbit(beyond).any()
 
 
-@pytest.mark.parametrize("where", ["inside", "beyond"])
+@pytest.mark.parametrize("where", ["inside", "beyond", "empty-row"])
 @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_run_until_rejects_a_bad_cell_set_before_the_run(gamma, bad, where):
+    # the block's left row is empty at construction: a bad cell set in it
+    # makes it a stepped row, checked as the right one is
     cfg = GammaConfig(gamma=gamma)
     state = example36_state(cfg)
     column = 40 if where == "inside" else state.grid.cell_count - 1
     assert (column < entry_window(state)) == (where == "inside")
-    state.cells[RIGHT, column] = bad
+    assert not state.cells[LEFT].any()
+    state.cells[LEFT if where == "empty-row" else RIGHT, column] = bad
     with pytest.raises(FloatingPointError):
         run_until(state, 1.0 / gamma, 0.9, cfg)
 
@@ -651,20 +675,27 @@ def test_run_until_reads_the_first_outflux_off_the_clipped_boundary(gamma):
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_an_unstepped_row_records_its_boundary_cell_at_entry(gamma):
-    # the left row of the block is empty at construction, so it is not
-    # stepped; a boundary cell set in it afterwards is recorded at every step
+def test_a_row_given_mass_after_construction_is_stepped(gamma):
+    # the left row of the block is empty at construction; a boundary cell
+    # set in it afterwards is stepped from the run's start, and its mass
+    # drains into the left ledger
     cfg = GammaConfig(gamma=gamma)
     state, reference = example36_state(cfg), example36_state(cfg)
     for s in (state, reference):
         s.cells[LEFT, 0] = 0.25
-    run_until(state, 1.2 / gamma, 0.9, cfg)
-    run_until_reference(reference, 1.2 / gamma, 0.9, cfg)
-    assert state.rows == slice(RIGHT, RIGHT + 1)
-    assert state.trace_values[0, RIGHT] == reference.trace_values[0, RIGHT]
+    total = state.mass + state.outflux_ledger
+    fused = run_bytes(run_until, state, cfg, True)
+    expected = run_bytes(run_until_reference, reference, cfg, True)
+    # the reference's trace keeps the boundary recorded at construction
+    assert fused[:-1] == expected[:-1] and fused[-1][:4] == expected[-1][:4]
     assert state.trace_values[1:].tobytes() == reference.trace_values[1:].tobytes()
     assert state.ledger_history.tobytes() == reference.ledger_history.tobytes()
-    assert (state.trace_values[:, LEFT] == 0.25).all()
+    assert state.trace_values[0, LEFT] == 0.25
+    width = state.grid.cell_width
+    assert state.mass[LEFT] < 0.25 * width / 2
+    assert state.outflux_ledger[LEFT] > 0.25 * width / 2
+    assert np.all(np.diff(state.ledger_history[:, LEFT]) > 0)
+    assert np.abs(state.mass + state.outflux_ledger - total).max() <= 1e-15
 
 
 # Where 1+gamma is a power of two the step scales the increment by
@@ -835,7 +866,7 @@ def test_a_run_stopped_mid_step_leaves_the_cells_of_the_reference(
             run(s, 1.2 / gamma, 0.9, cfg)
     assert len(windows) == len(reference_steps) == FAULT_STEP
     assert state_bytes(state) == state_bytes(reference)
-    fault = state.cells[state.rows.stop - 1, hi // 2]
+    fault = state.cells[RIGHT, hi // 2]
     assert np.isnan(fault) if np.isnan(bad) else fault == bad
 
 

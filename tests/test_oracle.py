@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -68,6 +70,20 @@ def test_X_values():
     assert X_unit_mass(0.5, 0.5, 1.0) == pytest.approx(0.25, abs=1e-14)  # region A
     # the block itself: the same curve up to the dilation constants
     assert X_explicit(0.375, 1.0, 1.0) == pytest.approx(0.125, abs=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_X_has_the_same_bits_for_a_float_and_a_numpy_time(gamma):
+    # past 1/gamma region A is empty: its power of 1 - gamma*t < 0, complex
+    # for a float t and NaN with a RuntimeWarning for an np.float64 one,
+    # is not taken
+    z = np.linspace(0.0, 1.0 / (1.0 + gamma), 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.5 / gamma, 1.0 / gamma, 1.5 / gamma, 2.0 / gamma, 4.0 / gamma):
+            X = X_explicit(z, t, gamma)
+            assert np.all(np.isfinite(X))
+            assert X.tobytes() == X_explicit(z, np.float64(t), gamma).tobytes()
 
 
 def test_X_plateau_and_mass_after_onset():
