@@ -85,13 +85,14 @@ class InitialDatum:
                        0, self.breakpoints.size - 2)
 
     def __call__(self, x):
-        """Datum values at x, 0 outside [a, b]; a float for a scalar x."""
+        """Datum values at finite x, 0 outside [a, b]; a float for a scalar
+        x. (A NaN x gives NaN for linear data and 0 for constant data.)"""
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            inner = self.values[self._segment(x)]
-        else:
-            inner = np.interp(x, self.breakpoints, self.values)
-        out = np.where((x >= self.a) & (x <= self.b), inner, 0.0)
+            out = np.where((x >= self.a) & (x <= self.b),
+                           self.values[self._segment(x)], 0.0)
+        else:  # a = breakpoints[0] and b = breakpoints[-1]
+            out = np.interp(x, self.breakpoints, self.values, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
 

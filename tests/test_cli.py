@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,10 @@ from condrift.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_VERIFY,
+    FORMAT_BATCH,
     ConfigError,
     RunConfig,
+    format_floats,
     load_config,
     main,
     simulate,
@@ -198,6 +202,72 @@ def test_write_blocks_matches_per_value_format(tmp_path):
     lines = (tmp_path / "shared-and-returning.csv").read_text().splitlines()
     assert lines[13:15] == ["1e+308,0,0", "1e+308,0,-0"]
     assert lines[1] == "0,-0,%.17g" % other[0]
+
+
+def per_value_g17(values) -> list:
+    return [format(float(v), ".17g").encode() for v in np.ravel(values)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([0.0, -0.0, 1e308, -1e308, 5e-324, -2.2250738585072014e-308])
+def test_format_floats_matches_per_value_format(values):
+    assert format_floats(np.array(values)) == per_value_g17(values)
+
+
+def test_format_floats_matches_per_value_format_on_random_bits():
+    bits = np.random.default_rng(27).integers(0, 2**64, 220_000, dtype=np.uint64)
+    values = bits.view(float)
+    values = values[np.isfinite(values)]
+    assert values.size >= 200_000
+    assert format_floats(values) == per_value_g17(values)
+
+
+def test_format_floats_matches_per_value_format_at_the_edges():
+    powers = [Fraction(10) ** j for j in range(-323, 309)]
+    decades = np.array([float(p) for p in powers])
+    # both ends of the fast range, 1e-4 <= |v| < 2^51
+    ends = np.array([1e-4, 2.0 ** 51])
+    # exact ties at the 17th digit: 18 significant digits ending in 5,
+    # (2^52 + i) / 8 for odd i, and odd / 2^(17 - k) at every k of the range
+    rng = np.random.default_rng(27)
+    ties = [(2**52 + i) / 8 for i in range(1, 400, 2)]
+    for k in range(-4, 16):
+        low = int(Fraction(10) ** k * 2 ** (17 - k)) + 1
+        high = min(int(Fraction(10) ** (k + 1) * 2 ** (17 - k)), 2**53)
+        ties += [int(n) / 2 ** (17 - k) for n in rng.integers(low, high, 50) | 1]
+    for t in ties:
+        n, d = t.as_integer_ratio()  # t = n 5^j / 10^j for d = 2^j, n odd
+        assert len(str(n * 5 ** (d.bit_length() - 1))) == 18
+    # doubles whose 17-digit rounding carries to the next power of ten
+    carries = [float(p) for p in powers if Fraction(float(p)) < p
+               and p - Fraction(float(p)) < p * Fraction(5, 10**18)]
+    assert len(carries) >= 10
+    assert all(format(c, ".17g").startswith("1e") for c in carries)
+    edges = np.concatenate([decades, np.nextafter(decades, 0.0),
+                            np.nextafter(decades, np.inf), ends,
+                            np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
+                            ties, carries])
+    edges = np.concatenate([edges, -edges])
+    assert format_floats(edges) == per_value_g17(edges)
+
+
+def test_write_blocks_memory_does_not_grow_with_the_block_count(tmp_path):
+    column = np.linspace(-1.0, 1.0, 1024)
+
+    def peak(count):
+        rng = np.random.default_rng(count)
+        blocks = ((0.25 * i, column, rng.uniform(0.0, 1.0, 1024))
+                  for i in range(count))
+        tracemalloc.start()
+        try:
+            write_blocks(tmp_path / f"{count}.csv", ["t", "x", "u"], blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one batch: FORMAT_BATCH float64 values
+    assert abs(peak(400) - peak(40)) < 8 * FORMAT_BATCH
 
 
 def test_blocked_outputs_match_per_value_format(tmp_path):

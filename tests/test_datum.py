@@ -68,6 +68,26 @@ def test_interior_vacuum_rejected():
     assert piecewise_linear([0.0, 1.0, 2.0], [1.0, 0.0, 1e-9]).b == 2.0
 
 
+def test_linear_datum_values_keep_the_bits_of_the_clipped_interpolation():
+    # interp with left = right = 0 against interp zeroed outside [a, b]:
+    # the same bits on every finite x, since a and b are the end breakpoints
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        breakpoints = rng.uniform(-2.0, 1.0) + np.cumsum(rng.uniform(0.01, 1.0, n))
+        values = rng.uniform(0.05, 2.0, n)
+        values[[0, -1]] *= rng.random(2) < 0.5  # zero ends half the time
+        d = piecewise_linear(breakpoints, values)
+        ends = np.array([d.a, d.b])
+        x = np.concatenate([rng.uniform(d.a - 1.0, d.b + 1.0, 200), ends,
+                            np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                            [-1e300, d.a - 5.0, d.b + 5.0, 1e300]])
+        clipped = np.where((x >= d.a) & (x <= d.b),
+                           np.interp(x, d.breakpoints, d.values), 0.0)
+        assert d(x).tobytes() == clipped.tobytes()
+        assert [d(v) for v in x[-12:].tolist()] == clipped[-12:].tolist()
+
+
 def test_integrate_piecewise_matches_quadrature():
     d = piecewise_linear([0.0, 0.5, 1.0, 1.5], [0.2, 1.0, 0.4, 0.0])
     for lo, hi in ((0.0, 1.5), (0.1, 0.3), (0.25, 1.37), (-1.0, 0.7), (1.2, 9.0)):
