@@ -42,7 +42,6 @@ from .conslaw import (
 )
 from .measure import (
     MeasureState,
-    PseudoInverse,
     assemble,
     check_entropy_measure,
     original_frame_series,

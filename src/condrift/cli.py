@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
+import itertools
 import json
 import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -208,31 +211,35 @@ def _byte_words(chars) -> np.ndarray:
     return np.ascontiguousarray(words.astype(np.uint64).T)
 
 
-# format_floats' tables: 5^s and 10^s by s = 16 - k; by j + 4, the
-# smallest double at or above 10^j (1 / 10^-j lies above 10^j); by a
-# four-digit group g, its ASCII digits and, at g's place p in the 17
-# digits, how many of them run to the last nonzero one (0 for g = 0)
-_POW5 = 5 ** np.arange(21, dtype=np.uint64)
-_POW10 = np.ldexp(_POW5.astype(float), np.arange(21))
-_TEN_AT_LEAST = np.concatenate([1.0 / _POW10[4:0:-1], _POW10[:17]])
-_GROUP = np.arange(10_000, dtype=np.int16)
-_ASCII4 = (48 + _GROUP[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
-           ).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
-_SIGNIFICANT = np.where(_GROUP > 0, np.arange(4, 17, 4, dtype=np.uint8)[:, None]
-                        - sum(_GROUP % 10 ** j == 0 for j in (1, 2, 3)), 0
-                        ).astype(np.uint8)
-# byte masks of the 17-digit string, by w: its first w bytes; by w * 18 +
-# end: bytes w to end - 1. The marks %g adds, by 2 * (k + 4) + (a fraction
-# is written): "0." and -k - 1 zeros below 1, else a point after k + 1
-# digits if a fraction follows
-_BYTE = np.arange(24)
-_LEADING = _byte_words(np.where(_BYTE < np.arange(17)[:, None], 0xFF, 0))
-_BETWEEN = _byte_words(np.where((_BYTE >= np.arange(17)[:, None, None])
-                                & (_BYTE < np.arange(18)[:, None]), 0xFF, 0))
-_K = np.arange(-4, 16)[:, None, None]
-_MARKS = _byte_words(np.where(
-    _K < 0, np.where(_BYTE == 1, ord("."), np.where(_BYTE <= -_K, ord("0"), 0)),
-    np.where((_BYTE == _K + 1) & (np.arange(2)[:, None] == 1), ord("."), 0)))
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """format_floats' tables, built on its first call: 5^s and 10^s by
+    s = 16 - k; by j + 4, the smallest double at or above 10^j (1 / 10^-j
+    lies above 10^j); by a four-digit group g, its ASCII digits and, at g's
+    place p in the 17 digits, how many of them run to the last nonzero one
+    (0 for g = 0); byte masks of the 17-digit string, by w: its first w
+    bytes; by w * 18 + end: bytes w to end - 1; and the marks %g adds, by
+    2 * (k + 4) + (a fraction is written): "0." and -k - 1 zeros below 1,
+    else a point after k + 1 digits if a fraction follows."""
+    pow5 = 5 ** np.arange(21, dtype=np.uint64)
+    pow10 = np.ldexp(pow5.astype(float), np.arange(21))
+    group = np.arange(10_000, dtype=np.int16)
+    byte = np.arange(24)
+    k = np.arange(-4, 16)[:, None, None]
+    return SimpleNamespace(
+        pow5=pow5, pow10=pow10,
+        ten_at_least=np.concatenate([1.0 / pow10[4:0:-1], pow10[:17]]),
+        ascii4=(48 + group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+                ).astype(np.uint8).view("<u4").ravel().astype(np.uint64),
+        significant=np.where(group > 0, np.arange(4, 17, 4, dtype=np.uint8)[:, None]
+                             - sum(group % 10 ** j == 0 for j in (1, 2, 3)), 0
+                             ).astype(np.uint8),
+        leading=_byte_words(np.where(byte < np.arange(17)[:, None], 0xFF, 0)),
+        between=_byte_words(np.where((byte >= np.arange(17)[:, None, None])
+                                     & (byte < np.arange(18)[:, None]), 0xFF, 0)),
+        marks=_byte_words(np.where(
+            k < 0, np.where(byte == 1, ord("."), np.where(byte <= -k, ord("0"), 0)),
+            np.where((byte == k + 1) & (np.arange(2)[:, None] == 1), ord("."), 0))))
 
 
 def _shift_bytes(words: list, bits: np.ndarray) -> list:
@@ -242,7 +249,7 @@ def _shift_bytes(words: list, bits: np.ndarray) -> list:
             (words[2] << bits) | (words[1] >> back)]
 
 
-def _decimal(x: np.ndarray) -> tuple:
+def _decimal(x: np.ndarray, tab: SimpleNamespace) -> tuple:
     """D and k of |x| where 1e-4 <= |x| < 2^51 (``fast``), D = 0 and k = 0
     elsewhere."""
     size = np.abs(x)
@@ -252,13 +259,13 @@ def _decimal(x: np.ndarray) -> tuple:
     biased = (u >> _U64(52)).view(np.int64)
     # floor(e log10 2) for the binary exponent e is k or k - 1
     k = ((biased - 1023) * 78913) >> 18
-    k += y >= _TEN_AT_LEAST[k + 5]
+    k += y >= tab.ten_at_least[k + 5]
     s = 16 - k
     b = (1059 - biased + k).view(np.uint64)  # -(q + s)
     m = (u & _U64((1 << 52) - 1)) | _U64(1 << 52)
     # an even estimate 20 to 46 units below |x| 10^s, and the remainder
-    est = ((y * _POW10[s]).astype(np.uint64) - _U64(32)) & _U64((1 << 64) - 2)
-    rest = m * _POW5[s] - (est << b)
+    est = ((y * tab.pow10[s]).astype(np.uint64) - _U64(32)) & _U64((1 << 64) - 2)
+    rest = m * tab.pow5[s] - (est << b)
     # add rest / 2^b rounded half to even: est is even, so the parity of
     # the sum is that of rest >> b
     half = (_U64(1) << (b - _U64(1))) - _U64(1)
@@ -268,7 +275,7 @@ def _decimal(x: np.ndarray) -> tuple:
     return d, k, fast
 
 
-def _digits(d: np.ndarray) -> tuple:
+def _digits(d: np.ndarray, tab: SimpleNamespace) -> tuple:
     """The 17 ASCII digits of D in three words, and how many of them run
     to the last nonzero one."""
     high = d // 10 ** 9
@@ -277,26 +284,27 @@ def _digits(d: np.ndarray) -> tuple:
     units = low - tens * 10
     first, third = high // 10_000, tens // 10_000
     groups = (first, high - first * 10_000, third, tens - third * 10_000)
-    words = [_ASCII4.take(groups[0]) | (_ASCII4.take(groups[1]) << _U64(32)),
-             _ASCII4.take(groups[2]) | (_ASCII4.take(groups[3]) << _U64(32)),
+    ascii4, counts = tab.ascii4, tab.significant
+    words = [ascii4.take(groups[0]) | (ascii4.take(groups[1]) << _U64(32)),
+             ascii4.take(groups[2]) | (ascii4.take(groups[3]) << _U64(32)),
              units.view(np.uint64) + _U64(ord("0"))]
     significant = np.maximum(
-        np.maximum(_SIGNIFICANT[0].take(groups[0]), _SIGNIFICANT[1].take(groups[1])),
-        np.maximum(_SIGNIFICANT[2].take(groups[2]), _SIGNIFICANT[3].take(groups[3])))
+        np.maximum(counts[0].take(groups[0]), counts[1].take(groups[1])),
+        np.maximum(counts[2].take(groups[2]), counts[3].take(groups[3])))
     significant[units != 0] = 17
     return words, significant
 
 
 def _layout(words: list, significant: np.ndarray, k: np.ndarray,
-            sign: np.ndarray) -> np.ndarray:
+            sign: np.ndarray, tab: SimpleNamespace) -> np.ndarray:
     """%g's text of each D, k and sign, as rows of three words."""
     whole = np.maximum(k + 1, 0)  # digits before the point
     fraction = significant > whole
     marks = 2 * (k + 4) + fraction
     cut = whole * 18 + np.maximum(significant, whole)
     head = [w & lead.take(whole) | mark.take(marks)
-            for w, lead, mark in zip(words, _LEADING, _MARKS)]
-    tail = [w & between.take(cut) for w, between in zip(words, _BETWEEN)]
+            for w, lead, mark in zip(words, tab.leading, tab.marks)]
+    tail = [w & between.take(cut) for w, between in zip(words, tab.between)]
     lift = (sign + _U64(1) + np.maximum(-k, 0).view(np.uint64)) << _U64(3)
     head = _shift_bytes(head, sign << _U64(3))
     tail = _shift_bytes(tail, lift)
@@ -304,11 +312,11 @@ def _layout(words: list, significant: np.ndarray, k: np.ndarray,
     return np.stack([h | t for h, t in zip(head, tail)], axis=1)
 
 
-def _format_batch(x: np.ndarray) -> list:
-    d, k, fast = _decimal(x)
-    words, significant = _digits(d)
+def _format_batch(x: np.ndarray, tab: SimpleNamespace) -> list:
+    d, k, fast = _decimal(x, tab)
+    words, significant = _digits(d, tab)
     sign = x.view(np.uint64) >> _U64(63)
-    out = _layout(words, significant, k, sign)
+    out = _layout(words, significant, k, sign, tab)
     texts = out.astype("<u8", copy=False).view("S24").ravel().tolist()
     for i in np.flatnonzero(~fast & (x != 0)).tolist():
         texts[i] = b"%.17g" % x[i]
@@ -341,9 +349,10 @@ def format_floats(values) -> list:
     a set sign bit, so -0.0 gives "-0".
     """
     x = np.ascontiguousarray(values, dtype=float).ravel()
+    tab = _tables()
     texts: list = []
     for start in range(0, x.size, FORMAT_BATCH):
-        texts += _format_batch(x[start:start + FORMAT_BATCH])
+        texts += _format_batch(x[start:start + FORMAT_BATCH], tab)
     return texts
 
 
@@ -364,40 +373,24 @@ def write_csv(path: Path, header: list, rows) -> None:
             out.write(line * len(chunk) % tuple(format_floats(chunk)))
 
 
-def write_blocks(path: Path, header: list, blocks) -> None:
-    """Write blocks ``(t, column, values)`` as rows ``t, column[i],
-    values[i]``, every value as format_floats writes it (the bytes of
-    %.17g); ``column`` and ``values`` are float arrays of one length.
-    Each distinct ``column`` (by its bytes, so -0.0 stays apart from 0.0)
-    is formatted once. The blocks are read one at a time and written in
-    batches: the times and values of blocks holding up to FORMAT_BATCH
-    values (or of one larger block) go through one format_floats call and
+def write_blocks(path: Path, header: list, column, blocks) -> None:
+    """Write blocks ``(t, values)`` as rows ``t, column[i], values[i]``,
+    every value as format_floats writes it (the bytes of %.17g); ``column``
+    and each ``values`` are float arrays of one length, and ``column`` is
+    formatted once. The blocks are read one at a time and written in
+    batches of FORMAT_BATCH // (len(column) + 1) blocks, or one larger
+    block: a batch's times and values go through one format_floats call and
     one bytes % operation, so memory does not grow with the block count."""
-    tails: dict = {}
-    batch: list = []
-    size = 0
+    tail = [b""] + [b",%s,%%s\n" % c for c in format_floats(column)]
+    per_batch = max(1, FORMAT_BATCH // (len(column) + 1))
+    blocks = iter(blocks)
     with path.open("wb") as out:
         out.write(",".join(header).encode() + b"\n")
-        for t, column, values in blocks:
-            if batch and size + len(values) + 1 > FORMAT_BATCH:
-                _write_batch(out, batch)
-                batch, size = [], 0
-            key = column.tobytes()
-            if key not in tails:
-                tails[key] = [b""] + [b",%s,%%s\n" % c for c in format_floats(column)]
-            batch.append((t, tails[key], values))
-            size += len(values) + 1
-        if batch:
-            _write_batch(out, batch)
-
-
-def _write_batch(out, batch: list) -> None:
-    """write_blocks' blocks ``(t, tail, values)``: their times and values
-    formatted in one call, each block's time joining its column's tail."""
-    texts = format_floats(np.concatenate(
-        [[t for t, _, _ in batch]] + [values for _, _, values in batch]))
-    template = b"".join(t.join(tail) for t, (_, tail, _) in zip(texts, batch))
-    out.write(template % tuple(texts[len(batch):]))
+        while batch := list(itertools.islice(blocks, per_batch)):
+            texts = format_floats(np.concatenate(
+                [[t for t, _ in batch]] + [values for _, values in batch]))
+            template = b"".join(t.join(tail) for t in texts[:len(batch)])
+            out.write(template % tuple(texts[len(batch):]))
 
 
 @dataclass
@@ -407,7 +400,8 @@ class SimulationResult:
     state: conslaw.HalfLineState
     snapshots: list
     ms_series: list
-    ps_series: list
+    z: np.ndarray  # the z-grid of every pseudo-inverse in X_series
+    X_series: list
     datum: InitialDatum
 
 
@@ -425,8 +419,8 @@ def simulate(config: RunConfig) -> SimulationResult:
     geometry = measure.grid_geometry(snapshots[0], cfg)
     ms_series = [measure.assemble(snap, cfg, geometry) for snap in snapshots]
     z = measure.z_grid(ms_series[0], config.z_count)
-    ps_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
-    return SimulationResult(state, snapshots, ms_series, ps_series, datum)
+    X_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
+    return SimulationResult(state, snapshots, ms_series, z, X_series, datum)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -436,12 +430,12 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     config.check_output_budget(2 * config.grid_cells + config.z_count,
                                "grid_cells or z_count")
     res = simulate(config)
-    ms_series, ps_series = res.ms_series, res.ps_series
+    ms_series = res.ms_series
     cfg, state = config.gamma_config(), res.state
     rows = measure.measure_rows(ms_series)
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
-    violations = measure.check_entropy_measure(ms_series, ps_series, cfg,
+    violations = measure.check_entropy_measure(ms_series, res.X_series, cfg,
                                                datum=res.datum)
     onset = min(measure.trace_onset_time(state.trace_times, state.trace_values,
                                          config.trace_threshold))
@@ -465,17 +459,17 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
     # snapshots_<side>.csv: t, xi_center, u (signed original xi)
     for row, side in enumerate(SIDES):
-        centers = SIGNS[row] * state.grid.centers
         write_blocks(out_dir / f"snapshots_{side}.csv", ["t", "xi_center", "u"],
-                     ((snap.time, centers, snap.cells[row]) for snap in res.snapshots))
+                     SIGNS[row] * state.grid.centers,
+                     ((snap.time, snap.cells[row]) for snap in res.snapshots))
     # ledger_<side>.csv: the solver's ledger after each step
     for row, side in enumerate(SIDES):
         write_csv(out_dir / f"ledger_{side}.csv", ["t", "trace_u0", "outflux_cumulative"],
                   np.column_stack([state.trace_times, state.trace_values[:, row],
                                    state.ledger_history[:, row]]))
     write_csv(out_dir / "measures.csv", measure.MEASURE_COLUMNS, rows)
-    write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"],
-                 ((ms.time, ps.z_grid, ps.x_values) for ms, ps in zip(ms_series, ps_series)))
+    write_blocks(out_dir / "pseudoinverse.csv", ["t", "z", "X"], res.z,
+                 ((ms.time, X) for ms, X in zip(ms_series, res.X_series)))
     if frame_rows is not None:
         write_csv(out_dir / "original_frame.csv", measure.ORIGINAL_FRAME_COLUMNS,
                   frame_rows)
@@ -522,7 +516,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _check_rows(len(law_times) * (2 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
     law_res = simulate(law_cfg)
-    ms2, ps2 = law_res.ms_series, law_res.ps_series
+    ms2 = law_res.ms_series
 
     def add(name, status, value, target):
         rows.append((name, status, value, target))
@@ -582,13 +576,14 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     # unit-mass scale: that block is an exact dilation of this one, with X
     # scaled by 1+gamma
     k = np.argmin(abs(times - 2.0 / g))
-    exact_X = oracle.X_explicit(ps2[k].z_grid, ms2[k].time, g)
-    linf = (1.0 + g) * float(np.max(np.abs(ps2[k].x_values - exact_X)))
+    exact_X = oracle.X_explicit(law_res.z, ms2[k].time, g)
+    linf = (1.0 + g) * float(np.max(np.abs(law_res.X_series[k] - exact_X)))
     status = "INFO" if informational else ("PASS" if linf <= 1e-2 else "FAIL")
     add("pseudo-inverse Linf vs explicit X", status, f"{linf:.2e}", "<= 1e-2")
 
     # structural diagnostics on the run
-    n_viols = len(measure.check_entropy_measure(ms2, ps2, cfg, datum=law_res.datum))
+    n_viols = len(measure.check_entropy_measure(ms2, law_res.X_series, cfg,
+                                                datum=law_res.datum))
     add("entropy-measure diagnostics", "PASS" if n_viols == 0 else "FAIL",
         f"{n_viols} violations", "0")
 
@@ -637,8 +632,8 @@ def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -
     # raises NotSmoothRegime if a time is at or past the smooth horizon
     rho = evaluate_smooth_grid(xs, times, datum, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"],
-                 ((t, xs, r) for t, r in zip(times, rho)))
+    write_blocks(out_dir / "characteristics.csv", ["t", "x", "rho"], xs,
+                 zip(times, rho))
     report = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,

@@ -23,8 +23,11 @@ import numpy as np
 class GammaConfig:
     """Nonlinearity exponent gamma > 0 and spatial dimension d >= 1.
 
-    gamma values far outside [0.2, 4] are valid but numerically stiff:
-    the coordinate maps carry exponents 1/gamma and (1+gamma)/gamma.
+    Every gamma > 0 is valid.  The coordinate maps carry exponents 1/gamma
+    and (1+gamma)/gamma, so they grow stiff as gamma moves away from 1.  No
+    gamma range is promised to give accurate results: ``condrift verify``
+    measures the accuracy at one gamma, and at the default sizes it fails
+    at gamma 0.4 and 0.5 (see the README, Verification).
     """
 
     gamma: float

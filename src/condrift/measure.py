@@ -57,18 +57,6 @@ class MeasureState:
         return float(self.mass_weights.sum())
 
 
-@dataclass
-class PseudoInverse:
-    """Monotone rearrangement X(z) on [0, M], sampled on a uniform z-grid.
-
-    The concentrated mass m shows up as the plateau X = 0 on z in
-    [a, a + m], a the absolutely continuous mass left of the origin.
-    """
-
-    z_grid: np.ndarray
-    x_values: np.ndarray
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -192,11 +180,13 @@ def z_grid(ms: MeasureState, z_count: int) -> np.ndarray:
     return np.linspace(0.0, ms.total_mass, z_count)
 
 
-def pseudo_inverse(ms: MeasureState, z: np.ndarray) -> PseudoInverse:
-    """Monotone inversion of the cumulative distribution on the z-grid ``z``.
+def pseudo_inverse(ms: MeasureState, z: np.ndarray) -> np.ndarray:
+    """The monotone rearrangement X(z) on [0, M]: the inversion of the
+    cumulative distribution at each point of the z-grid ``z``.
 
-    Flat stretches of F (vacuum) resolve to the infimum convention; the
-    plateau at the origin has width equal to the concentrated mass.
+    Flat stretches of F (vacuum) resolve to the infimum convention.  The
+    concentrated mass m shows up as the plateau X = 0 on z in [a, a + m],
+    a the absolutely continuous mass left of the origin.
     """
     F_x, F_val = ms.F_x, ms.F_val
     k = np.searchsorted(F_val, z, side="right")
@@ -205,8 +195,7 @@ def pseudo_inverse(ms: MeasureState, z: np.ndarray) -> PseudoInverse:
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.where(denom > 0, (z - F_val[k - 1]) / denom, 0.0)
     w = np.clip(w, 0.0, 1.0)
-    X = F_x[k - 1] + w * (F_x[k] - F_x[k - 1])
-    return PseudoInverse(z_grid=z, x_values=X)
+    return F_x[k - 1] + w * (F_x[k] - F_x[k - 1])
 
 
 def wasserstein_to_dirac(ms: MeasureState) -> float:
@@ -227,21 +216,23 @@ def measure_rows(ms_series) -> list:
 def original_frame_series(rows, gamma: float) -> list:
     """Map rows of MEASURE_COLUMNS to rows of ORIGINAL_FRAME_COLUMNS in one
     dimension: tau = log(1 + gamma*t)/gamma, and supports and W1 contract
-    by e^-tau."""
+    by e^-tau.  The diameter hi - lo is a numpy subtraction, so that an
+    overflow follows np.errstate as the other numpy operations do."""
     cfg = GammaConfig(gamma=gamma, dim=1)
     out = []
     for t, dirac, _, lo, hi, w1 in rows:
         tau = float(time_driftfree_to_original(t, cfg))
         shrink = math.exp(-tau)
-        out.append((tau, t, dirac, lo * shrink, hi * shrink, (hi - lo) * shrink,
-                    w1 * shrink))
+        out.append((tau, t, dirac, lo * shrink, hi * shrink,
+                    float(np.subtract(hi, lo)) * shrink, w1 * shrink))
     return out
 
 
-def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
+def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
                           datum: Optional[InitialDatum] = None) -> list:
     """Structural diagnostics of a solution series: the list of every
-    Violation found, in order of time.  Each kind checks one statement:
+    Violation found, in order of time.  ``X_series`` holds the output of
+    ``pseudo_inverse`` for each snapshot.  Each kind checks one statement:
 
     - initial-datum: the projection matches the datum (cumulative
       distributions at the breakpoints, no Dirac mass; with a ``datum``);
@@ -256,7 +247,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
     - interior-slope: F is vertical (a zero-width step with a rise) only
       at x = 0, so mass concentrates only at the origin.
     """
-    if len(ms_series) == 0 or len(ms_series) != len(ps_series):
+    if len(ms_series) == 0 or len(ms_series) != len(X_series):
         raise ValueError("need matching non-empty snapshot series")
     times = [ms.time for ms in ms_series]
     if any(t2 <= t1 for t1, t2 in zip(times[:-1], times[1:])):
@@ -277,7 +268,7 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
 
     decay_bound = (1 + g) ** (-1 / (1 + g))
     prev_m = -math.inf
-    for ms, ps in zip(ms_series, ps_series):
+    for ms, X in zip(ms_series, X_series):
         t = ms.time
         # both the per-snapshot closure and conservation across snapshots
         mass_err = max(abs(ms.dirac_mass + ms.ac_mass - ms.total_mass),
@@ -299,7 +290,6 @@ def check_entropy_measure(ms_series, ps_series, cfg: GammaConfig,
                     "decay-bound", t,
                     f"rho*|x|^(1/(1+gamma)) reached {lhs.max():.3e} > {bound:.3e}"))
 
-        X = ps.x_values
         diam = max(ms.support[1] - ms.support[0], 1e-300)
         defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
         if defect > 1e-12 * diam:

@@ -50,7 +50,6 @@ from condrift.frames import dxi_dx, x_of_xi
 from condrift.measure import (
     MASS_REL_TOL,
     MeasureState,
-    PseudoInverse,
     Violation,
     pseudo_inverse,
     z_grid,
@@ -187,39 +186,37 @@ def _plateau(ms) -> tuple:
     return left_ac, left_ac + ms.dirac_mass
 
 
-def _interior_mask(ps: PseudoInverse, plateau: tuple, x_tol: float) -> np.ndarray:
-    """Nodes away from the plateau (one-cell buffer) and the support edges."""
-    z = ps.z_grid
+def _interior_mask(X: np.ndarray, z: np.ndarray, plateau: tuple,
+                   x_tol: float) -> np.ndarray:
+    """Nodes of the pseudo-inverse X on the z-grid z away from the plateau
+    (one-cell buffer) and the support edges."""
     dz = z[1] - z[0]
     mask = np.ones(z.size, dtype=bool)
     mask[: REFERENCE_EDGE_EXCLUDE_CELLS] = False
     mask[-REFERENCE_EDGE_EXCLUDE_CELLS:] = False
     z_lo, z_hi = plateau
     mask &= ~((z >= z_lo - dz) & (z <= z_hi + dz))
-    mask &= np.abs(ps.x_values) > x_tol
+    mask &= np.abs(X) > x_tol
     return mask
 
 
-def eq_residual_l1(ms_series, ps_series, gamma: float) -> list:
-    """(t1, L1) per pair of consecutive snapshots on one z-grid: the
-    discrete L1 norm of the pseudo-inverse equation residual
-    X_t |X_z|^gamma + X, off the plateaus and the support edges."""
+def eq_residual_l1(ms_series, X_series, z: np.ndarray, gamma: float) -> list:
+    """(t1, L1) per pair of consecutive snapshots, their pseudo-inverses
+    ``X_series`` on the one z-grid ``z``: the discrete L1 norm of the
+    pseudo-inverse equation residual X_t |X_z|^gamma + X, off the plateaus
+    and the support edges."""
     diam0 = max(ms_series[0].support[1] - ms_series[0].support[0], 1e-300)
     x_tol = 1e-9 * diam0
     residuals = []
-    for (ms1, ps1), (ms2, ps2) in zip(zip(ms_series[:-1], ps_series[:-1]),
-                                      zip(ms_series[1:], ps_series[1:])):
-        if ps1.z_grid.size != ps2.z_grid.size:
-            continue
-        z = ps1.z_grid
-        dz = z[1] - z[0]
+    dz = z[1] - z[0]
+    for (ms1, X1), (ms2, X2) in zip(zip(ms_series[:-1], X_series[:-1]),
+                                    zip(ms_series[1:], X_series[1:])):
         dt = ms2.time - ms1.time
-        X1, X2 = ps1.x_values, ps2.x_values
         Xt = (X2 - X1) / dt
         Xz = np.gradient(X1, dz)
         resid = Xt * np.abs(Xz) ** gamma + X1
-        mask = _interior_mask(ps1, _plateau(ms1), x_tol) & _interior_mask(
-            ps1, _plateau(ms2), x_tol)
+        mask = _interior_mask(X1, z, _plateau(ms1), x_tol) & _interior_mask(
+            X1, z, _plateau(ms2), x_tol)
         residuals.append((ms1.time, float(np.sum(np.abs(resid[mask])) * dz)))
     return residuals
 
@@ -279,10 +276,9 @@ REFERENCE_SLOPE_JUMP_RATIO = 3.0
 REFERENCE_EDGE_SLOPE_FACTOR = 5.0
 
 
-def _oleinik_flags_reference(ms, ps, x_tol: float):
-    z, X = ps.z_grid, ps.x_values
+def _oleinik_flags_reference(ms, X, z, x_tol: float):
     s = np.diff(X) / (z[1] - z[0])
-    interior = _interior_mask(ps, _plateau(ms), x_tol)
+    interior = _interior_mask(X, z, _plateau(ms), x_tol)
     floor = 1e-12 * max(np.max(np.abs(X)), 1.0)
     j = np.flatnonzero(interior[:-2] & interior[1:-1]
                        & (s[:-1] > floor) & (s[1:] > floor)) + 1
@@ -292,11 +288,14 @@ def _oleinik_flags_reference(ms, ps, x_tol: float):
     return list(zip(j[inadmissible].tolist(), ratio[inadmissible]))
 
 
-def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> list:
+def check_entropy_measure_reference(ms_series, X_series, z_series, cfg,
+                                    datum=None) -> list:
     """``measure.check_entropy_measure`` as it was when it took np.diff(X),
     the slopes and the interior mask of a snapshot up to three times, with
-    the ``edge-slope`` and ``oleinik`` kinds it has since dropped."""
-    if len(ms_series) == 0 or len(ms_series) != len(ps_series):
+    the ``edge-slope`` and ``oleinik`` kinds it has since dropped.  Each
+    snapshot's pseudo-inverse is X_series[i] on the z-grid z_series[i], as
+    the z-grid was built per snapshot then."""
+    if len(ms_series) == 0 or len(ms_series) != len(X_series):
         raise ValueError("need matching non-empty snapshot series")
     times = [ms.time for ms in ms_series]
     if any(t2 <= t1 for t1, t2 in zip(times[:-1], times[1:])):
@@ -319,7 +318,7 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
 
     decay_bound = (1 + g) ** (-1 / (1 + g))
     prev_m = -math.inf
-    for ms, ps in zip(ms_series, ps_series):
+    for ms, X, z in zip(ms_series, X_series, z_series):
         t = ms.time
         mass_err = max(abs(ms.dirac_mass + ms.ac_mass - ms.total_mass),
                        abs(ms.total_mass - ms_series[0].total_mass))
@@ -340,7 +339,6 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
                     "decay-bound", t,
                     f"rho*|x|^(1/(1+gamma)) reached {lhs.max():.3e} > {bound:.3e}"))
 
-        X, z = ps.x_values, ps.z_grid
         dz = z[1] - z[0]
         diam = max(ms.support[1] - ms.support[0], 1e-300)
         defect = float(max(0.0, -np.min(np.diff(X)))) if X.size > 1 else 0.0
@@ -348,7 +346,7 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
             violations.append(Violation(
                 "monotonicity", t, f"X decreases by {defect:.3e}"))
 
-        interior = _interior_mask(ps, _plateau(ms), x_tol)
+        interior = _interior_mask(X, z, _plateau(ms), x_tol)
         pair = interior[:-1] & interior[1:]
         if np.any(pair):
             gaps = np.diff(X)[pair]
@@ -377,12 +375,13 @@ def check_entropy_measure_reference(ms_series, ps_series, cfg, datum=None) -> li
                     "edge-slope", t,
                     f"right edge slope {slopes[-1]:.3e} not steep vs median {median_slope:.3e}"))
 
-        flags = _oleinik_flags_reference(ms, ps, x_tol) if t > 0 else []
+        flags = _oleinik_flags_reference(ms, X, z, x_tol) if t > 0 else []
         if flags:
-            coarse = pseudo_inverse(ms, z_grid(ms, max(16, z.size // 2)))
-            coarse_flags = _oleinik_flags_reference(ms, coarse, x_tol)
-            coarse_z = [coarse.z_grid[j] for j, _ in coarse_flags]
-            dz_c = coarse.z_grid[1] - coarse.z_grid[0]
+            z_c = z_grid(ms, max(16, z.size // 2))
+            coarse_flags = _oleinik_flags_reference(ms, pseudo_inverse(ms, z_c), z_c,
+                                                    x_tol)
+            coarse_z = [z_c[j] for j, _ in coarse_flags]
+            dz_c = z_c[1] - z_c[0]
             for j, ratio in flags:
                 if any(abs(z[j] - zc) <= 2 * dz_c for zc in coarse_z):
                     violations.append(Violation(

@@ -179,29 +179,37 @@ def test_write_csv_empty_table_writes_header_only(tmp_path):
         assert out.read_text() == "t,u\n"
 
 
-def test_write_blocks_matches_per_value_format(tmp_path):
+def test_write_blocks_matches_per_value_format(tmp_path, monkeypatch):
     special = np.array([-0.0, 0.0, 5e-324, 1e308, -1.0 / 3.0, -2.5e-300])
     other = special[::-1] * 0.7
-    # -0.0 == 0.0, so a column keyed on float equality would reuse the
-    # other column's "-0"
-    plus_zero = np.where(special == 0.0, 0.0, special)
-    blocks = [(0.0, special, other), (-0.0, other, special),
-              (1e308, plus_zero, -special), (5e-324, special, 2.0 * other),
-              (-1.0 / 3.0, special[:1], other[:1])]
-    cases = {"shared-and-returning": blocks, "one-block": blocks[:1],
-             "one-row": blocks[-1:], "no-blocks": []}
-    for name, case in cases.items():
+    blocks = [(0.0, other), (-0.0, special), (1e308, -special), (5e-324, 2.0 * other)]
+    # a column longer than FORMAT_BATCH: every batch holds one block
+    long = np.concatenate([special, np.random.default_rng(28).normal(size=FORMAT_BATCH)])
+    cases = {"several-blocks": (special, blocks), "one-block": (special, blocks[:1]),
+             "one-row": (special[:1], [(-1.0 / 3.0, other[:1])]),
+             "no-blocks": (special, []),
+             "long-column": (long, [(0.0, long), (-0.0, -long), (5e-324, long[::-1])])}
+    calls = []
+
+    def counted(values):
+        calls.append(np.size(values))
+        return format_floats(values)
+
+    monkeypatch.setattr(cli, "format_floats", counted)
+    for name, (column, case) in cases.items():
         reference = tmp_path / f"{name}-reference.csv"
         write_csv_per_value(reference, ["t", "c", "v"],
-                            [(t, c, v) for t, cs, vs in case
-                             for c, v in zip(cs, vs)])
+                            [(t, c, v) for t, vs in case for c, v in zip(column, vs)])
         out = tmp_path / f"{name}.csv"
-        write_blocks(out, ["t", "c", "v"], iter(case))
+        calls.clear()
+        write_blocks(out, ["t", "c", "v"], column, iter(case))
         assert out.read_bytes() == reference.read_bytes(), name
+    # the column once, then one call per block of time and values
+    assert calls == [long.size] + [long.size + 1] * 3
     assert (tmp_path / "no-blocks.csv").read_text() == "t,c,v\n"
-    lines = (tmp_path / "shared-and-returning.csv").read_text().splitlines()
-    assert lines[13:15] == ["1e+308,0,0", "1e+308,0,-0"]
+    lines = (tmp_path / "several-blocks.csv").read_text().splitlines()
     assert lines[1] == "0,-0,%.17g" % other[0]
+    assert lines[13:15] == ["1e+308,-0,0", "1e+308,0,-0"]
 
 
 def per_value_g17(values) -> list:
@@ -257,11 +265,10 @@ def test_write_blocks_memory_does_not_grow_with_the_block_count(tmp_path):
 
     def peak(count):
         rng = np.random.default_rng(count)
-        blocks = ((0.25 * i, column, rng.uniform(0.0, 1.0, 1024))
-                  for i in range(count))
+        blocks = ((0.25 * i, rng.uniform(0.0, 1.0, 1024)) for i in range(count))
         tracemalloc.start()
         try:
-            write_blocks(tmp_path / f"{count}.csv", ["t", "x", "u"], blocks)
+            write_blocks(tmp_path / f"{count}.csv", ["t", "x", "u"], column, blocks)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -289,8 +296,8 @@ def test_blocked_outputs_match_per_value_format(tmp_path):
             for xi, u in zip(snap.grid.centers, snap.cells[row])])
         assert (run / f"snapshots_{side}.csv").read_bytes() == reference.read_bytes()
     write_csv_per_value(reference, ["t", "z", "X"], [
-        (ms.time, z, x) for ms, ps in zip(res.ms_series, res.ps_series)
-        for z, x in zip(ps.z_grid, ps.x_values)])
+        (ms.time, z, x) for ms, X in zip(res.ms_series, res.X_series)
+        for z, x in zip(res.z, X)])
     assert (run / "pseudoinverse.csv").read_bytes() == reference.read_bytes()
 
     chars = tmp_path / "chars"
@@ -329,13 +336,13 @@ def test_cmd_simulate_csv_reads_back_to_the_same_floats(tmp_path):
             assert np.array_equal(block[:, 2], snap.cells[row])
 
     pinv = table("pseudoinverse.csv")
-    z_count = res.ps_series[0].z_grid.size
-    assert pinv.shape == (z_count * len(res.ps_series), 3)
-    for k, (ms, ps) in enumerate(zip(res.ms_series, res.ps_series)):
+    z_count = res.z.size
+    assert pinv.shape == (z_count * len(res.X_series), 3)
+    for k, (ms, X) in enumerate(zip(res.ms_series, res.X_series)):
         block = pinv[k * z_count:(k + 1) * z_count]
         assert np.all(block[:, 0] == ms.time)
-        assert np.array_equal(block[:, 1], ps.z_grid)
-        assert np.array_equal(block[:, 2], ps.x_values)
+        assert np.array_equal(block[:, 1], res.z)
+        assert np.array_equal(block[:, 2], X)
 
 
 @pytest.mark.parametrize("command", ["simulate", "characteristics"])
@@ -642,6 +649,20 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_verify_in_a_fresh_interpreter_never_builds_the_formatter_tables(tmp_path):
+    # verify writes no CSV, so format_floats' tables are never built; the
+    # first format_floats call builds them
+    src = str(Path(condrift.__file__).resolve().parents[1])
+    argv = ["verify", "--config", str(write_config(tmp_path, grid_cells=64)),
+            "--output", str(tmp_path / "out"), "--quiet"]
+    probe = ("from condrift import cli; code = cli.main(%r); "
+             "built = cli._tables.cache_info().currsize; cli.format_floats([0.5]); "
+             "print(code, built, cli._tables.cache_info().currsize)" % argv)
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0", "1"]
 
 
 def test_exit_codes(tmp_path):
@@ -1070,21 +1091,26 @@ def simulated_run(tmp: Path) -> Path:
     return run
 
 
-def test_convert_overflow_leaves_no_output_directory(tmp_path):
-    # tau = log(1 + gamma*t)/gamma overflows at gamma 1e10, t 1e300; the
-    # output directory used to be made before the rows were computed
+@pytest.mark.parametrize("gamma, row, operation", [
+    (1e10, "2e300,0,1,0,1,1", "multiply"),
+    (1.0, "2,0,1,-1e308,1e308,1", "subtract"),
+], ids=["tau", "support-diameter"])
+def test_convert_overflow_leaves_no_output_directory(tmp_path, gamma, row, operation):
+    # tau = log(1 + gamma*t)/gamma overflows at gamma 1e10, t 2e300, and the
+    # support diameter support_hi - support_lo at edges -1e308 and 1e308;
+    # the output directory used to be made before the rows were computed,
+    # and the diameter, a Python float subtraction, used to read inf
     run = simulated_run(tmp_path)
     resolved = run / "resolved_config.json"
-    resolved.write_text(json.dumps(dict(json.loads(resolved.read_text()), gamma=1e10)))
+    resolved.write_text(json.dumps(dict(json.loads(resolved.read_text()), gamma=gamma)))
     measures = run / "measures.csv"
-    lines = edit_row(measures.read_text().splitlines(), -1,
-                     lambda line: set_cell(line, 0, "1e300"))
+    lines = edit_row(measures.read_text().splitlines(), -1, lambda line: row)
     measures.write_text("\n".join(lines) + "\n")
     out = tmp_path / "conv"
     code, stderr = run_command(["convert", "--input", str(run), "--output", str(out)])
     assert code == EXIT_NUMERICAL
     assert json.loads(stderr) == {"error": "numerical validity error: overflow "
-                                           "encountered in multiply",
+                                           f"encountered in {operation}",
                                   "exit_code": EXIT_NUMERICAL}
     assert not out.exists()
 

@@ -954,11 +954,10 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
     assert unit.outflux_ledger[RIGHT] == pytest.approx(
         (1.0 + gamma) * block.outflux_ledger[RIGHT], rel=1e-13)
     block_ms, unit_ms = (measure.assemble(s, cfg) for s in (block, unit))
-    block_ps, unit_ps = (measure.pseudo_inverse(ms, measure.z_grid(ms, 128))
-                         for ms in (block_ms, unit_ms))
-    np.testing.assert_allclose(unit_ps.z_grid, (1.0 + gamma) * block_ps.z_grid,
-                               rtol=1e-13, atol=0)
-    np.testing.assert_allclose(unit_ps.x_values, (1.0 + gamma) * block_ps.x_values,
+    block_z, unit_z = (measure.z_grid(ms, 128) for ms in (block_ms, unit_ms))
+    np.testing.assert_allclose(unit_z, (1.0 + gamma) * block_z, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(measure.pseudo_inverse(unit_ms, unit_z),
+                               (1.0 + gamma) * measure.pseudo_inverse(block_ms, block_z),
                                rtol=0, atol=1e-13)
 
 

@@ -26,7 +26,6 @@ from condrift.datum import (
 from condrift.frames import GammaConfig
 from condrift.measure import (
     MeasureState,
-    PseudoInverse,
     assemble,
     check_entropy_measure,
     grid_geometry,
@@ -58,6 +57,12 @@ def simulate_block(gamma, n, times, cfl=0.9, datum=None):
         run_until(state, t, cfl, cfg)
         ms_series.append(assemble(state, cfg))
     return ms_series, datum
+
+
+def pseudo_inverses(ms_series, z_count):
+    """X of each snapshot on one z-grid over the first, as simulate builds them."""
+    z = z_grid(ms_series[0], z_count)
+    return [pseudo_inverse(ms, z) for ms in ms_series]
 
 
 def test_assemble_zero_states():
@@ -101,8 +106,7 @@ def test_pseudo_inverse_pure_dirac():
     state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
                           outflux_ledger=[0.3, 0.2])
     ms = assemble(state, CFG)
-    ps = pseudo_inverse(ms, z_grid(ms, 64))
-    assert np.all(ps.x_values == 0.0)
+    assert np.all(pseudo_inverse(ms, z_grid(ms, 64)) == 0.0)
     assert wasserstein_to_dirac(ms) == 0.0
 
 
@@ -115,18 +119,19 @@ def test_pseudo_inverse_needs_enough_nodes():
 def test_pseudo_inverse_plateau_width_is_dirac_mass():
     ms_series, _ = simulate_block(1.0, 1024, [1.5, 2.5])
     for ms in ms_series:
-        ps = pseudo_inverse(ms, z_grid(ms, 512))
-        on_plateau = np.abs(ps.x_values) == 0.0
-        dz = ps.z_grid[1] - ps.z_grid[0]
+        z = z_grid(ms, 512)
+        on_plateau = np.abs(pseudo_inverse(ms, z)) == 0.0
+        dz = z[1] - z[0]
         assert abs(on_plateau.sum() * dz - ms.dirac_mass) <= 2.5 * dz
 
 
 def test_pseudo_inverse_monotone_and_matches_initial_profile():
     ms_series, _ = simulate_block(1.0, 1024, [0.0], datum=block_datum(1.0, 0.0, 1.0))
-    ps = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 256))
-    assert np.all(np.diff(ps.x_values) >= -1e-15)
+    z = z_grid(ms_series[0], 256)
+    X = pseudo_inverse(ms_series[0], z)
+    assert np.all(np.diff(X) >= -1e-15)
     # X(z, 0) = z for the uniform unit datum
-    assert np.max(np.abs(ps.x_values - ps.z_grid)) < 2e-3
+    assert np.max(np.abs(X - z)) < 2e-3
 
 
 def test_wasserstein_uniform_block():
@@ -176,16 +181,16 @@ def test_trace_onset_time():
 def test_check_passes_on_clean_simulation():
     times = [0.5, 1.0, 1.5, 2.0, 3.0]
     ms_series, datum = simulate_block(1.0, 1024, times)
-    ps_series = [pseudo_inverse(ms, z_grid(ms, 1024)) for ms in ms_series]
-    violations = check_entropy_measure(ms_series, ps_series, CFG, datum=None)
+    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 1024),
+                                       CFG, datum=None)
     assert not violations, violations
     assert ms_series[-1].dirac_mass / ms_series[-1].total_mass > 0.4
 
 
 def test_check_initial_datum_cumulative_match():
     ms_series, datum = simulate_block(1.0, 512, [0.0, 0.5])
-    ps_series = [pseudo_inverse(ms, z_grid(ms, 512)) for ms in ms_series]
-    violations = check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
+    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 512),
+                                       CFG, datum=datum)
     assert not violations, violations
     ms0 = ms_series[0]
     sup_err = np.max(np.abs(integrate_piecewise(datum, datum.a, ms0.F_x) - ms0.F_val))
@@ -201,16 +206,15 @@ def test_check_stationary_condensed_state():
         return assemble(state, CFG)
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
-    ps_series = [pseudo_inverse(ms, z_grid(ms, 64)) for ms in ms_series]
-    violations = check_entropy_measure(ms_series, ps_series, CFG)
+    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 64), CFG)
     assert not violations, violations
 
 
 def test_check_requires_increasing_times():
     ms_series, _ = simulate_block(1.0, 128, [0.5])
-    ps = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 64))
+    X = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 64))
     with pytest.raises(ValueError):
-        check_entropy_measure(ms_series * 2, [ps, ps], CFG)
+        check_entropy_measure(ms_series * 2, [X, X], CFG)
 
 
 KEPT_KINDS = ["initial-datum", "mass-conservation", "mass-monotonicity",
@@ -231,23 +235,22 @@ def massless_band(ms, lo, count):
     return replace(ms, mass_weights=weights, F_val=F_val)
 
 
-def doctor(kind, ms_series, ps_series):
-    """Copies of a three-snapshot series with one fault that only ``kind``
-    checks."""
-    ms, ps = list(ms_series), list(ps_series)
+def doctor(kind, ms_series, X_series, z):
+    """Copies of a three-snapshot series, its pseudo-inverses on the z-grid
+    ``z``, with one fault that only ``kind`` checks."""
+    ms, Xs = list(ms_series), list(X_series)
     if kind == "initial-datum":  # the projection misses the datum
         ms[0] = replace(ms[0], F_val=ms[0].F_val * (1 + 1e-6))
     elif kind == "mass-conservation":  # density mass from nowhere
         ms[2] = replace(ms[2], mass_weights=ms[2].mass_weights * (1 + 1e-6))
     elif kind == "mass-monotonicity":  # the last two snapshots swap times
         ms[1:] = [replace(ms[2], time=ms[1].time), replace(ms[1], time=ms[2].time)]
-        ps[1:] = ps[:0:-1]
+        Xs[1:] = Xs[:0:-1]
     elif kind == "decay-bound":
         ms[1] = replace(ms[1], rho=ms[1].rho * 1.1)
     elif kind == "monotonicity":  # X steps back at its edge
-        X = ps[1].x_values.copy()
-        X[-1] = X[-2] - 1e-3
-        ps[1] = replace(ps[1], x_values=X)
+        Xs[1] = Xs[1].copy()
+        Xs[1][-1] = Xs[1][-2] - 1e-3
     else:
         k = ms[1].mass_weights.size // 2
         if kind == "continuity":  # a massless band splits the support
@@ -256,17 +259,18 @@ def doctor(kind, ms_series, ps_series):
             F_x = ms[1].F_x.copy()
             F_x[k + 1] = F_x[k]
             ms[1] = replace(ms[1], F_x=F_x)
-        ps[1] = pseudo_inverse(ms[1], z_grid(ms[1], ps[1].z_grid.size))
-    return ms, ps
+        Xs[1] = pseudo_inverse(ms[1], z)
+    return ms, Xs
 
 
 @pytest.mark.parametrize("kind", KEPT_KINDS)
 def test_check_flags_each_doctored_fault_as_its_own_kind(kind):
     times = [0.0, 1.0, 2.0]
     ms_series, datum = simulate_block(1.0, 256, times)
-    ps_series = [pseudo_inverse(ms, z_grid(ms, 256)) for ms in ms_series]
-    assert not check_entropy_measure(ms_series, ps_series, CFG, datum=datum)
-    violations = check_entropy_measure(*doctor(kind, ms_series, ps_series), CFG,
+    z = z_grid(ms_series[0], 256)
+    X_series = [pseudo_inverse(ms, z) for ms in ms_series]
+    assert not check_entropy_measure(ms_series, X_series, CFG, datum=datum)
+    violations = check_entropy_measure(*doctor(kind, ms_series, X_series, z), CFG,
                                        datum=datum)
     assert {v.kind for v in violations} == {kind}, violations
 
@@ -298,8 +302,9 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     run_until(state, 3.2, 0.9, cfg, observer=snaps.append, cadence=0.1)
     geometry = grid_geometry(snaps[0], cfg)
     ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
-    ps_series = [pseudo_inverse(ms, z_grid(ms, 256)) for ms in ms_series]
-    assert check_entropy_measure(ms_series, ps_series, cfg, datum=datum) == []
+    z = z_grid(ms_series[0], 256)
+    X_series = [pseudo_inverse(ms, z) for ms in ms_series]
+    assert check_entropy_measure(ms_series, X_series, cfg, datum=datum) == []
     first = next(k for k, ms in enumerate(ms_series) if ms.dirac_mass > 0)
     assert snaps[first // 2].cells[row, 0] == 0  # a vacuum at m = 0
     # the origin cell's mass moved one cell out
@@ -307,8 +312,8 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     cells[row, 1] += cells[row, 0]
     cells[row, 0] = 0.0
     ms_series[first] = assemble(replace(snaps[first], cells=cells), cfg, geometry)
-    ps_series[first] = pseudo_inverse(ms_series[first], z_grid(ms_series[first], 256))
-    violations = check_entropy_measure(ms_series, ps_series, cfg, datum=datum)
+    X_series[first] = pseudo_inverse(ms_series[first], z)
+    violations = check_entropy_measure(ms_series, X_series, cfg, datum=datum)
     assert [(v.kind, v.time) for v in violations] == \
         [("continuity", ms_series[first].time)], violations
     assert violations[0].detail.startswith("right" if row == RIGHT else "left")
@@ -335,8 +340,8 @@ def test_decay_bound_flags_a_run_stepped_past_its_cfl_bound(monkeypatch, gamma, 
     snaps = []
     conslaw.run_until(state, 4.0 / gamma, 0.9, cfg, snaps.append, 0.5 / gamma)
     ms_series = [assemble(snap, cfg) for snap in snaps]
-    violations = check_entropy_measure(
-        ms_series, [pseudo_inverse(ms, z_grid(ms, 1024)) for ms in ms_series], cfg, datum=datum)
+    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 1024), cfg,
+                                       datum=datum)
     assert {v.kind for v in violations} == ({"decay-bound"} if cfl > 1 else set())
 
 
@@ -345,9 +350,9 @@ def test_equation_residual_first_order_on_explicit_solution():
     # X_t |X_z|^gamma + X = 0 must drop at first order under refinement
     def residual(z_count, dt):
         times = [0.6, 0.6 + dt]
-        ms_list, ps_list = [], []
+        ms_list, X_list = [], []
+        z = np.linspace(0.0, 1.0, z_count)
         for t in times:
-            z = np.linspace(0.0, 1.0, z_count)
             X = X_unit_mass(z, t, 1.0)
             m = mass_unit_mass(t, 1.0)
             ms = MeasureState(time=t, dirac_mass=m, total_mass=1.0,
@@ -355,8 +360,8 @@ def test_equation_residual_first_order_on_explicit_solution():
                               mass_weights=np.array([1.0 - m]),
                               F_x=X, F_val=z, support=(0.0, 1.0))
             ms_list.append(ms)
-            ps_list.append(PseudoInverse(z_grid=z, x_values=X))
-        return eq_residual_l1(ms_list, ps_list, 1.0)[0][1]
+            X_list.append(X)
+        return eq_residual_l1(ms_list, X_list, z, 1.0)[0][1]
 
     coarse = residual(513, 0.02)
     fine = residual(1025, 0.01)
@@ -393,19 +398,22 @@ def match_references(datum, gamma, cells, z_count, t_end):
             assert getattr(ms, name).tobytes() == getattr(ref, name).tobytes(), name
         assert (ms.time, ms.dirac_mass, ms.total_mass, ms.support) == \
             (ref.time, ref.dirac_mass, ref.total_mass, ref.support)
-    ps_series = [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in ms_series]
-    for ms, ps in zip(ms_series, ps_series):
+    z_series = [z_grid(ms, z_count) for ms in ms_series]
+    X_series = [pseudo_inverse(ms, z) for ms, z in zip(ms_series, z_series)]
+    for ms, X, z in zip(ms_series, X_series, z_series):
         # X is exactly 0 on z in [a, a + m], a the absolutely continuous
         # mass left of the origin and m the concentrated mass, and nowhere
         # else, to within one z-step
         a, m = ms.mass_weights[ms.x < 0].sum(), ms.dirac_mass
-        z, dz = ps.z_grid, ps.z_grid[1] - ps.z_grid[0]
-        assert np.all(ps.x_values[(z >= a + dz) & (z <= a + m - dz)] == 0)
-        zeros = z[ps.x_values == 0]
+        dz = z[1] - z[0]
+        assert np.all(X[(z >= a + dz) & (z <= a + m - dz)] == 0)
+        zeros = z[X == 0]
         assert np.all((zeros >= a - dz) & (zeros <= a + m + dz))
-    violations = check_entropy_measure(ms_series, ps_series, cfg, datum=datum)
+    violations = check_entropy_measure(ms_series, X_series, cfg, datum=datum)
+    z_series = [z_grid(ms, z_count) for ms in expected]
     reference = check_entropy_measure_reference(
-        expected, [pseudo_inverse(ms, z_grid(ms, z_count)) for ms in expected], cfg, datum=datum)
+        expected, [pseudo_inverse(ms, z) for ms, z in zip(expected, z_series)], z_series,
+        cfg, datum=datum)
     assert violations == [v for v in reference if v.kind not in DELETED_KINDS]
     assert violations == []
     return reference
