@@ -436,7 +436,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
     violations = measure.check_entropy_measure(ms_series, res.X_series, cfg,
-                                               datum=res.datum)
+                                               state.sup_initial, datum=res.datum)
     onset = min(measure.trace_onset_time(state.trace_times, state.trace_values,
                                          config.trace_threshold))
     summary = {
@@ -583,6 +583,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     # structural diagnostics on the run
     n_viols = len(measure.check_entropy_measure(ms2, law_res.X_series, cfg,
+                                                law_res.state.sup_initial,
                                                 datum=law_res.datum))
     add("entropy-measure diagnostics", "PASS" if n_viols == 0 else "FAIL",
         f"{n_viols} violations", "0")

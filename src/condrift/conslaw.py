@@ -123,14 +123,13 @@ class Snapshot:
 
     ``cells`` has shape (2, N): row LEFT is the left half-line reflected
     xi -> -xi, row RIGHT the right one.  ``outflux_ledger`` holds the mass
-    each row has fed into the origin.
+    each row has fed into the origin.  The run's sup u0 is its state's.
     """
 
     grid: HalfLineGrid
     cells: np.ndarray
     time: float = 0.0
     outflux_ledger: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    sup_initial: float = 0.0
 
     @property
     def mass(self) -> np.ndarray:
@@ -144,12 +143,14 @@ class HalfLineState(Snapshot):
     ledger of each row, one entry per step after the initial one:
     float64 arrays ``trace_times`` of shape (k+1,), and ``trace_values``
     and ``ledger_history`` of shape (k+1, 2), one column per row, after
-    k steps.
+    k steps.  ``sup_initial``, the largest cell at construction, is the
+    run's sup u0.
     """
 
     trace_times: np.ndarray = field(init=False)
     trace_values: np.ndarray = field(init=False)
     ledger_history: np.ndarray = field(init=False)
+    sup_initial: float = field(init=False)
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=float)
@@ -165,13 +166,12 @@ class HalfLineState(Snapshot):
         self.trace_times = np.array([self.time], dtype=float)
         self.trace_values = self.cells[None, :, 0].copy()
         self.ledger_history = self.outflux_ledger[None].copy()
-        if self.sup_initial == 0.0:
-            self.sup_initial = float(self.cells.max(initial=0.0))
+        self.sup_initial = float(self.cells.max(initial=0.0))
 
     def snapshot(self) -> Snapshot:
         """Decoupled copy of the time, cells and ledger."""
         return Snapshot(self.grid, self.cells.copy(), self.time,
-                        self.outflux_ledger.copy(), self.sup_initial)
+                        self.outflux_ledger.copy())
 
 
 def xi_extent_of_datum(datum: InitialDatum, cfg: GammaConfig) -> float:
@@ -188,25 +188,15 @@ def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int) -> HalfLin
     return HalfLineGrid(cell_count=cell_count, cell_width=extent / cell_count)
 
 
-def _cell_averages(datum: InitialDatum, grid: HalfLineGrid, cfg: GammaConfig,
-                   sign: float) -> np.ndarray:
-    """Cell averages of u_I(xi) = (gamma*xi)^(1/gamma) * f(sign * x(xi)).
-
-    The integral over each cell equals the exact datum mass over the
-    cell's x-image, so the averages are exact.
-    """
-    ends = sign * np.asarray(x_of_xi(grid.edges, cfg))
-    lo, hi = np.sort([ends[:-1], ends[1:]], axis=0)
-    return integrate_piecewise(datum, lo, hi) / grid.cell_width
-
-
 def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
                     cfg: GammaConfig) -> HalfLineState:
     """Build the two-row half-line state from an initial datum.
 
     The left problem is reflected xi -> -xi into row LEFT so both rows
-    evolve under the canonical equation.  Raises :class:`SupportOverflow`
-    if the grid is too short.
+    evolve under the canonical equation.  A cell of row RIGHT holds the
+    exact datum mass over its x-image per unit xi, and of row LEFT over the
+    negated x-image: one x(xi) on the edges and one integration give both.
+    Raises :class:`SupportOverflow` if the grid is too short.
     """
     if cfg.dim != 1:
         raise ValueError("half-line solver requires dim = 1")
@@ -214,8 +204,10 @@ def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
     if reach > grid.extent:
         raise SupportOverflow(
             f"xi-image of support reaches {reach}, grid extent is only {grid.extent}")
-    cells = np.stack([_cell_averages(datum, grid, cfg, sign) for sign in SIGNS])
-    return HalfLineState(grid=grid, cells=cells)
+    x = np.asarray(x_of_xi(grid.edges, cfg))
+    lo, hi = np.stack([-x[1:], x[:-1]]), np.stack([-x[:-1], x[1:]])
+    return HalfLineState(grid=grid,
+                         cells=integrate_piecewise(datum, lo, hi) / grid.cell_width)
 
 
 def _power(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -423,8 +415,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                     observer(Snapshot(state.grid,
                                       (1 - w) * prev_cells + w * state.cells,
                                       next_snap,
-                                      (1 - w) * prev_ledger + w * state.outflux_ledger,
-                                      state.sup_initial))
+                                      (1 - w) * prev_ledger + w * state.outflux_ledger))
                     next_snap = next(snap_times, math.inf)
             if dt_cap is not None:
                 break

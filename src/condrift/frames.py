@@ -27,7 +27,7 @@ class GammaConfig:
     and (1+gamma)/gamma, so they grow stiff as gamma moves away from 1.  No
     gamma range is promised to give accurate results: ``condrift verify``
     measures the accuracy at one gamma, and at the default sizes it fails
-    at gamma 0.4 and 0.5 (see the README, Verification).
+    at gamma 0.1, 0.4, 0.5 and 16 (see the README, Verification).
     """
 
     gamma: float

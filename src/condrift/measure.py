@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conslaw import LEFT, RIGHT, SIGNS, HalfLineGrid, Snapshot
+from .conslaw import LEFT, RIGHT, HalfLineGrid, Snapshot
 from .datum import InitialDatum, integrate_piecewise
 from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
 
@@ -49,7 +49,6 @@ class MeasureState:
     F_x: np.ndarray
     F_val: np.ndarray
     support: tuple
-    sup_u_initial: float = 0.0
 
     @property
     def ac_mass(self) -> float:
@@ -68,12 +67,13 @@ class Violation:
 class GridGeometry:
     """The x-images of a run's cells, computed once per run.
 
-    Row r of ``x_edges`` and ``x_centers`` is SIGNS[r] * x_of_xi of the
-    grid's edges and centers, and ``dxi_dx`` is dxi/dx at the centers, the
-    same for both rows (it reads |x|).  The maps are elementwise, so a
-    snapshot's slice of these arrays has the bits of the maps evaluated on
-    that slice.  They cover the cells up to the outermost one that carries
-    mass in the snapshot they were computed from; see :func:`grid_geometry`.
+    ``x_edges`` and ``x_centers`` are x_of_xi of the grid's edges and
+    centers, unsigned (row LEFT's x-image is their negation), and ``dxi_dx``
+    is dxi/dx at the centers, the same for both rows.  The maps are
+    elementwise, so a snapshot's slice of these arrays has the bits of the
+    maps evaluated on that slice.  They cover the cells up to the outermost
+    one that carries mass in the snapshot they were computed from; see
+    :func:`grid_geometry`.
     """
 
     grid: HalfLineGrid
@@ -97,9 +97,7 @@ def grid_geometry(snap: Snapshot, cfg: GammaConfig) -> GridGeometry:
     if np.any(x_centers == 0):  # cell centers sit at xi > 0; x(xi) underflowed
         raise FloatingPointError(
             f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
-    signs = np.array(SIGNS)[:, None]
-    return GridGeometry(snap.grid, signs * x_edges, signs * x_centers,
-                        dxi_dx(x_centers, cfg))
+    return GridGeometry(snap.grid, x_edges, x_centers, dxi_dx(x_centers, cfg))
 
 
 def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
@@ -116,11 +114,12 @@ def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
     last = int(nz[-1])
     if last >= geometry.dxi_dx.size or geometry.grid != snap.grid:
         raise ValueError("the grid geometry does not cover the snapshot")
-    side = (geometry.x_edges[row, : last + 2], u[: last + 1] * snap.grid.cell_width,
-            geometry.x_centers[row, : last + 1], geometry.dxi_dx[: last + 1],
+    side = (geometry.x_edges[: last + 2], u[: last + 1] * snap.grid.cell_width,
+            geometry.x_centers[: last + 1], geometry.dxi_dx[: last + 1],
             u[: last + 1])
-    if row == LEFT:  # reflected side: ascending order is reversed canonical order
-        return tuple(a[::-1] for a in side)
+    if row == LEFT:  # reflected side: x negated, ascending order reversed
+        x_edges, masses, x_centers, dxi, u = (a[::-1] for a in side)
+        return -x_edges, masses, -x_centers, dxi, u
     return side
 
 
@@ -165,7 +164,6 @@ def assemble(snap: Snapshot, cfg: GammaConfig,
         F_x=F_x,
         F_val=F_val,
         support=(float(F_x[0]), float(F_x[-1])),
-        sup_u_initial=snap.sup_initial,
     )
 
 
@@ -229,17 +227,19 @@ def original_frame_series(rows, gamma: float) -> list:
 
 
 def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
+                          sup_initial: float,
                           datum: Optional[InitialDatum] = None) -> list:
     """Structural diagnostics of a solution series: the list of every
     Violation found, in order of time.  ``X_series`` holds the output of
-    ``pseudo_inverse`` for each snapshot.  Each kind checks one statement:
+    ``pseudo_inverse`` for each snapshot, and ``sup_initial`` the run's sup
+    u0, its state's.  Each kind checks one statement:
 
     - initial-datum: the projection matches the datum (cumulative
       distributions at the breakpoints, no Dirac mass; with a ``datum``);
     - mass-conservation: the ledger identity m + ac mass = M(0);
     - mass-monotonicity: m(t) never decreases;
     - decay-bound: the paper's sup bound
-      rho |x|^(1/(1+gamma)) <= (1+gamma)^(-1/(1+gamma)) sup u0;
+      rho |x|^(1/(1+gamma)) <= (1+gamma)^(-1/(1+gamma)) sup_initial;
     - monotonicity: X, the output of ``pseudo_inverse``, is monotone;
     - continuity: on each side, no massless cell lies between cells with
       mass, nor, once m > 0, between the origin and the side's mass, so the
@@ -266,7 +266,7 @@ def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
                 "initial-datum", ms0.time,
                 f"cumulative mismatch {sup_err:.3e} or nonzero initial Dirac mass"))
 
-    decay_bound = (1 + g) ** (-1 / (1 + g))
+    bound = (1 + g) ** (-1 / (1 + g)) * sup_initial  # the decay bound
     prev_m = -math.inf
     for ms, X in zip(ms_series, X_series):
         t = ms.time
@@ -282,9 +282,8 @@ def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
                 f"concentrated mass decreased from {prev_m} to {ms.dirac_mass}"))
         prev_m = max(prev_m, ms.dirac_mass)
 
-        if ms.sup_u_initial > 0 and ms.x.size:
+        if ms.x.size:
             lhs = ms.rho * np.abs(ms.x) ** (1 / (1 + g))
-            bound = decay_bound * ms.sup_u_initial
             if float(lhs.max()) > bound * (1 + 1e-9):
                 violations.append(Violation(
                     "decay-bound", t,
@@ -325,7 +324,7 @@ def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
     return violations
 
 
-def trace_onset_time(times, values, threshold: float = 1e-2) -> tuple:
+def trace_onset_time(times, values, threshold: float) -> tuple:
     """First of the recorded ``times`` at which each row's boundary trace,
     a column of the array ``values`` (one row per time), exceeds the
     threshold, as (left, right); inf for a row whose trace never does."""

@@ -268,8 +268,7 @@ def assemble_reference(snap, cfg) -> MeasureState:
     rho = dxi_dx(x, cfg) * u_vals if x.size else np.empty(0)
     return MeasureState(time=snap.time, dirac_mass=dirac, total_mass=total, x=x,
                         rho=rho, mass_weights=weights, F_x=F_x, F_val=F_val,
-                        support=(float(F_x[0]), float(F_x[-1])),
-                        sup_u_initial=snap.sup_initial)
+                        support=(float(F_x[0]), float(F_x[-1])))
 
 
 REFERENCE_SLOPE_JUMP_RATIO = 3.0
@@ -289,7 +288,7 @@ def _oleinik_flags_reference(ms, X, z, x_tol: float):
 
 
 def check_entropy_measure_reference(ms_series, X_series, z_series, cfg,
-                                    datum=None) -> list:
+                                    sup_initial, datum=None) -> list:
     """``measure.check_entropy_measure`` as it was when it took np.diff(X),
     the slopes and the interior mask of a snapshot up to three times, with
     the ``edge-slope`` and ``oleinik`` kinds it has since dropped.  Each
@@ -331,9 +330,9 @@ def check_entropy_measure_reference(ms_series, X_series, z_series, cfg,
                 f"concentrated mass decreased from {prev_m} to {ms.dirac_mass}"))
         prev_m = max(prev_m, ms.dirac_mass)
 
-        if ms.sup_u_initial > 0 and ms.x.size:
+        if sup_initial > 0 and ms.x.size:
             lhs = ms.rho * np.abs(ms.x) ** (1 / (1 + g))
-            bound = decay_bound * ms.sup_u_initial
+            bound = decay_bound * sup_initial
             if float(lhs.max()) > bound * (1 + 1e-9):
                 violations.append(Violation(
                     "decay-bound", t,
@@ -500,8 +499,7 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
                 observer(Snapshot(state.grid,
                                   (1 - w) * prev_cells + w * state.cells,
                                   next_snap,
-                                  (1 - w) * prev_ledger + w * state.outflux_ledger,
-                                  state.sup_initial))
+                                  (1 - w) * prev_ledger + w * state.outflux_ledger))
                 k += 1
                 next_snap = t0 + k * cadence
     state.time = t_end

@@ -1271,6 +1271,28 @@ def test_verify_exits_5_after_writing_a_failed_report(tmp_path, capsys):
     assert error["error"] == "verification failed: " + ", ".join(failed)
 
 
+# exit 5 is the limitation README's Verification section documents: X Linf
+# fails at gamma = 0.1, 0.4 and 0.5, the L1 order at 0.1 and 16
+@pytest.mark.parametrize("gamma, code", [(g, EXIT_VERIFY) for g in (0.1, 0.4, 0.5, 16.0)]
+                         + [(g, 0) for g in (0.25, 0.75, 1.0, 2.0, 4.0)])
+def test_verify_exit_code_on_the_block_across_gamma(tmp_path, gamma, code):
+    # the block at the default sizes, grid_cells = z_count = 1024
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gamma": gamma, "datum": {"kind": "example36"}}))
+    assert main(["verify", "--config", str(path), "--output",
+                 str(tmp_path / "verify"), "--quiet"]) == code
+
+
+def test_readme_library_example_runs_as_written():
+    # the python block under "Library example", executed as it stands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["ms"].dirac_mass == pytest.approx(0.25, abs=1e-3)
+
+
 ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
                        "values": [0]}}
 

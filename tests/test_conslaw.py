@@ -1013,7 +1013,7 @@ def monotone_runs(draw):
     cfg = GammaConfig(gamma=draw(st.sampled_from(GAMMAS)))
     first, second = draw(right_half_line_data()), draw(right_half_line_data())
     grid = make_grid(max(first, second, key=lambda d: d.b), cfg, draw(st.integers(8, 64)))
-    rows = [conslaw._cell_averages(d, grid, cfg, 1.0) for d in (first, second)]
+    rows = [init_from_datum(d, grid, cfg).cells[RIGHT] for d in (first, second)]
     return cfg, grid, rows, draw(st.floats(0.6, 1.0))
 
 

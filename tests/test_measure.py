@@ -56,7 +56,7 @@ def simulate_block(gamma, n, times, cfl=0.9, datum=None):
     for t in times:
         run_until(state, t, cfl, cfg)
         ms_series.append(assemble(state, cfg))
-    return ms_series, datum
+    return ms_series, datum, state.sup_initial
 
 
 def pseudo_inverses(ms_series, z_count):
@@ -74,7 +74,7 @@ def test_assemble_zero_states():
 
 
 def test_assemble_condensed_mass_matches_explicit_law():
-    ms_series, _ = simulate_block(1.0, 1024, [2.0])
+    ms_series, _, _ = simulate_block(1.0, 1024, [2.0])
     ms = ms_series[0]
     # M - (1/(gamma t))^(1/gamma)/(1+gamma) = 1/2 - 1/4
     assert ms.dirac_mass == pytest.approx(0.25, rel=0.01)
@@ -82,7 +82,7 @@ def test_assemble_condensed_mass_matches_explicit_law():
 
 
 def test_assemble_two_mass_accountings_agree():
-    ms_series, _ = simulate_block(1.0, 512, [0.5, 1.0, 1.5, 2.5])
+    ms_series, _, _ = simulate_block(1.0, 512, [0.5, 1.0, 1.5, 2.5])
     for ms in ms_series:
         # ledger-based Dirac mass vs total minus density quadrature
         assert ms.dirac_mass == pytest.approx(ms.total_mass - ms.ac_mass,
@@ -90,7 +90,7 @@ def test_assemble_two_mass_accountings_agree():
 
 
 def test_assemble_support_inside_initial_hull():
-    ms_series, datum = simulate_block(1.0, 512, [0.0, 0.3, 1.2, 3.0])
+    ms_series, datum, _ = simulate_block(1.0, 512, [0.0, 0.3, 1.2, 3.0])
     # the discrete support endpoint sits on the outer edge of the straddling
     # cell, so confinement is relative to the initial discrete support
     lo0, hi0 = ms_series[0].support
@@ -111,13 +111,13 @@ def test_pseudo_inverse_pure_dirac():
 
 
 def test_pseudo_inverse_needs_enough_nodes():
-    ms_series, _ = simulate_block(1.0, 128, [0.1])
+    ms_series, _, _ = simulate_block(1.0, 128, [0.1])
     with pytest.raises(ValueError):
         z_grid(ms_series[0], 8)
 
 
 def test_pseudo_inverse_plateau_width_is_dirac_mass():
-    ms_series, _ = simulate_block(1.0, 1024, [1.5, 2.5])
+    ms_series, _, _ = simulate_block(1.0, 1024, [1.5, 2.5])
     for ms in ms_series:
         z = z_grid(ms, 512)
         on_plateau = np.abs(pseudo_inverse(ms, z)) == 0.0
@@ -126,7 +126,7 @@ def test_pseudo_inverse_plateau_width_is_dirac_mass():
 
 
 def test_pseudo_inverse_monotone_and_matches_initial_profile():
-    ms_series, _ = simulate_block(1.0, 1024, [0.0], datum=block_datum(1.0, 0.0, 1.0))
+    ms_series, _, _ = simulate_block(1.0, 1024, [0.0], datum=block_datum(1.0, 0.0, 1.0))
     z = z_grid(ms_series[0], 256)
     X = pseudo_inverse(ms_series[0], z)
     assert np.all(np.diff(X) >= -1e-15)
@@ -135,7 +135,7 @@ def test_pseudo_inverse_monotone_and_matches_initial_profile():
 
 
 def test_wasserstein_uniform_block():
-    ms_series, _ = simulate_block(1.0, 2048, [0.0], datum=block_datum(1.0, 0.0, 1.0))
+    ms_series, _, _ = simulate_block(1.0, 2048, [0.0], datum=block_datum(1.0, 0.0, 1.0))
     ms = ms_series[0]
     # closed form: integral of z on [0, 1] = 1/2
     assert wasserstein_to_dirac(ms) == pytest.approx(0.5, abs=1e-4)
@@ -151,7 +151,7 @@ def test_wasserstein_nonincreasing_along_explicit_solution():
 
 
 def test_original_frame_series_identity_at_zero_and_mass_preserved():
-    ms_series, _ = simulate_block(1.0, 512, [0.0, 1.0, 3.0])
+    ms_series, _, _ = simulate_block(1.0, 512, [0.0, 1.0, 3.0])
     series = original_frame_series(measure_rows(ms_series), 1.0)
     tau, _, dirac, _, _, diameter, _ = np.array(series).T
     assert tau[0] == 0.0
@@ -180,17 +180,17 @@ def test_trace_onset_time():
 
 def test_check_passes_on_clean_simulation():
     times = [0.5, 1.0, 1.5, 2.0, 3.0]
-    ms_series, datum = simulate_block(1.0, 1024, times)
+    ms_series, datum, sup_initial = simulate_block(1.0, 1024, times)
     violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 1024),
-                                       CFG, datum=None)
+                                       CFG, sup_initial, datum=None)
     assert not violations, violations
     assert ms_series[-1].dirac_mass / ms_series[-1].total_mass > 0.4
 
 
 def test_check_initial_datum_cumulative_match():
-    ms_series, datum = simulate_block(1.0, 512, [0.0, 0.5])
+    ms_series, datum, sup_initial = simulate_block(1.0, 512, [0.0, 0.5])
     violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 512),
-                                       CFG, datum=datum)
+                                       CFG, sup_initial, datum=datum)
     assert not violations, violations
     ms0 = ms_series[0]
     sup_err = np.max(np.abs(integrate_piecewise(datum, datum.a, ms0.F_x) - ms0.F_val))
@@ -206,15 +206,16 @@ def test_check_stationary_condensed_state():
         return assemble(state, CFG)
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
-    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 64), CFG)
+    violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 64), CFG,
+                                       0.0)
     assert not violations, violations
 
 
 def test_check_requires_increasing_times():
-    ms_series, _ = simulate_block(1.0, 128, [0.5])
+    ms_series, _, sup_initial = simulate_block(1.0, 128, [0.5])
     X = pseudo_inverse(ms_series[0], z_grid(ms_series[0], 64))
     with pytest.raises(ValueError):
-        check_entropy_measure(ms_series * 2, [X, X], CFG)
+        check_entropy_measure(ms_series * 2, [X, X], CFG, sup_initial)
 
 
 KEPT_KINDS = ["initial-datum", "mass-conservation", "mass-monotonicity",
@@ -266,12 +267,12 @@ def doctor(kind, ms_series, X_series, z):
 @pytest.mark.parametrize("kind", KEPT_KINDS)
 def test_check_flags_each_doctored_fault_as_its_own_kind(kind):
     times = [0.0, 1.0, 2.0]
-    ms_series, datum = simulate_block(1.0, 256, times)
+    ms_series, datum, sup_initial = simulate_block(1.0, 256, times)
     z = z_grid(ms_series[0], 256)
     X_series = [pseudo_inverse(ms, z) for ms in ms_series]
-    assert not check_entropy_measure(ms_series, X_series, CFG, datum=datum)
+    assert not check_entropy_measure(ms_series, X_series, CFG, sup_initial, datum=datum)
     violations = check_entropy_measure(*doctor(kind, ms_series, X_series, z), CFG,
-                                       datum=datum)
+                                       sup_initial, datum=datum)
     assert {v.kind for v in violations} == {kind}, violations
 
 
@@ -281,9 +282,10 @@ def test_continuity_flags_a_massless_band_at_every_gamma(gamma, count):
     # the block at t = 1/gamma with a band of cells emptied in the middle
     # of its support, its mass kept: the support is split at every gamma
     cfg = GammaConfig(gamma=gamma)
-    ms = simulate_block(gamma, 256, [1.0 / gamma])[0][0]
+    (ms,), _, sup_initial = simulate_block(gamma, 256, [1.0 / gamma])
     ms = massless_band(ms, ms.mass_weights.size // 2 - count // 2, count)
-    violations = check_entropy_measure([ms], [pseudo_inverse(ms, z_grid(ms, 1024))], cfg)
+    violations = check_entropy_measure([ms], [pseudo_inverse(ms, z_grid(ms, 1024))], cfg,
+                                       sup_initial)
     assert [v.kind for v in violations] == ["continuity"], violations
     assert violations[0].detail.startswith("right side")
 
@@ -304,7 +306,8 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
     z = z_grid(ms_series[0], 256)
     X_series = [pseudo_inverse(ms, z) for ms in ms_series]
-    assert check_entropy_measure(ms_series, X_series, cfg, datum=datum) == []
+    assert check_entropy_measure(ms_series, X_series, cfg, state.sup_initial,
+                                 datum=datum) == []
     first = next(k for k, ms in enumerate(ms_series) if ms.dirac_mass > 0)
     assert snaps[first // 2].cells[row, 0] == 0  # a vacuum at m = 0
     # the origin cell's mass moved one cell out
@@ -313,7 +316,8 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     cells[row, 0] = 0.0
     ms_series[first] = assemble(replace(snaps[first], cells=cells), cfg, geometry)
     X_series[first] = pseudo_inverse(ms_series[first], z)
-    violations = check_entropy_measure(ms_series, X_series, cfg, datum=datum)
+    violations = check_entropy_measure(ms_series, X_series, cfg, state.sup_initial,
+                                       datum=datum)
     assert [(v.kind, v.time) for v in violations] == \
         [("continuity", ms_series[first].time)], violations
     assert violations[0].detail.startswith("right" if row == RIGHT else "left")
@@ -341,7 +345,7 @@ def test_decay_bound_flags_a_run_stepped_past_its_cfl_bound(monkeypatch, gamma, 
     conslaw.run_until(state, 4.0 / gamma, 0.9, cfg, snaps.append, 0.5 / gamma)
     ms_series = [assemble(snap, cfg) for snap in snaps]
     violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 1024), cfg,
-                                       datum=datum)
+                                       state.sup_initial, datum=datum)
     assert {v.kind for v in violations} == ({"decay-bound"} if cfl > 1 else set())
 
 
@@ -409,11 +413,12 @@ def match_references(datum, gamma, cells, z_count, t_end):
         assert np.all(X[(z >= a + dz) & (z <= a + m - dz)] == 0)
         zeros = z[X == 0]
         assert np.all((zeros >= a - dz) & (zeros <= a + m + dz))
-    violations = check_entropy_measure(ms_series, X_series, cfg, datum=datum)
+    violations = check_entropy_measure(ms_series, X_series, cfg, state.sup_initial,
+                                       datum=datum)
     z_series = [z_grid(ms, z_count) for ms in expected]
     reference = check_entropy_measure_reference(
         expected, [pseudo_inverse(ms, z) for ms, z in zip(expected, z_series)], z_series,
-        cfg, datum=datum)
+        cfg, state.sup_initial, datum=datum)
     assert violations == [v for v in reference if v.kind not in DELETED_KINDS]
     assert violations == []
     return reference
