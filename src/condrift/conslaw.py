@@ -24,8 +24,8 @@ points at the origin, so an empty row and the empty cells beyond stay
 exactly +0.0.  It steps a column-major copy of that window, so that each
 pass over two rows walks one contiguous run of memory, and writes it back
 into the state at the steps that reach a snapshot time, where it copies
-the state for snapshot interpolation, and at the end.  ``step`` is the
-one-step case of the same loop.
+the state for snapshot interpolation, and at the end.  ``step`` runs the
+same loop to a t_end one CFL step ahead, so it lands in one step.
 
 A step is five or six array passes and one argmax: the power
 u^(1+gamma) and its division by 1+gamma, the subtraction, the scaling,
@@ -305,9 +305,9 @@ def _fold(state: HalfLineState, rows: slice, steps: list, flat: list,
 
 def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
              tiny: float, observer: Optional[Callable[[Snapshot], None]] = None,
-             snap_times: Iterable[float] = (), dt_cap: Optional[float] = None) -> None:
-    """Godunov updates of the state's stepped rows, in place, until
-    t_end - time <= tiny; with ``dt_cap``, the one step min(cfl dt, dt_cap).
+             snap_times: Iterable[float] = ()) -> None:
+    """Godunov updates of the state's stepped rows, in place, each dt capped
+    by t_end - time, until t_end - time <= tiny: none for a NaN t_end.
 
     It checks the cfl, fixes the stepped rows, clips them and fixes the
     column window [0, hi), hi one past the last occupied column; the rows
@@ -382,7 +382,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
             # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
             speed = peak ** gamma
             dt = cw / (eps if eps > speed else speed)
-            cap = t_end - t if dt_cap is None else dt_cap
+            cap = t_end - t
             if cap < dt:
                 dt = cap
             # only a step that reaches the next snapshot time needs a copy
@@ -417,8 +417,6 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                                       next_snap,
                                       (1 - w) * prev_ledger + w * state.outflux_ledger))
                     next_snap = next(snap_times, math.inf)
-            if dt_cap is not None:
-                break
     finally:
         window[...] = u
         if len(steps) > 1:
@@ -428,17 +426,17 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
         state.time = t
 
 
-def step(state: HalfLineState, cfl: float, cfg: GammaConfig,
-         dt_cap: Optional[float] = None) -> HalfLineState:
+def step(state: HalfLineState, cfl: float, cfg: GammaConfig) -> HalfLineState:
     """One conservative explicit update of both rows, in place; returns the state.
 
-    dt = cfl * dxi / max(max_i u_i^gamma, EPS_SPEED), optionally capped by
-    ``dt_cap`` (used to land exactly on a target time).  The flux through
-    xi = 0 is added to each row's outflux ledger so that
-    dxi * sum(cells) + ledger is constant to rounding, row by row.
+    It runs ``_advance`` one ``stable_dt`` ahead and lands there, so its
+    entry checks raise on a cfl outside (0, 1] or a NaN cell; a dt within
+    ``landing_tolerance`` moves only the time.  The flux through xi = 0
+    goes to each row's ledger; dxi * sum + ledger is constant to rounding.
     """
-    _advance(state, cfl, cfg, math.inf, 0.0,
-             dt_cap=math.inf if dt_cap is None else dt_cap)
+    t_end = state.time + stable_dt(state, cfl, cfg)
+    _advance(state, cfl, cfg, t_end, landing_tolerance(t_end))
+    state.time = t_end
     return state
 
 
@@ -455,15 +453,16 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     linearly between the two steps around them; the cadence does not
     change the steps.
 
-    Raises :class:`WorkBudgetExceeded` before the first step if the run
-    could take more than MAX_CELL_STEPS cell updates (``check_cell_steps``),
-    and :class:`FloatingPointError` on a NaN or a real negative in a
-    stepped row.  A run stopped so leaves the cells of the faulting update
-    and the time, ledger and records of its last whole step.
+    Raises ValueError on a t_end that is NaN or before t0, or an observer
+    without a cadence > 0; :class:`WorkBudgetExceeded` before the first
+    step if the run could take more than MAX_CELL_STEPS cell updates
+    (``check_cell_steps``); :class:`FloatingPointError` on a NaN or a real
+    negative in a stepped row.  A run stopped so leaves the cells of the
+    faulting update and the time, ledger and records of its last whole step.
     """
-    if t_end < state.time:
+    if not t_end >= state.time:
         raise ValueError("t_end precedes the current state time")
-    if observer is not None and (cadence is None or cadence <= 0):
+    if observer is not None and (cadence is None or not cadence > 0):
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise the first step raises CflViolation
         check_cell_steps(state, t_end, cfl, cfg)

@@ -35,7 +35,6 @@ from oracles import (
     riemann_exact,
     right_row_state,
     run_until_reference,
-    step_reference,
     stepped_rows_reference,
     total_variation,
 )
@@ -187,7 +186,7 @@ def test_step_zero_state_capped_by_dt():
     grid = make_grid(datum, CFG, 32)
     state = init_from_datum(datum, grid, CFG)
     assert stable_dt(state, 1.0, CFG) > 1e10  # floored speed
-    step(state, 0.9, CFG, dt_cap=0.125)
+    run_until(state, 0.125, 0.9, CFG)
     assert state.time == pytest.approx(0.125)
     assert not state.cells.any()
 
@@ -260,13 +259,11 @@ def test_discrete_comparison_principle():
         for _ in range(17):
             upper = rng.uniform(0.0, 2.0, 64)
             lower = upper * rng.uniform(0.0, 1.0, 64)
-            s_hi = right_row_state(grid, upper)
-            s_lo = right_row_state(grid, lower)
+            # one state, so both rows take the dt of upper's peak
+            state = HalfLineState(grid=grid, cells=np.stack([lower, upper]))
             for _ in range(25):
-                dt = stable_dt(s_hi, 0.9, cfg)
-                step(s_hi, 1.0, cfg, dt_cap=dt)
-                step(s_lo, 1.0, cfg, dt_cap=dt)
-                assert np.all(s_lo.cells <= s_hi.cells + 1e-13)
+                step(state, 0.9, cfg)
+                assert np.all(state.cells[LEFT] <= state.cells[RIGHT] + 1e-13)
 
 
 def test_run_until_noop_and_exact_landing():
@@ -340,6 +337,26 @@ def test_run_until_rejects_past_target():
     run_until(state, 0.5, 0.9, CFG)
     with pytest.raises(ValueError):
         run_until(state, 0.2, 0.9, CFG)
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["plain", "observed"])
+def test_run_until_rejects_a_nan_t_end(observe):
+    datum = example_block_datum(1.0)
+    state = init_from_datum(datum, make_grid(datum, CFG, 64), CFG)
+    snaps = []
+    kwargs = {"observer": snaps.append, "cadence": 0.1} if observe else {}
+    with pytest.raises(ValueError, match="t_end precedes"):
+        run_until(state, float("nan"), 0.9, CFG, **kwargs)
+    assert state.time == 0.0 and not snaps
+
+
+def test_run_until_rejects_a_nan_cadence():
+    datum = example_block_datum(1.0)
+    state = init_from_datum(datum, make_grid(datum, CFG, 64), CFG)
+    snaps = []
+    with pytest.raises(ValueError, match="positive cadence"):
+        run_until(state, 0.5, 0.9, CFG, observer=snaps.append, cadence=float("nan"))
+    assert state.time == 0.0 and not snaps
 
 
 def test_scheme_converges_to_entropy_solution_on_riemann_data():
@@ -472,6 +489,13 @@ def reference_state(kind, cfg):
     return state
 
 
+def step_one_reference(reference, cfg):
+    """What ``step(state, 0.9, cfg)`` must match: the reference run to one
+    CFL step ahead."""
+    run_until_reference(reference, reference.time + stable_dt(reference, 0.9, cfg),
+                        0.9, cfg)
+
+
 def state_bytes(state):
     return (state.cells.tobytes(), state.outflux_ledger.tobytes(),
             np.float64(state.time).tobytes(), state.trace_times.tobytes(),
@@ -485,11 +509,15 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
     cfg = GammaConfig(gamma=gamma)
     state, reference = STATES[kind](cfg), reference_state(kind, cfg)
     assert not np.signbit(state.cells).any()
-    caps = (np.random.default_rng(33).uniform(0.5, 1.5, 300)
-            * stable_dt(state, 0.9, cfg) if capped else [None] * 300)
-    for cap in caps:
-        step(state, 0.9, cfg, dt_cap=cap)
-        step_reference(reference, 0.9, cfg, dt_cap=cap)
+    if capped:
+        for cap in (np.random.default_rng(33).uniform(0.5, 1.5, 300)
+                    * stable_dt(state, 0.9, cfg)):
+            run_until(state, state.time + cap, 0.9, cfg)
+            run_until_reference(reference, reference.time + cap, 0.9, cfg)
+    else:
+        for _ in range(300):
+            step(state, 0.9, cfg)
+            step_one_reference(reference, cfg)
     assert state_bytes(state) == state_bytes(reference)
     assert state.outflux_ledger[stepped_rows_reference(state.cells)].min() > 0
 
@@ -904,12 +932,12 @@ def test_step_clips_roundoff_negatives_to_positive_zero(gamma):
     state, reference = example36_state(cfg), example36_state(cfg)
     for _ in range(5):
         step(state, 0.9, cfg)
-        step_reference(reference, 0.9, cfg)
+        step_one_reference(reference, cfg)
     far = state.grid.cell_count - 1  # beyond the support: stays empty
     for s in (state, reference):
         s.cells[RIGHT, [40, far]] = -1e-14
     step(state, 0.9, cfg)
-    step_reference(reference, 0.9, cfg)
+    step_one_reference(reference, cfg)
     assert state.cells[RIGHT, far] == 0.0 and not np.signbit(state.cells[RIGHT, far])
     assert state_bytes(state) == state_bytes(reference)
 

@@ -101,6 +101,23 @@ def test_assemble_support_inside_initial_hull():
         assert ms.support[1] <= hi0 + 1e-12
 
 
+@pytest.mark.parametrize("source", ["other-grid", "inner-support"])
+def test_assemble_rejects_a_geometry_that_does_not_cover_the_snapshot(source):
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    cells = np.zeros((2, 16))
+    cells[:, :8] = 1.0
+    snap = HalfLineState(grid=grid, cells=cells)
+    if source == "other-grid":  # covers as many cells, of another width
+        other = HalfLineState(grid=HalfLineGrid(16, 0.2), cells=cells)
+    else:  # same grid, outermost cell with mass inside the snapshot's
+        inner = cells.copy()
+        inner[:, 4:] = 0.0
+        other = HalfLineState(grid=grid, cells=inner)
+    assemble(snap, CFG, grid_geometry(snap, CFG))
+    with pytest.raises(ValueError, match="does not cover the snapshot"):
+        assemble(snap, CFG, grid_geometry(other, CFG))
+
+
 def test_pseudo_inverse_pure_dirac():
     grid = HalfLineGrid(cell_count=16, cell_width=0.1)
     state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
