@@ -1,17 +1,16 @@
 """Command-line front end: simulate, verify, characteristics, convert.
 
 A run is configured by a single JSON file (flat keys plus a nested datum
-table, documented in the README); every run writes its resolved
+table, documented in the README); ``simulate`` writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
 
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
 error (including non-finite numbers, a datum key its kind does not read,
-a trace_threshold that is not positive, a zero-mass datum, a radial
-datum with a breakpoint below 0, a convert input with dim other than 1,
-with a measures.csv that lacks its header or has no row, or with a row
-that is not six finite numbers with t >= 0, a run past the row budget
-MAX_OUTPUT_ROWS and a run past the cell-step budget
-conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
+a zero-mass datum, a radial datum with a breakpoint below 0, a convert
+input with dim other than 1, with a measures.csv that lacks its header
+or has no row, or with a row that is not six finite numbers with t >= 0,
+a run past the row budget MAX_OUTPUT_ROWS and a run past the cell-step
+budget conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
 NaN produced while stepping, a coordinate map that underflows and a
 float overflow anywhere), 4 I/O error, 5 verification failed (a verify
 row reads FAIL; the report is written first).  Every error is one JSON
@@ -62,7 +61,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
-TRACE_THRESHOLD = 1e-2
 MAX_OUTPUT_ROWS = 10_000_000  # CSV rows of one run, about 550 MB
 # config datum kinds that are breakpoint tables, and their InitialDatum kind
 PIECEWISE_KINDS = {"piecewise_constant": "constant", "piecewise_linear": "linear"}
@@ -89,10 +87,9 @@ class RunConfig:
     z_count: int = 1024
     frame: str = "driftfree"
     output_dir: str = "out"
-    trace_threshold: float = TRACE_THRESHOLD
 
     def __post_init__(self):
-        for name in ("gamma", "cfl", "t_end", "snapshot_cadence", "trace_threshold"):
+        for name in ("gamma", "cfl", "t_end", "snapshot_cadence"):
             value = getattr(self, name)
             if not _is_real(value) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number")
@@ -112,8 +109,6 @@ class RunConfig:
             raise ConfigError("t_end must be nonnegative")
         if self.snapshot_cadence <= 0:
             raise ConfigError("snapshot_cadence must be positive")
-        if self.trace_threshold <= 0:
-            raise ConfigError("trace_threshold must be positive")
         if self.z_count < 16:
             raise ConfigError("z_count must be >= 16")
         if self.frame not in ("driftfree", "original"):
@@ -416,7 +411,7 @@ def simulate(config: RunConfig) -> SimulationResult:
     snapshots: list = []
     run_until(state, config.t_end, config.cfl, cfg,
               observer=snapshots.append, cadence=config.snapshot_cadence)
-    geometry = measure.grid_geometry(snapshots[0], cfg)
+    geometry = measure.grid_geometry(state.grid, cfg)
     ms_series = [measure.assemble(snap, cfg, geometry) for snap in snapshots]
     z = measure.z_grid(ms_series[0], config.z_count)
     X_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
@@ -437,8 +432,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                   if config.frame == "original" else None)
     violations = measure.check_entropy_measure(ms_series, res.X_series, cfg,
                                                state.sup_initial, datum=res.datum)
-    onset = min(measure.trace_onset_time(state.trace_times, state.trace_values,
-                                         config.trace_threshold))
+    onset = measure.trace_onset_time(state.trace_times, state.trace_values)
     summary = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
@@ -549,19 +543,17 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "INFO" if informational else ("PASS" if order >= 0.8 else "FAIL"),
         f"{order:.3f}", ">= 0.8")
 
-    # trace onset vs 1/gamma
+    # trace onset vs 1/gamma; a tolerance of 1/gamma or more passes every
+    # onset in [0, 1/gamma], and one past the largest float reads as a bound
     onset = measure.trace_onset_time(law_res.state.trace_times,
-                                     law_res.state.trace_values,
-                                     config.trace_threshold)[RIGHT]
-    tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width,
-                                     config.trace_threshold)
-    # a tolerance of 1/gamma or more passes every onset in [0, 1/gamma]; max u
-    # never grows, so the trace never reaches a threshold of sup_initial or more
-    unreachable = config.trace_threshold >= law_res.state.sup_initial
-    status = ("INFO" if tol >= 1.0 / g or unreachable
+                                     law_res.state.trace_values)
+    tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width)
+    status = ("INFO" if tol >= 1.0 / g
               else "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL")
     add("trace onset time vs 1/gamma", status,
-        "none" if math.isinf(onset) else f"{onset:.5f}", f"{1.0 / g:.5f} +/- {tol:.2g}")
+        "none" if math.isinf(onset) else f"{onset:.5f}",
+        f"{1.0 / g:.5f} +/- " + (f"{tol:.2g}" if math.isfinite(tol)
+                                 else f">{sys.float_info.max:.2g}"))
 
     # condensed-mass law on [1.5/gamma, 4/gamma]
     worst = 0.0
@@ -603,21 +595,27 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def trace_time_tolerance(gamma: float, dxi: float, threshold: float) -> float:
+def trace_time_tolerance(gamma: float, dxi: float) -> float:
     """Onset-detection resolution of a grid with spacing dxi, as a time.
 
     Before onset the boundary cell reads the compressing profile, not zero:
-    its exact average reaches the detection threshold tau already at
+    its exact average reaches the detection threshold tau
+    (measure.TRACE_THRESHOLD) already at
     1/gamma - t = dxi * gamma^gamma * ((1+gamma)*tau)^(-gamma), and the
     level-tau value sits one cell from the boundary at
     1/gamma - t = dxi * tau^(-gamma).  The sum of the two is the sharpest
     time scale at which a threshold detector on this grid can place the
-    onset; it vanishes under grid refinement.  For small thresholds and
-    gamma > 1 it can exceed 1/gamma itself, which correctly signals that
-    the onset is unresolvable at that threshold and resolution.
+    onset; it vanishes under grid refinement.  For gamma > 1 it can exceed
+    1/gamma itself, which correctly signals that the onset is unresolvable
+    at that resolution.  Where a power passes the largest float (from
+    gamma near 144) it is inf.
     """
-    return dxi * (gamma**gamma * ((1.0 + gamma) * threshold) ** (-gamma)
-                  + threshold ** (-gamma))
+    tau = measure.TRACE_THRESHOLD
+    try:
+        return dxi * (gamma**gamma * ((1.0 + gamma) * tau) ** (-gamma)
+                      + tau ** (-gamma))
+    except OverflowError:
+        return math.inf
 
 
 def cmd_characteristics(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:

@@ -161,7 +161,8 @@ class HalfLineState(Snapshot):
             raise ValueError("outflux_ledger must hold one value per row")
         if np.any(self.cells < 0):
             raise ValueError("cell averages must be nonnegative")
-        # -0.0 -> +0.0, so that step need not clip a state free of negatives
+        # -0.0 -> +0.0: a -0.0 cell has a nonzero bit pattern, so it would
+        # widen the rows and columns that _advance steps
         np.maximum(self.cells, 0.0, out=self.cells)
         self.trace_times = np.array([self.time], dtype=float)
         self.trace_values = self.cells[None, :, 0].copy()

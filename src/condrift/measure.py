@@ -65,15 +65,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """The x-images of a run's cells, computed once per run.
+    """The x-images of a grid's cells, computed once per run.
 
     ``x_edges`` and ``x_centers`` are x_of_xi of the grid's edges and
     centers, unsigned (row LEFT's x-image is their negation), and ``dxi_dx``
     is dxi/dx at the centers, the same for both rows.  The maps are
     elementwise, so a snapshot's slice of these arrays has the bits of the
-    maps evaluated on that slice.  They cover the cells up to the outermost
-    one that carries mass in the snapshot they were computed from; see
-    :func:`grid_geometry`.
+    maps evaluated on that slice.
     """
 
     grid: HalfLineGrid
@@ -82,22 +80,17 @@ class GridGeometry:
     dxi_dx: np.ndarray
 
 
-def grid_geometry(snap: Snapshot, cfg: GammaConfig) -> GridGeometry:
-    """GridGeometry of ``snap``'s grid up to its outermost cell with mass.
+def grid_geometry(grid: HalfLineGrid, cfg: GammaConfig) -> GridGeometry:
+    """GridGeometry of every cell of ``grid``.
 
-    Every characteristic speed points to the origin, so a vacuum cell
-    beyond the support stays vacuum: the first snapshot's geometry covers
-    every later snapshot of the run.  Raises FloatingPointError where x(xi)
-    underflows to 0 at a cell center.
+    Raises FloatingPointError where x(xi) underflows to 0 at a cell center.
     """
-    occupied = np.flatnonzero((snap.cells > 0).any(axis=0))
-    size = int(occupied[-1]) + 1 if occupied.size else 0
-    x_edges = np.asarray(x_of_xi(snap.grid.edges[: size + 1], cfg))
-    x_centers = np.asarray(x_of_xi(snap.grid.centers[:size], cfg))
+    x_edges = np.asarray(x_of_xi(grid.edges, cfg))
+    x_centers = np.asarray(x_of_xi(grid.centers, cfg))
     if np.any(x_centers == 0):  # cell centers sit at xi > 0; x(xi) underflowed
         raise FloatingPointError(
             f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
-    return GridGeometry(snap.grid, x_edges, x_centers, dxi_dx(x_centers, cfg))
+    return GridGeometry(grid, x_edges, x_centers, dxi_dx(x_centers, cfg))
 
 
 def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
@@ -112,7 +105,7 @@ def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
     if nz.size == 0:
         return (np.empty(0),) * 5
     last = int(nz[-1])
-    if last >= geometry.dxi_dx.size or geometry.grid != snap.grid:
+    if geometry.grid != snap.grid:
         raise ValueError("the grid geometry does not cover the snapshot")
     side = (geometry.x_edges[: last + 2], u[: last + 1] * snap.grid.cell_width,
             geometry.x_centers[: last + 1], geometry.dxi_dx[: last + 1],
@@ -127,11 +120,11 @@ def assemble(snap: Snapshot, cfg: GammaConfig,
              geometry: Optional[GridGeometry] = None) -> MeasureState:
     """Stitch the two rows of a half-line snapshot into one measure snapshot.
 
-    A run passes the ``geometry`` of its first snapshot to every snapshot;
-    without one, the snapshot's own is computed.
+    A run passes the ``geometry`` of its grid to every snapshot; without
+    one, the snapshot's grid's is computed.
     """
     if geometry is None:
-        geometry = grid_geometry(snap, cfg)
+        geometry = grid_geometry(snap.grid, cfg)
     dirac = snap.outflux_ledger[LEFT] + snap.outflux_ledger[RIGHT]
     row_mass = snap.mass
     total = dirac + row_mass[LEFT] + row_mass[RIGHT]
@@ -324,12 +317,12 @@ def check_entropy_measure(ms_series, X_series, cfg: GammaConfig,
     return violations
 
 
-def trace_onset_time(times, values, threshold: float) -> tuple:
-    """First of the recorded ``times`` at which each row's boundary trace,
-    a column of the array ``values`` (one row per time), exceeds the
-    threshold, as (left, right); inf for a row whose trace never does."""
-    onsets = []
-    for column in values.T:
-        above = np.flatnonzero(column > threshold)
-        onsets.append(float(times[above[0]]) if above.size else math.inf)
-    return tuple(onsets)
+TRACE_THRESHOLD = 1e-2  # the boundary trace u(0+, t) that marks the onset
+
+
+def trace_onset_time(times, values) -> float:
+    """First of the recorded ``times`` at which either row's boundary trace,
+    a column of the array ``values`` (one row per time), exceeds
+    TRACE_THRESHOLD; inf if neither does."""
+    above = np.flatnonzero((values > TRACE_THRESHOLD).any(axis=1))
+    return float(times[above[0]]) if above.size else math.inf

@@ -27,6 +27,7 @@ from condrift.conslaw import (
 from condrift.datum import block_datum, example_block_datum, piecewise_linear
 from condrift.frames import GammaConfig
 from condrift.measure import (
+    TRACE_THRESHOLD,
     assemble,
     measure_rows,
     original_frame_series,
@@ -39,7 +40,6 @@ from oracles import X_unit_mass, riemann_exact, rk4_characteristics
 
 GAMMAS = (0.5, 1.0, 2.0)
 N_ACCEPT = 4096
-TRACE_THRESHOLD = 1e-2
 
 
 def report(line: str) -> None:
@@ -48,8 +48,8 @@ def report(line: str) -> None:
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_criterion_1_trace_onset_time(gamma):
-    """u(0+, t) first exceeds 1e-2 at 1/gamma, within 5x the grid's
-    onset-resolution time scale; runtime below 30 s per gamma."""
+    """u(0+, t) first exceeds TRACE_THRESHOLD (1e-2) at 1/gamma, within 5x
+    the grid's onset-resolution time scale; runtime below 30 s per gamma."""
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
@@ -57,11 +57,11 @@ def test_criterion_1_trace_onset_time(gamma):
     started = time.monotonic()
     run_until(state, 1.3 / gamma, 0.99, cfg)
     elapsed = time.monotonic() - started
-    _, onset = trace_onset_time(state.trace_times, state.trace_values,
-                                TRACE_THRESHOLD)
-    tol = 5.0 * trace_time_tolerance(gamma, grid.cell_width, TRACE_THRESHOLD)
+    onset = trace_onset_time(state.trace_times, state.trace_values)
+    tol = 5.0 * trace_time_tolerance(gamma, grid.cell_width)
     ok = abs(onset - 1.0 / gamma) <= tol
-    report(f"criterion 1 gamma={gamma}: onset={onset:.5f} target={1/gamma:.5f} "
+    report(f"criterion 1 gamma={gamma}: threshold={TRACE_THRESHOLD} "
+           f"onset={onset:.5f} target={1/gamma:.5f} "
            f"tol={tol:.4f} runtime={elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}")
     assert ok
     assert elapsed < 30.0

@@ -39,6 +39,7 @@ from condrift.cli import (
 from condrift.conslaw import SIGNS
 from condrift.datum import example_block_datum
 from condrift.frames import GammaConfig
+from condrift.measure import TRACE_THRESHOLD
 from oracles import VERIFY_REPORTS, write_csv_per_value
 
 
@@ -479,19 +480,18 @@ HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
 
 
 @pytest.mark.parametrize("command, override", [
-    ("verify", {"gamma": 1e3}),
     ("simulate", HUGE_BLOCK),
     ("characteristics", HUGE_BLOCK),
     ("simulate", {"datum": {"kind": "piecewise_constant",
                             "breakpoints": [0.0, 1e300], "values": [1.0]}}),
     ("characteristics", {"gamma": 2.0, "datum": {
         "kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "values": [6e-264]}}),
-], ids=["verify-gamma-1e3", "simulate-values-1e200", "characteristics-values-1e200",
+], ids=["simulate-values-1e200", "characteristics-values-1e200",
         "simulate-breakpoints-1e300", "characteristics-values-6e-264"])
 def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
-    # gamma**gamma in trace_time_tolerance, max(u)**gamma in the CFL step,
-    # sup**gamma in blow_up_time, the measure of a huge support, and the
-    # blow-up time of a datum whose sup**gamma underflows overflow a float
+    # max(u)**gamma in the CFL step, sup**gamma in blow_up_time, the measure
+    # of a huge support, and the blow-up time of a datum whose sup**gamma
+    # underflows overflow a float
     path = write_config(tmp_path, **override)
     fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
 
@@ -1019,19 +1019,12 @@ def assert_exit_contract(code: int, stderr: str, out: Path, codes: set) -> None:
 @st.composite
 def verify_configs(draw):
     """Config dicts for verify, valid or not: at most 256 cells, 1024
-    z-points, t_end 4, cfl from 0.5 and trace_threshold up to 10."""
+    z-points, t_end 4 and cfl from 0.5."""
     raw = draw(simulate_configs())
-    raw.update(cfl=draw(st.floats(0.5, 1.0)),
-               trace_threshold=draw(st.floats(0.0, 10.0)))
+    raw.update(cfl=draw(st.floats(0.5, 1.0)))
     if draw(st.booleans()):
         raw["datum"] = {"kind": "example36"}
     return raw
-
-
-# the trace never reaches a threshold above the largest initial cell
-# average: the onset row read FAIL inf
-UNREACHABLE_ONSET = {"gamma": 1.0, "datum": {"kind": "example36"}, "grid_cells": 256,
-                     "z_count": 256, "trace_threshold": 1.5}
 
 
 # the pseudo-inverse row reads X_explicit at t = 2/gamma = 1, past 1/gamma,
@@ -1042,7 +1035,6 @@ PAST_THE_ONSET = {"gamma": 2.0, "datum": {"kind": "example36"}, "grid_cells": 64
 
 @settings(max_examples=40, deadline=10000, derandomize=True)
 @given(verify_configs())
-@example(UNREACHABLE_ONSET)
 @example(PAST_THE_ONSET)
 def test_verify_config_fuzz(raw):
     # every config writes a report free of nan and inf and exits 0 or 5,
@@ -1053,33 +1045,6 @@ def test_verify_config_fuzz(raw):
         code, stderr = run_command(["verify", "--config", str(path), "--output", str(out)])
         assert_exit_contract(code, stderr, out, {0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO,
                                                  EXIT_VERIFY})
-
-
-@pytest.mark.parametrize("threshold, cells, status, expected", [
-    (1.5, 2048, "INFO", 0),
-    (0.99, 256, "FAIL", EXIT_VERIFY),
-], ids=["above-the-initial-peak", "below-the-initial-peak"])
-def test_verify_onset_row_without_an_onset_reads_none(tmp_path, threshold, cells,
-                                                      status, expected):
-    # the trace stays at or below the law run's largest initial cell
-    # average, about 0.999 at 2048 cells and 0.995 at 256: a threshold at or
-    # above it cannot be crossed and reads INFO, one below it that is never
-    # crossed reads FAIL; neither has an onset time to print
-    path = write_config(tmp_path, grid_cells=cells, z_count=cells,
-                        trace_threshold=threshold)
-    out = tmp_path / "verify"
-    code, _ = run_command(["verify", "--config", str(path), "--output", str(out)])
-    assert code == expected
-    rows = (out / "verify_report.txt").read_text().splitlines()
-    onset = next(row for row in rows if row.startswith("trace onset time"))
-    assert onset.split()[-5:-3] == [status, "none"]
-    assert_no_non_finite_token(out)
-    others = [row for row in rows if row != onset]
-    if cells == 256:  # as the default threshold's report, but for the onset row
-        assert others == [row for row in VERIFY_REPORTS[1.0, cells].splitlines()
-                          if not row.startswith("trace onset time")]
-    else:
-        assert all(" PASS " in row for row in others[1:])
 
 
 def simulated_run(tmp: Path) -> Path:
@@ -1213,10 +1178,10 @@ def test_characteristics_cross_check_against_solver(tmp_path):
 
 def test_trace_time_tolerance_scales():
     # refinement sharpens the resolution limit linearly
-    assert trace_time_tolerance(1.0, 1e-4, 1e-2) == pytest.approx(
-        10 * trace_time_tolerance(1.0, 1e-5, 1e-2))
+    assert trace_time_tolerance(1.0, 1e-4) == pytest.approx(
+        10 * trace_time_tolerance(1.0, 1e-5))
     # gamma = 1, threshold 1e-2: 50 + 100 cells of time
-    assert trace_time_tolerance(1.0, 1e-4, 1e-2) == pytest.approx(150e-4)
+    assert trace_time_tolerance(1.0, 1e-4) == pytest.approx(150e-4)
 
 
 def test_cmd_verify_coarse_marks_convergence_informational(tmp_path, capsys):
@@ -1272,15 +1237,41 @@ def test_verify_exits_5_after_writing_a_failed_report(tmp_path, capsys):
 
 
 # exit 5 is the limitation README's Verification section documents: X Linf
-# fails at gamma = 0.1, 0.4 and 0.5, the L1 order at 0.1 and 16
+# fails at gamma = 0.1, 0.4 and 0.5, the L1 order at 0.1 and 16; at gamma =
+# 1000, as a float and as a JSON integer, the onset tolerance's powers pass
+# the largest float and its row reads INFO
 @pytest.mark.parametrize("gamma, code", [(g, EXIT_VERIFY) for g in (0.1, 0.4, 0.5, 16.0)]
-                         + [(g, 0) for g in (0.25, 0.75, 1.0, 2.0, 4.0)])
+                         + [(g, 0) for g in (0.25, 0.75, 1.0, 2.0, 4.0, 1000.0, 1000)])
 def test_verify_exit_code_on_the_block_across_gamma(tmp_path, gamma, code):
     # the block at the default sizes, grid_cells = z_count = 1024
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"gamma": gamma, "datum": {"kind": "example36"}}))
-    assert main(["verify", "--config", str(path), "--output",
-                 str(tmp_path / "verify"), "--quiet"]) == code
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--output", str(out),
+                 "--quiet"]) == code
+    assert_no_non_finite_token(out)
+
+
+# cmd_verify's onset row has no case for a trace that cannot reach the
+# threshold: whenever the law run's state and grid geometry can be built
+# (under main's errstate; otherwise verify exits 3), its largest initial
+# cell, which bounds the trace, is above TRACE_THRESHOLD
+@pytest.mark.parametrize("cells", [8, 16, 64, 256, 1024, 4096, 16384])
+def test_verify_law_run_starts_above_the_trace_threshold(cells):
+    built = 0
+    for gamma in np.geomspace(1e-4, 0.1, 400).tolist() + [1.0, 16.0, 1e3, 1e5]:
+        cfg = GammaConfig(gamma=gamma)
+        datum = example_block_datum(gamma)
+        try:
+            with np.errstate(over="raise"):
+                state = conslaw.init_from_datum(
+                    datum, conslaw.make_grid(datum, cfg, cells), cfg)
+                cli.measure.grid_geometry(state.grid, cfg)
+        except FloatingPointError:
+            continue
+        assert state.sup_initial > TRACE_THRESHOLD, gamma
+        built += 1
+    assert built > 4
 
 
 def test_readme_library_example_runs_as_written():
@@ -1304,14 +1295,13 @@ ZERO_MASS = {"datum": {"kind": "piecewise_constant", "breakpoints": [0.0, 1.0],
     # the 9 snapshots of verify's law run (to 4/gamma at cadence 0.5/gamma)
     # with 2*10^6 z-points each are past the row budget
     ("verify", {"z_count": 2 * 10**6}, "budget"),
-    # a threshold of 0 divided by zero in verify's onset tolerance, and a
-    # negative one made it complex; simulate ran with a meaningless onset
-    *((command, {"gamma": 1.5, "grid_cells": 64, "trace_threshold": threshold},
-       "config error: trace_threshold must be positive")
-      for command in ("simulate", "verify") for threshold in (0, -0.01)),
+    # the onset threshold is a constant now: a config that sets it is
+    # rejected as any unknown key is
+    *((command, {"trace_threshold": 0.01},
+       "config error: unknown config keys: ['trace_threshold']")
+      for command in ("simulate", "verify")),
 ], ids=["simulate", "verify", "characteristics", "verify-law-run-budget",
-        "simulate-threshold-0", "simulate-threshold-negative",
-        "verify-threshold-0", "verify-threshold-negative"])
+        "simulate-old-key", "verify-old-key"])
 def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command,
                                                  override, message):
     # verify checks its law run's rows before it builds any state, and

@@ -101,19 +101,14 @@ def test_assemble_support_inside_initial_hull():
         assert ms.support[1] <= hi0 + 1e-12
 
 
-@pytest.mark.parametrize("source", ["other-grid", "inner-support"])
+@pytest.mark.parametrize("source", ["other-grid"])
 def test_assemble_rejects_a_geometry_that_does_not_cover_the_snapshot(source):
     grid = HalfLineGrid(cell_count=16, cell_width=0.1)
     cells = np.zeros((2, 16))
     cells[:, :8] = 1.0
     snap = HalfLineState(grid=grid, cells=cells)
-    if source == "other-grid":  # covers as many cells, of another width
-        other = HalfLineState(grid=HalfLineGrid(16, 0.2), cells=cells)
-    else:  # same grid, outermost cell with mass inside the snapshot's
-        inner = cells.copy()
-        inner[:, 4:] = 0.0
-        other = HalfLineState(grid=grid, cells=inner)
-    assemble(snap, CFG, grid_geometry(snap, CFG))
+    other = HalfLineGrid(16, 0.2)  # as many cells, of another width
+    assemble(snap, CFG, grid_geometry(grid, CFG))
     with pytest.raises(ValueError, match="does not cover the snapshot"):
         assemble(snap, CFG, grid_geometry(other, CFG))
 
@@ -187,12 +182,16 @@ def test_trace_onset_time():
     grid = make_grid(datum, cfg, 512)
     state = init_from_datum(datum, grid, cfg)
     run_until(state, 1.5, 0.9, cfg)
-    onset_left, onset = trace_onset_time(state.trace_times, state.trace_values,
-                                         1e-2)
+    onset = trace_onset_time(state.trace_times, state.trace_values)
     # N = 512 resolves the onset only to ~dxi*(gamma^gamma*((1+gamma)*thr)^-gamma
     # + thr^-gamma) = 0.32
     assert 0.65 < onset < 1.1
-    assert onset_left == math.inf
+    # the first time either row's trace exceeds the threshold, inf if none does
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    values = np.array([[0.0, 0.0], [0.0, 0.01], [0.02, 0.0], [0.0, 0.03]])
+    assert trace_onset_time(times, values) == 2.0
+    assert trace_onset_time(times, values[:, ::-1]) == 2.0
+    assert trace_onset_time(times, np.minimum(values, 0.01)) == math.inf
 
 
 def test_check_passes_on_clean_simulation():
@@ -319,7 +318,7 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     state = init_from_datum(datum, make_grid(datum, cfg, 128), cfg)
     snaps = []
     run_until(state, 3.2, 0.9, cfg, observer=snaps.append, cadence=0.1)
-    geometry = grid_geometry(snaps[0], cfg)
+    geometry = grid_geometry(state.grid, cfg)
     ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
     z = z_grid(ms_series[0], 256)
     X_series = [pseudo_inverse(ms, z) for ms in ms_series]
@@ -412,7 +411,7 @@ def match_references(datum, gamma, cells, z_count, t_end):
             assemble(snaps[0], cfg)
         assert str(raised.value) == str(error)
         return None
-    geometry = grid_geometry(snaps[0], cfg)
+    geometry = grid_geometry(state.grid, cfg)
     ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
     for ms, ref in zip(ms_series, expected):
         for name in ("x", "rho", "mass_weights", "F_x", "F_val"):

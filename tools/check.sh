@@ -4,7 +4,10 @@
 #   1. the tier-1 test suite (the command in ROADMAP.md);
 #   2. the benchmark harness self-test, bench/selftest.py;
 #   3. given the root of another checkout (say, of the parent commit),
-#      tools/output_digests.py on that tree and on this one, then diff.
+#      two facts that never fail the script: the line totals of the two
+#      src/ trees and their difference, and every file that differs under
+#      bench/ or in BENCHMARK.json (diff -rq); then tools/output_digests.py
+#      on that tree and on this one, and diff.
 #
 #   tools/check.sh [OTHER_CHECKOUT]
 #
@@ -31,7 +34,18 @@ mkdir "$tmp/tree"
 cp -R "$root/src" "$root/bench" "$root/BENCHMARK.json" "$tmp/tree/"
 (cd "$tmp/tree" && python3 bench/selftest.py)
 
+src_lines() {
+    find "$1/src" -name '*.py' -exec cat {} + | wc -l
+}
+
 if [ -n "$other" ]; then
+    echo "== src/ lines: $other against $root" >&2
+    before=$(src_lines "$other")
+    after=$(src_lines "$root")
+    echo "src/ lines: $before -> $after ($((after - before)))" >&2
+    echo "== bench/ and BENCHMARK.json: $other against $root" >&2
+    diff -rq -x __pycache__ "$other/bench" "$root/bench" >&2 || true
+    diff -q "$other/BENCHMARK.json" "$root/BENCHMARK.json" >&2 || true
     echo "== output digests: $other against $root" >&2
     python3 "$root/tools/output_digests.py" "$other" > "$tmp/other.json"
     python3 "$root/tools/output_digests.py" "$root" > "$tmp/this.json"
