@@ -26,6 +26,11 @@ FOOT_HALVINGS = 64
 # brackets of one bisection block: whole rows of (times, points), so a
 # long time grid holds a few MB of temporaries, not eight full arrays
 BLOCK_POINTS = 1 << 16
+# the first bisection halving, and the spacing of the later ones, that set
+# aside the brackets they leave as they are: earlier, few brackets have
+# reached adjacent floats and the checks cost more than they save
+PRUNE_FROM = 48
+PRUNE_EVERY = 4
 
 
 class ZeroDatum(ValueError):
@@ -119,6 +124,54 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
     return 1.0 / best if best > 0 else math.inf
 
 
+def _foot_map(x0, rate, datum: InitialDatum, g: float, d: int):
+    """Position at the time of ``rate`` = gamma*d*t of the characteristic
+    started at x0, the one expression every foot bracket is tested with."""
+    return x0 * (1.0 - rate * datum(x0) ** g) ** ((1 + g) / (g * d))
+
+
+def _edge_path(lo: float, hi: float, goes_low) -> tuple:
+    """Bisection path of the bracket [lo, hi] when each mid goes to the
+    lower end exactly if ``goes_low(mid)``: its lower-end mids, its
+    upper-end mids and its final bracket, in Python floats, which round as
+    numpy's."""
+    taken, passed = [], []
+    for _ in range(FOOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if goes_low(mid):
+            taken.append(mid)
+            lo = mid
+        else:
+            passed.append(mid)
+            hi = mid
+    return np.array(taken), np.array(passed), lo, hi
+
+
+def _bisect(lo, hi, x, rate, datum: InitialDatum, g: float, d: int) -> tuple:
+    """FOOT_HALVINGS halvings of the flat foot brackets [lo, hi] of the
+    points x, each with its own rate; the final brackets.
+
+    From halving PRUNE_FROM on, every PRUNE_EVERY halvings, a bracket that
+    the halving leaves as it is (its mid is the end it replaces) is set
+    aside: every later halving leaves it as it is too.
+    """
+    lo_out, hi_out = lo.copy(), hi.copy()
+    left = np.arange(lo.size)
+    for halving in range(FOOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = _foot_map(mid, rate, datum, g, d) <= x
+        if halving >= PRUNE_FROM and (halving - PRUNE_FROM) % PRUNE_EVERY == 0:
+            done = mid == np.where(below, lo, hi)
+            lo_out[left[done]], hi_out[left[done]] = lo[done], hi[done]
+            keep = ~done
+            left, lo, hi, x, rate, mid, below = (
+                v[keep] for v in (left, lo, hi, x, rate, mid, below))
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    lo_out[left], hi_out[left] = lo, hi
+    return lo_out, hi_out
+
+
 def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:
     """Density values at the points ``xs`` at the time t, or at each time
     of a 1-D array t, in the smooth regime.
@@ -126,7 +179,7 @@ def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.nda
     The foot x0 of each point is bracketed on the point's own side of the
     origin, with the outer end one float outside the support, and the
     monotone foot map x0 -> x0*(1 - gamma*d*f(x0)^gamma*t)^((1+gamma)/(gamma*d))
-    is inverted for all points at once by FOOT_HALVINGS bisection halvings.
+    is inverted by FOOT_HALVINGS bisection halvings.
     The characteristic from the final bracket that reaches x starts with
     u0^gamma = (1 - S)/(gamma*d*t), S = (x/x0)^(gamma*d/(1+gamma)); u0 is
     clipped to the datum values at the two bracket ends.  At a continuity
@@ -134,10 +187,21 @@ def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.nda
     edge, it gives the centered rarefaction fan.  Points outside the
     support are 0.
 
+    Every point of a support-edge fan takes the same bisection path at
+    every time: on the right, a mid goes to the lower end exactly when it
+    is at most b; on the left, when it is below a.  Each edge's path is
+    computed once, and at each time a point gets the path's final bracket
+    without bisecting when x is at or above the foot map of every
+    lower-end mid of the path and below that of every upper-end mid, the
+    foot map computed by the bisection's own expression: those are the
+    bisection's own tests, so it would take that path too, and every
+    output byte is the bisection's.  A NaN foot map fails the test, and
+    the point is bisected.  Only the other brackets are bisected.
+
     An array t gives one row per time, each equal byte for byte to the
     call with that time alone; its positive times share the bisection as
-    a (times, points) bracket array, processed in blocks of whole rows
-    of at most BLOCK_POINTS brackets.
+    (times, points) brackets, processed in blocks of whole rows of at
+    most BLOCK_POINTS brackets.
 
     Every time must lie in [0, horizon), the horizon being the smooth
     horizon min(blow_up_time, first_shock_time) of this datum; the first
@@ -163,23 +227,39 @@ def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.nda
     origin = flat == 0
     x = flat[inside]
     right = x > 0
-    lo0 = np.where(right, max(datum.a, 0.0), np.nextafter(datum.a, -np.inf))
-    hi0 = np.where(right, np.nextafter(datum.b, np.inf), min(datum.b, 0.0))
+    a, b = datum.a, datum.b
+    lo0 = np.where(right, max(a, 0.0), np.nextafter(a, -np.inf))
+    hi0 = np.where(right, np.nextafter(b, np.inf), min(b, 0.0))
+    # the path of a point in the fan at each support edge: on the right a
+    # mid goes to the lower end when it is at most b, on the left when it
+    # is below a
+    fans = [(side, *_edge_path(float(lo0[side][0]), float(hi0[side][0]), goes_low))
+            for side, goes_low in ((right, lambda mid: mid <= b),
+                                   (~right, lambda mid: mid < a))
+            if side.any()]
     moving = np.flatnonzero(rates > 0.0)
     per_block = max(1, BLOCK_POINTS // max(x.size, 1))
     for first in range(0, moving.size, per_block):
         block = moving[first:first + per_block]
         rate = rates[block, None]
-        lo, hi = lo0, hi0
-        for _ in range(FOOT_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            below = mid * (1.0 - rate * datum(mid) ** g) ** ((1 + g) / (g * d)) <= x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+        lo = np.empty((block.size, x.size))
+        hi = np.empty_like(lo)
+        bisected = np.ones(lo.shape, dtype=bool)
+        for side, taken, passed, lo_end, hi_end in fans:
+            # a NaN, which only the bisection may warn of, sends x there
+            with np.errstate(invalid="ignore"):
+                floor = _foot_map(taken, rate, datum, g, d).max(axis=1, initial=-np.inf)
+                ceiling = _foot_map(passed, rate, datum, g, d).min(axis=1, initial=np.inf)
+            fan = side & (x >= floor[:, None]) & (x < ceiling[:, None])
+            lo[fan], hi[fan] = lo_end, hi_end
+            bisected &= ~fan
+        rows, cols = np.nonzero(bisected)
+        lo[rows, cols], hi[rows, cols] = _bisect(lo0[cols], hi0[cols], x[cols],
+                                                 rates[block][rows], datum, g, d)
         f_lo, f_hi = datum(lo), datum(hi)
         # the end away from the origin is never 0; clipped, it is the exact
         # support edge when the bracket straddles one
-        x0 = np.clip(np.where(right, hi, lo), datum.a, datum.b)
+        x0 = np.clip(np.where(right, hi, lo), a, b)
         s = (x / x0) ** (g * d / (1 + g))
         # at a tiny t the roundoff of 1 - s over the rate can pass the
         # largest float; the clip then takes the datum value

@@ -678,7 +678,10 @@ def cmd_convert(input_dir: Path, out_dir: Path, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built on the first call to :func:`main`
+    (not at import) and reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="condrift",
         description="Finite-volume condensation dynamics in one dimension")
@@ -694,8 +697,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("convert", parents=[common])
     p.add_argument("--input", required=True, help="existing run directory")
     p.add_argument("--output", required=True, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # a float overflow anywhere raises FloatingPointError: exit 3
     try:
         with np.errstate(over="raise"):

@@ -28,12 +28,24 @@ which ``oracle`` gives as u and X only, and ``X_unit_mass`` and
 ``mass_unit_mass`` read the block solution in the unit-mass scale.  None
 of these is used by the library itself.  ``right_row_state`` builds the
 one-sided states the scheme tests step.
+``evaluate_smooth_grid_reference`` is a frozen copy of
+``characteristics.evaluate_smooth_grid`` when it ran all FOOT_HALVINGS
+halvings on every foot bracket, support-edge fans included, which the
+version that gives fan points their final bracket without bisecting must
+match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from condrift import characteristics
+from condrift.characteristics import (
+    NotSmoothRegime,
+    advance,
+    blow_up_time,
+    first_shock_time,
+)
 from condrift.conslaw import (
     LEFT,
     MAX_CELL_STEPS,
@@ -507,6 +519,60 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
         observer(state.snapshot())
     return state
 
+
+def evaluate_smooth_grid_reference(xs, t, datum, cfg) -> np.ndarray:
+    """Density values at the points ``xs`` at the time t, or at each time
+    of a 1-D array t: FOOT_HALVINGS bisection halvings of every foot
+    bracket, in blocks of whole rows of at most BLOCK_POINTS brackets."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a time or a 1-D array of times")
+    if np.any(times < 0):
+        raise ValueError("t must be nonnegative")
+    horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
+    late = times >= horizon
+    if np.any(late):
+        raise NotSmoothRegime(f"t={times[late][0]} is at or past the smooth horizon {horizon}")
+    xs = np.asarray(xs, dtype=float)
+    g, d = cfg.gamma, cfg.dim
+    # a time too small for gamma*d*t to leave 0, as t = 0, moves nothing
+    rates = g * d * times.ravel()
+    flat = xs.ravel()
+    out = np.zeros((rates.size, flat.size))
+    out[rates == 0.0] = datum(flat)
+    inside = (flat >= datum.a) & (flat <= datum.b) & (flat != 0)
+    origin = flat == 0
+    x = flat[inside]
+    right = x > 0
+    lo0 = np.where(right, max(datum.a, 0.0), np.nextafter(datum.a, -np.inf))
+    hi0 = np.where(right, np.nextafter(datum.b, np.inf), min(datum.b, 0.0))
+    moving = np.flatnonzero(rates > 0.0)
+    per_block = max(1, characteristics.BLOCK_POINTS // max(x.size, 1))
+    for first in range(0, moving.size, per_block):
+        block = moving[first:first + per_block]
+        rate = rates[block, None]
+        lo, hi = lo0, hi0
+        for _ in range(characteristics.FOOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            below = mid * (1.0 - rate * datum(mid) ** g) ** ((1 + g) / (g * d)) <= x
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        f_lo, f_hi = datum(lo), datum(hi)
+        # the end away from the origin is never 0; clipped, it is the exact
+        # support edge when the bracket straddles one
+        x0 = np.clip(np.where(right, hi, lo), datum.a, datum.b)
+        s = (x / x0) ** (g * d / (1 + g))
+        # at a tiny t the roundoff of 1 - s over the rate can pass the
+        # largest float; the clip then takes the datum value
+        with np.errstate(over="ignore"):
+            u0 = np.clip(((1.0 - s) / rate) ** (1 / g),
+                         np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
+        values = np.zeros((block.size, flat.size))
+        values[:, inside] = u0 / (1.0 - rate * u0**g) ** (1 / g)
+        values[:, origin] = [[advance(0.0, float(t), datum, cfg).value]
+                             for t in times.ravel()[block]]
+        out[block] = values
+    return out.reshape(times.shape + xs.shape)
 
 # verify_report.txt of `condrift verify` on example36 with grid_cells =
 # z_count, keyed by (gamma, grid_cells), as written when verify made five

@@ -1391,3 +1391,38 @@ def test_unexpected_exception_exits_1_with_one_json_line(tmp_path, capsys, monke
     # the message names the exception and where it was raised
     assert error["error"].startswith("internal error: RuntimeError: unexpected state "
                                      "(raised at test_cli.py:")
+
+
+def test_main_reuses_one_parser_with_the_output_of_fresh_calls(tmp_path):
+    # the grammar is built on the first call and kept; a call after a bad
+    # argv, or after another command, must print, exit and write exactly
+    # what the same call does with a newly built grammar
+    chars = write_config(tmp_path, t_end=0.25,
+                         datum={"kind": "piecewise_linear",
+                                "breakpoints": [-0.5, 0.0, 0.6],
+                                "values": [0.4, 1.0, 0.4]})
+    (tmp_path / "block").mkdir()
+    block = write_config(tmp_path / "block", grid_cells=64)
+    argvs = [["characteristics", "--config", str(chars)],
+             ["characteristics", "--quiet"],
+             ["verify", "--config", str(block), "--quiet"],
+             ["characteristics", "--config", str(chars)]]
+
+    def call(argv: list, out: Path) -> tuple:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + (["--output", str(out)] if "--config" in argv else []))
+            except SystemExit as exc:
+                code = exc.code
+        files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
+        return code, stdout.getvalue(), stderr.getvalue(), files
+
+    cli._parser.cache_clear()
+    reused = [call(argv, tmp_path / f"reused{i}") for i, argv in enumerate(argvs)]
+    assert cli._parser.cache_info().misses == 1
+    for i, argv in enumerate(argvs):
+        cli._parser.cache_clear()
+        assert call(argv, tmp_path / f"fresh{i}") == reused[i]
+    assert [r[0] for r in reused] == [0, 2, 0, 0]
+    assert reused[0][3] and reused[2][3] and "usage: condrift characteristics" in reused[1][2]

@@ -2,9 +2,11 @@
 
 The runs are the three benchmark workloads (``bench/workloads.py``, read
 as it is) at seeds 1-3, ``verify`` on the block at gamma in
-{0.1, 0.5, 1, 2, 16} at the default sizes, and ``simulate`` on two data
+{0.1, 0.5, 1, 2, 16} at the default sizes, ``simulate`` on two data
 off the benchmark (``OFF_SUITE``), each followed by ``convert`` on its
-output.  Each run calls ``cli.main`` in this process, in its own
+output, and ``characteristics`` on five data off the benchmark
+(``CHARACTERISTICS_OFF_SUITE``): a radial datum in d = 2, linear data
+with zero edge values, a falling step profile, and gamma 0.5 and 3.  Each run calls ``cli.main`` in this process, in its own
 temporary directory.  Two trees that give the same JSON write the same
 bytes; diff the output of two trees to check:
 
@@ -44,6 +46,32 @@ OFF_SUITE = {
                               "breakpoints": [-0.5, 0.0, 0.6],
                               "values": [0.4, 1.0, 0.4]}},
 }
+# characteristics runs off the benchmark's one profile: each t_end is 0.9
+# of the blow-up time, and none of these data has a shock before it
+CHARACTERISTICS_OFF_SUITE = {
+    "radial-d2": {"gamma": 1.0, "dim": 2, "t_end": 0.45, "snapshot_cadence": 0.15,
+                  "grid_cells": 513,
+                  "datum": {"kind": "piecewise_linear", "breakpoints": [0.0, 0.3, 0.7],
+                            "values": [1.0, 0.7, 0.3]}},
+    "linear-zero-edges": {"gamma": 1.5, "t_end": 0.6, "snapshot_cadence": 0.2,
+                          "grid_cells": 513,
+                          "datum": {"kind": "piecewise_linear",
+                                    "breakpoints": [-0.6, 0.0, 0.5],
+                                    "values": [0.0, 1.0, 0.0]}},
+    "constant-steps": {"gamma": 1.0, "t_end": 0.9, "snapshot_cadence": 0.3,
+                       "grid_cells": 513,
+                       "datum": {"kind": "piecewise_constant",
+                                 "breakpoints": [-0.5, -0.2, 0.1, 0.4],
+                                 "values": [0.5, 1.0, 0.6]}},
+    "gamma0.5": {"gamma": 0.5, "t_end": 1.8, "snapshot_cadence": 0.6,
+                 "grid_cells": 513,
+                 "datum": {"kind": "piecewise_linear", "breakpoints": [-0.4, 0.0, 0.5],
+                           "values": [0.5, 1.0, 0.3]}},
+    "gamma3": {"gamma": 3.0, "t_end": 0.3, "snapshot_cadence": 0.1,
+               "grid_cells": 513,
+               "datum": {"kind": "piecewise_linear", "breakpoints": [-0.4, 0.0, 0.5],
+                         "values": [0.5, 1.0, 0.3]}},
+}
 
 
 def runs(workloads: dict):
@@ -58,6 +86,8 @@ def runs(workloads: dict):
                {"gamma": gamma, "datum": {"kind": "example36"}}, False)
     for name, config in OFF_SUITE.items():
         yield f"simulate/{name}", "simulate", config, True
+    for name, config in CHARACTERISTICS_OFF_SUITE.items():
+        yield f"characteristics/{name}", "characteristics", config, False
 
 
 def _call(main, argv: list, out: Path) -> dict:
