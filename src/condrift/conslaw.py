@@ -27,15 +27,20 @@ into the state at the steps that reach a snapshot time, where it copies
 the state for snapshot interpolation, and at the end.  ``step`` runs the
 same loop to a t_end one CFL step ahead, so it lands in one step.
 
-A step is five or six array passes and one argmax: the power
-u^(1+gamma) and its division by 1+gamma, the subtraction, the scaling,
-the update, and the argmax over the bit patterns of the updated cells.
-When 1+gamma is a power of two (gamma = 1, 3, 7) the division folds into
-the scaling and a step is five passes.  Scaling by a power of two
-commutes with rounding, so the cells keep the bits of the six-pass step
-except next to a divided flux that is subnormal, where they can move by
-a few units of 2^-1074.  At gamma = 1 the power is ``np.square``, which
-rounds the same product as ``np.power(u, 2.0)``.
+A step is five array passes and one argmax at every gamma: the power
+u^(1+gamma), the subtraction, the scaling, the update, and the argmax
+over the bit patterns of the updated cells.  The step never divides the
+flux by 1+gamma: it folds 1/(1+gamma) into the scaling, which multiplies
+the increment by dt / (dxi (1+gamma)).  At gamma = 1, 2 and 3 the power
+is a product of correctly rounded multiplications, u*u, (u*u)*u and
+(u*u)*(u*u), and so is the CFL speed peak^gamma (``_speed``); every
+other gamma takes ``np.power`` and Python's ``**``.  A product does not
+depend on numpy's SIMD dispatch, and scaling a factor by a power of two
+scales the rounded product by that power exactly, barring overflow and
+underflow.  So at integer gamma and a power-of-two lambda, a run of
+lambda*u0 to t/lambda^gamma takes the same steps as a run of u0 to t, with
+every dt divided by lambda^gamma and every cell and ledger times lambda,
+bit for bit: the paper's amplitude scaling.
 A double with its sign bit clear orders like its unsigned bit pattern,
 every negative value (-0.0 included) has a pattern of at least
 0x8000..., and every NaN one above +inf's.  So a largest pattern below
@@ -212,10 +217,20 @@ def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
 
 
 def _power(u: np.ndarray, gamma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """u^(1+gamma) of a nonnegative array, into ``out`` or one new array; at
-    gamma = 1 a square, with the bits of the power."""
+    """u^(1+gamma) of a nonnegative array, into ``out`` or one new array.
+
+    At gamma = 1, 2 and 3 it is a product, u*u, (u*u)*u or (u*u)*(u*u),
+    each multiplication correctly rounded on every SIMD path, so that
+    scaling u by a power of two scales the result exactly; gamma = 1, the
+    benchmark's common case, is tested first.  Every other gamma takes
+    ``np.power``.  An overflow gives inf with numpy's warning, as
+    ``np.power`` does."""
     if gamma == 1.0:
         return np.square(u, out)
+    if gamma == 2.0:
+        return np.multiply(np.square(u, out), u, out)
+    if gamma == 3.0:
+        return np.square(np.square(u, out), out)
     return np.power(u, 1 + gamma, out)
 
 
@@ -224,10 +239,27 @@ def _flux(u: np.ndarray, gamma: float) -> np.ndarray:
     return _power(u, gamma) / (1 + gamma)
 
 
+def _speed(peak: float, gamma: float) -> float:
+    """The CFL speed peak^gamma of a float peak >= 0: at gamma = 2 and 3 the
+    products peak*peak and (peak*peak)*peak, which raise OverflowError
+    where a finite peak gives inf, as ``**`` does; else ``peak ** gamma``,
+    which is peak itself at gamma = 1."""
+    if gamma == 2.0:
+        speed = peak * peak
+    elif gamma == 3.0:
+        speed = peak * peak * peak
+    else:
+        return peak ** gamma
+    if speed == math.inf > peak:
+        raise OverflowError(f"CFL speed {peak!r}**{gamma:g} overflows")
+    return speed
+
+
 def _cfl_dt(peak: float, cfl: float, cell_width: float, gamma: float) -> float:
-    """cfl * dxi / max(peak^gamma, EPS_SPEED), peak the largest cell value."""
-    speed = peak ** gamma
-    return cfl * cell_width / max(speed, EPS_SPEED)
+    """cfl * dxi / max(peak^gamma, EPS_SPEED), peak the largest cell value
+    and peak^gamma its ``_speed``, as ``_advance`` takes them.  Raises
+    OverflowError where peak^gamma overflows."""
+    return cfl * cell_width / max(_speed(peak, gamma), EPS_SPEED)
 
 
 def _stepped_rows(cells: np.ndarray) -> slice:
@@ -320,11 +352,14 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     reused from step to step; the flux buffer has one ghost column past
     the window, so one subtraction gives every increment.
 
-    Each step is u_i += (dt/dxi) * (G(u_{i+1}) - G(u_i)), five or six array
-    passes (see the module docstring) and no Python call but ``_power``,
-    then the argmax of the window's bit patterns, which is the exit check
-    and the peak, the time, ``dt`` appended to a list and the stepped rows'
-    boundary cells extended onto a flat one.  ``argmax`` and ``item`` take
+    Each step is u_i += (dt/(dxi (1+gamma))) * (P(u_{i+1}) - P(u_i)), P the
+    power u^(1+gamma), five array passes (see the module docstring) and no
+    Python call but ``_power`` (and ``_speed`` at gamma = 2 and 3; the
+    run picks the speed's path before its first step, and ``_power`` tests
+    gamma = 1 first, as it did before it took products), then the argmax
+    of the window's bit patterns, which is the exit check and the peak,
+    the time, ``dt`` appended to a list and the stepped rows' boundary
+    cells extended onto a flat one.  ``argmax`` and ``item`` take
     flat indices of the window's transpose, its memory order, so they
     copy nothing, and one code path serves one row and two.  A largest
     pattern at or above +inf's runs ``_clip_roundoff`` and a float max.
@@ -361,12 +396,12 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     flux_buffer[:, -1] = 0.0 if hi < state.grid.cell_count else -0.0
     # views of the buffer, sliced once
     flux_cells, flux_right = flux_buffer[:, :-1], flux_buffer[:, 1:]
-    # when 1+gamma is a power of two, dividing by it commutes with rounding,
-    # so the step scales the increment by dt / (dxi (1+gamma)) in place of
-    # dividing the flux
-    one_plus = 1 + gamma
-    divide = math.frexp(one_plus)[0] != 0.5
-    scaled_width = width if divide else width * one_plus
+    # the flux buffer holds the power u^(1+gamma): the step scales the
+    # increment by dt / (dxi (1+gamma)) in place of dividing the flux
+    scaled_width = width * (1 + gamma)
+    # the CFL speed's path, chosen once: _speed's products at gamma = 2
+    # and 3, else its peak ** gamma inline
+    products = gamma in (2.0, 3.0)
     peak = float(u.max(initial=0.0))
     power, subtract = _power, np.subtract
     argmax, bits_at, peak_at = bits.argmax, bits.item, peaks.item
@@ -380,8 +415,8 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     next_snap = next(snap_times, math.inf)
     try:
         while t_end - t > tiny:
-            # cfl * dxi / max(peak^gamma, EPS_SPEED), in _cfl_dt's order
-            speed = peak ** gamma
+            # cfl * dxi / max(peak^gamma, EPS_SPEED), as _cfl_dt takes it
+            speed = _speed(peak, gamma) if products else peak ** gamma
             dt = cw / (eps if eps > speed else speed)
             cap = t_end - t
             if cap < dt:
@@ -393,8 +428,6 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
                 window[...] = u
                 prev_cells, prev_time = state.cells.copy(), t
             power(u, gamma, flux_cells)
-            if divide:
-                flux_cells /= one_plus
             subtract(flux_right, flux_cells, increment)
             increment *= dt / scaled_width
             u += increment

@@ -6,11 +6,14 @@ integration; a fixed-step RK4 integrator checks the closed-form
 characteristics.  The per-value CSV writer checks its blocked
 counterpart in ``cli``; ``eq_residual_l1`` measures how well sampled
 pseudo-inverses satisfy their equation.
-``step_reference`` is a frozen copy of the straightforward Godunov step
-(unconditional clips, flux and increment as plain expressions) that the
-trimmed ``conslaw.step`` must match bit for bit, and ``run_until_reference``
-a frozen copy of the run loop that called a step per step, driving
-``step_reference``, that ``conslaw.run_until`` must match bit for bit.
+``step_reference`` is the straightforward Godunov step (unconditional
+clips, the power, increment and update as plain expressions), and
+``run_until_reference`` a frozen copy of the run loop that called a step
+per step, driving ``step_reference``, that ``conslaw.run_until`` (and so
+``conslaw.step``) must match bit for bit.  ``step_six_pass_reference`` is
+the step as it was when it took ``np.power`` at every gamma and divided
+the power by 1+gamma, which the step now stays within a stated ulp
+distance of.
 ``assemble_reference`` is a frozen copy of ``measure.assemble`` when it
 evaluated the coordinate maps on every snapshot, which the one-pass
 version must match bit for bit.  ``check_entropy_measure_reference`` is a
@@ -427,6 +430,30 @@ def _flux_reference(u: np.ndarray, gamma: float) -> np.ndarray:
     return u ** (1 + gamma) / (1 + gamma)
 
 
+def _power_reference(u: np.ndarray, gamma: float) -> np.ndarray:
+    """u^(1+gamma), as products at gamma = 1, 2 and 3."""
+    if u.min(initial=0.0) < 0:
+        raise ValueError("power requires u >= 0")
+    if gamma == 1.0:
+        return u * u
+    if gamma == 2.0:
+        return u * u * u
+    if gamma == 3.0:
+        return (u * u) * (u * u)
+    return u ** (1 + gamma)
+
+
+def _speed_reference(peak: float, gamma: float) -> float:
+    """peak^gamma, as products at gamma = 1, 2 and 3."""
+    if gamma == 1.0:
+        return peak
+    if gamma == 2.0:
+        return peak * peak
+    if gamma == 3.0:
+        return peak * peak * peak
+    return peak ** gamma
+
+
 def stepped_rows_reference(cells: np.ndarray) -> slice:
     """The rows from the first through the last that hold a cell that is
     not +0.0: nonzero, NaN or -0.0."""
@@ -435,29 +462,54 @@ def stepped_rows_reference(cells: np.ndarray) -> slice:
     return slice(occupied[0], occupied[-1] + 1) if occupied else slice(0, 0)
 
 
+def _record_step(state, rows, dt: float, outflux: np.ndarray) -> None:
+    """The ledger, time, trace and ledger history after a step of ``dt``
+    whose rows fed ``outflux`` into the origin."""
+    state.outflux_ledger[rows] += dt * outflux
+    state.time += dt
+    state.trace_times = np.append(state.trace_times, state.time)
+    state.trace_values = np.vstack([state.trace_values, state.cells[:, 0]])
+    state.ledger_history = np.vstack([state.ledger_history, state.outflux_ledger])
+
+
 def step_reference(state, cfl: float, cfg, dt_cap=None):
     """One Godunov update of ``state`` in place, written without any pass
-    saved: stepped rows, clip, CFL dt, flux, increment, update, clip,
-    ledger, trace and the ledger's history."""
+    saved: stepped rows, clip, CFL dt, power, increment, update scaled by
+    dt / (dxi (1+gamma)), clip, ledger, trace and the ledger's history."""
     if not 0 < cfl <= 1:
         raise CflViolation(f"cfl must be in (0, 1], got {cfl}")
     rows = stepped_rows_reference(state.cells)
     u = state.cells[rows]
     _clip_roundoff_reference(u, "state before the update")
-    speed = float(state.cells[rows].max(initial=0.0)) ** cfg.gamma
+    speed = _speed_reference(float(state.cells[rows].max(initial=0.0)), cfg.gamma)
     dt = cfl * state.grid.cell_width / max(speed, REFERENCE_EPS_SPEED)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
+    power = _power_reference(u, cfg.gamma)
+    increment = -power
+    increment[:, :-1] += power[:, 1:]
+    u += (dt / (state.grid.cell_width * (1 + cfg.gamma))) * increment
+    _clip_roundoff_reference(u, "monotone update")
+    _record_step(state, rows, dt, power[:, 0] / (1 + cfg.gamma))
+    return state
+
+
+def step_six_pass_reference(state, cfl: float, cfg):
+    """``step_reference`` as it was when the step took ``u ** (1+gamma)``
+    and ``peak ** gamma`` at every gamma and divided the power by 1+gamma
+    before the increment: the flux, its increment, and the update scaled
+    by dt / dxi."""
+    rows = stepped_rows_reference(state.cells)
+    u = state.cells[rows]
+    _clip_roundoff_reference(u, "state before the update")
+    speed = float(state.cells[rows].max(initial=0.0)) ** cfg.gamma
+    dt = cfl * state.grid.cell_width / max(speed, REFERENCE_EPS_SPEED)
     flux = _flux_reference(u, cfg.gamma)
     increment = -flux
     increment[:, :-1] += flux[:, 1:]
     u += (dt / state.grid.cell_width) * increment
     _clip_roundoff_reference(u, "monotone update")
-    state.outflux_ledger[rows] += dt * flux[:, 0]
-    state.time += dt
-    state.trace_times = np.append(state.trace_times, state.time)
-    state.trace_values = np.vstack([state.trace_values, state.cells[:, 0]])
-    state.ledger_history = np.vstack([state.ledger_history, state.outflux_ledger])
+    _record_step(state, rows, dt, flux[:, 0])
     return state
 
 

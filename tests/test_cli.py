@@ -481,15 +481,18 @@ HUGE_BLOCK = {"gamma": 2.0, "datum": {"kind": "piecewise_constant",
 
 @pytest.mark.parametrize("command, override", [
     ("simulate", HUGE_BLOCK),
+    ("simulate", {**HUGE_BLOCK, "gamma": 3.0}),
     ("characteristics", HUGE_BLOCK),
     ("simulate", {"datum": {"kind": "piecewise_constant",
                             "breakpoints": [0.0, 1e300], "values": [1.0]}}),
     ("characteristics", {"gamma": 2.0, "datum": {
         "kind": "piecewise_constant", "breakpoints": [0.0, 1.0], "values": [6e-264]}}),
-], ids=["simulate-values-1e200", "characteristics-values-1e200",
+], ids=["simulate-values-1e200", "simulate-values-1e200-gamma3",
+        "characteristics-values-1e200",
         "simulate-breakpoints-1e300", "characteristics-values-6e-264"])
 def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
-    # max(u)**gamma in the CFL step, sup**gamma in blow_up_time, the measure
+    # max(u)**gamma in the CFL step (products at gamma = 2 and 3, which raise
+    # as ** does), sup**gamma in blow_up_time, the measure
     # of a huge support, and the blow-up time of a datum whose sup**gamma
     # underflows overflow a float
     path = write_config(tmp_path, **override)

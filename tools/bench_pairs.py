@@ -17,8 +17,11 @@ in each tree, R being BENCHMARK.json's ``run_seconds``, the two back to
 back: the parent first on odd seeds and the change first on even seeds,
 so that drift on the host does not favour one side.  It reads each run's ``.bench_results/W-seedS-trace0/result.json``
 and writes OUTPUT with the keys ``claim``, ``command``, ``order``,
-``trees``, ``summary`` and ``runs``.  ``runs`` holds every result as the
-harness wrote it, by side and workload.  ``summary`` holds, per workload
+``trees``, ``summary`` and ``runs``.  Each tree's entry in ``trees`` holds
+its label and the numpy that ran it, the same for both: the version, the
+enabled SIMD dispatch targets and CPU features
+(``output_digests.numpy_provenance``).  ``runs`` holds every result as
+the harness wrote it, by side and workload.  ``summary`` holds, per workload
 and for each metric of BENCHMARK.json's ``end_to_end`` list, the
 quartiles of each side's run values, the number of pairs in which the
 change is better, the relative change of the medians and their gap in
@@ -35,6 +38,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from output_digests import numpy_provenance  # beside this script
 
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 SIDES = ("parent", "change")
@@ -110,6 +115,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    numpy = numpy_provenance()
     runs = {side: {w: [] for w in workloads} for side in SIDES}
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
@@ -128,7 +134,8 @@ def main(argv=None) -> int:
                   f"each seed the workloads went {', '.join(workloads)}, the two sides "
                   "of a workload back to back; each side ran from its own copy of the "
                   "tree"),
-        "trees": {side: getattr(args, f"{side}_label") or str(trees[side])
+        "trees": {side: {"label": getattr(args, f"{side}_label") or str(trees[side]),
+                         "numpy": numpy}
                   for side in SIDES},
         "summary": summarize(runs, args.seeds, metrics),
         "runs": runs,

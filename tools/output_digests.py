@@ -18,7 +18,10 @@ The argument is the root of the checkout whose ``src/`` and
 ``bench/workloads.py`` are used (by default the one holding this script).
 The JSON maps each run to its exit code and the digest of each file it
 wrote, by path relative to its output directory; a run followed by
-``convert`` holds the same two entries for it under ``convert``.
+``convert`` holds the same two entries for it under ``convert``.  Its key
+``numpy`` records the numpy that wrote them (``numpy_provenance``): the
+bytes hold for one numpy build and SIMD dispatch, so two digest files from
+hosts whose entries differ there can differ for that reason alone.
 """
 
 from __future__ import annotations
@@ -74,6 +77,19 @@ CHARACTERISTICS_OFF_SUITE = {
 }
 
 
+def numpy_provenance() -> dict:
+    """The numpy version, its enabled SIMD dispatch targets and its enabled
+    CPU features in this process (``NPY_DISABLE_CPU_FEATURES`` disables
+    some of them)."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = umath.__cpu_features__
+    return {"version": np.__version__,
+            "dispatch": [t for t in umath.__cpu_dispatch__ if enabled.get(t)],
+            "features": sorted(f for f, on in enabled.items() if on)}
+
+
 def runs(workloads: dict):
     """(name, command, config, convert) of every run; ``convert`` runs
     ``convert`` on its output too."""
@@ -124,6 +140,7 @@ def main(argv=None) -> int:
     if Path(cli.__file__).resolve().parents[1] != root / "src":
         raise SystemExit(f"imported condrift from {cli.__file__}, not {root / 'src'}")
     digests = {name: digest_run(cli.main, *run) for name, *run in runs(WORKLOADS)}
+    digests["numpy"] = numpy_provenance()
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
 
