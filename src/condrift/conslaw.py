@@ -356,7 +356,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     power u^(1+gamma), five array passes (see the module docstring) and no
     Python call but ``_power`` (and ``_speed`` at gamma = 2 and 3; the
     run picks the speed's path before its first step, and ``_power`` tests
-    gamma = 1 first, as it did before it took products), then the argmax
+    gamma = 1 first), then the argmax
     of the window's bit patterns, which is the exit check and the peak,
     the time, ``dt`` appended to a list and the stepped rows' boundary
     cells extended onto a flat one.  ``argmax`` and ``item`` take

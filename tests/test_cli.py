@@ -17,7 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import condrift
-from condrift import cli, conslaw, oracle
+from condrift import cli, conslaw, oracle, output
 from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
@@ -25,21 +25,18 @@ from condrift.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_VERIFY,
-    FORMAT_BATCH,
     ConfigError,
     RunConfig,
-    format_floats,
     load_config,
     main,
     simulate,
     trace_time_tolerance,
-    write_blocks,
-    write_csv,
 )
 from condrift.conslaw import SIGNS
 from condrift.datum import example_block_datum
 from condrift.frames import GammaConfig
 from condrift.measure import TRACE_THRESHOLD
+from condrift.output import FORMAT_BATCH, format_floats, write_blocks, write_csv
 from oracles import VERIFY_REPORTS, write_csv_per_value
 
 
@@ -196,7 +193,7 @@ def test_write_blocks_matches_per_value_format(tmp_path, monkeypatch):
         calls.append(np.size(values))
         return format_floats(values)
 
-    monkeypatch.setattr(cli, "format_floats", counted)
+    monkeypatch.setattr(output, "format_floats", counted)
     for name, (column, case) in cases.items():
         reference = tmp_path / f"{name}-reference.csv"
         write_csv_per_value(reference, ["t", "c", "v"],
@@ -643,6 +640,71 @@ def test_cmd_convert_rejects_dim_2(tmp_path, capsys):
     assert not (tmp_path / "conv").exists()
 
 
+BAD_CONFIG_BYTES = {
+    "byte-0xff": b'{"gamma": 1.0, "datum": {"kind": "example36\xff"}}',
+    "nested-arrays": b"[" * 200_000 + b"]" * 200_000,
+    "5000-digit-integer": b'{"gamma": 1.0, "datum": {"kind": "example36"}, '
+                          b'"grid_cells": 1' + b"0" * 4999 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "characteristics"])
+@pytest.mark.parametrize("raw", BAD_CONFIG_BYTES.values(), ids=BAD_CONFIG_BYTES)
+def test_a_config_that_does_not_parse_exits_2(tmp_path, capsys, command, raw):
+    # undecodable bytes, nesting past the recursion limit and an integer
+    # past Python's digit limit are config errors, whatever the locale
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--output", str(out),
+                 "--quiet"]) == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["exit_code"] == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cmd_convert_measures_that_are_not_ascii_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, t_end=0.5)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output", str(run_dir),
+                 "--quiet"]) == 0
+    measures = run_dir / "measures.csv"
+    measures.write_bytes(measures.read_bytes() + b"0,1,2,3,4,5\xff\n")
+    capsys.readouterr()
+    code = main(["convert", "--input", str(run_dir), "--output",
+                 str(tmp_path / "conv"), "--quiet"])
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == EXIT_CONFIG and "measures.csv" in error["error"]
+    assert not (tmp_path / "conv").exists()
+
+
+def test_every_csv_file_goes_through_the_cli_writer_names(tmp_path, monkeypatch):
+    # the benchmark tracer replaces cli.write_csv; a command that called
+    # the output module's writers directly would write files it never sees
+    written = []
+
+    def recorded(writer):
+        def record(path, *args):
+            written.append(path)
+            writer(path, *args)
+        return record
+
+    for name in ("write_csv", "write_blocks"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    path = write_config(tmp_path, frame="original")
+    runs = {"run": (["simulate", "--config", str(path)], 7),
+            "conv": (["convert", "--input", str(tmp_path / "run")], 1),
+            "chars": (["characteristics", "--config", str(path)], 1)}
+    for name, (argv, count) in runs.items():
+        written.clear()
+        out = tmp_path / name
+        assert main(argv + ["--output", str(out), "--quiet"]) == 0
+        assert len(written) == count
+        assert sorted(written) == sorted(out.glob("*.csv"))
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; a fresh interpreter shows what the
     # package itself imports
@@ -660,9 +722,10 @@ def test_verify_in_a_fresh_interpreter_never_builds_the_formatter_tables(tmp_pat
     src = str(Path(condrift.__file__).resolve().parents[1])
     argv = ["verify", "--config", str(write_config(tmp_path, grid_cells=64)),
             "--output", str(tmp_path / "out"), "--quiet"]
-    probe = ("from condrift import cli; code = cli.main(%r); "
-             "built = cli._tables.cache_info().currsize; cli.format_floats([0.5]); "
-             "print(code, built, cli._tables.cache_info().currsize)" % argv)
+    probe = ("from condrift import cli, output; code = cli.main(%r); "
+             "built = output._tables.cache_info().currsize; "
+             "output.format_floats([0.5]); "
+             "print(code, built, output._tables.cache_info().currsize)" % argv)
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["0", "0", "1"]

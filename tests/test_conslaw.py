@@ -1120,10 +1120,9 @@ def test_monotone_scheme_invariants_hold_for_any_datum(case):
 
 
 @st.composite
-def amplitude_scalings(draw):
-    """A piecewise-constant or piecewise-linear datum on one side of the
-    origin or on both, its support holding the origin, with an integer
-    gamma, a power-of-two lambda, a cell count and an end time."""
+def origin_data(draw):
+    """Whether a datum is piecewise linear, its breakpoints and its values:
+    on one side of the origin or on both, its support holding the origin."""
     linear = draw(st.booleans())
     sides = draw(st.sampled_from(["left", "right", "both"]))
     widths = {side: draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
@@ -1132,6 +1131,14 @@ def amplitude_scalings(draw):
                                   np.cumsum(widths["right"])])
     count = breakpoints.size - (not linear)
     values = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=count, max_size=count)))
+    return linear, breakpoints, values
+
+
+@st.composite
+def amplitude_scalings(draw):
+    """An origin_data datum with an integer gamma, a power-of-two lambda, a
+    cell count and an end time."""
+    linear, breakpoints, values = draw(origin_data())
     gamma = draw(st.sampled_from([1.0, 2.0, 3.0]))
     return (linear, breakpoints, values, GammaConfig(gamma=gamma),
             draw(st.sampled_from([0.5, 2.0, 4.0])), draw(st.integers(8, 64)),
@@ -1160,3 +1167,28 @@ def test_a_run_scales_bitwise_under_the_amplitude_scaling(case):
     assert lifted.trace_times.tobytes() == (state.trace_times / rate).tobytes()
     for record in ("cells", "outflux_ledger", "trace_values", "ledger_history"):
         assert getattr(lifted, record).tobytes() == (lam * getattr(state, record)).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(origin_data(), st.sampled_from([0.25, 4.0, 16.0]), st.integers(8, 64),
+       st.floats(0.05, 2.0))
+def test_a_run_scales_bitwise_under_the_dilation_at_gamma_1(data, mu, cells, t_end):
+    # if rho solves the equation so does rho(x / mu, t).  At gamma = 1 the
+    # grid scales by mu^(gamma/(1+gamma)) = sqrt(mu) and u by
+    # mu^(1/(1+gamma)) = sqrt(mu), so the flux u^2 and the ledger scale by
+    # mu and dt is unchanged; a power-of-four mu has a power-of-two root,
+    # which scales every product and sum exactly
+    linear, breakpoints, values = data
+    cfg = GammaConfig(gamma=1.0)
+    make = piecewise_linear if linear else piecewise_constant
+    state, wide = (init_from_datum(d, make_grid(d, cfg, cells), cfg)
+                   for d in (make(breakpoints, values), make(mu * breakpoints, values)))
+    root = np.sqrt(mu)
+    assert wide.grid.cell_width == root * state.grid.cell_width
+    run_until(state, t_end, 0.9, cfg)
+    run_until(wide, t_end, 0.9, cfg)
+    assert len(wide.trace_times) == len(state.trace_times) > 1
+    assert wide.trace_times.tobytes() == state.trace_times.tobytes()
+    for record, factor in (("cells", root), ("trace_values", root),
+                           ("outflux_ledger", mu), ("ledger_history", mu)):
+        assert getattr(wide, record).tobytes() == (factor * getattr(state, record)).tobytes()

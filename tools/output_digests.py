@@ -22,6 +22,9 @@ wrote, by path relative to its output directory; a run followed by
 ``numpy`` records the numpy that wrote them (``numpy_provenance``): the
 bytes hold for one numpy build and SIMD dispatch, so two digest files from
 hosts whose entries differ there can differ for that reason alone.
+``changed_files`` lists the files whose digests differ between two such
+JSONs; ``tools/check.sh`` uses it to report what a lower SIMD dispatch
+changes on one host.
 """
 
 from __future__ import annotations
@@ -88,6 +91,18 @@ def numpy_provenance() -> dict:
     return {"version": np.__version__,
             "dispatch": [t for t in umath.__cpu_dispatch__ if enabled.get(t)],
             "features": sorted(f for f, on in enabled.items() if on)}
+
+
+def changed_files(before: dict, after: dict) -> list:
+    """The files, as ``run/path`` (``run/convert/path`` for ``convert``'s),
+    whose digests differ between two digest JSONs or that only one holds."""
+    def files(digests: dict) -> dict:
+        return {f"{run}/{part}{path}": digest
+                for run, entry in digests.items() if run != "numpy"
+                for part, sub in (("", entry), ("convert/", entry.get("convert", {})))
+                for path, digest in sub.get("files", {}).items()}
+    old, new = files(before), files(after)
+    return sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
 
 
 def runs(workloads: dict):
