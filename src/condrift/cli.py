@@ -7,16 +7,17 @@ configuration next to its outputs so results are reproducible bit for bit.
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
 error (including a config whose bytes do not decode, that nests past the
 recursion limit or holds an integer past Python's digit limit,
-non-finite numbers, a datum key its kind does not read, a zero-mass
-datum, a radial datum with a breakpoint below 0, a convert input with
-dim other than 1, with a measures.csv that is not ASCII, lacks its header
-or has no row, or with a row that is not six finite numbers with t >= 0,
-a run past the row budget MAX_OUTPUT_ROWS and a run past the cell-step
-budget conslaw.MAX_CELL_STEPS), 3 numerical-validity error (including a
-NaN produced while stepping, a coordinate map that underflows and a
-float overflow anywhere), 4 I/O error, 5 verification failed (a verify
-row reads FAIL; the report is written first).  Every error is one JSON
-line on stderr, never a traceback.
+non-finite numbers, a number past the float range, a datum key its kind
+does not read, a zero-mass datum, a radial datum with a breakpoint below
+0, a convert input with dim other than 1, with a measures.csv that is
+not ASCII, lacks its header or has no row, or with a row that is not six
+finite numbers with t >= 0, a run past the row budget MAX_OUTPUT_ROWS and
+a run past the cell-step budget conslaw.MAX_CELL_STEPS), 3
+numerical-validity error (including a NaN produced while stepping, a
+coordinate map that underflows and a float overflow anywhere), 4 I/O
+error, 5 verification failed (a verify row reads FAIL; the report is
+written first).  Every error is one JSON line on stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class RunConfig:
     def __post_init__(self):
         for name in ("gamma", "cfl", "t_end", "snapshot_cadence"):
             value = getattr(self, name)
-            if not _is_real(value) or not math.isfinite(value):
+            if not _is_real(value) or not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be a finite number")
         for name in ("dim", "grid_cells", "z_count"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{name} must be an integer in the float range")
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
         if self.dim < 1:
@@ -133,7 +135,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def check_output_budget(self, rows_per_time: int, sizes: str) -> None:
+    def check_output_budget(self, rows_per_time: float, sizes: str) -> None:
         """simulate and characteristics: the CSV rows the run writes, at
         most t_end / snapshot_cadence + 2 output times of ``rows_per_time``,
         which the config keys ``sizes`` set."""
@@ -174,6 +176,7 @@ class RunConfig:
 
 
 def _check_rows(rows: float, what: str, remedy: str) -> None:
+    """``rows`` is a float, which saturates at inf where the sizes overflow."""
     if rows > MAX_OUTPUT_ROWS:
         raise ConfigError(f"about {rows:.3g} {what} rows exceed the budget of "
                           f"{MAX_OUTPUT_ROWS}; {remedy}")
@@ -212,15 +215,13 @@ def simulate(config: RunConfig) -> SimulationResult:
     """Run the half-line solver and assemble measure snapshots."""
     if config.dim != 1:
         raise ConfigError("simulate requires dim = 1")
-    cfg = config.gamma_config()
     datum = config.build_datum()
-    grid = make_grid(datum, cfg, config.grid_cells)
-    state = init_from_datum(datum, grid, cfg)
+    grid = make_grid(datum, config.gamma_config(), config.grid_cells)
+    state = init_from_datum(datum, grid)
     snapshots: list = []
-    run_until(state, config.t_end, config.cfl, cfg,
+    run_until(state, config.t_end, config.cfl,
               observer=snapshots.append, cadence=config.snapshot_cadence)
-    geometry = measure.grid_geometry(state.grid, cfg)
-    ms_series = [measure.assemble(snap, cfg, geometry) for snap in snapshots]
+    ms_series = [measure.assemble(snap) for snap in snapshots]
     z = measure.z_grid(ms_series[0], config.z_count)
     X_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
     return SimulationResult(state, snapshots, ms_series, z, X_series, datum)
@@ -230,16 +231,17 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     """Run, then write the artifacts; every one is computed before the
     output directory is made, so a run that fails leaves none."""
     # per output time: a snapshot block per row and a pseudo-inverse block
-    config.check_output_budget(2 * config.grid_cells + config.z_count,
+    config.check_output_budget(2.0 * config.grid_cells + config.z_count,
                                "grid_cells or z_count")
     res = simulate(config)
     ms_series = res.ms_series
-    cfg, state = config.gamma_config(), res.state
+    state = res.state
     rows = measure.measure_rows(ms_series)
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
-    violations = measure.check_entropy_measure(ms_series, res.X_series, cfg,
-                                               state.sup_initial, datum=res.datum)
+    violations = measure.check_entropy_measure(ms_series, res.X_series,
+                                               state.grid.cfg, state.sup_initial,
+                                               datum=res.datum)
     onset = measure.trace_onset_time(state.trace_times, state.trace_values)
     summary = {
         "version": SCHEMA_VERSION,
@@ -312,7 +314,7 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
     law_times = conslaw.output_times(0.0, law_cfg.t_end, law_cfg.snapshot_cadence)
-    _check_rows(len(law_times) * (2 * config.grid_cells + config.z_count),
+    _check_rows(len(law_times) * (2.0 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
     law_res = simulate(law_cfg)
     ms2 = law_res.ms_series
@@ -334,8 +336,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     for n in sizes:
         if n != config.grid_cells:
             datum = example_block_datum(g)
-            state = init_from_datum(datum, make_grid(datum, cfg, n), cfg)
-            errors[n] = l1_error(run_until(state, t_probe, config.cfl, cfg))
+            state = init_from_datum(datum, make_grid(datum, cfg, n))
+            errors[n] = l1_error(run_until(state, t_probe, config.cfl))
 
     times = np.array([ms.time for ms in ms2])
     if config.grid_cells in sizes:

@@ -12,6 +12,10 @@ boundary condition is imposed at xi = 0 (outflow only); the ghost cell
 copies the boundary cell.  Mass leaving through the origin accumulates in
 ``outflux_ledger`` so that the discrete total is conserved exactly.
 
+A grid in xi means something only for the gamma that sized it, so
+``HalfLineGrid`` carries it, and its x-image: a run's steps read gamma off
+its grid, and the projection and ``measure.assemble`` the x-image.
+
 The two half-lines share one clock and are coupled only through the mass
 they feed into the origin, so they are stepped together as the two rows
 of one ``(2, N)`` array: row 0 is the reflected left half-line, row 1 the
@@ -67,12 +71,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .datum import InitialDatum, integrate_piecewise
-from .frames import GammaConfig, x_of_xi, xi_of_x
+from .frames import GammaConfig, dxi_dx, x_of_xi, xi_of_x
 
 EPS_SPEED = 1e-14
 CLIP_TOL = 1e-13
@@ -98,10 +103,18 @@ class WorkBudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class HalfLineGrid:
-    """Uniform cell grid covering (0, L] in canonical coordinates."""
+    """Uniform cell grid covering (0, L] in canonical coordinates, for the
+    gamma of ``cfg``, which sized it and which every run on it steps with.
+
+    Its x-image is computed on first use, once, and read-only: ``x_edges``
+    and ``x_centers``, x_of_xi of the edges and centers, unsigned (row
+    LEFT's is their negation), and ``dxi_dx`` at the centers.  The maps are
+    elementwise, so a slice has the bits of the maps on that slice.
+    """
 
     cell_count: int
     cell_width: float
+    cfg: GammaConfig
 
     def __post_init__(self):
         if self.cell_count < 8:
@@ -120,6 +133,29 @@ class HalfLineGrid:
     @property
     def edges(self) -> np.ndarray:
         return np.arange(self.cell_count + 1) * self.cell_width
+
+    @cached_property
+    def x_edges(self) -> np.ndarray:
+        return _read_only(x_of_xi(self.edges, self.cfg))
+
+    @cached_property
+    def x_centers(self) -> np.ndarray:
+        """Raises FloatingPointError where x(xi) underflows to 0 at a cell
+        center."""
+        x_centers = _read_only(x_of_xi(self.centers, self.cfg))
+        if np.any(x_centers == 0):  # cell centers sit at xi > 0; x(xi) underflowed
+            raise FloatingPointError(
+                f"x(xi) underflows to 0 at a cell center for gamma = {self.cfg.gamma}")
+        return x_centers
+
+    @cached_property
+    def dxi_dx(self) -> np.ndarray:
+        return _read_only(dxi_dx(self.x_centers, self.cfg))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -191,26 +227,25 @@ def make_grid(datum: InitialDatum, cfg: GammaConfig, cell_count: int) -> HalfLin
     extent = GRID_MARGIN * xi_extent_of_datum(datum, cfg)
     if extent <= 0:
         raise ValueError("datum support has empty xi-image")
-    return HalfLineGrid(cell_count=cell_count, cell_width=extent / cell_count)
+    return HalfLineGrid(cell_count=cell_count, cell_width=extent / cell_count, cfg=cfg)
 
 
-def init_from_datum(datum: InitialDatum, grid: HalfLineGrid,
-                    cfg: GammaConfig) -> HalfLineState:
+def init_from_datum(datum: InitialDatum, grid: HalfLineGrid) -> HalfLineState:
     """Build the two-row half-line state from an initial datum.
 
     The left problem is reflected xi -> -xi into row LEFT so both rows
     evolve under the canonical equation.  A cell of row RIGHT holds the
     exact datum mass over its x-image per unit xi, and of row LEFT over the
-    negated x-image: one x(xi) on the edges and one integration give both.
+    negated x-image: the grid's ``x_edges`` and one integration give both.
     Raises :class:`SupportOverflow` if the grid is too short.
     """
-    if cfg.dim != 1:
+    if grid.cfg.dim != 1:
         raise ValueError("half-line solver requires dim = 1")
-    reach = xi_extent_of_datum(datum, cfg)
+    reach = xi_extent_of_datum(datum, grid.cfg)
     if reach > grid.extent:
         raise SupportOverflow(
             f"xi-image of support reaches {reach}, grid extent is only {grid.extent}")
-    x = np.asarray(x_of_xi(grid.edges, cfg))
+    x = grid.x_edges
     lo, hi = np.stack([-x[1:], x[:-1]]), np.stack([-x[:-1], x[1:]])
     return HalfLineState(grid=grid,
                          cells=integrate_piecewise(datum, lo, hi) / grid.cell_width)
@@ -255,13 +290,6 @@ def _speed(peak: float, gamma: float) -> float:
     return speed
 
 
-def _cfl_dt(peak: float, cfl: float, cell_width: float, gamma: float) -> float:
-    """cfl * dxi / max(peak^gamma, EPS_SPEED), peak the largest cell value
-    and peak^gamma its ``_speed``, as ``_advance`` takes them.  Raises
-    OverflowError where peak^gamma overflows."""
-    return cfl * cell_width / max(_speed(peak, gamma), EPS_SPEED)
-
-
 def _stepped_rows(cells: np.ndarray) -> slice:
     """The rows from the first through the last that hold a cell other
     than +0.0, by bit pattern; the rows outside stay exactly +0.0."""
@@ -269,14 +297,15 @@ def _stepped_rows(cells: np.ndarray) -> slice:
     return slice(occupied[0], occupied[-1] + 1) if occupied.size else slice(0, 0)
 
 
-def stable_dt(state: HalfLineState, cfl: float, cfg: GammaConfig) -> float:
-    """CFL time step cfl * dxi / max(speed) over both rows, floored at EPS_SPEED."""
-    return _cfl_dt(float(state.cells.max(initial=0.0)), cfl, state.grid.cell_width,
-                   cfg.gamma)
+def stable_dt(state: HalfLineState, cfl: float) -> float:
+    """cfl * dxi / max(peak^gamma, EPS_SPEED), peak the largest cell of both
+    rows and peak^gamma its ``_speed``, as ``_advance`` takes them.  Raises
+    OverflowError where peak^gamma overflows."""
+    speed = _speed(float(state.cells.max(initial=0.0)), state.grid.cfg.gamma)
+    return cfl * state.grid.cell_width / max(speed, EPS_SPEED)
 
 
-def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
-                     cfg: GammaConfig) -> float:
+def check_cell_steps(state: HalfLineState, t_end: float, cfl: float) -> float:
     """The most uncapped steps that stepping the state to t_end can take;
     raises :class:`WorkBudgetExceeded` if they could make more than
     MAX_CELL_STEPS cell updates.
@@ -284,7 +313,7 @@ def check_cell_steps(state: HalfLineState, t_end: float, cfl: float,
     The monotone scheme never raises max u, so no uncapped step is shorter
     than the current ``stable_dt``, which bounds the step count.
     """
-    steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+    steps = np.ceil((t_end - state.time) / stable_dt(state, cfl))
     cell_steps = state.cells[_stepped_rows(state.cells)].size * steps
     if cell_steps > MAX_CELL_STEPS:
         raise WorkBudgetExceeded(
@@ -336,8 +365,8 @@ def _fold(state: HalfLineState, rows: slice, steps: list, flat: list,
     return ledgers[-2]
 
 
-def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
-             tiny: float, observer: Optional[Callable[[Snapshot], None]] = None,
+def _advance(state: HalfLineState, cfl: float, t_end: float, tiny: float,
+             observer: Optional[Callable[[Snapshot], None]] = None,
              snap_times: Iterable[float] = ()) -> None:
     """Godunov updates of the state's stepped rows, in place, each dt capped
     by t_end - time, until t_end - time <= tiny: none for a NaN t_end.
@@ -382,7 +411,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
     occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
     hi = occupied[-1] + 1 if occupied.size else 1
-    gamma, width = cfg.gamma, state.grid.cell_width
+    gamma, width = state.grid.cfg.gamma, state.grid.cell_width
     window = u[:, :hi]
     u = np.asfortranarray(window)
     # the zero state steps no row: its peak is read off one +0.0 cell
@@ -415,7 +444,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
     next_snap = next(snap_times, math.inf)
     try:
         while t_end - t > tiny:
-            # cfl * dxi / max(peak^gamma, EPS_SPEED), as _cfl_dt takes it
+            # cfl * dxi / max(peak^gamma, EPS_SPEED), as stable_dt takes it
             speed = _speed(peak, gamma) if products else peak ** gamma
             dt = cw / (eps if eps > speed else speed)
             cap = t_end - t
@@ -460,7 +489,7 @@ def _advance(state: HalfLineState, cfl: float, cfg: GammaConfig, t_end: float,
         state.time = t
 
 
-def step(state: HalfLineState, cfl: float, cfg: GammaConfig) -> HalfLineState:
+def step(state: HalfLineState, cfl: float) -> HalfLineState:
     """One conservative explicit update of both rows, in place; returns the state.
 
     It runs ``_advance`` one ``stable_dt`` ahead and lands there, so its
@@ -468,13 +497,13 @@ def step(state: HalfLineState, cfl: float, cfg: GammaConfig) -> HalfLineState:
     ``landing_tolerance`` moves only the time.  The flux through xi = 0
     goes to each row's ledger; dxi * sum + ledger is constant to rounding.
     """
-    t_end = state.time + stable_dt(state, cfl, cfg)
-    _advance(state, cfl, cfg, t_end, landing_tolerance(t_end))
+    t_end = state.time + stable_dt(state, cfl)
+    _advance(state, cfl, t_end, landing_tolerance(t_end))
     state.time = t_end
     return state
 
 
-def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
+def run_until(state: HalfLineState, t_end: float, cfl: float,
               observer: Optional[Callable[[Snapshot], None]] = None,
               cadence: Optional[float] = None) -> HalfLineState:
     """Step from the state's time t0 until t_end, landing on it exactly.
@@ -499,13 +528,13 @@ def run_until(state: HalfLineState, t_end: float, cfl: float, cfg: GammaConfig,
     if observer is not None and (cadence is None or not cadence > 0):
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise the first step raises CflViolation
-        check_cell_steps(state, t_end, cfl, cfg)
+        check_cell_steps(state, t_end, cfl)
     tiny = landing_tolerance(t_end)
     times = [] if observer is None else output_times(state.time, t_end, cadence).tolist()
     if observer is not None:
         observer(state.snapshot())
     if t_end - state.time > tiny:
-        _advance(state, cfl, cfg, t_end, tiny, observer, times[1:-1])
+        _advance(state, cfl, t_end, tiny, observer, times[1:-1])
     state.time = t_end
     if len(times) > 1:
         observer(state.snapshot())

@@ -5,9 +5,11 @@ origin: cell masses map exactly through the coordinate change (the
 integral of u over a xi-cell equals the integral of rho over the cell's
 x-image), the accumulated boundary outflux becomes the concentrated mass
 m(t), and the cumulative distribution F carries a jump of height m at
-x = 0.  The pseudo-inverse X(z) of F encodes the concentrated mass as a
-plateau at zero.  ``check_entropy_measure`` reads seven of the paper's
-statements off a series, one per violation kind.
+x = 0.  The x-images of the cells are sliced from the snapshot's grid,
+which computes them once for every snapshot of a run.  The
+pseudo-inverse X(z) of F encodes the concentrated mass as a plateau at
+zero.  ``check_entropy_measure`` reads seven of the paper's statements
+off a series, one per violation kind.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .conslaw import LEFT, RIGHT, HalfLineGrid, Snapshot
+from .conslaw import LEFT, RIGHT, Snapshot
 from .datum import InitialDatum, integrate_piecewise
-from .frames import GammaConfig, dxi_dx, time_driftfree_to_original, x_of_xi
+from .frames import GammaConfig, time_driftfree_to_original
 
 MASS_REL_TOL = 1e-10
 # columns of measures.csv and original_frame.csv
@@ -63,39 +65,9 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class GridGeometry:
-    """The x-images of a grid's cells, computed once per run.
-
-    ``x_edges`` and ``x_centers`` are x_of_xi of the grid's edges and
-    centers, unsigned (row LEFT's x-image is their negation), and ``dxi_dx``
-    is dxi/dx at the centers, the same for both rows.  The maps are
-    elementwise, so a snapshot's slice of these arrays has the bits of the
-    maps evaluated on that slice.
-    """
-
-    grid: HalfLineGrid
-    x_edges: np.ndarray
-    x_centers: np.ndarray
-    dxi_dx: np.ndarray
-
-
-def grid_geometry(grid: HalfLineGrid, cfg: GammaConfig) -> GridGeometry:
-    """GridGeometry of every cell of ``grid``.
-
-    Raises FloatingPointError where x(xi) underflows to 0 at a cell center.
-    """
-    x_edges = np.asarray(x_of_xi(grid.edges, cfg))
-    x_centers = np.asarray(x_of_xi(grid.centers, cfg))
-    if np.any(x_centers == 0):  # cell centers sit at xi > 0; x(xi) underflowed
-        raise FloatingPointError(
-            f"x(xi) underflows to 0 at a cell center for gamma = {cfg.gamma}")
-    return GridGeometry(grid, x_edges, x_centers, dxi_dx(x_centers, cfg))
-
-
-def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
+def _side_breakpoints(snap: Snapshot, row: int):
     """Ascending (x_edges, cell_masses, x_centers, dxi_dx, u_cells) for one
-    row.
+    row, sliced from the x-image of the snapshot's grid.
 
     Trailing vacuum beyond the outermost nonzero cell is trimmed so that the
     final breakpoint is the support edge.
@@ -105,32 +77,25 @@ def _side_breakpoints(snap: Snapshot, row: int, geometry: GridGeometry):
     if nz.size == 0:
         return (np.empty(0),) * 5
     last = int(nz[-1])
-    if geometry.grid != snap.grid:
-        raise ValueError("the grid geometry does not cover the snapshot")
-    side = (geometry.x_edges[: last + 2], u[: last + 1] * snap.grid.cell_width,
-            geometry.x_centers[: last + 1], geometry.dxi_dx[: last + 1],
-            u[: last + 1])
+    grid = snap.grid
+    side = (grid.x_edges[: last + 2], u[: last + 1] * grid.cell_width,
+            grid.x_centers[: last + 1], grid.dxi_dx[: last + 1], u[: last + 1])
     if row == LEFT:  # reflected side: x negated, ascending order reversed
         x_edges, masses, x_centers, dxi, u = (a[::-1] for a in side)
         return -x_edges, masses, -x_centers, dxi, u
     return side
 
 
-def assemble(snap: Snapshot, cfg: GammaConfig,
-             geometry: Optional[GridGeometry] = None) -> MeasureState:
-    """Stitch the two rows of a half-line snapshot into one measure snapshot.
-
-    A run passes the ``geometry`` of its grid to every snapshot; without
-    one, the snapshot's grid's is computed.
-    """
-    if geometry is None:
-        geometry = grid_geometry(snap.grid, cfg)
+def assemble(snap: Snapshot) -> MeasureState:
+    """Stitch the two rows of a half-line snapshot into one measure snapshot
+    on the x-image of its grid; raises FloatingPointError where x(xi)
+    underflows to 0 at a cell center."""
     dirac = snap.outflux_ledger[LEFT] + snap.outflux_ledger[RIGHT]
     row_mass = snap.mass
     total = dirac + row_mass[LEFT] + row_mass[RIGHT]
 
-    lx_edges, lmass, lx_centers, ldxi, lu = _side_breakpoints(snap, LEFT, geometry)
-    rx_edges, rmass, rx_centers, rdxi, ru = _side_breakpoints(snap, RIGHT, geometry)
+    lx_edges, lmass, lx_centers, ldxi, lu = _side_breakpoints(snap, LEFT)
+    rx_edges, rmass, rx_centers, rdxi, ru = _side_breakpoints(snap, RIGHT)
 
     xs = [lx_edges if lx_edges.size else np.array([0.0])]
     vs = [np.concatenate([[0.0], np.cumsum(lmass)]) if lmass.size else np.array([0.0])]

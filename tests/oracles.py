@@ -535,7 +535,7 @@ def run_until_reference(state, t_end: float, cfl: float, cfg, observer=None, cad
     if observer is not None and (cadence is None or cadence <= 0):
         raise ValueError("observer requires a positive cadence")
     if cfl > 0:  # otherwise step raises CflViolation
-        steps = np.ceil((t_end - state.time) / stable_dt(state, cfl, cfg))
+        steps = np.ceil((t_end - state.time) / stable_dt(state, cfl))
         cell_steps = state.cells[stepped_rows_reference(state.cells)].size * steps
         if cell_steps > MAX_CELL_STEPS:
             raise WorkBudgetExceeded(

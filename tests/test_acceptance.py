@@ -53,9 +53,9 @@ def test_criterion_1_trace_onset_time(gamma):
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     started = time.monotonic()
-    run_until(state, 1.3 / gamma, 0.99, cfg)
+    run_until(state, 1.3 / gamma, 0.99)
     elapsed = time.monotonic() - started
     onset = trace_onset_time(state.trace_times, state.trace_values)
     tol = 5.0 * trace_time_tolerance(gamma, grid.cell_width)
@@ -73,11 +73,11 @@ def test_criterion_2_condensed_mass_law(gamma):
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, N_ACCEPT)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     worst = 0.0
     for t in np.arange(1.5, 4.01, 0.5) / gamma:
-        run_until(state, float(t), 0.9, cfg)
-        ms = assemble(state, cfg)
+        run_until(state, float(t), 0.9)
+        ms = assemble(state)
         target = mass_explicit(float(t), gamma)
         worst = max(worst, abs(ms.dirac_mass - target) / target)
     ok = worst <= 0.01
@@ -96,8 +96,8 @@ def test_criterion_3_convergence_to_explicit_solution():
     for n in sizes:
         datum = example_block_datum(gamma)
         grid = make_grid(datum, cfg, n)
-        state = init_from_datum(datum, grid, cfg)
-        run_until(state, 0.5 / gamma, 0.9, cfg)
+        state = init_from_datum(datum, grid)
+        run_until(state, 0.5 / gamma, 0.9)
         exact = u_explicit(grid.centers, 0.5 / gamma, gamma)
         errors.append(float(np.sum(np.abs(state.cells[RIGHT] - exact)) * grid.cell_width))
     order = -float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
@@ -114,11 +114,11 @@ def test_criterion_4_pseudo_inverse_oracle():
     cfg = GammaConfig(gamma=gamma)
     datum = block_datum(1.0, 0.0, 1.0)
     grid = make_grid(datum, cfg, N_ACCEPT)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     worst = 0.0
     for t in (0.5 / gamma, 2.0 / gamma):
-        run_until(state, t, 0.9, cfg)
-        ms = assemble(state, cfg)
+        run_until(state, t, 0.9)
+        ms = assemble(state)
         z = z_grid(ms, 4096)
         exact = X_unit_mass(np.clip(z, 0.0, 1.0), t, gamma)
         worst = max(worst, float(np.max(np.abs(pseudo_inverse(ms, z) - exact))))
@@ -135,11 +135,11 @@ def test_criterion_5_asymptotic_condensation():
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, 2048)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     fractions = []
     for t in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0):
-        run_until(state, t / gamma, 0.9, cfg)
-        ms = assemble(state, cfg)
+        run_until(state, t / gamma, 0.9)
+        ms = assemble(state)
         fractions.append(ms.dirac_mass / ms.total_mass)
     monotone = all(b >= a - 1e-12 for a, b in zip(fractions, fractions[1:]))
     ok = fractions[-1] >= 0.95 and monotone
@@ -185,12 +185,12 @@ def test_criterion_7_property_suites():
     # (a) discrete mass ledger over 1e4 steps
     datum = example_block_datum(1.0)
     grid = make_grid(datum, cfg, 512)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     m0 = state.mass[RIGHT]
     drift = 0.0
     positive = True
     for _ in range(10_000):
-        step(state, 0.9, cfg)
+        step(state, 0.9)
         drift = max(drift, abs(state.mass[RIGHT] + state.outflux_ledger[RIGHT] - m0))
         positive = positive and state.cells.min() >= 0.0
     ok_ledger = drift <= 1e-12
@@ -198,7 +198,6 @@ def test_criterion_7_property_suites():
 
     # (b) comparison principle on 50 random ordered pairs (shared steps)
     rng = np.random.default_rng(321)
-    grid_small = HalfLineGrid(cell_count=64, cell_width=0.02)
     ok_compare = True
     for _ in range(50):
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
@@ -206,9 +205,10 @@ def test_criterion_7_property_suites():
         upper = rng.uniform(0.0, 2.0, 64)
         lower = upper * rng.uniform(0.0, 1.0, 64)
         # one state, so both rows take the dt of upper's peak
-        pair = HalfLineState(grid=grid_small, cells=np.stack([lower, upper]))
+        pair = HalfLineState(grid=HalfLineGrid(cell_count=64, cell_width=0.02, cfg=cfg_r),
+                             cells=np.stack([lower, upper]))
         for _ in range(20):
-            step(pair, 0.9, cfg_r)
+            step(pair, 0.9)
         ok_compare = ok_compare and bool(
             np.all(pair.cells[LEFT] <= pair.cells[RIGHT] + 1e-13))
 
@@ -232,12 +232,12 @@ def test_criterion_7_property_suites():
         datum_r = piecewise_linear(
             [a, a + mid * (b - a), b], [0.0, float(rng.uniform(0.3, 1.5)), 0.0])
         grid_r = make_grid(datum_r, cfg_r, 256)
-        state_r = init_from_datum(datum_r, grid_r, cfg_r)
-        ms0 = assemble(state_r, cfg_r)
+        state_r = init_from_datum(datum_r, grid_r)
+        ms0 = assemble(state_r)
         lo0, hi0 = ms0.support
         for t in (0.4, 1.1, 2.3):
-            run_until(state_r, t / gamma, 0.9, cfg_r)
-            ms = assemble(state_r, cfg_r)
+            run_until(state_r, t / gamma, 0.9)
+            ms = assemble(state_r)
             ok_support = ok_support and (ms.support[0] >= lo0 - 1e-12)
             ok_support = ok_support and (ms.support[1] <= hi0 + 1e-12)
 
@@ -257,11 +257,11 @@ def test_criterion_8_original_frame_decay_rate():
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
     grid = make_grid(datum, cfg, 512)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     ms_series = []
     for t in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
-        run_until(state, t, 0.9, cfg)
-        ms_series.append(assemble(state, cfg))
+        run_until(state, t, 0.9)
+        ms_series.append(assemble(state))
     _, t_driftfree, _, _, _, diameter, _ = np.array(
         original_frame_series(measure_rows(ms_series), gamma)).T
     log_t = np.log1p(t_driftfree)

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -494,6 +495,44 @@ def test_float_overflow_exits_3_with_one_json_line(tmp_path, command, override):
     # underflows overflow a float
     path = write_config(tmp_path, **override)
     fresh_json_error(tmp_path, command, path, EXIT_NUMERICAL)
+
+
+# 10^400 is within Python's digit limit and past the float range; 10^308
+# is within it, and twice the cell count, the rows of a snapshot, is not
+@pytest.mark.parametrize("command, key, value", [
+    *[pytest.param(command, key, 10**400, id=f"{command}-{key}-401-digits")
+      for command, keys in (("simulate", ("gamma", "grid_cells", "z_count")),
+                            ("verify", ("gamma", "grid_cells", "z_count")),
+                            ("characteristics", ("gamma", "grid_cells", "dim")))
+      for key in keys],
+    *[pytest.param(command, "grid_cells", 10**308, id=f"{command}-grid_cells-1e308")
+      for command in ("simulate", "verify", "characteristics")],
+])
+def test_a_number_past_the_float_range_exits_2(tmp_path, command, key, value):
+    path = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    code, stderr = run_command([command, "--config", str(path), "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr)["exit_code"] == EXIT_CONFIG
+    assert not out.exists()
+
+
+# at gamma = 1e-3, x(xi) underflows to 0 at the block's innermost cell
+# centers; a grid maps its centers on first use, in assemble after the
+# run, so verify's law run at 200 000 cells fails its cell-step check first
+@pytest.mark.parametrize("command, cells, code, message", [
+    ("verify", 200_000, EXIT_CONFIG, "cell-step budget"),
+    ("simulate", 64, EXIT_NUMERICAL, "underflows to 0 at a cell center"),
+])
+def test_a_run_checks_its_cell_steps_before_the_underflow(tmp_path, command, cells,
+                                                          code, message):
+    path = write_config(tmp_path, gamma=1e-3, grid_cells=cells)
+    out = tmp_path / "out"
+    exit_code, stderr = run_command([command, "--config", str(path), "--output", str(out)])
+    assert exit_code == code
+    assert message in json.loads(stderr)["error"]
+    assert not out.exists()
 
 
 def test_simulate_at_gamma_1e6_runs_with_finite_outputs(tmp_path, capsys):
@@ -1319,7 +1358,7 @@ def test_verify_exit_code_on_the_block_across_gamma(tmp_path, gamma, code):
 
 
 # cmd_verify's onset row has no case for a trace that cannot reach the
-# threshold: whenever the law run's state and grid geometry can be built
+# threshold: whenever the law run's state and its grid's x-image can be built
 # (under main's errstate; otherwise verify exits 3), its largest initial
 # cell, which bounds the trace, is above TRACE_THRESHOLD
 @pytest.mark.parametrize("cells", [8, 16, 64, 256, 1024, 4096, 16384])
@@ -1331,13 +1370,35 @@ def test_verify_law_run_starts_above_the_trace_threshold(cells):
         try:
             with np.errstate(over="raise"):
                 state = conslaw.init_from_datum(
-                    datum, conslaw.make_grid(datum, cfg, cells), cfg)
-                cli.measure.grid_geometry(state.grid, cfg)
+                    datum, conslaw.make_grid(datum, cfg, cells))
+                state.grid.dxi_dx  # builds the x-image, raising on an underflow
         except FloatingPointError:
             continue
         assert state.sup_initial > TRACE_THRESHOLD, gamma
         built += 1
     assert built > 4
+
+
+def test_simulate_maps_the_grid_edges_once():
+    # init_from_datum integrates the datum over the grid's x-image and
+    # assemble slices the same arrays: x_of_xi sees the edges once and the
+    # centers once, in whichever condrift module calls it
+    config = RunConfig.from_dict({"gamma": 1.0, "grid_cells": 256, "t_end": 1.0,
+                                  "datum": {"kind": "piecewise_linear",
+                                            "breakpoints": [-0.8, 0.0, 0.6],
+                                            "values": [0.3, 1.0, 0.2]}})
+    holders = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("condrift.") and hasattr(module, "x_of_xi")]
+    with contextlib.ExitStack() as stack:
+        maps = [stack.enter_context(mock.patch.object(module, "x_of_xi",
+                                                      wraps=module.x_of_xi))
+                for module in holders]
+        res = simulate(config)
+    arguments = [call.args[0] for map_ in maps for call in map_.call_args_list]
+    grid = res.state.grid
+    assert len(res.ms_series) == 5
+    for points in (grid.edges, grid.centers):
+        assert sum(np.array_equal(xi, points) for xi in arguments) == 1
 
 
 def test_readme_library_example_runs_as_written():
@@ -1418,9 +1479,9 @@ def test_verify_rejects_its_law_run_with_the_built_block_count(tmp_path, capsys,
     # built block state, to the digit, before any step
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
-    state = conslaw.init_from_datum(datum, conslaw.make_grid(datum, cfg, 60_000), cfg)
+    state = conslaw.init_from_datum(datum, conslaw.make_grid(datum, cfg, 60_000))
     with pytest.raises(conslaw.WorkBudgetExceeded) as expected:
-        conslaw.check_cell_steps(state, 4.0 / gamma, 0.9, cfg)
+        conslaw.check_cell_steps(state, 4.0 / gamma, 0.9)
     steppers = count_steppers(monkeypatch)
     path = write_config(tmp_path, gamma=gamma, grid_cells=60_000)
     out = tmp_path / "out"

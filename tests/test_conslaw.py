@@ -29,7 +29,7 @@ from condrift.datum import (
     piecewise_constant,
     piecewise_linear,
 )
-from condrift.frames import GammaConfig, x_of_xi
+from condrift.frames import GammaConfig, dxi_dx, x_of_xi
 import oracles
 from oracles import (
     output_times_reference,
@@ -50,10 +50,10 @@ def two_sided_datum():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        HalfLineGrid(cell_count=4, cell_width=0.1)
+        HalfLineGrid(cell_count=4, cell_width=0.1, cfg=CFG)
     with pytest.raises(ValueError):
-        HalfLineGrid(cell_count=16, cell_width=0.0)
-    grid = HalfLineGrid(cell_count=16, cell_width=0.25)
+        HalfLineGrid(cell_count=16, cell_width=0.0, cfg=CFG)
+    grid = HalfLineGrid(cell_count=16, cell_width=0.25, cfg=CFG)
     assert grid.extent == pytest.approx(4.0)
     assert grid.centers[0] == pytest.approx(0.125)
 
@@ -61,7 +61,7 @@ def test_grid_validation():
 def test_init_zero_datum_gives_zero_states():
     datum = block_datum(0.0, 0.0, 1.0)
     grid = make_grid(datum, CFG, 32)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     assert not state.cells.any()
 
 
@@ -69,7 +69,7 @@ def test_init_block_profile_is_linear_in_xi():
     # gamma = 1: u_I(xi) = xi on [0, 1], zero beyond
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 1024)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     ideal = grid.centers * (grid.centers <= 1.0)
     mismatch = np.abs(state.cells[RIGHT] - ideal) > 1e-12
     assert mismatch.sum() <= 1  # only the cell straddling the support edge
@@ -79,18 +79,38 @@ def test_init_block_profile_is_linear_in_xi():
 def test_init_masses_match_datum_sides():
     datum = two_sided_datum()
     grid = make_grid(datum, CFG, 2048)
-    mass_left, mass_right = init_from_datum(datum, grid, CFG).mass
+    mass_left, mass_right = init_from_datum(datum, grid).mass
     mass_left_ref, _ = quad(lambda x: float(datum(x)), -0.8, 0.0)
     mass_right_ref, _ = quad(lambda x: float(datum(x)), 0.0, 1.1)
     assert mass_left == pytest.approx(mass_left_ref, abs=1e-8)
     assert mass_right == pytest.approx(mass_right_ref, abs=1e-8)
 
 
+def test_the_grid_carries_gamma_and_a_read_only_x_image():
+    with pytest.raises(TypeError):
+        HalfLineGrid(16, 0.25)  # cfg is required
+    grid = make_grid(two_sided_datum(), GammaConfig(gamma=0.7), 64)
+    cfg = grid.cfg
+    assert cfg == GammaConfig(gamma=0.7)
+    x_centers = np.asarray(x_of_xi(grid.centers, cfg))
+    expected = {"x_edges": np.asarray(x_of_xi(grid.edges, cfg)),
+                "x_centers": x_centers, "dxi_dx": dxi_dx(x_centers, cfg)}
+    for name, values in expected.items():
+        image = getattr(grid, name)
+        assert getattr(grid, name) is image  # computed once
+        assert image.tobytes() == values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            image[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            image[:] *= 2.0
+        assert image.tobytes() == values.tobytes()
+
+
 def test_init_support_overflow():
     datum = two_sided_datum()
-    grid = HalfLineGrid(cell_count=64, cell_width=1e-3)
+    grid = HalfLineGrid(cell_count=64, cell_width=1e-3, cfg=CFG)
     with pytest.raises(SupportOverflow):
-        init_from_datum(datum, grid, CFG)
+        init_from_datum(datum, grid)
 
 
 def test_flux_values():
@@ -185,9 +205,9 @@ def test_riemann_rarefaction_profile():
 def test_step_zero_state_capped_by_dt():
     datum = block_datum(0.0, 0.0, 1.0)
     grid = make_grid(datum, CFG, 32)
-    state = init_from_datum(datum, grid, CFG)
-    assert stable_dt(state, 1.0, CFG) > 1e10  # floored speed
-    run_until(state, 0.125, 0.9, CFG)
+    state = init_from_datum(datum, grid)
+    assert stable_dt(state, 1.0) > 1e10  # floored speed
+    run_until(state, 0.125, 0.9)
     assert state.time == pytest.approx(0.125)
     assert not state.cells.any()
 
@@ -195,22 +215,22 @@ def test_step_zero_state_capped_by_dt():
 def test_step_requires_valid_cfl():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     with pytest.raises(CflViolation):
-        step(state, 0.0, CFG)
+        step(state, 0.0)
     with pytest.raises(CflViolation):
-        step(state, 1.5, CFG)
+        step(state, 1.5)
 
 
 def test_step_mass_plus_ledger_telescopes():
     # single-cell pulse: discrete mass + ledger constant to rounding per step
-    grid = HalfLineGrid(cell_count=64, cell_width=0.05)
+    grid = HalfLineGrid(cell_count=64, cell_width=0.05, cfg=CFG)
     cells = np.zeros(64)
     cells[3] = 1.0
     state = right_row_state(grid, cells)
     m0 = state.mass[RIGHT] + state.outflux_ledger[RIGHT]
     for _ in range(200):
-        step(state, 0.9, CFG)
+        step(state, 0.9)
         total = state.mass[RIGHT] + state.outflux_ledger[RIGHT]
         assert total == pytest.approx(m0, abs=1e-14)
 
@@ -218,34 +238,34 @@ def test_step_mass_plus_ledger_telescopes():
 def test_mass_ledger_conservation_long_run():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 512)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     m0 = state.mass[RIGHT]
     worst = 0.0
     for _ in range(10_000):
-        step(state, 0.9, CFG)
+        step(state, 0.9)
         worst = max(worst, abs(state.mass[RIGHT] + state.outflux_ledger[RIGHT] - m0))
     assert worst <= 1e-12
 
 
 def test_positivity_and_linf_stability():
     rng = np.random.default_rng(21)
-    grid = HalfLineGrid(cell_count=128, cell_width=0.01)
+    grid = HalfLineGrid(cell_count=128, cell_width=0.01, cfg=CFG)
     cells = rng.uniform(0.0, 2.0, 128)
     state = right_row_state(grid, cells)
     sup0 = state.cells.max()
     for _ in range(300):
-        step(state, 1.0, CFG)
+        step(state, 1.0)
         assert state.cells.min() >= 0.0
         assert state.cells.max() <= sup0 + 1e-13
 
 
 def test_total_variation_diminishing():
     rng = np.random.default_rng(22)
-    grid = HalfLineGrid(cell_count=128, cell_width=0.01)
+    grid = HalfLineGrid(cell_count=128, cell_width=0.01, cfg=CFG)
     state = right_row_state(grid, rng.uniform(0.0, 1.5, 128))
     tv = total_variation(state.cells[RIGHT])
     for _ in range(200):
-        step(state, 0.9, CFG)
+        step(state, 0.9)
         tv_new = total_variation(state.cells[RIGHT])
         assert tv_new <= tv + 1e-12
         tv = tv_new
@@ -254,27 +274,27 @@ def test_total_variation_diminishing():
 def test_discrete_comparison_principle():
     # ordered data stay ordered under shared time steps (monotone scheme)
     rng = np.random.default_rng(23)
-    grid = HalfLineGrid(cell_count=64, cell_width=0.02)
     for gamma in (0.7, 1.0, 1.8):
         cfg = GammaConfig(gamma=gamma)
+        grid = HalfLineGrid(cell_count=64, cell_width=0.02, cfg=cfg)
         for _ in range(17):
             upper = rng.uniform(0.0, 2.0, 64)
             lower = upper * rng.uniform(0.0, 1.0, 64)
             # one state, so both rows take the dt of upper's peak
             state = HalfLineState(grid=grid, cells=np.stack([lower, upper]))
             for _ in range(25):
-                step(state, 0.9, cfg)
+                step(state, 0.9)
                 assert np.all(state.cells[LEFT] <= state.cells[RIGHT] + 1e-13)
 
 
 def test_run_until_noop_and_exact_landing():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     before = state.cells.copy()
-    run_until(state, 0.0, 0.9, CFG)
+    run_until(state, 0.0, 0.9)
     assert state.time == 0.0 and np.array_equal(state.cells, before)
-    run_until(state, 0.3117, 0.9, CFG)
+    run_until(state, 0.3117, 0.9)
     assert state.time == 0.3117
 
 
@@ -282,10 +302,10 @@ def test_run_until_cadence_does_not_change_dynamics():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 128)
     fine_snaps, coarse_snaps = [], []
-    s1 = init_from_datum(datum, grid, CFG)
-    s2 = init_from_datum(datum, grid, CFG)
-    run_until(s1, 0.8, 0.9, CFG, observer=fine_snaps.append, cadence=0.05)
-    run_until(s2, 0.8, 0.9, CFG, observer=coarse_snaps.append, cadence=0.5)
+    s1 = init_from_datum(datum, grid)
+    s2 = init_from_datum(datum, grid)
+    run_until(s1, 0.8, 0.9, observer=fine_snaps.append, cadence=0.05)
+    run_until(s2, 0.8, 0.9, observer=coarse_snaps.append, cadence=0.5)
     assert np.array_equal(s1.cells, s2.cells)
     assert np.array_equal(s1.outflux_ledger, s2.outflux_ledger)
     # cadence grid plus a final snapshot exactly at t_end when off-grid
@@ -302,10 +322,10 @@ def test_run_until_places_snapshots_at_multiples_of_the_cadence(t0):
     # adding the cadence up drifts: 1e-3 added up to t = 50 ends
     # 2.6e-11 short of 50
     datum = example_block_datum(1.0)
-    state = init_from_datum(datum, make_grid(datum, CFG, 16), CFG)
-    run_until(state, t0, 0.9, CFG)
+    state = init_from_datum(datum, make_grid(datum, CFG, 16))
+    run_until(state, t0, 0.9)
     times = []
-    run_until(state, 50.0, 0.9, CFG, observer=lambda snap: times.append(snap.time),
+    run_until(state, 50.0, 0.9, observer=lambda snap: times.append(snap.time),
               cadence=1e-3)
     assert len(times) == round((50.0 - t0) / 1e-3) + 1
     assert times[:-1] == [t0 + k * 1e-3 for k in range(len(times) - 1)]
@@ -334,29 +354,29 @@ def test_output_times_follow_the_one_k_at_a_time_rule(t0, span, cadence):
 def test_run_until_rejects_past_target():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    state = init_from_datum(datum, grid, CFG)
-    run_until(state, 0.5, 0.9, CFG)
+    state = init_from_datum(datum, grid)
+    run_until(state, 0.5, 0.9)
     with pytest.raises(ValueError):
-        run_until(state, 0.2, 0.9, CFG)
+        run_until(state, 0.2, 0.9)
 
 
 @pytest.mark.parametrize("observe", [False, True], ids=["plain", "observed"])
 def test_run_until_rejects_a_nan_t_end(observe):
     datum = example_block_datum(1.0)
-    state = init_from_datum(datum, make_grid(datum, CFG, 64), CFG)
+    state = init_from_datum(datum, make_grid(datum, CFG, 64))
     snaps = []
     kwargs = {"observer": snaps.append, "cadence": 0.1} if observe else {}
     with pytest.raises(ValueError, match="t_end precedes"):
-        run_until(state, float("nan"), 0.9, CFG, **kwargs)
+        run_until(state, float("nan"), 0.9, **kwargs)
     assert state.time == 0.0 and not snaps
 
 
 def test_run_until_rejects_a_nan_cadence():
     datum = example_block_datum(1.0)
-    state = init_from_datum(datum, make_grid(datum, CFG, 64), CFG)
+    state = init_from_datum(datum, make_grid(datum, CFG, 64))
     snaps = []
     with pytest.raises(ValueError, match="positive cadence"):
-        run_until(state, 0.5, 0.9, CFG, observer=snaps.append, cadence=float("nan"))
+        run_until(state, 0.5, 0.9, observer=snaps.append, cadence=float("nan"))
     assert state.time == 0.0 and not snaps
 
 
@@ -366,12 +386,12 @@ def test_scheme_converges_to_entropy_solution_on_riemann_data():
     grid_sizes = (256, 1024)
     errors = []
     for n in grid_sizes:
-        grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n)
+        grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n, cfg=cfg)
         jump = 1.2
         cells = np.where(grid.centers < jump, 1.0, 0.0)
         state = right_row_state(grid, cells)
         t_end = 0.5
-        run_until(state, t_end, 0.9, cfg)
+        run_until(state, t_end, 0.9)
         exact = np.array([
             riemann_exact(1.0, 0.0, (xi - jump) / t_end, cfg)
             for xi in grid.centers
@@ -382,12 +402,12 @@ def test_scheme_converges_to_entropy_solution_on_riemann_data():
     # and an admissible (increasing) jump travels as a sharp shock at the
     # Rankine-Hugoniot speed
     n = 1024
-    grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n)
+    grid = HalfLineGrid(cell_count=n, cell_width=2.0 / n, cfg=cfg)
     jump = 1.2
     cells = np.where(grid.centers < jump, 0.2, 1.0)
     state = right_row_state(grid, cells)
     t_end = 0.4
-    run_until(state, t_end, 0.9, cfg)
+    run_until(state, t_end, 0.9)
     exact = np.array([
         riemann_exact(0.2, 1.0, (xi - jump) / t_end, cfg) for xi in grid.centers
     ])
@@ -403,9 +423,9 @@ def test_left_state_is_reflection():
     # stay together under the common time step
     datum = piecewise_linear([-1.0, -0.25, 0.25, 1.0], [0.0, 1.0, 1.0, 0.0])
     grid = make_grid(datum, CFG, 256)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     assert np.allclose(state.cells[LEFT], state.cells[RIGHT], atol=1e-12)
-    run_until(state, 1.5, 0.9, CFG)
+    run_until(state, 1.5, 0.9)
     assert np.max(np.abs(state.cells[LEFT] - state.cells[RIGHT])) <= 1e-12
     assert abs(state.outflux_ledger[LEFT] - state.outflux_ledger[RIGHT]) <= 1e-12
     assert state.outflux_ledger[RIGHT] > 0
@@ -415,9 +435,9 @@ def test_empty_row_stays_exactly_zero():
     # one-sided datum: the left row is never stepped and never moves
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 128)
-    state = init_from_datum(datum, grid, CFG)
+    state = init_from_datum(datum, grid)
     snaps = []
-    run_until(state, 2.0, 0.9, CFG, observer=snaps.append, cadence=0.5)
+    run_until(state, 2.0, 0.9, observer=snaps.append, cadence=0.5)
     assert state.outflux_ledger[RIGHT] > 0
     assert state.outflux_ledger[LEFT] == 0.0
     assert not state.cells[LEFT].any()
@@ -426,19 +446,19 @@ def test_empty_row_stays_exactly_zero():
 
 
 def test_step_rejects_nan():
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1, cfg=CFG)
     cells = np.ones(16)
     cells[5] = np.nan
     state = right_row_state(grid, cells)
     with pytest.raises(FloatingPointError):
-        step(state, 0.9, CFG)
+        step(state, 0.9)
 
 
 def test_trace_history_records_boundary_cell():
     datum = example_block_datum(1.0)
     grid = make_grid(datum, CFG, 64)
-    state = init_from_datum(datum, grid, CFG)
-    run_until(state, 0.25, 0.9, CFG)
+    state = init_from_datum(datum, grid)
+    run_until(state, 0.25, 0.9)
     assert state.trace_times[0] == 0.0
     assert state.trace_values[-1, RIGHT] == state.cells[RIGHT, 0]
     assert len(state.trace_times) == len(state.trace_values)
@@ -458,7 +478,7 @@ SIGNED_ZEROS = (np.array([RIGHT, LEFT]), np.array([50, 127]))
 
 def example36_state(cfg):
     datum = example_block_datum(cfg.gamma)
-    return init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
+    return init_from_datum(datum, make_grid(datum, cfg, 256))
 
 
 def two_sided_random_state(cfg):
@@ -466,7 +486,7 @@ def two_sided_random_state(cfg):
     breakpoints = np.concatenate([np.sort(rng.uniform(-1.0, -0.05, 4)),
                                   np.sort(rng.uniform(0.05, 1.0, 4))])
     datum = piecewise_constant(breakpoints, rng.uniform(0.2, 2.0, 7))
-    return init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
+    return init_from_datum(datum, make_grid(datum, cfg, 256))
 
 
 def signed_zero_state(cfg):
@@ -474,7 +494,7 @@ def signed_zero_state(cfg):
     cells = rng.uniform(0.0, 2.0, (2, 128))
     cells[:, 100:] = 0.0
     cells[SIGNED_ZEROS] = -0.0
-    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01), cells=cells)
+    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01, cfg=cfg), cells=cells)
 
 
 STATES = {"example36": example36_state, "two-sided": two_sided_random_state,
@@ -491,9 +511,9 @@ def reference_state(kind, cfg):
 
 
 def step_one_reference(reference, cfg):
-    """What ``step(state, 0.9, cfg)`` must match: the reference run to one
+    """What ``step(state, 0.9)`` must match: the reference run to one
     CFL step ahead."""
-    run_until_reference(reference, reference.time + stable_dt(reference, 0.9, cfg),
+    run_until_reference(reference, reference.time + stable_dt(reference, 0.9),
                         0.9, cfg)
 
 
@@ -512,12 +532,12 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
     assert not np.signbit(state.cells).any()
     if capped:
         for cap in (np.random.default_rng(33).uniform(0.5, 1.5, 300)
-                    * stable_dt(state, 0.9, cfg)):
-            run_until(state, state.time + cap, 0.9, cfg)
+                    * stable_dt(state, 0.9)):
+            run_until(state, state.time + cap, 0.9)
             run_until_reference(reference, reference.time + cap, 0.9, cfg)
     else:
         for _ in range(300):
-            step(state, 0.9, cfg)
+            step(state, 0.9)
             step_one_reference(reference, cfg)
     assert state_bytes(state) == state_bytes(reference)
     assert state.outflux_ledger[stepped_rows_reference(state.cells)].min() > 0
@@ -526,14 +546,14 @@ def test_step_is_bit_identical_to_reference(gamma, kind, capped):
 def margin_state(cfg):
     """The block on a grid three times its support: hi falls far short of N."""
     datum = example_block_datum(cfg.gamma)
-    grid = HalfLineGrid(256, 3.0 * xi_extent_of_datum(datum, cfg) / 256)
-    return init_from_datum(datum, grid, cfg)
+    grid = HalfLineGrid(256, 3.0 * xi_extent_of_datum(datum, cfg) / 256, cfg)
+    return init_from_datum(datum, grid)
 
 
 def full_row_state(cfg):
     """Random cells on every column of both rows: hi is the grid's end."""
     cells = np.random.default_rng(34).uniform(0.2, 1.5, (2, 128))
-    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01), cells=cells)
+    return HalfLineState(grid=HalfLineGrid(cell_count=128, cell_width=0.01, cfg=cfg), cells=cells)
 
 
 RUN_STATES = {"example36": example36_state, "two-sided": two_sided_random_state,
@@ -545,13 +565,19 @@ def entry_window(state):
     return np.flatnonzero(state.cells.any(axis=0))[-1] + 1
 
 
+def run_reference(state, t_end, cfl, **kwargs):
+    """``run_until_reference`` at the gamma of the state's grid, called as
+    ``run_until`` is."""
+    return run_until_reference(state, t_end, cfl, state.grid.cfg, **kwargs)
+
+
 def run_bytes(run, state, cfg, observe, cadence=None):
     """Every snapshot's cells, time and ledger, then the final state, as
     bytes; snapshots every ``cadence``, 0.1/gamma if not given."""
     snaps = []
     cadence = cadence or 0.1 / cfg.gamma
     kwargs = {"observer": snaps.append, "cadence": cadence} if observe else {}
-    run(state, 1.2 / cfg.gamma, 0.9, cfg, **kwargs)
+    run(state, 1.2 / cfg.gamma, 0.9, **kwargs)
     return snapshot_bytes(snaps) + [state_bytes(state)]
 
 
@@ -567,7 +593,7 @@ def test_run_until_snapshots_are_bit_identical_to_reference(gamma, kind):
     for observe in (True, False):
         state = RUN_STATES[kind](cfg)
         fused = run_bytes(run_until, state, cfg, observe)
-        assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, observe)
+        assert fused == run_bytes(run_reference, RUN_STATES[kind](cfg), cfg, observe)
         assert len(fused) == (14 if observe else 1)
         assert state.outflux_ledger[stepped_rows_reference(state.cells)].min() > 0
 
@@ -579,9 +605,9 @@ def test_run_until_with_a_cadence_below_dt_is_bit_identical_to_reference(gamma, 
     # consecutive steps, and after the last one there is nothing left to fold
     cfg = GammaConfig(gamma=gamma)
     state = RUN_STATES[kind](cfg)
-    cadence = 0.4 * stable_dt(state, 0.9, cfg)
+    cadence = 0.4 * stable_dt(state, 0.9)
     fused = run_bytes(run_until, state, cfg, True, cadence)
-    assert fused == run_bytes(run_until_reference, RUN_STATES[kind](cfg), cfg, True, cadence)
+    assert fused == run_bytes(run_reference, RUN_STATES[kind](cfg), cfg, True, cadence)
     steps = len(state.trace_times) - 1
     assert len(fused) - 1 > 2 * steps
 
@@ -595,16 +621,16 @@ def test_chained_run_until_calls_are_bit_identical_to_reference(gamma, kind, obs
     # on that step and its last recorded time is not t1, the time the
     # second run starts from
     cfg = GammaConfig(gamma=gamma)
-    probe = run_until(RUN_STATES[kind](cfg), 0.5 / gamma, 0.9, cfg)
+    probe = run_until(RUN_STATES[kind](cfg), 0.5 / gamma, 0.9)
     t_step = probe.trace_times[len(probe.trace_times) // 2]
     for t1 in (0.5 / gamma, t_step + 0.5e-12 * max(1.0, t_step)):
         runs = []
-        for run in (run_until, run_until_reference):
+        for run in (run_until, run_reference):
             state, snaps = RUN_STATES[kind](cfg), []
             kwargs = {"observer": snaps.append, "cadence": 0.1 / gamma} if observe else {}
-            run(state, t1, 0.9, cfg, **kwargs)
+            run(state, t1, 0.9, **kwargs)
             landed = state.trace_times[-1] == state.time
-            run(state, 1.2 / gamma, 0.9, cfg, **kwargs)
+            run(state, 1.2 / gamma, 0.9, **kwargs)
             runs.append((landed, snapshot_bytes(snaps), state_bytes(state)))
         assert runs[0] == runs[1]
         assert runs[0][0] == (t1 == 0.5 / gamma)
@@ -636,7 +662,7 @@ def test_run_until_steps_only_through_the_last_occupied_column(monkeypatch, gamm
         return unwatched(u, gamma, out)
 
     monkeypatch.setattr(conslaw, "_power", power)
-    run_until(state, 1.2 / gamma, 0.9, cfg)
+    run_until(state, 1.2 / gamma, 0.9)
     assert len(layouts) > 50 and set(layouts) == {((rows, hi), True, (rows, hi), True)}
     beyond = state.cells[:, hi:]
     assert not beyond.any() and not np.signbit(beyond).any()
@@ -655,7 +681,7 @@ def test_run_until_rejects_a_bad_cell_set_before_the_run(gamma, bad, where):
     assert not state.cells[LEFT].any()
     state.cells[LEFT if where == "empty-row" else RIGHT, column] = bad
     with pytest.raises(FloatingPointError):
-        run_until(state, 1.0 / gamma, 0.9, cfg)
+        run_until(state, 1.0 / gamma, 0.9)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS + (3.0,))
@@ -666,7 +692,7 @@ def test_run_until_clips_roundoff_negatives_to_positive_zero(gamma):
     for s in (state, reference):
         s.cells[RIGHT, columns] = -1e-14
     fused = run_bytes(run_until, state, cfg, True)
-    assert fused == run_bytes(run_until_reference, reference, cfg, True)
+    assert fused == run_bytes(run_reference, reference, cfg, True)
     assert not state.cells[RIGHT, columns[1:]].any()
     assert not np.signbit(state.cells).any()
 
@@ -681,7 +707,7 @@ def test_run_until_steps_a_negative_zero_beyond_the_support(gamma):
     for s in (state, reference):
         s.cells[RIGHT, column] = -0.0
     fused = run_bytes(run_until, state, cfg, True)
-    assert fused == run_bytes(run_until_reference, reference, cfg, True)
+    assert fused == run_bytes(run_reference, reference, cfg, True)
     assert not np.signbit(state.cells).any()
 
 
@@ -695,7 +721,7 @@ def test_run_until_reads_the_first_outflux_off_the_clipped_boundary(gamma):
     assert state.trace_values[0].min() > 0.2
     for s in (state, reference):
         s.cells[:, 0] = -1e-14
-    run_until(state, 1.2 / gamma, 0.9, cfg)
+    run_until(state, 1.2 / gamma, 0.9)
     run_until_reference(reference, 1.2 / gamma, 0.9, cfg)
     assert state.trace_values[0].tobytes() == np.zeros(2).tobytes()
     assert state_bytes(state)[:4] == state_bytes(reference)[:4]
@@ -714,7 +740,7 @@ def test_a_row_given_mass_after_construction_is_stepped(gamma):
         s.cells[LEFT, 0] = 0.25
     total = state.mass + state.outflux_ledger
     fused = run_bytes(run_until, state, cfg, True)
-    expected = run_bytes(run_until_reference, reference, cfg, True)
+    expected = run_bytes(run_reference, reference, cfg, True)
     # the reference's trace keeps the boundary recorded at construction
     assert fused[:-1] == expected[:-1] and fused[-1][:4] == expected[-1][:4]
     assert state.trace_values[1:].tobytes() == reference.trace_values[1:].tobytes()
@@ -759,13 +785,13 @@ def one_step_states(cfg):
     gamma = cfg.gamma
     for make in (two_sided_random_state, example36_state):
         snaps = []
-        run_until(make(cfg), 1.2 / gamma, 0.9, cfg, observer=snaps.append,
+        run_until(make(cfg), 1.2 / gamma, 0.9, observer=snaps.append,
                   cadence=0.1 / gamma)
         yield from snaps
     for support in ([0.6, 0.9], [0.95, 0.99]):
         datum, snaps = piecewise_constant(support, [1.0]), []
-        run_until(init_from_datum(datum, make_grid(datum, cfg, 64), cfg), 4.0 / gamma,
-                  0.9, cfg, observer=snaps.append, cadence=0.25 / gamma)
+        run_until(init_from_datum(datum, make_grid(datum, cfg, 64)), 4.0 / gamma,
+                  0.9, observer=snaps.append, cadence=0.25 / gamma)
         yield from snaps
 
 
@@ -817,15 +843,16 @@ def test_a_run_stopped_by_a_nan_folds_the_ledger_of_every_step_it_made(
     # with snapshots every 10 steps or so, the steps up to the last one are
     # folded as the run reaches them, and only the rest in the finally
     snaps = []
-    kwargs = ({"observer": snaps.append, "cadence": 10 * stable_dt(state, 0.9, cfg)}
+    kwargs = ({"observer": snaps.append, "cadence": 10 * stable_dt(state, 0.9)}
               if observe else {})
     with pytest.raises(FloatingPointError, match="monotone update"):
-        run_until(state, 1.2 / gamma, 0.9, cfg, **kwargs)
+        run_until(state, 1.2 / gamma, 0.9, **kwargs)
     assert len(snaps) == (4 if observe else 0)
     assert len(state.trace_times) == len(state.ledger_history) == 40
     expected = [ledger.copy()]
     for k in range(1, 40):
-        dt = conslaw._cfl_dt(peaks[k - 1], 0.9, state.grid.cell_width, gamma)
+        speed = conslaw._speed(peaks[k - 1], gamma)
+        dt = 0.9 * state.grid.cell_width / max(speed, conslaw.EPS_SPEED)
         assert state.trace_times[k] == state.trace_times[k - 1] + dt
         ledger = ledger + dt * conslaw._flux(state.trace_values[k - 1], gamma)
         expected.append(ledger.copy())
@@ -895,12 +922,12 @@ def test_the_exit_check_finds_a_fault_at_either_end_of_a_two_row_window(
     windows, _ = spy_fault(monkeypatch, row, 0 if column == "first" else hi - 1, hi, bad)
     if outcome == "clips":
         fused = run_bytes(run_until, state, cfg, True)
-        assert fused == run_bytes(run_until_reference, reference, cfg, True)
+        assert fused == run_bytes(run_reference, reference, cfg, True)
         assert len(windows) > FAULT_STEP and set(windows) == {(2, hi)}
         assert not np.signbit(state.cells).any()
     else:
         with pytest.raises(FloatingPointError, match="monotone update"):
-            run_until(state, 1.2 / gamma, 0.9, cfg)
+            run_until(state, 1.2 / gamma, 0.9)
         assert windows == [(2, hi)] * FAULT_STEP
         assert len(state.trace_times) == len(state.ledger_history) == FAULT_STEP
 
@@ -918,9 +945,9 @@ def test_a_run_stopped_mid_step_leaves_the_cells_of_the_reference(
     state, reference = RUN_STATES[kind](cfg), RUN_STATES[kind](cfg)
     hi = entry_window(state)
     windows, reference_steps = spy_fault(monkeypatch, -1, hi // 2, hi, bad)
-    for run, s in ((run_until, state), (run_until_reference, reference)):
+    for run, s in ((run_until, state), (run_reference, reference)):
         with pytest.raises(FloatingPointError, match="monotone update"):
-            run(s, 1.2 / gamma, 0.9, cfg)
+            run(s, 1.2 / gamma, 0.9)
     assert len(windows) == len(reference_steps) == FAULT_STEP
     assert state_bytes(state) == state_bytes(reference)
     fault = state.cells[RIGHT, hi // 2]
@@ -933,10 +960,10 @@ def test_step_rejects_a_bad_cell_set_between_steps(gamma, bad):
     cfg = GammaConfig(gamma=gamma)
     state = example36_state(cfg)
     for _ in range(5):
-        step(state, 0.9, cfg)
+        step(state, 0.9)
     state.cells[RIGHT, 40] = bad
     with pytest.raises(FloatingPointError):
-        step(state, 0.9, cfg)
+        step(state, 0.9)
 
 
 @pytest.mark.parametrize("through", ["run_until", "step"])
@@ -946,13 +973,13 @@ def test_run_until_raises_on_a_nan_made_by_the_update(rows, through):
     # inside the window: the guard's slow path must see it mid-run
     cells = np.zeros((2, 64))
     cells[2 - rows:] = 1e200
-    state = HalfLineState(grid=HalfLineGrid(64, 1e190), cells=cells)
+    state = HalfLineState(grid=HalfLineGrid(64, 1e190, CFG), cells=cells)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="monotone update"):
         if through == "run_until":
-            run_until(state, 5e-10, 0.9, CFG)
+            run_until(state, 5e-10, 0.9)
         else:
-            step(state, 0.9, CFG)
+            step(state, 0.9)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -960,12 +987,12 @@ def test_step_clips_roundoff_negatives_to_positive_zero(gamma):
     cfg = GammaConfig(gamma=gamma)
     state, reference = example36_state(cfg), example36_state(cfg)
     for _ in range(5):
-        step(state, 0.9, cfg)
+        step(state, 0.9)
         step_one_reference(reference, cfg)
     far = state.grid.cell_count - 1  # beyond the support: stays empty
     for s in (state, reference):
         s.cells[RIGHT, [40, far]] = -1e-14
-    step(state, 0.9, cfg)
+    step(state, 0.9)
     step_one_reference(reference, cfg)
     assert state.cells[RIGHT, far] == 0.0 and not np.signbit(state.cells[RIGHT, far])
     assert state_bytes(state) == state_bytes(reference)
@@ -981,11 +1008,11 @@ def test_snapshot_equals_a_run_that_lands_on_its_time(gamma):
     # a run whose last step is capped to land on the snapshot time
     cfg = GammaConfig(gamma=gamma)
     snaps = []
-    run_until(example36_state(cfg), 4.0 / gamma, 0.9, cfg,
+    run_until(example36_state(cfg), 4.0 / gamma, 0.9,
               observer=snaps.append, cadence=0.5 / gamma)
     assert len(snaps) == 9
     for snap in snaps[1:]:
-        landed = run_until(example36_state(cfg), snap.time, 0.9, cfg)
+        landed = run_until(example36_state(cfg), snap.time, 0.9)
         assert landed.time == snap.time
         np.testing.assert_allclose(landed.cells, snap.cells, rtol=0, atol=1e-13)
         np.testing.assert_allclose(landed.outflux_ledger, snap.outflux_ledger,
@@ -1001,8 +1028,8 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
     lam = (1.0 + gamma) ** (gamma / (1.0 + gamma))
     states = []
     for datum in (example_block_datum(gamma), piecewise_constant([0.0, 1.0], [1.0])):
-        state = init_from_datum(datum, make_grid(datum, cfg, 128), cfg)
-        states.append(run_until(state, 2.0 / gamma, 0.9, cfg))
+        state = init_from_datum(datum, make_grid(datum, cfg, 128))
+        states.append(run_until(state, 2.0 / gamma, 0.9))
     block, unit = states
     assert len(unit.trace_times) == len(block.trace_times)
     np.testing.assert_allclose(unit.trace_times, block.trace_times, rtol=0, atol=1e-13)
@@ -1010,7 +1037,7 @@ def test_unit_mass_block_is_a_dilation_of_the_unit_height_block(gamma):
                                rtol=1e-13, atol=0)
     assert unit.outflux_ledger[RIGHT] == pytest.approx(
         (1.0 + gamma) * block.outflux_ledger[RIGHT], rel=1e-13)
-    block_ms, unit_ms = (measure.assemble(s, cfg) for s in (block, unit))
+    block_ms, unit_ms = (measure.assemble(s) for s in (block, unit))
     block_z, unit_z = (measure.z_grid(ms, 128) for ms in (block_ms, unit_ms))
     np.testing.assert_allclose(unit_z, (1.0 + gamma) * block_z, rtol=1e-13, atol=0)
     np.testing.assert_allclose(measure.pseudo_inverse(unit_ms, unit_z),
@@ -1030,7 +1057,7 @@ def two_sided_runs(draw):
                            max_size=breakpoints.size - 1))
     cfg = GammaConfig(gamma=gamma)
     datum = piecewise_constant(breakpoints, values)
-    state = init_from_datum(datum, make_grid(datum, cfg, draw(st.integers(8, 128))), cfg)
+    state = init_from_datum(datum, make_grid(datum, cfg, draw(st.integers(8, 128))))
     return state, draw(st.floats(0.05, 1.0)), draw(st.floats(0.01, 4.0)) / gamma, cfg
 
 
@@ -1040,8 +1067,8 @@ def test_run_until_takes_no_more_steps_than_check_cell_steps_estimates(case):
     # max u never rises, so no uncapped step is shorter than the first; the
     # step that lands on t_end may be capped
     state, cfl, t_end, cfg = case
-    estimate = check_cell_steps(state, t_end, cfl, cfg)
-    run_until(state, t_end, cfl, cfg)
+    estimate = check_cell_steps(state, t_end, cfl)
+    run_until(state, t_end, cfl)
     assert len(state.trace_times) - 1 <= estimate + 1
 
 
@@ -1070,7 +1097,7 @@ def monotone_runs(draw):
     cfg = GammaConfig(gamma=draw(st.sampled_from(GAMMAS)))
     first, second = draw(right_half_line_data()), draw(right_half_line_data())
     grid = make_grid(max(first, second, key=lambda d: d.b), cfg, draw(st.integers(8, 64)))
-    rows = [init_from_datum(d, grid, cfg).cells[RIGHT] for d in (first, second)]
+    rows = [init_from_datum(d, grid).cells[RIGHT] for d in (first, second)]
     return cfg, grid, rows, draw(st.floats(0.6, 1.0))
 
 
@@ -1089,7 +1116,7 @@ def check_monotone_run(state, cfg, cfl, ordered):
     scale = MONOTONE_ULPS * EPS
     sup, mass = scale * state.sup_initial, scale * mass0.sum()
     snaps = []
-    run_until(state, 2.0 / cfg.gamma, cfl, cfg, observer=snaps.append,
+    run_until(state, 2.0 / cfg.gamma, cfl, observer=snaps.append,
               cadence=0.125 / cfg.gamma)
 
     def distance(snap):
@@ -1157,11 +1184,11 @@ def test_a_run_scales_bitwise_under_the_amplitude_scaling(case):
     make = piecewise_linear if linear else piecewise_constant
     datum, scaled = make(breakpoints, values), make(breakpoints, lam * values)
     grid = make_grid(datum, cfg, cells)
-    state, lifted = (init_from_datum(d, grid, cfg) for d in (datum, scaled))
+    state, lifted = (init_from_datum(d, grid) for d in (datum, scaled))
     assert lifted.cells.tobytes() == (lam * state.cells).tobytes()
     rate = lam ** cfg.gamma
-    run_until(state, t_end, 0.9, cfg)
-    run_until(lifted, t_end / rate, 0.9, cfg)
+    run_until(state, t_end, 0.9)
+    run_until(lifted, t_end / rate, 0.9)
     assert len(lifted.trace_times) == len(state.trace_times) > 1
     assert lifted.time == t_end / rate
     assert lifted.trace_times.tobytes() == (state.trace_times / rate).tobytes()
@@ -1181,12 +1208,12 @@ def test_a_run_scales_bitwise_under_the_dilation_at_gamma_1(data, mu, cells, t_e
     linear, breakpoints, values = data
     cfg = GammaConfig(gamma=1.0)
     make = piecewise_linear if linear else piecewise_constant
-    state, wide = (init_from_datum(d, make_grid(d, cfg, cells), cfg)
+    state, wide = (init_from_datum(d, make_grid(d, cfg, cells))
                    for d in (make(breakpoints, values), make(mu * breakpoints, values)))
     root = np.sqrt(mu)
     assert wide.grid.cell_width == root * state.grid.cell_width
-    run_until(state, t_end, 0.9, cfg)
-    run_until(wide, t_end, 0.9, cfg)
+    run_until(state, t_end, 0.9)
+    run_until(wide, t_end, 0.9)
     assert len(wide.trace_times) == len(state.trace_times) > 1
     assert wide.trace_times.tobytes() == state.trace_times.tobytes()
     for record, factor in (("cells", root), ("trace_values", root),

@@ -28,7 +28,6 @@ from condrift.measure import (
     MeasureState,
     assemble,
     check_entropy_measure,
-    grid_geometry,
     measure_rows,
     original_frame_series,
     pseudo_inverse,
@@ -51,11 +50,11 @@ def simulate_block(gamma, n, times, cfl=0.9, datum=None):
     cfg = GammaConfig(gamma=gamma)
     datum = datum or example_block_datum(gamma)
     grid = make_grid(datum, cfg, n)
-    state = init_from_datum(datum, grid, cfg)
+    state = init_from_datum(datum, grid)
     ms_series = []
     for t in times:
-        run_until(state, t, cfl, cfg)
-        ms_series.append(assemble(state, cfg))
+        run_until(state, t, cfl)
+        ms_series.append(assemble(state))
     return ms_series, datum, state.sup_initial
 
 
@@ -66,9 +65,9 @@ def pseudo_inverses(ms_series, z_count):
 
 
 def test_assemble_zero_states():
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1, cfg=CFG)
     state = HalfLineState(grid=grid, cells=np.zeros((2, 16)))
-    ms = assemble(state, CFG)
+    ms = assemble(state)
     assert ms.dirac_mass == 0.0 and ms.ac_mass == 0.0
     assert not ms.rho.size
 
@@ -101,23 +100,11 @@ def test_assemble_support_inside_initial_hull():
         assert ms.support[1] <= hi0 + 1e-12
 
 
-@pytest.mark.parametrize("source", ["other-grid"])
-def test_assemble_rejects_a_geometry_that_does_not_cover_the_snapshot(source):
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
-    cells = np.zeros((2, 16))
-    cells[:, :8] = 1.0
-    snap = HalfLineState(grid=grid, cells=cells)
-    other = HalfLineGrid(16, 0.2)  # as many cells, of another width
-    assemble(snap, CFG, grid_geometry(grid, CFG))
-    with pytest.raises(ValueError, match="does not cover the snapshot"):
-        assemble(snap, CFG, grid_geometry(other, CFG))
-
-
 def test_pseudo_inverse_pure_dirac():
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1, cfg=CFG)
     state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
                           outflux_ledger=[0.3, 0.2])
-    ms = assemble(state, CFG)
+    ms = assemble(state)
     assert np.all(pseudo_inverse(ms, z_grid(ms, 64)) == 0.0)
     assert wasserstein_to_dirac(ms) == 0.0
 
@@ -180,8 +167,8 @@ def test_trace_onset_time():
     cfg = GammaConfig(gamma=1.0)
     datum = example_block_datum(1.0)
     grid = make_grid(datum, cfg, 512)
-    state = init_from_datum(datum, grid, cfg)
-    run_until(state, 1.5, 0.9, cfg)
+    state = init_from_datum(datum, grid)
+    run_until(state, 1.5, 0.9)
     onset = trace_onset_time(state.trace_times, state.trace_values)
     # N = 512 resolves the onset only to ~dxi*(gamma^gamma*((1+gamma)*thr)^-gamma
     # + thr^-gamma) = 0.32
@@ -214,12 +201,12 @@ def test_check_initial_datum_cumulative_match():
 
 
 def test_check_stationary_condensed_state():
-    grid = HalfLineGrid(cell_count=16, cell_width=0.1)
+    grid = HalfLineGrid(cell_count=16, cell_width=0.1, cfg=CFG)
 
     def condensed(t):
         state = HalfLineState(grid=grid, cells=np.zeros((2, 16)),
                               outflux_ledger=[0.5, 0.0], time=t)
-        return assemble(state, CFG)
+        return assemble(state)
 
     ms_series = [condensed(t) for t in (1.0, 2.0)]
     violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 64), CFG,
@@ -315,11 +302,10 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     # amount that a running sum of F_val rounds away
     cfg = GammaConfig(gamma=1.0)
     datum = piecewise_constant(breakpoints, [1.0])
-    state = init_from_datum(datum, make_grid(datum, cfg, 128), cfg)
+    state = init_from_datum(datum, make_grid(datum, cfg, 128))
     snaps = []
-    run_until(state, 3.2, 0.9, cfg, observer=snaps.append, cadence=0.1)
-    geometry = grid_geometry(state.grid, cfg)
-    ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
+    run_until(state, 3.2, 0.9, observer=snaps.append, cadence=0.1)
+    ms_series = [assemble(snap) for snap in snaps]
     z = z_grid(ms_series[0], 256)
     X_series = [pseudo_inverse(ms, z) for ms in ms_series]
     assert check_entropy_measure(ms_series, X_series, cfg, state.sup_initial,
@@ -330,7 +316,7 @@ def test_continuity_binds_a_side_to_the_origin_once_it_has_mass(breakpoints, row
     cells = snaps[first].cells.copy()
     cells[row, 1] += cells[row, 0]
     cells[row, 0] = 0.0
-    ms_series[first] = assemble(replace(snaps[first], cells=cells), cfg, geometry)
+    ms_series[first] = assemble(replace(snaps[first], cells=cells))
     X_series[first] = pseudo_inverse(ms_series[first], z)
     violations = check_entropy_measure(ms_series, X_series, cfg, state.sup_initial,
                                        datum=datum)
@@ -356,10 +342,10 @@ def test_decay_bound_flags_a_run_stepped_past_its_cfl_bound(monkeypatch, gamma, 
     monkeypatch.setattr(conslaw, "_power", scaled)
     cfg = GammaConfig(gamma=gamma)
     datum = example_block_datum(gamma)
-    state = init_from_datum(datum, make_grid(datum, cfg, 256), cfg)
+    state = init_from_datum(datum, make_grid(datum, cfg, 256))
     snaps = []
-    conslaw.run_until(state, 4.0 / gamma, 0.9, cfg, snaps.append, 0.5 / gamma)
-    ms_series = [assemble(snap, cfg) for snap in snaps]
+    conslaw.run_until(state, 4.0 / gamma, 0.9, snaps.append, 0.5 / gamma)
+    ms_series = [assemble(snap) for snap in snaps]
     violations = check_entropy_measure(ms_series, pseudo_inverses(ms_series, 1024), cfg,
                                        state.sup_initial, datum=datum)
     assert {v.kind for v in violations} == ({"decay-bound"} if cfl > 1 else set())
@@ -394,25 +380,24 @@ DELETED_KINDS = ("edge-slope", "oleinik")
 
 def match_references(datum, gamma, cells, z_count, t_end):
     """Run the datum to t_end with snapshots at cadence 0.5/gamma, and check
-    that assemble on the run's geometry gives the bytes of its frozen
+    that assemble on the run's grid gives the bytes of its frozen
     reference, that each pseudo-inverse is 0 exactly on the plateau of the
     concentrated mass and that check_entropy_measure finds no violation, as the
     frozen reference does once its deleted kinds are dropped.  Returns the
     reference's violations, or None when both assemblies raise
     FloatingPointError."""
     cfg = GammaConfig(gamma=gamma)
-    state = init_from_datum(datum, make_grid(datum, cfg, cells), cfg)
+    state = init_from_datum(datum, make_grid(datum, cfg, cells))
     snaps = []
-    run_until(state, t_end, 0.9, cfg, observer=snaps.append, cadence=0.5 / gamma)
+    run_until(state, t_end, 0.9, observer=snaps.append, cadence=0.5 / gamma)
     try:
         expected = [assemble_reference(snap, cfg) for snap in snaps]
     except FloatingPointError as error:
         with pytest.raises(FloatingPointError) as raised:
-            assemble(snaps[0], cfg)
+            assemble(snaps[0])
         assert str(raised.value) == str(error)
         return None
-    geometry = grid_geometry(state.grid, cfg)
-    ms_series = [assemble(snap, cfg, geometry) for snap in snaps]
+    ms_series = [assemble(snap) for snap in snaps]
     for ms, ref in zip(ms_series, expected):
         for name in ("x", "rho", "mass_weights", "F_x", "F_val"):
             assert getattr(ms, name).tobytes() == getattr(ref, name).tobytes(), name

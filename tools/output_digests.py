@@ -1,14 +1,20 @@
 """SHA-256 of every output file of a fixed set of condrift runs, as JSON.
 
 The runs are the three benchmark workloads (``bench/workloads.py``, read
-as it is) at seeds 1-3, ``verify`` on the block at gamma in
-{0.1, 0.5, 1, 2, 16} at the default sizes, ``simulate`` on two data
-off the benchmark (``OFF_SUITE``), each followed by ``convert`` on its
-output, and ``characteristics`` on five data off the benchmark
+as it is) at seeds 1-3, ``verify`` on the block at gamma in {0.1, 0.5,
+1, 2, 16} at the default sizes, ``simulate`` on two data off the
+benchmark (``OFF_SUITE``), each followed by ``convert`` on its output,
+and ``characteristics`` on five data off the benchmark
 (``CHARACTERISTICS_OFF_SUITE``): a radial datum in d = 2, linear data
-with zero edge values, a falling step profile, and gamma 0.5 and 3.  Each run calls ``cli.main`` in this process, in its own
-temporary directory.  Two trees that give the same JSON write the same
-bytes; diff the output of two trees to check:
+with zero edge values, a falling step profile, and gamma 0.5 and 3. The
+runs of ``EXIT_CODE_ONLY`` record their exit code alone: a 401-digit
+integer for each numeric key that ``simulate``, ``verify`` and
+``characteristics`` read as a size or as gamma, and two runs at gamma =
+1e-3, where x(xi) underflows at the innermost cell centers: a ``verify``
+past the cell-step budget, which that check rejects first, and a
+``simulate`` that reaches the underflow.  Each run calls ``cli.main`` in
+this process, in its own temporary directory.  Two trees that give the
+same JSON write the same bytes; diff the output of two trees to check:
 
     python3 tools/output_digests.py > after.json
     python3 tools/output_digests.py path/to/other/checkout > before.json
@@ -77,6 +83,23 @@ CHARACTERISTICS_OFF_SUITE = {
                "grid_cells": 513,
                "datum": {"kind": "piecewise_linear", "breakpoints": [-0.4, 0.0, 0.5],
                          "values": [0.5, 1.0, 0.3]}},
+}
+
+
+BLOCK = {"kind": "example36"}
+# a 401-digit integer, past the float range and within Python's digit limit
+PAST_FLOAT_RANGE = 10**400
+EXIT_CODE_ONLY = {
+    **{f"{command}/{key}-401-digits":
+       (command, {"gamma": 1.0, "datum": BLOCK, key: PAST_FLOAT_RANGE})
+       for command, keys in (("simulate", ("gamma", "grid_cells", "z_count")),
+                             ("verify", ("gamma", "grid_cells", "z_count")),
+                             ("characteristics", ("gamma", "grid_cells", "dim")))
+       for key in keys},
+    "verify/gamma1e-3-over-budget":
+        ("verify", {"gamma": 1e-3, "grid_cells": 200_000, "datum": BLOCK}),
+    "simulate/gamma1e-3-underflow":
+        ("simulate", {"gamma": 1e-3, "grid_cells": 64, "datum": BLOCK}),
 }
 
 
@@ -155,6 +178,9 @@ def main(argv=None) -> int:
     if Path(cli.__file__).resolve().parents[1] != root / "src":
         raise SystemExit(f"imported condrift from {cli.__file__}, not {root / 'src'}")
     digests = {name: digest_run(cli.main, *run) for name, *run in runs(WORKLOADS)}
+    for name, (command, config) in EXIT_CODE_ONLY.items():
+        code = digest_run(cli.main, command, config, False)["exit_code"]
+        digests[name] = {"exit_code": code}
     digests["numpy"] = numpy_provenance()
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
