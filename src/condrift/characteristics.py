@@ -26,11 +26,6 @@ FOOT_HALVINGS = 64
 # brackets of one bisection block: whole rows of (times, points), so a
 # long time grid holds a few MB of temporaries, not eight full arrays
 BLOCK_POINTS = 1 << 16
-# the first bisection halving, and the spacing of the later ones, that set
-# aside the brackets they leave as they are: earlier, few brackets have
-# reached adjacent floats and the checks cost more than they save
-PRUNE_FROM = 48
-PRUNE_EVERY = 4
 
 
 class ZeroDatum(ValueError):
@@ -126,8 +121,12 @@ def first_shock_time(datum: InitialDatum, cfg: GammaConfig) -> float:
 
 def _foot_map(x0, rate, datum: InitialDatum, g: float, d: int):
     """Position at the time of ``rate`` = gamma*d*t of the characteristic
-    started at x0, the one expression every foot bracket is tested with."""
-    return x0 * (1.0 - rate * datum(x0) ** g) ** ((1 + g) / (g * d))
+    started at x0, the one expression every foot bracket is tested with.
+    At gamma = 1 it takes no power of the datum: f**1 is f bit for bit."""
+    f = datum(x0)
+    if g != 1:
+        f = f**g
+    return x0 * (1.0 - rate * f) ** ((1 + g) / (g * d))
 
 
 def _edge_path(lo: float, hi: float, goes_low) -> tuple:
@@ -149,27 +148,13 @@ def _edge_path(lo: float, hi: float, goes_low) -> tuple:
 
 def _bisect(lo, hi, x, rate, datum: InitialDatum, g: float, d: int) -> tuple:
     """FOOT_HALVINGS halvings of the flat foot brackets [lo, hi] of the
-    points x, each with its own rate; the final brackets.
-
-    From halving PRUNE_FROM on, every PRUNE_EVERY halvings, a bracket that
-    the halving leaves as it is (its mid is the end it replaces) is set
-    aside: every later halving leaves it as it is too.
-    """
-    lo_out, hi_out = lo.copy(), hi.copy()
-    left = np.arange(lo.size)
-    for halving in range(FOOT_HALVINGS):
+    points x, each with its own rate; the final brackets."""
+    for _ in range(FOOT_HALVINGS):
         mid = 0.5 * (lo + hi)
         below = _foot_map(mid, rate, datum, g, d) <= x
-        if halving >= PRUNE_FROM and (halving - PRUNE_FROM) % PRUNE_EVERY == 0:
-            done = mid == np.where(below, lo, hi)
-            lo_out[left[done]], hi_out[left[done]] = lo[done], hi[done]
-            keep = ~done
-            left, lo, hi, x, rate, mid, below = (
-                v[keep] for v in (left, lo, hi, x, rate, mid, below))
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    lo_out[left], hi_out[left] = lo, hi
-    return lo_out, hi_out
+    return lo, hi
 
 
 def evaluate_smooth_grid(xs, t, datum: InitialDatum, cfg: GammaConfig) -> np.ndarray:

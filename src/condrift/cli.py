@@ -11,8 +11,9 @@ non-finite numbers, a number past the float range, a datum key its kind
 does not read, a zero-mass datum, a radial datum with a breakpoint below
 0, a convert input with dim other than 1, with a measures.csv that is
 not ASCII, lacks its header or has no row, or with a row that is not six
-finite numbers with t >= 0, a run past the row budget MAX_OUTPUT_ROWS and
-a run past the cell-step budget conslaw.MAX_CELL_STEPS), 3
+finite numbers with t >= 0, a run past the row budget MAX_OUTPUT_ROWS,
+its ledger rows included, and a run past the cell-step budget
+conslaw.MAX_CELL_STEPS), 3
 numerical-validity error (including a NaN produced while stepping, a
 coordinate map that underflows and a float overflow anywhere), 4 I/O
 error, 5 verification failed (a verify row reads FAIL; the report is
@@ -218,6 +219,10 @@ def simulate(config: RunConfig) -> SimulationResult:
     datum = config.build_datum()
     grid = make_grid(datum, config.gamma_config(), config.grid_cells)
     state = init_from_datum(datum, grid)
+    # each ledger file: a row for the start and one per step, which are at
+    # most the uncapped steps and the step that lands on t_end
+    steps = conslaw.check_cell_steps(state, config.t_end, config.cfl)
+    _check_rows(2.0 * (steps + 2), "ledger", "lower t_end or grid_cells, or raise cfl")
     snapshots: list = []
     run_until(state, config.t_end, config.cfl,
               observer=snapshots.append, cadence=config.snapshot_cadence)
@@ -296,8 +301,8 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     read in the unit-mass scale through the exact dilation of the block
     onto the unit-mass block on [0, 1]. The law run's snapshot rows are
     checked first, before any state is built; then the law run goes
-    first, so its own cell-step check (``run_until``'s) rejects it before
-    its first step and before any other run.
+    first, so its own cell-step and ledger checks (``simulate``'s) reject
+    it before its first step and before any other run.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
@@ -418,6 +423,8 @@ def trace_time_tolerance(gamma: float, dxi: float) -> float:
     gamma near 144) it is inf.
     """
     tau = measure.TRACE_THRESHOLD
+    # in floats: a JSON integer gamma would take gamma**gamma exactly
+    gamma = float(gamma)
     try:
         return dxi * (gamma**gamma * ((1.0 + gamma) * tau) ** (-gamma)
                       + tau ** (-gamma))

@@ -273,15 +273,15 @@ def test_evaluate_smooth_regime_guard():
 
 
 @st.composite
-def smooth_cases(draw):
+def smooth_cases(draw, gammas=st.floats(0.3, 3.0)):
     """(datum, cfg, xs, times): a constant or linear table, dim 1 or 2,
     that is smooth up to its horizon (constant values fall away from the
-    origin, linear values are positive); xs hold 0, the breakpoints and
-    points outside the support, times hold 0 and the float just below
-    the horizon."""
+    origin, linear values are positive), at a gamma drawn from
+    ``gammas``; xs hold 0, the breakpoints and points outside the
+    support, times hold 0 and the float just below the horizon."""
     kind = draw(st.sampled_from(["constant", "linear"]))
     dim = draw(st.sampled_from([1, 2]))
-    gamma = draw(st.floats(0.3, 3.0))
+    gamma = draw(gammas)
     n = draw(st.integers(1, 5))
     widths = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     count = n + (kind == "linear")
@@ -320,6 +320,25 @@ def test_batched_times_equal_the_per_time_rows(case, block_points):
         batched = evaluate_smooth_grid(xs, times, datum, cfg)
     assert batched.shape == (times.size, xs.size)
     assert batched.tobytes() == stacked.tobytes()
+
+
+# at gamma = 1 and 2 the evaluator's powers are the identity, squares and
+# square roots, which scale exactly by a power of two; other gammas take
+# np.power, which does not
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(smooth_cases(st.sampled_from([1, 2.0])), st.sampled_from([0.5, 2.0, 4.0]))
+def test_evaluate_smooth_grid_scales_bitwise_under_the_amplitude_scaling(case, lam):
+    # lam * rho0 has the solution lam * rho(x, lam^gamma t): its horizon is
+    # the horizon over lam^gamma, and its values at t / lam^gamma are lam
+    # times those at t, bit for bit
+    datum, cfg, xs, times = case
+    scaled = InitialDatum(datum.kind, datum.breakpoints, lam * datum.values)
+    shrink = lam**cfg.gamma
+    horizon = min(blow_up_time(datum, cfg), first_shock_time(datum, cfg))
+    assert min(blow_up_time(scaled, cfg), first_shock_time(scaled, cfg)) == horizon / shrink
+    values = evaluate_smooth_grid(xs, times, datum, cfg)
+    assert (evaluate_smooth_grid(xs, times / shrink, scaled, cfg).tobytes()
+            == (lam * values).tobytes())
 
 
 def test_batched_times_past_one_block_equal_the_per_time_rows():

@@ -373,6 +373,29 @@ def test_cell_step_budget_exits_2(tmp_path, capsys, command, override):
     assert error["exit_code"] == EXIT_CONFIG
 
 
+# 8 cells at cfl 1e-3 to t_end 1e4: about 5.2e8 cell steps, inside the
+# cell-step budget, in up to 6.5e7 steps, so the two ledger files would
+# hold about 1.3e8 rows and the run about 13 GB of step records
+LEDGER_PAST_THE_BUDGET = {"grid_cells": 8, "z_count": 16, "cfl": 1e-3, "t_end": 1e4,
+                          "snapshot_cadence": 1e4}
+
+
+def test_simulate_checks_its_ledger_rows_before_its_first_step(tmp_path, monkeypatch):
+    # a step would be a missed check: it fails the run at once, before the
+    # run's records grow
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(conslaw, "_advance", refuse)
+    path = write_config(tmp_path, **LEDGER_PAST_THE_BUDGET)
+    out = tmp_path / "out"
+    code, stderr = run_command(["simulate", "--config", str(path), "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert stderr.count("\n") == 1
+    assert "ledger rows exceed the budget" in json.loads(stderr)["error"]
+    assert not out.exists()
+
+
 def test_cmd_simulate_final_mass_matches_law(tmp_path):
     path = write_config(tmp_path, t_end=4.0, grid_cells=1024,
                         snapshot_cadence=1.0)
@@ -1287,6 +1310,24 @@ def test_trace_time_tolerance_scales():
         10 * trace_time_tolerance(1.0, 1e-5))
     # gamma = 1, threshold 1e-2: 50 + 100 cells of time
     assert trace_time_tolerance(1.0, 1e-4) == pytest.approx(150e-4)
+
+
+def test_verify_at_an_integer_gamma_writes_the_float_gamma_report(tmp_path):
+    # gamma**gamma in exact integer arithmetic would take far longer than
+    # the timeout at gamma = 10^7; the tolerance is taken in floats
+    src = str(Path(condrift.__file__).resolve().parents[1])
+    reports = []
+    for gamma in (10**7, 1e7):
+        run = tmp_path / repr(gamma)
+        run.mkdir()
+        path = write_config(run, gamma=gamma, grid_cells=64)
+        proc = subprocess.run(
+            [sys.executable, "-m", "condrift.cli", "verify", "--config", str(path),
+             "--output", str(run / "out"), "--quiet"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+        assert proc.returncode == 0
+        reports.append((run / "out" / "verify_report.txt").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cmd_verify_coarse_marks_convergence_informational(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The runs are the three benchmark workloads (``bench/workloads.py``, read
 as it is) at seeds 1-3, ``verify`` on the block at gamma in {0.1, 0.5,
-1, 2, 16} at the default sizes, ``simulate`` on two data off the
+1, 2, 16} at the default sizes and at gamma 10^6 at 64 cells, written
+once as a JSON integer and once as a float, ``simulate`` on two data off the
 benchmark (``OFF_SUITE``), each followed by ``convert`` on its output,
 and ``characteristics`` on five data off the benchmark
 (``CHARACTERISTICS_OFF_SUITE``): a radial datum in d = 2, linear data
@@ -138,6 +139,10 @@ def runs(workloads: dict):
     for gamma in VERIFY_GAMMAS:
         yield (f"verify/gamma{gamma:g}", "verify",
                {"gamma": gamma, "datum": {"kind": "example36"}}, False)
+    # the same gamma as a JSON integer and as a float: the same bytes
+    for gamma in (10**6, 1e6):
+        yield (f"verify/gamma{gamma!r}-64cells", "verify",
+               {"gamma": gamma, "datum": BLOCK, "grid_cells": 64}, False)
     for name, config in OFF_SUITE.items():
         yield f"simulate/{name}", "simulate", config, True
     for name, config in CHARACTERISTICS_OFF_SUITE.items():
