@@ -3,6 +3,8 @@
 A run is configured by a single JSON file (flat keys plus a nested datum
 table, documented in the README); ``simulate`` writes its resolved
 configuration next to its outputs so results are reproducible bit for bit.
+``simulate()`` checks its run once: both commands that run the solver
+read the diagnostics and the trace onset off its result.
 
 Exit codes: 0 success, 1 internal error (any other exception), 2 config
 error (including a config whose bytes do not decode, that nests past the
@@ -202,18 +204,19 @@ def load_config(path: str) -> RunConfig:
 
 @dataclass
 class SimulationResult:
-    """Everything cmd_simulate needs to write its artifacts."""
+    """A checked run: everything cmd_simulate writes and cmd_verify reads."""
 
     state: conslaw.HalfLineState
     snapshots: list
     ms_series: list
     z: np.ndarray  # the z-grid of every pseudo-inverse in X_series
     X_series: list
-    datum: InitialDatum
+    violations: list  # measure.check_entropy_measure's, against the datum
+    onset: float  # measure.trace_onset_time's, inf when the trace stays low
 
 
 def simulate(config: RunConfig) -> SimulationResult:
-    """Run the half-line solver and assemble measure snapshots."""
+    """Run the half-line solver, assemble measure snapshots, check them."""
     if config.dim != 1:
         raise ConfigError("simulate requires dim = 1")
     datum = config.build_datum()
@@ -229,7 +232,11 @@ def simulate(config: RunConfig) -> SimulationResult:
     ms_series = [measure.assemble(snap) for snap in snapshots]
     z = measure.z_grid(ms_series[0], config.z_count)
     X_series = [measure.pseudo_inverse(ms, z) for ms in ms_series]
-    return SimulationResult(state, snapshots, ms_series, z, X_series, datum)
+    violations = measure.check_entropy_measure(ms_series, X_series, grid.cfg,
+                                               state.sup_initial, datum=datum)
+    onset = measure.trace_onset_time(state.trace_times, state.trace_values)
+    return SimulationResult(state, snapshots, ms_series, z, X_series,
+                            violations, onset)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -244,10 +251,6 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     rows = measure.measure_rows(ms_series)
     frame_rows = (measure.original_frame_series(rows, config.gamma)
                   if config.frame == "original" else None)
-    violations = measure.check_entropy_measure(ms_series, res.X_series,
-                                               state.grid.cfg, state.sup_initial,
-                                               datum=res.datum)
-    onset = measure.trace_onset_time(state.trace_times, state.trace_values)
     summary = {
         "version": SCHEMA_VERSION,
         "gamma": config.gamma,
@@ -256,11 +259,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                  "dxi": state.grid.cell_width,
                  "extent": state.grid.extent},
         "t_end": config.t_end,
-        "t_star_trace": None if math.isinf(onset) else onset,
+        "t_star_trace": None if math.isinf(res.onset) else res.onset,
         "final_dirac_fraction": ms_series[-1].dirac_mass
         / max(ms_series[-1].total_mass, 1e-300),
         "total_mass": ms_series[-1].total_mass,
-        "violation_counts": collections.Counter(v.kind for v in violations),
+        "violation_counts": collections.Counter(v.kind for v in res.violations),
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +287,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     if not quiet:
         print(f"simulated to t={config.t_end}: condensed fraction "
               f"{summary['final_dirac_fraction']:.4f}, "
-              f"violations {len(violations)}")
+              f"violations {len(res.violations)}")
     return EXIT_OK
 
 
@@ -295,21 +298,20 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     The suite runs on the block; the configured datum is only validated.
     It makes three solver runs when grid_cells is a convergence size (as
     it is from 256 on): one to 0.5/gamma for each other size, and the law
-    run to 4/gamma. The law run gives the onset, the mass law and the
-    diagnostics, the convergence size grid_cells from its snapshot at
-    0.5/gamma, and the pseudo-inverse row from its snapshot at 2/gamma,
-    read in the unit-mass scale through the exact dilation of the block
-    onto the unit-mass block on [0, 1]. The law run's snapshot rows are
-    checked first, before any state is built; then the law run goes
-    first, so its own cell-step and ledger checks (``simulate``'s) reject
-    it before its first step and before any other run.
+    run to 4/gamma, whose gamma the others take from its grid. The law
+    run's result gives the onset and the diagnostics, which ``simulate``
+    computes, the mass law, the convergence size grid_cells from its
+    snapshot at 0.5/gamma, and the pseudo-inverse row from its snapshot
+    at 2/gamma, read in the unit-mass scale through the exact dilation of
+    the block onto the unit-mass block on [0, 1]. The law run's snapshot
+    rows are checked first, before any state is built; then the law run
+    goes first, so its own cell-step and ledger checks (``simulate``'s)
+    reject it before its first step and before any other run.
     """
     if config.dim != 1:
         raise ConfigError("verify requires dim = 1")
     config.build_datum()
     g = config.gamma
-    cfg = GammaConfig(gamma=g, dim=1)
-    rows = []
 
     # one run to 4/gamma serves every row but the smaller convergence
     # sizes; its snapshot at a time t equals a run that lands on t, to
@@ -318,14 +320,12 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                         grid_cells=config.grid_cells, cfl=config.cfl,
                         t_end=4.0 / g, snapshot_cadence=0.5 / g,
                         z_count=config.z_count)
+    # the times of the law run's snapshots, element for element
     law_times = conslaw.output_times(0.0, law_cfg.t_end, law_cfg.snapshot_cadence)
     _check_rows(len(law_times) * (2.0 * config.grid_cells + config.z_count),
                 "law-run snapshot", "lower grid_cells or z_count")
     law_res = simulate(law_cfg)
     ms2 = law_res.ms_series
-
-    def add(name, status, value, target):
-        rows.append((name, status, value, target))
 
     # convergence against the explicit conservation-law profile; the size
     # equal to grid_cells is read off the law run
@@ -337,35 +337,32 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         exact = oracle.u_explicit(snap.grid.centers, t_probe, g)
         return float(np.sum(np.abs(snap.cells[RIGHT] - exact)) * snap.grid.cell_width)
 
+    datum = example_block_datum(g)
     errors = {}
     for n in sizes:
-        if n != config.grid_cells:
-            datum = example_block_datum(g)
-            state = init_from_datum(datum, make_grid(datum, cfg, n))
-            errors[n] = l1_error(run_until(state, t_probe, config.cfl))
-
-    times = np.array([ms.time for ms in ms2])
-    if config.grid_cells in sizes:
-        errors[config.grid_cells] = l1_error(
-            law_res.snapshots[np.argmin(abs(times - t_probe))])
+        if n == config.grid_cells:
+            snap = law_res.snapshots[np.argmin(abs(law_times - t_probe))]
+        else:
+            grid = make_grid(datum, law_res.state.grid.cfg, n)
+            snap = run_until(init_from_datum(datum, grid), t_probe, config.cfl)
+        errors[n] = l1_error(snap)
     order = float(np.polyfit(np.log(sizes), np.log([errors[n] for n in sizes]),
                              1)[0] * -1)
     informational = config.grid_cells < 256
-    add("L1 convergence order vs explicit u",
-        "INFO" if informational else ("PASS" if order >= 0.8 else "FAIL"),
-        f"{order:.3f}", ">= 0.8")
+    rows = [("L1 convergence order vs explicit u",
+             "INFO" if informational else ("PASS" if order >= 0.8 else "FAIL"),
+             f"{order:.3f}", ">= 0.8")]
 
     # trace onset vs 1/gamma; a tolerance of 1/gamma or more passes every
     # onset in [0, 1/gamma], and one past the largest float reads as a bound
-    onset = measure.trace_onset_time(law_res.state.trace_times,
-                                     law_res.state.trace_values)
+    onset = law_res.onset
     tol = 5.0 * trace_time_tolerance(g, law_res.state.grid.cell_width)
     status = ("INFO" if tol >= 1.0 / g
               else "PASS" if abs(onset - 1.0 / g) <= tol else "FAIL")
-    add("trace onset time vs 1/gamma", status,
-        "none" if math.isinf(onset) else f"{onset:.5f}",
-        f"{1.0 / g:.5f} +/- " + (f"{tol:.2g}" if math.isfinite(tol)
-                                 else f">{sys.float_info.max:.2g}"))
+    rows.append(("trace onset time vs 1/gamma", status,
+                 "none" if math.isinf(onset) else f"{onset:.5f}",
+                 f"{1.0 / g:.5f} +/- " + (f"{tol:.2g}" if math.isfinite(tol)
+                                          else f">{sys.float_info.max:.2g}")))
 
     # condensed-mass law on [1.5/gamma, 4/gamma]
     worst = 0.0
@@ -374,23 +371,21 @@ def cmd_verify(config: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             target = oracle.mass_explicit(ms.time, g)
             worst = max(worst, abs(ms.dirac_mass - target) / target)
     status = "INFO" if informational else ("PASS" if worst <= 0.01 else "FAIL")
-    add("condensed-mass law rel error", status, f"{worst:.4f}", "<= 0.01")
+    rows.append(("condensed-mass law rel error", status, f"{worst:.4f}", "<= 0.01"))
 
     # pseudo-inverse against the explicit rearrangement at 2/gamma, in the
     # unit-mass scale: that block is an exact dilation of this one, with X
     # scaled by 1+gamma
-    k = np.argmin(abs(times - 2.0 / g))
+    k = np.argmin(abs(law_times - 2.0 / g))
     exact_X = oracle.X_explicit(law_res.z, ms2[k].time, g)
     linf = (1.0 + g) * float(np.max(np.abs(law_res.X_series[k] - exact_X)))
     status = "INFO" if informational else ("PASS" if linf <= 1e-2 else "FAIL")
-    add("pseudo-inverse Linf vs explicit X", status, f"{linf:.2e}", "<= 1e-2")
+    rows.append(("pseudo-inverse Linf vs explicit X", status, f"{linf:.2e}", "<= 1e-2"))
 
-    # structural diagnostics on the run
-    n_viols = len(measure.check_entropy_measure(ms2, law_res.X_series, cfg,
-                                                law_res.state.sup_initial,
-                                                datum=law_res.datum))
-    add("entropy-measure diagnostics", "PASS" if n_viols == 0 else "FAIL",
-        f"{n_viols} violations", "0")
+    # structural diagnostics on the law run
+    n_viols = len(law_res.violations)
+    rows.append(("entropy-measure diagnostics", "PASS" if n_viols == 0 else "FAIL",
+                 f"{n_viols} violations", "0"))
 
     lines = [f"{'check':<42} {'status':<6} {'measured':<18} target"]
     for name, status, value, target in rows:

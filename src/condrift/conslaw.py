@@ -404,9 +404,9 @@ def _advance(state: HalfLineState, cfl: float, t_end: float, tiny: float,
     rows = _stepped_rows(state.cells)
     u = state.cells[rows]
     _clip_roundoff(u, "state before the update")
-    # the first step's outflux is read off the trace's last entry: make it
-    # the clipped boundary the step starts from, even if the cells were set
-    # after it was recorded
+    # refresh the pre-run record to the clipped boundary the run starts
+    # from, even if the cells were set after it was recorded; ``_fold``
+    # fills an unstepped row's trace column from it
     state.trace_values[-1] = state.cells[:, 0]
     # by bit pattern, so that a -0.0 cell is stepped (and becomes +0.0)
     occupied = np.flatnonzero(u.view(np.uint64).any(axis=0))
@@ -492,13 +492,13 @@ def _advance(state: HalfLineState, cfl: float, t_end: float, tiny: float,
 def step(state: HalfLineState, cfl: float) -> HalfLineState:
     """One conservative explicit update of both rows, in place; returns the state.
 
-    It runs ``_advance`` one ``stable_dt`` ahead and lands there, so its
-    entry checks raise on a cfl outside (0, 1] or a NaN cell; a dt within
-    ``landing_tolerance`` moves only the time.  The flux through xi = 0
-    goes to each row's ledger; dxi * sum + ledger is constant to rounding.
+    It runs ``_advance`` one ``stable_dt`` ahead, within half that dt, so
+    its entry checks raise on a cfl outside (0, 1] or a NaN cell and it
+    takes one step of any positive dt.  The flux through xi = 0 goes to
+    each row's ledger; dxi * sum + ledger is constant to rounding.
     """
     t_end = state.time + stable_dt(state, cfl)
-    _advance(state, cfl, t_end, landing_tolerance(t_end))
+    _advance(state, cfl, t_end, 0.5 * (t_end - state.time))
     state.time = t_end
     return state
 

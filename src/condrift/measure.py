@@ -9,7 +9,8 @@ x = 0.  The x-images of the cells are sliced from the snapshot's grid,
 which computes them once for every snapshot of a run.  The
 pseudo-inverse X(z) of F encodes the concentrated mass as a plateau at
 zero.  ``check_entropy_measure`` reads seven of the paper's statements
-off a series, one per violation kind.
+off a series, one per violation kind; ``cli.simulate`` runs it, and
+``trace_onset_time``, once per run.
 """
 
 from __future__ import annotations

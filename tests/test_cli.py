@@ -18,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import condrift
-from condrift import cli, conslaw, oracle, output
+from condrift import cli, conslaw, measure, oracle, output
 from condrift.characteristics import evaluate_smooth_grid
 from condrift.cli import (
     EXIT_CONFIG,
@@ -1368,6 +1368,29 @@ def test_verify_keeps_its_report_bytes_with_three_solver_runs(tmp_path, monkeypa
     assert len(built) == 3
 
 
+# the report of verify at grid_cells = z_count = 100, gamma = 1, as written
+# when its two diagnostics rows were computed in verify itself
+VERIFY_REPORT_100 = (
+    'check                                      status measured           target\n'
+    'L1 convergence order vs explicit u         INFO   0.776              >= 0.8\n'
+    'trace onset time vs 1/gamma                INFO   0.28597            1.00000 +/- 8.2\n'
+    'condensed-mass law rel error               INFO   0.0387             <= 0.01\n'
+    'pseudo-inverse Linf vs explicit X          INFO   3.42e-02           <= 1e-2\n'
+    'entropy-measure diagnostics                PASS   0 violations       0\n'
+)
+
+
+def test_verify_makes_four_solver_runs_when_no_size_is_grid_cells(tmp_path, monkeypatch):
+    # at 100 cells the convergence sizes are 64, 128 and 256: none comes
+    # off the law run, so each builds a stepper of its own besides it
+    built = count_steppers(monkeypatch)
+    path = write_config(tmp_path, gamma=1.0, grid_cells=100, z_count=100)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(path), "--output", str(out), "--quiet"]) == 0
+    assert (out / "verify_report.txt").read_text() == VERIFY_REPORT_100
+    assert len(built) == 4
+
+
 def test_verify_exits_5_after_writing_a_failed_report(tmp_path, capsys):
     path = write_config(tmp_path, gamma=1.0, grid_cells=256, z_count=256)
     out = tmp_path / "verify"
@@ -1440,6 +1463,23 @@ def test_simulate_maps_the_grid_edges_once():
     assert len(res.ms_series) == 5
     for points in (grid.edges, grid.centers):
         assert sum(np.array_equal(xi, points) for xi in arguments) == 1
+
+
+def test_simulate_returns_the_checks_of_its_own_run():
+    # simulate's result holds the diagnostics and the onset of its run,
+    # as the two functions give them on its state, series, grid and datum
+    config = RunConfig.from_dict({"gamma": 2.0, "grid_cells": 128, "z_count": 64,
+                                  "t_end": 1.0, "datum": {
+                                      "kind": "piecewise_linear",
+                                      "breakpoints": [-0.8, 0.0, 0.6],
+                                      "values": [0.3, 1.0, 0.2]}})
+    res = simulate(config)
+    state = res.state
+    assert res.violations == measure.check_entropy_measure(
+        res.ms_series, res.X_series, state.grid.cfg, state.sup_initial,
+        datum=config.build_datum())
+    assert res.onset == measure.trace_onset_time(state.trace_times, state.trace_values)
+    assert math.isfinite(res.onset)
 
 
 def test_readme_library_example_runs_as_written():

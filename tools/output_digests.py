@@ -2,12 +2,14 @@
 
 The runs are the three benchmark workloads (``bench/workloads.py``, read
 as it is) at seeds 1-3, ``verify`` on the block at gamma in {0.1, 0.5,
-1, 2, 16} at the default sizes and at gamma 10^6 at 64 cells, written
-once as a JSON integer and once as a float, ``simulate`` on two data off the
+1, 2, 16} at the default sizes, at gamma 10^6 at 64 cells, written
+once as a JSON integer and once as a float, and at gamma 1 at 100 cells,
+where no convergence size is the law run's, ``simulate`` on two data off the
 benchmark (``OFF_SUITE``), each followed by ``convert`` on its output,
-and ``characteristics`` on five data off the benchmark
+and ``characteristics`` on seven data off the benchmark
 (``CHARACTERISTICS_OFF_SUITE``): a radial datum in d = 2, linear data
-with zero edge values, a falling step profile, and gamma 0.5 and 3. The
+with zero edge values, a falling step profile, gamma 0.5 and 3, and a
+tent at gamma 0.5 and 3 on points that hold x = 0 exactly. The
 runs of ``EXIT_CODE_ONLY`` record their exit code alone: a 401-digit
 integer for each numeric key that ``simulate``, ``verify`` and
 ``characteristics`` read as a size or as gamma, and two runs at gamma =
@@ -84,6 +86,12 @@ CHARACTERISTICS_OFF_SUITE = {
                "grid_cells": 513,
                "datum": {"kind": "piecewise_linear", "breakpoints": [-0.4, 0.0, 0.5],
                          "values": [0.5, 1.0, 0.3]}},
+    # 513 points on [-0.5, 0.5] hold x = 0 exactly: the origin's own path
+    **{f"origin-gamma{gamma:g}": {
+        "gamma": gamma, "t_end": 0.9 / gamma, "snapshot_cadence": 0.3 / gamma,
+        "grid_cells": 513,
+        "datum": {"kind": "piecewise_linear", "breakpoints": [-0.5, 0.0, 0.5],
+                  "values": [0.4, 1.0, 0.4]}} for gamma in (0.5, 3.0)},
 }
 
 
@@ -143,6 +151,9 @@ def runs(workloads: dict):
     for gamma in (10**6, 1e6):
         yield (f"verify/gamma{gamma!r}-64cells", "verify",
                {"gamma": gamma, "datum": BLOCK, "grid_cells": 64}, False)
+    # the convergence sizes 64, 128 and 256 all run on their own
+    yield ("verify/gamma1-100cells", "verify",
+           {"gamma": 1.0, "datum": BLOCK, "grid_cells": 100, "z_count": 100}, False)
     for name, config in OFF_SUITE.items():
         yield f"simulate/{name}", "simulate", config, True
     for name, config in CHARACTERISTICS_OFF_SUITE.items():
